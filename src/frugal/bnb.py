@@ -16,7 +16,6 @@ and every solved relaxation is memoized per instance.
 from __future__ import annotations
 
 import heapq
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
@@ -24,14 +23,17 @@ from typing import Any, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .core import (
-    CappedRunOutcome,
-    ConfigProblem,
-    InstanceHandle,
-    ParamSpace,
-    PartitionCell,
+from .core import CappedRunOutcome, InstanceHandle, PartitionCell, PoolProblem
+from .sweep import (
+    AffineScore,
+    DecisionTracker,
+    cell_count_ceiling,
+    cells_from_refinement,
+    distinct_instances,
+    refine_cells,
+    sweep_distinct,
+    sweep_unit_interval,
 )
-from .sweep import AffineScore, DecisionTracker, cells_from_refinement, refine_cells, sweep_unit_interval
 
 __all__ = [
     "Milp",
@@ -60,7 +62,6 @@ MAX_TREE_SIZE = 2**15
 # score mixtures affine.  A node with both children infeasible is fathomed
 # before its score can matter.
 INFEASIBLE_SCORE = Fraction(10**9)
-_F_BOUND_SATURATION = 2**62
 
 _SIMPLEX_ITERATION_LIMIT = 100_000
 
@@ -494,26 +495,18 @@ def best_binary_solution(milp: Milp, rho, cap: int = MAX_TREE_SIZE):
     return record.incumbent_value
 
 
-def _payloads(instances: Sequence[Any]) -> list[Milp]:
-    return [
-        item.payload if isinstance(item, InstanceHandle) else item for item in instances
-    ]
-
-
-def bnb_partition(
-    instances: Sequence[Any], tau: int, threads: int = 1
-) -> list[PartitionCell]:
+def bnb_partition(instances: Sequence[Any], tau: int) -> list[PartitionCell]:
     """Exact partition of [0, 1] into tree-invariance cells at the given cap.
 
-    Per instance, the unit interval is swept left to right: a capped run at
-    the left endpoint of each unresolved interval yields both the capped
-    loss and the first point where any branching decision flips.  The
-    per-instance partitions are then refined into a common partition with
-    solved fractions and capped-loss vectors.
+    Per distinct instance, the unit interval is swept left to right: a
+    capped run at the left endpoint of each unresolved interval yields both
+    the capped loss and the first point where any branching decision flips.
+    The per-instance partitions are then refined into a common partition
+    whose solved fractions and capped-loss vectors count every instance.
     """
     if tau < 1:
         raise ValueError("tau must be a positive integer")
-    milps = _payloads(instances)
+    milps, inverse, labels = distinct_instances(instances)
     if not milps:
         raise ValueError("need at least one instance")
 
@@ -526,79 +519,41 @@ def bnb_partition(
             execute, degenerate_message="degenerate breakpoint cluster"
         )
 
-    distinct: dict[int, Any] = {}
-    order: list[int] = []
-    for milp in milps:
-        key = id(milp)
-        order.append(key)
-        if key not in distinct:
-            distinct[key] = milp
-    keys = list(distinct)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            swept = dict(zip(keys, pool.map(sweep_one, (distinct[k] for k in keys))))
-    else:
-        swept = {k: sweep_one(distinct[k]) for k in keys}
-    refined = refine_cells([swept[k] for k in order])
-    return cells_from_refinement(refined)
+    refined = refine_cells(sweep_distinct(sweep_one, milps, labels, tau))
+    return cells_from_refinement(refined, inverse)
 
 
 def bnb_cell_bound(instances: Sequence[Any], tau: int) -> int:
     """Analytic ceiling on the cell count: ``sum_j n_j^(2 (tau+1)) + 1``.
 
-    Saturates well below integer overflow territory; monotone in the
-    instance set and the cap by construction.
+    Saturates at ``2**62``; monotone in the instance set and the cap by
+    construction.
     """
     if tau < 0:
         raise ValueError("tau must be nonnegative")
-    total = 1
-    for milp in _payloads(instances):
-        total += milp.n ** (2 * (tau + 1))
-        if total >= _F_BOUND_SATURATION:
-            return _F_BOUND_SATURATION
-    return total
+    # n ** 62 already saturates for n >= 2, so larger exponents change
+    # nothing and would only build huge integers.
+    exponent = min(2 * (tau + 1), 62)
+    return cell_count_ceiling(instances, lambda milp: milp.n**exponent)
 
 
-class BnbProblem(ConfigProblem):
+class BnbProblem(PoolProblem):
     """Configuration problem over a finite pool of programs.
 
     The pool acts as the instance distribution: sampling is uniform with
-    replacement.  Measured cell counts are cached per (instance set, cap)
-    and reused by ``f_bound``; otherwise the analytic ceiling applies.
+    replacement.  Measured cell counts are cached per (distinct instance
+    set, cap) and reused by ``f_bound``; otherwise the analytic ceiling
+    applies.
     """
 
     domain = "bnb"
-
-    def __init__(self, pool: Sequence[Milp], threads: int = 1) -> None:
-        if not pool:
-            raise ValueError("need a nonempty instance pool")
-        self.pool = list(pool)
-        self.threads = threads
-        self.space = ParamSpace()
-        self._measured: dict[tuple[frozenset, int], int] = {}
-
-    def sample(self, rng: np.random.Generator) -> InstanceHandle:
-        index = int(rng.integers(len(self.pool)))
-        return InstanceHandle(domain=self.domain, uid=index, payload=self.pool[index])
-
-    def all_instances(self) -> list[InstanceHandle]:
-        return [
-            InstanceHandle(domain=self.domain, uid=i, payload=m)
-            for i, m in enumerate(self.pool)
-        ]
-
-    def _key(self, instances: Sequence[Any], tau: int):
-        uids = frozenset(
-            h.uid if isinstance(h, InstanceHandle) else id(h) for h in instances
-        )
-        return (uids, tau)
 
     def run_with_cap(self, rho, instance, tau: int) -> CappedRunOutcome:
         milp = instance.payload if isinstance(instance, InstanceHandle) else instance
         return bnb_run(milp, rho, tau)
 
     def get_partition(self, instances, tau: int) -> list[PartitionCell]:
-        cells = bnb_partition(instances, tau, threads=self.threads)
+        cells = bnb_partition(instances, tau)
         self._measured[self._key(instances, tau)] = len(cells)
         return cells
 

@@ -35,6 +35,7 @@ from .learner import (
     learn_subset,
     measure_loss,
 )
+from .sweep import DegenerateCellError
 from .synthetic import SyntheticFamily, SyntheticProblem
 
 __all__ = ["main", "entry", "UsageError", "RunConfig", "load_config"]
@@ -116,7 +117,7 @@ def load_config(path: str | Path, seed_override=None, out_override=None) -> RunC
     return cfg
 
 
-def build_problem(cfg: RunConfig, threads: int = 1) -> ConfigProblem:
+def build_problem(cfg: RunConfig) -> ConfigProblem:
     if cfg.domain == "synthetic":
         return SyntheticProblem(cfg.family)
     files = sorted(p for p in cfg.instances_dir.iterdir() if p.is_file())
@@ -124,8 +125,8 @@ def build_problem(cfg: RunConfig, threads: int = 1) -> ConfigProblem:
         raise UsageError(f"no instance files in {cfg.instances_dir}")
     try:
         if cfg.domain == "bnb":
-            return BnbProblem([load_milp(p) for p in files], threads=threads)
-        return ClusteringProblem([load_instance(p) for p in files], threads=threads)
+            return BnbProblem([load_milp(p) for p in files])
+        return ClusteringProblem([load_instance(p) for p in files])
     except ValueError as exc:
         raise UsageError(f"bad instance file: {exc}") from exc
 
@@ -173,7 +174,7 @@ def _subset_payload(cfg: RunConfig, result) -> dict:
 
 def cmd_learn(args) -> int:
     cfg = load_config(args.config, args.seed, args.out)
-    problem = build_problem(cfg, args.threads)
+    problem = build_problem(cfg)
     out = cfg.out
     out.mkdir(parents=True, exist_ok=True)
     started = time.perf_counter()
@@ -221,7 +222,7 @@ def cmd_partition(args) -> int:
     cfg = load_config(args.config, args.seed, args.out)
     if args.tau is None or args.tau < 1:
         raise UsageError("partition needs --tau >= 1")
-    problem = build_problem(cfg, args.threads)
+    problem = build_problem(cfg)
     if cfg.domain == "synthetic":
         if args.samples < 1:
             raise UsageError("--samples must be positive")
@@ -258,7 +259,7 @@ def cmd_select(args) -> int:
         return 2
     if args.samples < 1:
         raise UsageError("--samples must be positive")
-    problem = build_problem(cfg, args.threads)
+    problem = build_problem(cfg)
     candidates = [ParamPoint((entry["rho"],)) for entry in entries]
     eps_prime = math.sqrt(1.0 + cfg.epsilon) - 1.0
     delta_prime = cfg.delta / 2.0
@@ -296,7 +297,7 @@ def cmd_evaluate(args) -> int:
         raise UsageError("evaluate needs --rho in [0, 1]")
     if args.samples < 1:
         raise UsageError("--samples must be positive")
-    problem = build_problem(cfg, args.threads)
+    problem = build_problem(cfg)
     rng = np.random.default_rng(cfg.seed)
     ceiling = args.ceiling if args.ceiling is not None else 2**20
     losses = np.empty(args.samples, dtype=np.int64)
@@ -327,7 +328,6 @@ def _build_parser() -> _Parser:
     common.add_argument("--config", required=True, help="JSON run config")
     common.add_argument("--seed", type=int, default=None, help="override config seed")
     common.add_argument("--out", default=None, help="override output directory")
-    common.add_argument("--threads", type=int, default=1, help="oracle evaluation pool size")
     sub = parser.add_subparsers(dest="command", required=True)
     p_learn = sub.add_parser("learn", parents=[common], help="learn a parameter subset")
     p_learn.set_defaults(func=cmd_learn)
@@ -363,7 +363,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except LearnerError as exc:
+    except (LearnerError, DegenerateCellError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (ValueError, OSError) as exc:

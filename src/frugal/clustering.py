@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
@@ -26,14 +25,17 @@ from typing import Any, Iterable, Sequence
 
 import numpy as np
 
-from .core import (
-    CappedRunOutcome,
-    ConfigProblem,
-    InstanceHandle,
-    ParamSpace,
-    PartitionCell,
+from .core import CappedRunOutcome, InstanceHandle, PartitionCell, PoolProblem
+from .sweep import (
+    AffineScore,
+    DecisionTracker,
+    cell_count_ceiling,
+    cells_from_refinement,
+    distinct_instances,
+    refine_cells,
+    sweep_distinct,
+    sweep_unit_interval,
 )
-from .sweep import AffineScore, DecisionTracker, cells_from_refinement, refine_cells, sweep_unit_interval
 
 __all__ = [
     "ClusteringInstance",
@@ -56,7 +58,6 @@ __all__ = [
 
 MAX_POINTS = 12
 _TRIANGLE_SLACK = Fraction(1, 10**9)
-_F_BOUND_SATURATION = 2**62
 
 
 def _to_fraction(value: Any) -> Fraction:
@@ -355,19 +356,15 @@ def clustering_run_with_cap(rho, instance: ClusteringInstance, tau: int) -> Capp
     return CappedRunOutcome.truncated(tau)
 
 
-def _payloads(instances: Sequence[Any]) -> list[ClusteringInstance]:
-    return [
-        item.payload if isinstance(item, InstanceHandle) else item for item in instances
-    ]
+def clustering_partition(instances: Sequence[Any], tau: int) -> list[PartitionCell]:
+    """Exact partition of [0, 1] into merge-invariance cells at the given cap.
 
-
-def clustering_partition(
-    instances: Sequence[Any], tau: int, threads: int = 1
-) -> list[PartitionCell]:
-    """Exact partition of [0, 1] into merge-invariance cells at the given cap."""
+    Each distinct instance is swept once; the refined cells' solved
+    fractions and capped-loss vectors count every instance.
+    """
     if tau < 0:
         raise ValueError("tau must be nonnegative")
-    items = _payloads(instances)
+    items, inverse, labels = distinct_instances(instances)
     if not items:
         raise ValueError("need at least one instance")
 
@@ -384,33 +381,15 @@ def clustering_partition(
 
         return sweep_unit_interval(execute, degenerate_message="degenerate linkage tie")
 
-    distinct: dict[int, ClusteringInstance] = {}
-    order: list[int] = []
-    for item in items:
-        key = id(item)
-        order.append(key)
-        if key not in distinct:
-            distinct[key] = item
-    keys = list(distinct)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            swept = dict(zip(keys, pool.map(sweep_one, (distinct[k] for k in keys))))
-    else:
-        swept = {k: sweep_one(distinct[k]) for k in keys}
-    refined = refine_cells([swept[k] for k in order])
-    return cells_from_refinement(refined)
+    refined = refine_cells(sweep_distinct(sweep_one, items, labels, tau))
+    return cells_from_refinement(refined, inverse)
 
 
 def clustering_cell_bound(instances: Sequence[Any], tau: int) -> int:
-    """Analytic ceiling on the cell count: ``sum_j n_j^8 + 1``."""
+    """Analytic ceiling on the cell count: ``sum_j n_j^8 + 1``, saturating at ``2**62``."""
     if tau < 0:
         raise ValueError("tau must be nonnegative")
-    total = 1
-    for instance in _payloads(instances):
-        total += instance.n**8
-        if total >= _F_BOUND_SATURATION:
-            return _F_BOUND_SATURATION
-    return total
+    return cell_count_ceiling(instances, lambda instance: instance.n**8)
 
 
 def exact_kmedian_cost(distances: Sequence[Sequence[Any]], k: int) -> Fraction:
@@ -428,41 +407,17 @@ def exact_kmedian_cost(distances: Sequence[Sequence[Any]], k: int) -> Fraction:
     return best
 
 
-class ClusteringProblem(ConfigProblem):
+class ClusteringProblem(PoolProblem):
     """Configuration problem over a finite pool of clustering instances."""
 
     domain = "clustering"
-
-    def __init__(self, pool: Sequence[ClusteringInstance], threads: int = 1) -> None:
-        if not pool:
-            raise ValueError("need a nonempty instance pool")
-        self.pool = list(pool)
-        self.threads = threads
-        self.space = ParamSpace()
-        self._measured: dict[tuple[frozenset, int], int] = {}
-
-    def sample(self, rng: np.random.Generator) -> InstanceHandle:
-        index = int(rng.integers(len(self.pool)))
-        return InstanceHandle(domain=self.domain, uid=index, payload=self.pool[index])
-
-    def all_instances(self) -> list[InstanceHandle]:
-        return [
-            InstanceHandle(domain=self.domain, uid=i, payload=inst)
-            for i, inst in enumerate(self.pool)
-        ]
-
-    def _key(self, instances: Sequence[Any], tau: int):
-        uids = frozenset(
-            h.uid if isinstance(h, InstanceHandle) else id(h) for h in instances
-        )
-        return (uids, tau)
 
     def run_with_cap(self, rho, instance, tau: int) -> CappedRunOutcome:
         payload = instance.payload if isinstance(instance, InstanceHandle) else instance
         return clustering_run_with_cap(rho, payload, tau)
 
     def get_partition(self, instances, tau: int) -> list[PartitionCell]:
-        cells = clustering_partition(instances, tau, threads=self.threads)
+        cells = clustering_partition(instances, tau)
         self._measured[self._key(instances, tau)] = len(cells)
         return cells
 

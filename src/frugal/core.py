@@ -21,8 +21,10 @@ __all__ = [
     "ParamCell",
     "CappedRunOutcome",
     "InstanceHandle",
+    "PoolSample",
     "PartitionCell",
     "ConfigProblem",
+    "PoolProblem",
     "DegenerateDistributionError",
     "tail_quantile_exact",
     "law_capped_mean",
@@ -176,6 +178,32 @@ class InstanceHandle:
     payload: Any = field(compare=False)
 
 
+class PoolSample(Sequence[InstanceHandle]):
+    """A sample drawn from a finite pool, held as an array of pool indices.
+
+    ``uids[i]`` is the pool index of the ``i``-th draw, which is also the
+    ``uid`` of its handle; indexing builds handles lazily.
+    """
+
+    __slots__ = ("domain", "pool", "uids")
+
+    def __init__(self, domain: str, pool: Sequence[Any], uids: np.ndarray) -> None:
+        self.domain = domain
+        self.pool = pool
+        self.uids = np.asarray(uids, dtype=np.int64)
+
+    def __len__(self) -> int:
+        return int(self.uids.shape[0])
+
+    def __getitem__(self, index: int) -> InstanceHandle:
+        uid = int(self.uids[index])
+        return InstanceHandle(domain=self.domain, uid=uid, payload=self.pool[uid])
+
+    def distinct_uids(self) -> np.ndarray:
+        """The pool indices drawn at least once, ascending."""
+        return np.flatnonzero(np.bincount(self.uids, minlength=len(self.pool)))
+
+
 @dataclass(eq=False)
 class PartitionCell:
     """One region of parameter space with constant capped behavior.
@@ -230,6 +258,50 @@ class ConfigProblem:
 
     def f_bound(self, instances: Sequence[InstanceHandle], tau: int) -> int:
         raise NotImplementedError
+
+
+class PoolProblem(ConfigProblem):
+    """A problem whose instance distribution is uniform over a finite pool.
+
+    Samples are ``PoolSample`` index arrays.  Subclasses record each measured
+    cell count in ``_measured`` under ``_key`` so that ``f_bound`` can reuse
+    it for the same set of distinct instances and cap.
+    """
+
+    def __init__(self, pool: Sequence[Any]) -> None:
+        if not pool:
+            raise ValueError("need a nonempty instance pool")
+        self.pool = list(pool)
+        self.space = ParamSpace()
+        self._measured: dict[tuple[frozenset, int], int] = {}
+
+    def sample(self, rng: np.random.Generator) -> InstanceHandle:
+        index = int(rng.integers(len(self.pool)))
+        return InstanceHandle(domain=self.domain, uid=index, payload=self.pool[index])
+
+    def sample_many(self, rng: np.random.Generator, count: int) -> PoolSample:
+        # One batched draw yields the same indices, and leaves the generator
+        # in the same state, as ``count`` scalar draws.
+        return PoolSample(self.domain, self.pool, rng.integers(len(self.pool), size=count))
+
+    def merge_samples(self, first, second) -> Sequence[InstanceHandle]:
+        if isinstance(first, PoolSample) and isinstance(second, PoolSample):
+            return PoolSample(self.domain, self.pool, np.concatenate([first.uids, second.uids]))
+        return super().merge_samples(first, second)
+
+    def all_instances(self) -> list[InstanceHandle]:
+        return [
+            InstanceHandle(domain=self.domain, uid=i, payload=item)
+            for i, item in enumerate(self.pool)
+        ]
+
+    def _key(self, instances: Sequence[Any], tau: int) -> tuple[frozenset, int]:
+        if isinstance(instances, PoolSample):
+            return (frozenset(instances.distinct_uids().tolist()), tau)
+        uids = frozenset(
+            h.uid if isinstance(h, InstanceHandle) else id(h) for h in instances
+        )
+        return (uids, tau)
 
 
 def _normalize_law(law: Iterable[tuple[Any, Any]]) -> list[tuple[int, float]]:

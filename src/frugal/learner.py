@@ -126,7 +126,6 @@ class LearnerState:
     """Mutable per-run state: the confidence bound and the admitted regions."""
 
     round_index: int = 0
-    sample_count: int = 0
     threshold: float = math.inf
     regions: list[GoodRegion] = field(default_factory=list)
 
@@ -325,7 +324,6 @@ def learn_subset(problem: ConfigProblem, cfg: LearnerConfig) -> OptimalSubsetRes
         state.round_index = round_index
         cap = 2**round_index
         sample = grow_sample(problem, round_index, cfg, rng)
-        state.sample_count = len(sample)
         draws += len(sample)
         cells = problem.get_partition(sample, cap)
         loss_evaluations += len(cells) * len(sample)

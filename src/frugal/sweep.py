@@ -22,29 +22,42 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence, TypeVar
+from typing import Any, Callable, Sequence, TypeVar
 
 import numpy as np
 
-from .core import ParamCell, PartitionCell
+from .core import InstanceHandle, ParamCell, PartitionCell, PoolSample
 
 __all__ = [
     "AffineScore",
     "DecisionTracker",
     "DegenerateCellError",
     "sweep_unit_interval",
+    "distinct_instances",
+    "sweep_distinct",
     "refine_cells",
     "cells_from_refinement",
+    "cell_count_ceiling",
 ]
 
 T = TypeVar("T")
 K = TypeVar("K")
 
 MIN_CELL_WIDTH = Fraction(1, 10**12)
+F_BOUND_SATURATION = 2**62
 
 
 class DegenerateCellError(RuntimeError):
-    """Raised when breakpoints cluster below the representable cell width."""
+    """Raised when breakpoints cluster below the representable cell width.
+
+    ``left`` is the left end of the cell being swept and ``bound`` the
+    breakpoint that lies closer than ``MIN_CELL_WIDTH`` to it.
+    """
+
+    def __init__(self, message: str, left: Fraction, bound: Fraction) -> None:
+        super().__init__(message)
+        self.left = left
+        self.bound = bound
 
 
 @dataclass(frozen=True)
@@ -133,10 +146,68 @@ def sweep_unit_interval(
         payload = execute(cursor, tracker)
         right = min(tracker.bound, top)
         if right - cursor < MIN_CELL_WIDTH:
-            raise DegenerateCellError(degenerate_message)
+            raise DegenerateCellError(
+                f"{degenerate_message}: breakpoint {right} lies within "
+                f"{MIN_CELL_WIDTH} of the cell's left end {cursor}",
+                left=cursor,
+                bound=right,
+            )
         cells.append((cursor, right, payload))
         cursor = right
     return cells
+
+
+def distinct_instances(instances: Sequence[Any]) -> tuple[list[Any], np.ndarray, list[str]]:
+    """The distinct payloads of an instance sequence, as ``(payloads, inverse, labels)``.
+
+    ``inverse[i]`` is the position in ``payloads`` of the ``i``-th instance.
+    A ``PoolSample`` is deduplicated by pool index, any other sequence of
+    handles or bare payloads by payload identity.  ``labels`` name each
+    distinct instance for error messages.
+    """
+    if isinstance(instances, PoolSample):
+        uids = instances.distinct_uids()
+        position = np.zeros(len(instances.pool), dtype=np.int64)
+        position[uids] = np.arange(uids.size)
+        payloads = [instances.pool[uid] for uid in uids.tolist()]
+        labels = [_label(p, f"pool uid {uid}") for p, uid in zip(payloads, uids.tolist())]
+        return payloads, position[instances.uids], labels
+    first: dict[int, int] = {}
+    payloads, labels, inverse = [], [], []
+    for position, item in enumerate(instances):
+        if isinstance(item, InstanceHandle):
+            payload, where = item.payload, f"pool uid {item.uid}"
+        else:
+            payload, where = item, f"item {position}"
+        index = first.setdefault(id(payload), len(payloads))
+        if index == len(payloads):
+            payloads.append(payload)
+            labels.append(_label(payload, where))
+        inverse.append(index)
+    return payloads, np.array(inverse, dtype=np.int64), labels
+
+
+def _label(payload: Any, where: str) -> str:
+    name = getattr(payload, "name", "")
+    return f"instance {name!r} ({where})" if name else f"instance at {where}"
+
+
+def sweep_distinct(
+    sweep_one: Callable[[Any], list[tuple[Fraction, Fraction, T]]],
+    payloads: Sequence[Any],
+    labels: Sequence[str],
+    tau: int,
+) -> list[list[tuple[Fraction, Fraction, T]]]:
+    """Sweep each distinct payload once; a degenerate cell names its instance and cap."""
+    partitions = []
+    for payload, label in zip(payloads, labels):
+        try:
+            partitions.append(sweep_one(payload))
+        except DegenerateCellError as exc:
+            raise DegenerateCellError(
+                f"{exc} ({label}, cap {tau})", left=exc.left, bound=exc.bound
+            ) from exc
+    return partitions
 
 
 def refine_cells(
@@ -162,14 +233,31 @@ def refine_cells(
 
 def cells_from_refinement(
     refined: Sequence[tuple[Fraction, Fraction, list[tuple[int, bool]]]],
+    inverse: np.ndarray,
 ) -> list[PartitionCell]:
-    """Build partition cells from refined (capped_loss, solved) payloads."""
+    """Build partition cells from refined (capped_loss, solved) payloads.
+
+    The refinement holds one payload per distinct instance; ``inverse``
+    (see ``distinct_instances``) expands them to one entry per instance.
+    """
     out = []
     for index, (lo, hi, payloads) in enumerate(refined):
-        losses = np.array([loss for loss, _ in payloads], dtype=np.int64)
-        solved = np.array([ok for _, ok in payloads], dtype=np.bool_)
+        losses = np.array([loss for loss, _ in payloads], dtype=np.int64)[inverse]
+        solved = np.array([ok for _, ok in payloads], dtype=np.bool_)[inverse]
         cell = ParamCell(
             intervals=((lo, hi),), label=index, top_closed=(hi == Fraction(1))
         )
         out.append(PartitionCell(cell=cell, z=float(solved.mean()), capped_losses=losses))
     return out
+
+
+def cell_count_ceiling(instances: Sequence[Any], cells_of: Callable[[Any], int]) -> int:
+    """``min(1 + sum of cells_of(payload) over the instances, 2**62)``.
+
+    Repeated instances count once per occurrence.  The terms are positive,
+    so the sum saturates exactly when a running total would.
+    """
+    payloads, inverse, _ = distinct_instances(instances)
+    counts = np.bincount(inverse, minlength=len(payloads)).tolist()
+    total = 1 + sum(count * cells_of(p) for p, count in zip(payloads, counts))
+    return min(total, F_BOUND_SATURATION)

@@ -20,7 +20,7 @@ from frugal.bnb import (
     random_milp,
     scores,
 )
-from frugal.core import validate_cells_cover
+from frugal.core import PoolSample, validate_cells_cover
 from support import brute_binary_optimum, check_partition_contract
 
 
@@ -254,6 +254,40 @@ class TestFBound:
         for tau in (7, 15):
             cells = bnb_partition(pool, tau)
             assert len(cells) <= bnb_cell_bound(pool, tau)
+
+
+class TestPoolSample:
+    @pytest.fixture
+    def problem_and_sample(self):
+        rng = np.random.default_rng(5)
+        problem = BnbProblem([random_milp(rng, 3, 2) for _ in range(7)])
+        return problem, problem.sample_many(np.random.default_rng(6), 2000)
+
+    def test_batched_draws_match_scalar_draws(self, problem_and_sample):
+        problem, sample = problem_and_sample
+        assert isinstance(sample, PoolSample)
+        rng = np.random.default_rng(6)
+        assert sample.uids.tolist() == [problem.sample(rng).uid for _ in range(2000)]
+
+    def test_partition_matches_handle_list(self, problem_and_sample):
+        problem, sample = problem_and_sample
+        handles = list(sample)
+        assert [h.payload for h in handles] == [problem.pool[u] for u in sample.uids]
+        for tau in (3, 15):
+            fast = bnb_partition(sample, tau)
+            slow = bnb_partition(handles, tau)
+            assert [c.cell.intervals for c in fast] == [c.cell.intervals for c in slow]
+            assert [c.z for c in fast] == [c.z for c in slow]
+            for a, b in zip(fast, slow):
+                assert np.array_equal(a.capped_losses, b.capped_losses)
+
+    def test_f_bound_matches_analytic_ceiling(self, problem_and_sample):
+        problem, sample = problem_and_sample
+        below = problem.f_bound(sample, 2)
+        assert below == bnb_cell_bound(list(sample), 2) < 2**62
+        assert problem.f_bound(sample, 40) == bnb_cell_bound(list(sample), 40) == 2**62
+        cells = problem.get_partition(sample, 7)
+        assert problem.f_bound(sample, 7) == problem.f_bound(list(sample), 7) == len(cells)
 
 
 class TestParser:

@@ -1,11 +1,13 @@
 import json
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from frugal.bnb import format_milp, random_milp
+from frugal.bnb import BnbProblem, format_milp, random_milp
 from frugal.cli import main
 from frugal.clustering import exact_kmedian_cost, format_instance, ClusteringInstance
+from frugal.sweep import DegenerateCellError
 from support import four_point_metric
 
 
@@ -115,6 +117,14 @@ class TestPartitionCommand:
         assert main(["partition", "--config", str(config), "--tau", "8"]) == 0
         rows = read_rows(tmp_path / "out" / "cells.csv")
         assert len(rows) == 3
+
+    def test_degenerate_cell_exits_two(self, bnb_config, monkeypatch, capsys):
+        def degenerate(self, instances, tau):
+            raise DegenerateCellError(f"too close (cap {tau})", Fraction(1, 2), Fraction(1, 2))
+
+        monkeypatch.setattr(BnbProblem, "get_partition", degenerate)
+        assert main(["partition", "--config", str(bnb_config), "--tau", "15"]) == 2
+        assert "error: too close (cap 15)" in capsys.readouterr().err
 
     def test_requires_tau(self, tmp_path):
         config = write_config(tmp_path)
@@ -243,10 +253,3 @@ class TestExtras:
         monkeypatch.setenv("FRUGAL_LOG", "debug")
         config = write_config(tmp_path)
         assert main(["partition", "--config", str(config), "--tau", "8"]) == 0
-
-    def test_threads_flag_deterministic(self, bnb_config, tmp_path):
-        assert main(["partition", "--config", str(bnb_config), "--tau", "15"]) == 0
-        single = (tmp_path / "bnb_out" / "cells.csv").read_bytes()
-        assert main(["partition", "--config", str(bnb_config), "--tau", "15",
-                     "--threads", "3"]) == 0
-        assert (tmp_path / "bnb_out" / "cells.csv").read_bytes() == single

@@ -19,7 +19,7 @@ from frugal.clustering import (
     parse_instance,
     random_metric_instance,
 )
-from frugal.core import validate_cells_cover
+from frugal.core import PoolSample, validate_cells_cover
 from support import check_partition_contract, enumerate_prunings, four_point_metric
 
 
@@ -260,6 +260,24 @@ class TestClusteringPartition:
             cells = clustering_partition([inst], inst.n - 1)
             assert len(cells) <= inst.n**8
         assert clustering_cell_bound(pool, 5) == sum(i.n**8 for i in pool) + 1
+
+
+class TestPoolSample:
+    def test_partition_and_bound_match_handle_list(self):
+        problem = ClusteringProblem(random_pool(seed=21, count=6, max_points=6))
+        sample = problem.sample_many(np.random.default_rng(2), 2000)
+        assert isinstance(sample, PoolSample)
+        handles = list(sample)
+        tau = 5
+        fast = clustering_partition(sample, tau)
+        slow = clustering_partition(handles, tau)
+        assert [c.cell.intervals for c in fast] == [c.cell.intervals for c in slow]
+        assert [c.z for c in fast] == [c.z for c in slow]
+        for a, b in zip(fast, slow):
+            assert np.array_equal(a.capped_losses, b.capped_losses)
+        assert problem.f_bound(sample, tau) == clustering_cell_bound(handles, tau)
+        cells = problem.get_partition(sample, tau)
+        assert problem.f_bound(sample, tau) == len(cells)
 
 
 class TestInstanceFormat:

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from frugal.bnb import BnbProblem, random_milp
 from frugal.core import ParamCell, ParamPoint, PartitionCell
 from frugal.learner import (
     LearnerConfig,
@@ -196,6 +197,30 @@ class TestLearnSubset:
         result = learn_subset(SyntheticProblem(SyntheticFamily()), default_config(seed=2))
         executed = [row for row in result.trace if row.samples > 0]
         assert len(result.parameters) <= sum(3 for _ in executed)
+
+    def test_bnb_pool_end_to_end(self):
+        rng = np.random.default_rng(3)
+        pool = [random_milp(rng, 3, 2) for _ in range(8)]
+        cfg = default_config(delta=0.9, seed=0)
+        first = learn_subset(BnbProblem(pool), cfg)
+        assert [row.samples for row in first.trace] == [43232, 49806, 58491, 68442, 0]
+        assert first.terminal_round == 5
+        assert len(first.regions) == 6
+        assert first.instance_draws == 219971
+        second = learn_subset(BnbProblem(pool), cfg)
+        assert first.trace == second.trace
+        assert first.regions == second.regions
+        assert first.parameters == second.parameters
+        chosen = select_finite(
+            BnbProblem(pool),
+            first.parameters,
+            eps_prime=3.0,
+            delta_prime=0.45,
+            n_samples=50,
+            rng=np.random.default_rng(0),
+            cap_ceiling=2 ** (first.terminal_round + 4),
+        )
+        assert chosen in first.parameters
 
 
 class TestSelectFinite:

@@ -1,12 +1,17 @@
 from fractions import Fraction
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
+from frugal.core import PoolSample
 from frugal.sweep import (
     AffineScore,
     DecisionTracker,
     DegenerateCellError,
+    distinct_instances,
     refine_cells,
+    sweep_distinct,
     sweep_unit_interval,
 )
 
@@ -83,8 +88,29 @@ class TestSweep:
             tracker.bound = min(tracker.bound, rho + eps)
             return None
 
-        with pytest.raises(DegenerateCellError):
+        with pytest.raises(DegenerateCellError) as excinfo:
             sweep_unit_interval(execute)
+        assert excinfo.value.left == 0
+        assert excinfo.value.bound == eps
+
+    def test_degenerate_cell_names_instance_and_cap(self):
+        pool = [SimpleNamespace(name=""), SimpleNamespace(name="b.milp")]
+        payloads, inverse, labels = distinct_instances(
+            PoolSample("bnb", pool, np.array([1, 0, 1]))
+        )
+        assert payloads == pool
+        assert inverse.tolist() == [1, 0, 1]
+
+        def sweep_one(payload):
+            if payload.name:
+                raise DegenerateCellError("too close", Fraction(1, 3), Fraction(1, 3))
+            return [(Fraction(0), Fraction(1), None)]
+
+        with pytest.raises(DegenerateCellError) as excinfo:
+            sweep_distinct(sweep_one, payloads, labels, 7)
+        message = str(excinfo.value)
+        assert "'b.milp'" in message and "pool uid 1" in message and "cap 7" in message
+        assert excinfo.value.left == excinfo.value.bound == Fraction(1, 3)
 
     def test_refinement_alignment(self):
         first = [(Fraction(0), Fraction(1, 2), "L"), (Fraction(1, 2), Fraction(1), "R")]
