@@ -23,7 +23,14 @@ from typing import Any, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .core import CappedRunOutcome, InstanceHandle, PartitionCell, PoolProblem
+from .core import (
+    CappedRunOutcome,
+    InstanceHandle,
+    PartitionCell,
+    PoolProblem,
+    format_rational,
+    to_fraction,
+)
 from .sweep import (
     AffineScore,
     DecisionTracker,
@@ -31,6 +38,7 @@ from .sweep import (
     cells_from_refinement,
     distinct_instances,
     refine_cells,
+    standalone_tracker,
     sweep_distinct,
     sweep_unit_interval,
 )
@@ -66,18 +74,6 @@ INFEASIBLE_SCORE = Fraction(10**9)
 _SIMPLEX_ITERATION_LIMIT = 100_000
 
 
-def _to_fraction(value: Any) -> Fraction:
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, (int, np.integer)):
-        return Fraction(int(value))
-    if isinstance(value, str):
-        return Fraction(value)
-    if isinstance(value, (float, np.floating)):
-        return Fraction(float(value))
-    raise TypeError(f"cannot interpret {value!r} as an exact rational")
-
-
 @dataclass(frozen=True)
 class Milp:
     """A maximization program over binary variables inside the unit box.
@@ -111,9 +107,9 @@ class Milp:
     @classmethod
     def from_lists(cls, objective, rows, rhs, name: str = "") -> "Milp":
         return cls(
-            objective=tuple(_to_fraction(v) for v in objective),
-            rows=tuple(tuple(_to_fraction(v) for v in row) for row in rows),
-            rhs=tuple(_to_fraction(v) for v in rhs),
+            objective=tuple(to_fraction(v) for v in objective),
+            rows=tuple(tuple(to_fraction(v) for v in row) for row in rows),
+            rhs=tuple(to_fraction(v) for v in rhs),
             name=name,
         )
 
@@ -455,41 +451,30 @@ def _run_outcome(milp: Milp, cap: int, tracker: DecisionTracker) -> CappedRunOut
     return CappedRunOutcome.truncated(cap)
 
 
-def _check_run_args(rho, cap: int) -> Fraction:
+def _run_tracker(rho, cap: int) -> DecisionTracker:
+    """The standalone tracker of a run at ``rho``, after checking the arguments."""
     if not 0 <= rho <= 1:
         raise ValueError("rho must lie in [0, 1]")
     if cap < 1:
         raise ValueError("cap must be a positive integer")
-    return _to_fraction(rho)
-
-
-def _standalone_tracker(exact_rho: Fraction) -> DecisionTracker:
-    # Runs at the top endpoint behave like the limit from the left; see
-    # DecisionTracker for the boundary convention.
-    return DecisionTracker(exact_rho, Fraction(2), tie_rightward=exact_rho != 1)
+    return standalone_tracker(to_fraction(rho))
 
 
 def bnb_run(milp: Milp, rho, cap: int) -> CappedRunOutcome:
     """Capped search: solved with the exact tree size, or cap-exceeded."""
-    exact_rho = _check_run_args(rho, cap)
-    tracker = _standalone_tracker(exact_rho)
-    return _run_outcome(milp, cap, tracker)
+    return _run_outcome(milp, cap, _run_tracker(rho, cap))
 
 
 def branching_trace(milp: Milp, rho, cap: int) -> tuple[tuple[int, int], ...]:
     """The (node id, branched variable) sequence of a capped run, for
     execution-invariance checks."""
-    exact_rho = _check_run_args(rho, cap)
-    tracker = _standalone_tracker(exact_rho)
-    record = _run_capped(milp, min(cap, MAX_TREE_SIZE), tracker)
+    record = _run_capped(milp, min(cap, MAX_TREE_SIZE), _run_tracker(rho, cap))
     return tuple(record.decisions)
 
 
 def best_binary_solution(milp: Milp, rho, cap: int = MAX_TREE_SIZE):
     """Incumbent value of a capped run (None when infeasible or cap exceeded)."""
-    exact_rho = _check_run_args(rho, cap)
-    tracker = _standalone_tracker(exact_rho)
-    record = _run_capped(milp, min(cap, MAX_TREE_SIZE), tracker)
+    record = _run_capped(milp, min(cap, MAX_TREE_SIZE), _run_tracker(rho, cap))
     if not record.completed:
         return None
     return record.incumbent_value
@@ -601,14 +586,9 @@ def parse_milp(text: str, name: str = "") -> Milp:
 
 
 def format_milp(milp: Milp) -> str:
-    def fmt(value: Fraction) -> str:
-        if value.denominator == 1:
-            return str(value.numerator)
-        return str(float(value))
-
-    lines = [f"{milp.n} {len(milp.rows)}", " ".join(fmt(c) for c in milp.objective)]
+    lines = [f"{milp.n} {len(milp.rows)}", " ".join(map(format_rational, milp.objective))]
     for row, b in zip(milp.rows, milp.rhs):
-        lines.append(" ".join(fmt(v) for v in row) + f" <= {fmt(b)}")
+        lines.append(" ".join(map(format_rational, row)) + f" <= {format_rational(b)}")
     return "\n".join(lines) + "\n"
 
 

@@ -29,11 +29,12 @@ from .bnb import BnbProblem, load_milp
 from .clustering import ClusteringProblem, load_instance
 from .core import ConfigProblem, ParamPoint
 from .learner import (
+    DEFAULT_CAP_CEILING,
     LearnerConfig,
     LearnerError,
     estimate_capped_tail_means,
     learn_subset,
-    measure_loss,
+    sample_losses,
 )
 from .sweep import DegenerateCellError
 from .synthetic import SyntheticFamily, SyntheticProblem
@@ -266,7 +267,7 @@ def cmd_select(args) -> int:
     ceiling = args.ceiling
     if ceiling is None:
         terminal = subset.get("terminal_round")
-        ceiling = 2 ** (int(terminal) + 4) if terminal is not None else 2**20
+        ceiling = 2 ** (int(terminal) + 4) if terminal is not None else DEFAULT_CAP_CEILING
     rng = np.random.default_rng(cfg.seed)
     estimates = estimate_capped_tail_means(
         problem, candidates, delta_prime, args.samples, rng, ceiling
@@ -299,11 +300,8 @@ def cmd_evaluate(args) -> int:
         raise UsageError("--samples must be positive")
     problem = build_problem(cfg)
     rng = np.random.default_rng(cfg.seed)
-    ceiling = args.ceiling if args.ceiling is not None else 2**20
-    losses = np.empty(args.samples, dtype=np.int64)
-    for i in range(args.samples):
-        instance = problem.sample(rng)
-        losses[i] = measure_loss(problem, args.rho, instance, ceiling)
+    ceiling = args.ceiling if args.ceiling is not None else DEFAULT_CAP_CEILING
+    losses = sample_losses(problem, args.rho, args.samples, rng, ceiling)
     values, counts = np.unique(losses, return_counts=True)
     fractions = np.cumsum(counts) / args.samples
     out = cfg.out
@@ -338,12 +336,12 @@ def _build_parser() -> _Parser:
     p_sel = sub.add_parser("select", parents=[common], help="pick one parameter from a subset")
     p_sel.add_argument("--subset", default=None, help="subset.json path (default <out>/subset.json)")
     p_sel.add_argument("--samples", type=int, default=2000, help="instances per candidate")
-    p_sel.add_argument("--ceiling", type=int, default=None, help="doubling-cap ceiling")
+    p_sel.add_argument("--ceiling", type=int, default=None, help="cap ceiling")
     p_sel.set_defaults(func=cmd_select)
     p_eval = sub.add_parser("evaluate", parents=[common], help="empirical loss CDF at one rho")
     p_eval.add_argument("--rho", type=float, default=None, help="parameter to evaluate")
     p_eval.add_argument("--samples", type=int, default=2000, help="number of instances")
-    p_eval.add_argument("--ceiling", type=int, default=None, help="doubling-cap ceiling")
+    p_eval.add_argument("--ceiling", type=int, default=None, help="cap ceiling")
     p_eval.set_defaults(func=cmd_evaluate)
     return parser
 

@@ -25,7 +25,14 @@ from typing import Any, Iterable, Sequence
 
 import numpy as np
 
-from .core import CappedRunOutcome, InstanceHandle, PartitionCell, PoolProblem
+from .core import (
+    CappedRunOutcome,
+    InstanceHandle,
+    PartitionCell,
+    PoolProblem,
+    format_rational,
+    to_fraction,
+)
 from .sweep import (
     AffineScore,
     DecisionTracker,
@@ -33,6 +40,7 @@ from .sweep import (
     cells_from_refinement,
     distinct_instances,
     refine_cells,
+    standalone_tracker,
     sweep_distinct,
     sweep_unit_interval,
 )
@@ -58,18 +66,6 @@ __all__ = [
 
 MAX_POINTS = 12
 _TRIANGLE_SLACK = Fraction(1, 10**9)
-
-
-def _to_fraction(value: Any) -> Fraction:
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, (int, np.integer)):
-        return Fraction(int(value))
-    if isinstance(value, str):
-        return Fraction(value)
-    if isinstance(value, (float, np.floating)):
-        return Fraction(float(value))
-    raise TypeError(f"cannot interpret {value!r} as an exact rational")
 
 
 @dataclass(frozen=True)
@@ -113,9 +109,9 @@ class ClusteringInstance:
     @classmethod
     def from_lists(cls, distances, k: int, theta, name: str = "") -> "ClusteringInstance":
         return cls(
-            distances=tuple(tuple(_to_fraction(v) for v in row) for row in distances),
+            distances=tuple(tuple(to_fraction(v) for v in row) for row in distances),
             k=int(k),
-            theta=_to_fraction(theta),
+            theta=to_fraction(theta),
             name=name,
         )
 
@@ -165,7 +161,7 @@ def linkage_merge_value(A: Iterable[int], B: Iterable[int], rho, distances) -> F
         raise ValueError("clusters must be nonempty")
     if set_a & set_b:
         raise ValueError("clusters must be disjoint")
-    exact_rho = _to_fraction(rho)
+    exact_rho = to_fraction(rho)
     if not 0 <= exact_rho <= 1:
         raise ValueError("rho must lie in [0, 1]")
     pairs = [distances[u][v] for u in set_a for v in set_b]
@@ -188,13 +184,11 @@ def capped_linkage_run(
     n = instance.n
     if not 0 <= tau_merges <= n - 1:
         raise ValueError("tau_merges must lie in [0, n - 1]")
-    exact_rho = _to_fraction(rho)
+    exact_rho = to_fraction(rho)
     if not 0 <= exact_rho <= 1:
         raise ValueError("rho must lie in [0, 1]")
     if tracker is None:
-        # Standalone runs at the top endpoint behave like the limit from
-        # the left; see DecisionTracker for the boundary convention.
-        tracker = DecisionTracker(exact_rho, Fraction(2), tie_rightward=exact_rho != 1)
+        tracker = standalone_tracker(exact_rho)
     members: list[frozenset[int]] = [frozenset((i,)) for i in range(n)]
     roots: list[int] = list(range(n))
     # Closest/farthest pair distances between live roots, updated on merge.
@@ -337,23 +331,28 @@ def best_pruning(forest: MergeForest, k: int, instance: ClusteringInstance) -> P
     return PruningResult(clusters=clusters, cost=target_cost)
 
 
-def clustering_run_with_cap(rho, instance: ClusteringInstance, tau: int) -> CappedRunOutcome:
+def _run_outcome(instance: ClusteringInstance, tau: int, tracker: DecisionTracker) -> CappedRunOutcome:
     """Smallest merge budget whose best pruning is admissible, if within cap.
 
-    The best pruning cost is non-increasing in the merge budget (later
-    forests contain every earlier node), so the first admissible budget is
-    the exact loss.  Budgets are capped at ``n - 1`` merges; a cap beyond
-    that cannot help.
+    The run is at the tracker's point.  The best pruning cost is
+    non-increasing in the merge budget (later forests contain every earlier
+    node), so the first admissible budget is the exact loss.  Budgets are
+    capped at ``n - 1`` merges; a cap beyond that cannot help.
     """
-    if tau < 0:
-        raise ValueError("tau must be nonnegative")
     budget = min(tau, instance.n - 1)
-    forest = capped_linkage_run(instance, rho, budget)
+    forest = capped_linkage_run(instance, tracker.point, budget, tracker)
     for tau_prime in range(budget + 1):
         result = best_pruning(forest.prefix(tau_prime), instance.k, instance)
         if result.cost <= instance.theta:
             return CappedRunOutcome.finished(tau_prime)
     return CappedRunOutcome.truncated(tau)
+
+
+def clustering_run_with_cap(rho, instance: ClusteringInstance, tau: int) -> CappedRunOutcome:
+    """Capped run at one weight: solved with the exact merge budget, or cap-exceeded."""
+    if tau < 0:
+        raise ValueError("tau must be nonnegative")
+    return _run_outcome(instance, tau, standalone_tracker(to_fraction(rho)))
 
 
 def clustering_partition(instances: Sequence[Any], tau: int) -> list[PartitionCell]:
@@ -369,15 +368,9 @@ def clustering_partition(instances: Sequence[Any], tau: int) -> list[PartitionCe
         raise ValueError("need at least one instance")
 
     def sweep_one(instance: ClusteringInstance):
-        budget = min(tau, instance.n - 1)
-
         def execute(rho: Fraction, tracker: DecisionTracker):
-            forest = capped_linkage_run(instance, rho, budget, tracker)
-            for tau_prime in range(budget + 1):
-                result = best_pruning(forest.prefix(tau_prime), instance.k, instance)
-                if result.cost <= instance.theta:
-                    return (min(tau_prime, tau), True)
-            return (tau, False)
+            outcome = _run_outcome(instance, tau, tracker)
+            return (outcome.capped_loss(tau), outcome.solved)
 
         return sweep_unit_interval(execute, degenerate_message="degenerate linkage tie")
 
@@ -401,7 +394,7 @@ def exact_kmedian_cost(distances: Sequence[Sequence[Any]], k: int) -> Fraction:
     best = None
     points = range(n)
     for centers in itertools.combinations(points, k):
-        cost = sum(min(_to_fraction(distances[p][c]) for c in centers) for p in points)
+        cost = sum(min(to_fraction(distances[p][c]) for c in centers) for p in points)
         if best is None or cost < best:
             best = cost
     return best
@@ -455,14 +448,9 @@ def parse_instance(text: str, name: str = "") -> ClusteringInstance:
 
 
 def format_instance(instance: ClusteringInstance) -> str:
-    def fmt(value: Fraction) -> str:
-        if value.denominator == 1:
-            return str(value.numerator)
-        return str(float(value))
-
-    lines = [f"{instance.n} {instance.k} {fmt(instance.theta)}"]
+    lines = [f"{instance.n} {instance.k} {format_rational(instance.theta)}"]
     for row in instance.distances:
-        lines.append(" ".join(fmt(v) for v in row))
+        lines.append(" ".join(map(format_rational, row)))
     return "\n".join(lines) + "\n"
 
 
@@ -501,5 +489,5 @@ def random_metric_instance(
         ]
         for p in points
     ]
-    theta = exact_kmedian_cost(distances, k) * _to_fraction(slack)
+    theta = exact_kmedian_cost(distances, k) * to_fraction(slack)
     return ClusteringInstance.from_lists(distances, k, theta)

@@ -29,6 +29,9 @@ __all__ = [
     "tail_quantile_exact",
     "law_capped_mean",
     "capped_mean",
+    "tail_capped_mean",
+    "to_fraction",
+    "format_rational",
     "validate_cells_cover",
 ]
 
@@ -232,7 +235,10 @@ class ConfigProblem:
     given a frozen instance; ``f_bound`` must be monotone in both the
     instance set (under inclusion) and the cap, and must dominate the number
     of cells ``get_partition`` returns.  The solved flag of ``run_with_cap``
-    must be non-decreasing in the cap.
+    must be non-decreasing in the cap, and a solved run's ``budget_used``
+    must not depend on the cap.  Together with ``CappedRunOutcome``'s
+    contract this makes one run at a cap ceiling report the exact loss, or
+    the ceiling itself when the loss exceeds it.
     """
 
     domain: str = "abstract"
@@ -357,6 +363,37 @@ def capped_mean(losses: Sequence[int] | np.ndarray, cap: int) -> float:
     if cap < 0:
         raise ValueError("cap must be nonnegative")
     return float(np.minimum(arr, cap).mean())
+
+
+def tail_capped_mean(losses: Sequence[int] | np.ndarray, rank: int) -> tuple[int, float]:
+    """The ``rank``-th smallest loss (1-based) and the mean of the losses capped there."""
+    sorted_losses = np.sort(losses)
+    if not 1 <= rank <= sorted_losses.size:
+        raise ValueError(
+            f"quantile index {rank} outside [1, {sorted_losses.size}]: sample too small"
+        )
+    cutoff = int(sorted_losses[rank - 1])
+    return cutoff, capped_mean(sorted_losses, cutoff)
+
+
+def to_fraction(value: Any) -> Fraction:
+    """Exact rational for a Fraction, an integer, a decimal string or a float."""
+    if isinstance(value, Fraction):
+        return value
+    if isinstance(value, (int, np.integer)):
+        return Fraction(int(value))
+    if isinstance(value, str):
+        return Fraction(value)
+    if isinstance(value, (float, np.floating)):
+        return Fraction(float(value))
+    raise TypeError(f"cannot interpret {value!r} as an exact rational")
+
+
+def format_rational(value: Fraction) -> str:
+    """Instance-file text of a rational: an integer as is, anything else as a float."""
+    if value.denominator == 1:
+        return str(value.numerator)
+    return str(float(value))
 
 
 def validate_cells_cover(cells: Sequence[PartitionCell], space: ParamSpace) -> None:

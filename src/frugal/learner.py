@@ -22,7 +22,7 @@ from typing import Any, Sequence
 
 import numpy as np
 
-from .core import ConfigProblem, ParamPoint, capped_mean
+from .core import ConfigProblem, ParamPoint, tail_capped_mean
 from .stats import GammaInputs, gamma_bound
 
 __all__ = [
@@ -35,14 +35,20 @@ __all__ = [
     "SampleBudgetError",
     "NoRegionAdmittedError",
     "RoundLimitError",
+    "DEFAULT_CAP_CEILING",
     "compute_eta",
     "grow_sample",
     "process_round",
     "learn_subset",
     "measure_loss",
+    "sample_losses",
     "estimate_capped_tail_means",
     "select_finite",
 ]
+
+
+# Loss ceiling of the selector and of ``frugal evaluate`` when none is given.
+DEFAULT_CAP_CEILING = 2**20
 
 
 class LearnerError(RuntimeError):
@@ -90,7 +96,6 @@ class LearnerConfig:
     seed: int = 0
     max_rounds: int = 40
     max_samples_per_round: int = 2_000_000
-    dedup_cells: bool = False
 
     def __post_init__(self) -> None:
         if self.epsilon <= 0:
@@ -260,11 +265,7 @@ def process_round(state: LearnerState, cells: Sequence, cfg: LearnerConfig) -> i
     for cell in cells:
         if cell.z < cfg.admission_threshold:
             continue
-        if rank < 1:
-            raise ValueError("sample too small for quantile index")
-        sorted_losses = np.sort(cell.capped_losses)
-        tau_cell = int(sorted_losses[rank - 1])
-        estimate = capped_mean(sorted_losses, tau_cell)
+        tau_cell, estimate = tail_capped_mean(cell.capped_losses, rank)
         state.regions.append(
             GoodRegion(
                 cell=cell.cell,
@@ -278,18 +279,6 @@ def process_round(state: LearnerState, cells: Sequence, cfg: LearnerConfig) -> i
         if estimate < state.threshold:
             state.threshold = estimate
     return admitted
-
-
-def _dedup_regions(regions: list[GoodRegion]) -> list[GoodRegion]:
-    seen = set()
-    out = []
-    for region in regions:
-        key = tuple(region.cell.intervals)
-        if key in seen:
-            continue
-        seen.add(key)
-        out.append(region)
-    return out
 
 
 def learn_subset(problem: ConfigProblem, cfg: LearnerConfig) -> OptimalSubsetResult:
@@ -332,11 +321,10 @@ def learn_subset(problem: ConfigProblem, cfg: LearnerConfig) -> OptimalSubsetRes
             TraceRow(round_index, cap, len(sample), len(cells), admitted, state.threshold)
         )
         round_index += 1
-    regions = _dedup_regions(state.regions) if cfg.dedup_cells else list(state.regions)
-    parameters = [ParamPoint((region.cell.representative(),)) for region in regions]
+    parameters = [ParamPoint((region.cell.representative(),)) for region in state.regions]
     return OptimalSubsetResult(
         parameters=parameters,
-        regions=regions,
+        regions=state.regions,
         trace=trace,
         terminal_round=round_index,
         threshold=state.threshold,
@@ -347,15 +335,25 @@ def learn_subset(problem: ConfigProblem, cfg: LearnerConfig) -> OptimalSubsetRes
 
 
 def measure_loss(problem, rho, instance, ceiling: int) -> int:
-    """Exact loss via doubling caps, or the ceiling when never solved under it."""
-    tau = 1
-    while True:
-        outcome = problem.run_with_cap(rho, instance, tau)
-        if outcome.solved:
-            return outcome.budget_used
-        if tau >= ceiling:
-            return ceiling
-        tau = min(2 * tau, ceiling)
+    """Exact loss, or the ceiling when the run does not finish under it.
+
+    One run at the ceiling suffices (see ``ConfigProblem``): a solved run
+    reports its exact minimum budget whatever the cap, and a run that does
+    not finish at the ceiling would finish under no smaller cap.
+    """
+    return problem.run_with_cap(rho, instance, ceiling).budget_used
+
+
+def sample_losses(
+    problem: ConfigProblem, rho, n_samples: int, rng: np.random.Generator, ceiling: int
+) -> np.ndarray:
+    """Losses at ``rho`` of ``n_samples`` fresh draws, each measured up to the ceiling."""
+    if ceiling < 1:
+        raise ValueError("the cap ceiling must be positive")
+    losses = np.empty(n_samples, dtype=np.int64)
+    for i in range(n_samples):
+        losses[i] = measure_loss(problem, rho, problem.sample(rng), ceiling)
+    return losses
 
 
 def estimate_capped_tail_means(
@@ -368,8 +366,8 @@ def estimate_capped_tail_means(
 ) -> list[float]:
     """Empirical tail-capped mean loss per candidate.
 
-    For each candidate, draws fresh instances, measures losses with doubling
-    caps up to the ceiling, takes the value of rank
+    For each candidate, draws fresh instances, measures their losses up to
+    the ceiling (``sample_losses``), takes the value of rank
     ``floor(n_samples (1 - delta_prime))`` in the ascending sort as the
     empirical tail cutoff, and averages the losses capped there.
     """
@@ -377,21 +375,13 @@ def estimate_capped_tail_means(
         raise ValueError("need at least one candidate")
     if not 0.0 < delta_prime < 1.0:
         raise ValueError("delta_prime must lie in (0, 1)")
-    if cap_ceiling < 1:
-        raise ValueError("cap_ceiling must be positive")
     rank = math.floor(n_samples * (1.0 - delta_prime))
     if rank < 1:
         raise ValueError("n_samples too small for the tail index")
     estimates = []
     for candidate in candidates:
-        rho = candidate.scalar
-        losses = np.empty(n_samples, dtype=np.int64)
-        for i in range(n_samples):
-            instance = problem.sample(rng)
-            losses[i] = measure_loss(problem, rho, instance, cap_ceiling)
-        losses.sort()
-        cutoff = int(losses[rank - 1])
-        estimates.append(capped_mean(losses, cutoff))
+        losses = sample_losses(problem, candidate.scalar, n_samples, rng, cap_ceiling)
+        estimates.append(tail_capped_mean(losses, rank)[1])
     return estimates
 
 
@@ -402,7 +392,7 @@ def select_finite(
     delta_prime: float,
     n_samples: int,
     rng: np.random.Generator,
-    cap_ceiling: int = 2**20,
+    cap_ceiling: int = DEFAULT_CAP_CEILING,
 ) -> ParamPoint:
     """Pick the candidate with the smallest empirical tail-capped mean loss.
 

@@ -31,6 +31,7 @@ from .core import InstanceHandle, ParamCell, PartitionCell, PoolSample
 __all__ = [
     "AffineScore",
     "DecisionTracker",
+    "standalone_tracker",
     "DegenerateCellError",
     "sweep_unit_interval",
     "distinct_instances",
@@ -126,6 +127,11 @@ class DecisionTracker:
                 if crossing < self.bound:
                     self.bound = crossing
         return best_key
+
+
+def standalone_tracker(rho: Fraction) -> DecisionTracker:
+    """Tracker for one run outside a sweep: ties break rightward except at 1."""
+    return DecisionTracker(rho, Fraction(2), tie_rightward=rho != 1)
 
 
 def sweep_unit_interval(

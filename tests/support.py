@@ -145,6 +145,34 @@ class ConstantLossProblem(ConfigProblem):
         return 1
 
 
+class CountingConstantLossProblem(ConstantLossProblem):
+    """``ConstantLossProblem`` that counts its ``run_with_cap`` calls."""
+
+    def __init__(self, loss=1):
+        super().__init__(loss)
+        self.runs = 0
+
+    def run_with_cap(self, rho, instance, tau):
+        self.runs += 1
+        return super().run_with_cap(rho, instance, tau)
+
+
+def doubling_loss(problem, rho, instance, ceiling):
+    """Loss by re-running at caps 1, 2, 4, ... up to the ceiling.
+
+    Returns the first solved run's budget, or the ceiling when no cap up to
+    it finishes the instance.
+    """
+    tau = 1
+    while True:
+        outcome = problem.run_with_cap(rho, instance, tau)
+        if outcome.solved:
+            return outcome.budget_used
+        if tau >= ceiling:
+            return ceiling
+        tau = min(2 * tau, ceiling)
+
+
 class TwoBandProblem(ConfigProblem):
     """Deterministic two-band toy: loss `low_loss` below 0.5, `high_loss` above."""
 

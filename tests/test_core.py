@@ -12,8 +12,11 @@ from frugal.core import (
     ParamSpace,
     PartitionCell,
     capped_mean,
+    format_rational,
     law_capped_mean,
+    tail_capped_mean,
     tail_quantile_exact,
+    to_fraction,
     validate_cells_cover,
 )
 from support import brute_tail_quantile
@@ -77,6 +80,40 @@ class TestCappedMean:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             capped_mean([], 3)
+
+
+class TestTailCappedMean:
+    def test_rank_example(self):
+        losses = list(range(100, 0, -1))
+        cutoff, mean = tail_capped_mean(losses, 90)
+        assert cutoff == 90
+        assert mean == pytest.approx(sum(min(m, 90) for m in losses) / 100)
+
+    def test_does_not_sort_input(self):
+        losses = np.array([5, 1, 3], dtype=np.int64)
+        assert tail_capped_mean(losses, 2) == (3, pytest.approx(7 / 3))
+        assert losses.tolist() == [5, 1, 3]
+
+    @pytest.mark.parametrize("rank", [0, 4])
+    def test_rank_out_of_range(self, rank):
+        with pytest.raises(ValueError, match="quantile index"):
+            tail_capped_mean([1, 2, 3], rank)
+
+
+class TestRationals:
+    def test_to_fraction_types(self):
+        assert to_fraction(Fraction(1, 3)) == Fraction(1, 3)
+        assert to_fraction(np.int64(7)) == 7
+        assert to_fraction("2.5") == Fraction(5, 2)
+        assert to_fraction(0.25) == Fraction(1, 4)
+        with pytest.raises(TypeError):
+            to_fraction(None)
+
+    def test_format_rational(self):
+        assert format_rational(Fraction(12)) == "12"
+        assert format_rational(Fraction(-3)) == "-3"
+        assert format_rational(Fraction(5, 2)) == "2.5"
+        assert format_rational(Fraction(1, 3)) == str(1 / 3)
 
 
 class TestParamTypes:

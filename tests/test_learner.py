@@ -1,9 +1,17 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from frugal import bnb
 from frugal.bnb import BnbProblem, random_milp
+from frugal.clustering import (
+    ClusteringInstance,
+    ClusteringProblem,
+    exact_kmedian_cost,
+    random_metric_instance,
+)
 from frugal.core import ParamCell, ParamPoint, PartitionCell
 from frugal.learner import (
     LearnerConfig,
@@ -14,11 +22,20 @@ from frugal.learner import (
     estimate_capped_tail_means,
     grow_sample,
     learn_subset,
+    measure_loss,
     process_round,
+    sample_losses,
     select_finite,
 )
 from frugal.synthetic import SyntheticFamily, SyntheticProblem
-from support import ConstantLossProblem, TwoBandProblem, min_samples_oracle
+from support import (
+    ConstantLossProblem,
+    CountingConstantLossProblem,
+    TwoBandProblem,
+    doubling_loss,
+    four_point_metric,
+    min_samples_oracle,
+)
 
 
 def default_config(**overrides):
@@ -179,14 +196,6 @@ class TestLearnSubset:
         assert first.trace == second.trace
         assert [p.scalar for p in first.parameters] == [p.scalar for p in second.parameters]
 
-    def test_dedup_flag(self):
-        plain = learn_subset(SyntheticProblem(SyntheticFamily()), default_config())
-        deduped = learn_subset(
-            SyntheticProblem(SyntheticFamily()), default_config(dedup_cells=True)
-        )
-        assert len(deduped.regions) < len(plain.regions)
-        assert len({tuple(r.cell.intervals) for r in plain.regions}) == len(deduped.regions)
-
     def test_no_admission_error(self):
         # Loss far above any reachable cap within the round limit.
         problem = ConstantLossProblem(loss=10**9)
@@ -277,3 +286,77 @@ class TestSelectFinite:
                 problem, [ParamPoint((0.5,))], 0.9, 5, np.random.default_rng(0), 16
             )
 
+
+
+CEILINGS = (1, 3, 12, 64, 2**15, 2**20)
+RHOS = (0, Fraction(1, 4), 0.3, Fraction(1, 2), 0.75, 1)
+
+
+def assert_matches_doubling(problem, instances):
+    for instance in instances:
+        for rho in RHOS:
+            for ceiling in CEILINGS:
+                expected = doubling_loss(problem, rho, instance, ceiling)
+                assert measure_loss(problem, rho, instance, ceiling) == expected, (
+                    f"rho={rho} ceiling={ceiling} uid={instance.uid}"
+                )
+
+
+class TestMeasureLoss:
+    def test_bnb_matches_doubling(self):
+        rng = np.random.default_rng(3)
+        problem = BnbProblem([random_milp(rng, 4, 2) for _ in range(6)])
+        assert_matches_doubling(problem, problem.all_instances())
+
+    def test_bnb_tree_size_limit_matches_doubling(self, monkeypatch):
+        # A run that hits the absolute tree-size bound counts as finished at
+        # that bound; shrink the bound so small programs reach it.
+        monkeypatch.setattr(bnb, "MAX_TREE_SIZE", 4)
+        rng = np.random.default_rng(3)
+        problem = BnbProblem([random_milp(rng, 5, 3) for _ in range(6)])
+        instances = problem.all_instances()
+        assert_matches_doubling(problem, instances)
+        losses = [measure_loss(problem, 0.5, h, 2**20) for h in instances]
+        assert 4 in losses
+
+    def test_clustering_matches_doubling(self):
+        rng = np.random.default_rng(11)
+        matrix = four_point_metric()
+        pool = [random_metric_instance(rng, 6, 2) for _ in range(4)]
+        pool.append(ClusteringInstance.from_lists(matrix, 2, exact_kmedian_cost(matrix, 2)))
+        # An unreachable threshold: never solved, so the ceiling binds.
+        pool.append(ClusteringInstance.from_lists(matrix, 1, Fraction(1, 10**6)))
+        problem = ClusteringProblem(pool)
+        assert_matches_doubling(problem, problem.all_instances())
+
+    def test_synthetic_matches_doubling(self):
+        problem = SyntheticProblem(SyntheticFamily())
+        rng = np.random.default_rng(5)
+        assert_matches_doubling(problem, [problem.sample(rng) for _ in range(12)])
+
+    @pytest.mark.parametrize("loss, ceiling, expected", [(3, 64, 3), (100, 12, 12)])
+    def test_one_run_per_loss(self, loss, ceiling, expected):
+        problem = CountingConstantLossProblem(loss)
+        instance = problem.sample(np.random.default_rng(0))
+        assert measure_loss(problem, 0.5, instance, ceiling) == expected
+        assert problem.runs == 1
+
+
+class TestSampleLosses:
+    def test_draw_order_and_values(self):
+        problem = SyntheticProblem(SyntheticFamily())
+        losses = sample_losses(problem, 0.4, 300, np.random.default_rng(9), 64)
+        rng = np.random.default_rng(9)
+        expected = [doubling_loss(problem, 0.4, problem.sample(rng), 64) for _ in range(300)]
+        assert losses.dtype == np.int64
+        assert losses.tolist() == expected
+
+    def test_one_run_per_draw(self):
+        problem = CountingConstantLossProblem(loss=5)
+        losses = sample_losses(problem, 0.5, 40, np.random.default_rng(0), 4)
+        assert losses.tolist() == [4] * 40
+        assert problem.runs == 40
+
+    def test_ceiling_validation(self):
+        with pytest.raises(ValueError):
+            sample_losses(ConstantLossProblem(), 0.5, 5, np.random.default_rng(0), 0)

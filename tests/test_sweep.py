@@ -11,6 +11,7 @@ from frugal.sweep import (
     DegenerateCellError,
     distinct_instances,
     refine_cells,
+    standalone_tracker,
     sweep_distinct,
     sweep_unit_interval,
 )
@@ -59,6 +60,12 @@ class TestDecisionTracker:
         assert tracker.bound == Fraction(3, 4)
         tracker.argmax([("c", line(1, 0)), ("d", line("0.5", 1))])
         assert tracker.bound == Fraction(1, 2)
+
+    def test_standalone_ties_rightward_except_at_top(self):
+        candidates = [("flat", line(1, 0)), ("steep", line(0, 1))]
+        assert standalone_tracker(Fraction(1)).argmax(candidates) == "flat"
+        mid = [("flat", line(1, 0)), ("steep", line("0.5", 1))]
+        assert standalone_tracker(Fraction(1, 2)).argmax(mid) == "steep"
 
     def test_empty_candidates_rejected(self):
         tracker = DecisionTracker(Fraction(0), Fraction(1))
