@@ -8,18 +8,23 @@ decision is an argmax over scores affine in the mixture weight, the unit
 interval splits into finitely many cells on which the whole tree is
 invariant; the partition here computes those cells exactly.
 
-All LP relaxations are solved with a dense two-phase tableau simplex over
-exact rationals using Bland's rule, so objective values, scores, and cell
-breakpoints are exact.  This is desk-scale machinery: at most 20 variables,
-and every solved relaxation is memoized per instance.
+All LP relaxations are solved exactly with a dense two-phase tableau
+simplex using Bland's rule.  The tableau holds Python integers over one
+common denominator (fraction-free Edmonds pivoting): each program's rows,
+right-hand sides and objective are scaled to integers once, and only the
+returned objective value and point become fractions.  So objective values,
+scores, and cell breakpoints are exact.  This is desk-scale machinery: at
+most 20 variables, and every solved relaxation is memoized per instance.
 """
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from pathlib import Path
-from typing import Any, Iterable, Mapping, Sequence
+from typing import Any, Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -46,6 +51,7 @@ from .sweep import (
 __all__ = [
     "Milp",
     "LpSolution",
+    "LpSolveError",
     "BnbNode",
     "BnbProblem",
     "MAX_VARIABLES",
@@ -72,6 +78,34 @@ MAX_TREE_SIZE = 2**15
 INFEASIBLE_SCORE = Fraction(10**9)
 
 _SIMPLEX_ITERATION_LIMIT = 100_000
+
+
+class LpSolveError(RuntimeError):
+    """The simplex could not finish an LP relaxation.
+
+    ``program`` is the program's name (empty when unnamed) and ``fixings``
+    the sorted ``(index, value)`` pairs of the subproblem.
+    """
+
+    def __init__(self, message: str, program: str = "", fixings: tuple = ()) -> None:
+        super().__init__(message)
+        self.program = program
+        self.fixings = fixings
+
+
+class _IntegerForm(NamedTuple):
+    """A program's data in integers, as the LP relaxations use it.
+
+    Row ``i`` and its right-hand side are scaled by the lcm ``L_i`` of their
+    denominators, the objective by ``objective_scale``; ``weights[i]`` is
+    ``lcm(L) / L_i``, the phase-1 cost of row ``i``'s artificial variable.
+    """
+
+    objective: tuple[int, ...]
+    objective_scale: int
+    rows: tuple[tuple[int, ...], ...]
+    rhs: tuple[int, ...]
+    weights: tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -104,6 +138,21 @@ class Milp:
     def n(self) -> int:
         return len(self.objective)
 
+    @cached_property
+    def _integer_form(self) -> _IntegerForm:
+        # Built at the first LP rather than at construction, so loading a
+        # program costs nothing extra.
+        objective_scale, objective = _scaled(self.objective)
+        scales, rows, rhs = [], [], []
+        for row, b in zip(self.rows, self.rhs):
+            scale, scaled = _scaled(row + (b,))
+            scales.append(scale)
+            rows.append(scaled[:-1])
+            rhs.append(scaled[-1])
+        common = math.lcm(*scales)
+        weights = tuple(common // scale for scale in scales)
+        return _IntegerForm(objective, objective_scale, tuple(rows), tuple(rhs), weights)
+
     @classmethod
     def from_lists(cls, objective, rows, rhs, name: str = "") -> "Milp":
         return cls(
@@ -132,142 +181,142 @@ class LpSolution:
         return all(x == 0 or x == 1 for x in self.point)
 
 
-def _pivot(tableau: list[list[Fraction]], zrow: list[Fraction], row: int, col: int) -> None:
+def _scaled(values: Sequence[Fraction]) -> tuple[int, tuple[int, ...]]:
+    """``(L, L * values)`` with ``L`` the lcm of the denominators."""
+    scale = math.lcm(*(v.denominator for v in values))
+    return scale, tuple(v.numerator * (scale // v.denominator) for v in values)
+
+
+def _pivot(tableau: list[list[int]], zrow: list[int] | None, row: int, col: int, d: int) -> int:
+    """Edmonds pivot on an integer tableau with common denominator ``d``.
+
+    Every entry is ``d`` times the rational tableau's entry, with ``d`` the
+    absolute determinant of the basis, so each division below is exact.
+    Returns the new denominator.
+    """
     pivot_row = tableau[row]
-    piv = pivot_row[col]
-    if piv != 1:
-        inv = 1 / piv
-        tableau[row] = pivot_row = [v * inv for v in pivot_row]
-    for other in tableau:
-        if other is pivot_row:
+    p = pivot_row[col]
+    if p < 0:
+        # Negating the pivot row keeps the new denominator positive.
+        tableau[row] = pivot_row = [-v for v in pivot_row]
+        p = -p
+    for i, other in enumerate(tableau):
+        if i == row:
             continue
-        factor = other[col]
-        if factor:
-            for j, v in enumerate(pivot_row):
-                if v:
-                    other[j] -= factor * v
-    factor = zrow[col]
-    if factor:
-        for j, v in enumerate(pivot_row):
-            if v:
-                zrow[j] -= factor * v
-
-
-def _reduced_costs(
-    tableau: list[list[Fraction]], basis: list[int], cost: list[Fraction], ncols: int
-) -> list[Fraction]:
-    zrow = list(cost) + [Fraction(0)]
-    for i, b in enumerate(basis):
-        cb = cost[b]
-        if cb:
-            row = tableau[i]
-            for j in range(ncols + 1):
-                if row[j]:
-                    zrow[j] -= cb * row[j]
-    return zrow
+        f = other[col]
+        if f:
+            tableau[i] = [(p * v - f * w) // d for v, w in zip(other, pivot_row)]
+        elif p != d:
+            tableau[i] = [p * v // d for v in other]
+    if zrow is not None:
+        f = zrow[col]
+        zrow[:] = [(p * v - f * w) // d for v, w in zip(zrow, pivot_row)]
+    return p
 
 
 def _simplex_min(
-    tableau: list[list[Fraction]], basis: list[int], cost: list[Fraction], ncols: int
-) -> Fraction:
-    """Minimize cost over the tableau in place; Bland's rule, exact arithmetic."""
-    zrow = _reduced_costs(tableau, basis, cost, ncols)
+    tableau: list[list[int]], basis: list[int], cost: Sequence[int], ncols: int, d: int
+) -> tuple[int, int]:
+    """Minimize cost over the integer tableau in place; Bland's rule.
+
+    Returns the final denominator ``d`` and ``z`` with minimum ``-z / d``.
+    """
+    zrow = [d * c for c in cost] + [0]
+    for i, b in enumerate(basis):
+        cb = cost[b]
+        if cb:
+            zrow = [z - cb * v for z, v in zip(zrow, tableau[i])]
     for _ in range(_SIMPLEX_ITERATION_LIMIT):
-        entering = -1
-        for j in range(ncols):
-            if zrow[j] < 0:
-                entering = j
-                break
+        entering = next((j for j in range(ncols) if zrow[j] < 0), -1)
         if entering < 0:
-            return -zrow[ncols]
+            return d, zrow[ncols]
+        # Ratio test by cross-multiplication; ties go to the lowest basic index.
         leaving = -1
-        best_ratio = None
         for i, row in enumerate(tableau):
             coef = row[entering]
             if coef > 0:
-                ratio = row[-1] / coef
-                if (
-                    best_ratio is None
-                    or ratio < best_ratio
-                    or (ratio == best_ratio and basis[i] < basis[leaving])
-                ):
-                    best_ratio = ratio
-                    leaving = i
+                if leaving < 0:
+                    leaving, best_rhs, best_coef = i, row[-1], coef
+                    continue
+                here, best = row[-1] * best_coef, best_rhs * coef
+                if here < best or (here == best and basis[i] < basis[leaving]):
+                    leaving, best_rhs, best_coef = i, row[-1], coef
         if leaving < 0:
-            raise RuntimeError("unbounded LP despite box constraints")
-        _pivot(tableau, zrow, leaving, entering)
+            raise LpSolveError("unbounded LP despite box constraints")
+        d = _pivot(tableau, zrow, leaving, entering, d)
         basis[leaving] = entering
-    raise RuntimeError("simplex iteration limit exceeded")
+    raise LpSolveError("simplex iteration limit exceeded")
 
 
 def _solve_box_lp(
-    objective: Sequence[Fraction], rows: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]
-) -> tuple[str, Fraction | None, tuple[Fraction, ...] | None]:
-    """Maximize objective over ``rows @ x <= rhs`` and ``0 <= x <= 1``."""
+    objective: Sequence[int],
+    rows: Sequence[Sequence[int]],
+    rhs: Sequence[int],
+    weights: Sequence[int],
+) -> tuple[int, int, list[int]] | None:
+    """Maximize objective over ``rows @ x <= rhs`` and ``0 <= x <= 1`` in integers.
+
+    Each row's slack enters with coefficient 1, which rescales the slack
+    (and artificial) of a row that was scaled to integers; ``weights[i]``
+    is the phase-1 cost of row ``i``'s artificial, inversely proportional
+    to that scale, so both phases follow the rational tableau's pivots.
+    Returns None when infeasible, else ``(z, d, numerators)``: the optimum
+    is ``z / d`` and ``x[j] = numerators[j] / d``.
+    """
     n = len(objective)
-    zero = Fraction(0)
-    one = Fraction(1)
-    all_rows = [list(row) for row in rows] + [
-        [one if j == i else zero for j in range(n)] for i in range(n)
-    ]
-    all_rhs = list(rhs) + [one] * n
-    m = len(all_rows)
-    n_slack = m
-    negative = [i for i in range(m) if all_rhs[i] < 0]
-    n_art = len(negative)
-    ncols = n + n_slack + n_art
-    tableau: list[list[Fraction]] = []
+    m = len(rows) + n
+    negative = [i for i, b in enumerate(rhs) if b < 0]
+    ncols = n + m + len(negative)
+    tableau: list[list[int]] = []
     basis: list[int] = []
-    art_col = {r: n + n_slack + k for k, r in enumerate(negative)}
-    for i in range(m):
-        row = [zero] * (ncols + 1)
-        flip = all_rhs[i] < 0
-        sign = -1 if flip else 1
-        for j in range(n):
-            coef = all_rows[i][j]
-            if coef:
-                row[j] = sign * coef
-        row[n + i] = Fraction(sign)
-        row[-1] = sign * all_rhs[i]
-        if flip:
-            row[art_col[i]] = one
-            basis.append(art_col[i])
+    artificial = n + m
+    for i, (row, b) in enumerate(zip(rows, rhs)):
+        line = [0] * (ncols + 1)
+        if b < 0:
+            line[:n] = [-v for v in row]
+            line[n + i] = -1
+            line[artificial] = 1
+            line[-1] = -b
+            basis.append(artificial)
+            artificial += 1
         else:
+            line[:n] = row
+            line[n + i] = 1
+            line[-1] = b
             basis.append(n + i)
-        tableau.append(row)
+        tableau.append(line)
+    for j in range(n):
+        line = [0] * (ncols + 1)
+        line[j] = line[n + len(rows) + j] = line[-1] = 1
+        tableau.append(line)
+        basis.append(n + len(rows) + j)
 
-    if n_art:
-        phase1 = [zero] * ncols
-        for col in art_col.values():
-            phase1[col] = one
-        infeasibility = _simplex_min(tableau, basis, phase1, ncols)
-        if infeasibility > 0:
-            return "infeasible", None, None
-        # Drive leftover artificials out of the basis, dropping redundant rows.
-        art_set = set(art_col.values())
-        keep: list[int] = []
-        for i in range(len(tableau)):
-            if basis[i] in art_set:
-                pivot_col = next(
-                    (j for j in range(n + n_slack) if tableau[i][j] != 0), None
-                )
-                if pivot_col is None:
-                    continue
-                zdummy = [zero] * (ncols + 1)
-                _pivot(tableau, zdummy, i, pivot_col)
+    d = 1
+    if negative:
+        phase1 = [0] * ncols
+        for k, i in enumerate(negative):
+            phase1[n + m + k] = weights[i]
+        d, z = _simplex_min(tableau, basis, phase1, ncols, d)
+        if z < 0:
+            return None
+        # Drive leftover artificials (all at zero) out of the basis.  Every
+        # row has a nonzero structural or slack entry, because the slack
+        # columns alone are invertible, so no row is redundant.
+        for i, b in enumerate(basis):
+            if b >= n + m:
+                pivot_col = next(j for j in range(n + m) if tableau[i][j])
+                d = _pivot(tableau, None, i, pivot_col, d)
                 basis[i] = pivot_col
-            keep.append(i)
-        tableau = [tableau[i][: n + n_slack] + [tableau[i][-1]] for i in keep]
-        basis = [basis[i] for i in keep]
-        ncols = n + n_slack
+        tableau = [row[: n + m] + row[-1:] for row in tableau]
+        ncols = n + m
 
-    phase2 = [-c for c in objective] + [zero] * (ncols - n)
-    neg_value = _simplex_min(tableau, basis, phase2, ncols)
-    point = [zero] * n
+    phase2 = [-c for c in objective] + [0] * (ncols - n)
+    d, z = _simplex_min(tableau, basis, phase2, ncols, d)
+    numerators = [0] * n
     for i, b in enumerate(basis):
         if b < n:
-            point[b] = tableau[i][-1]
-    return "optimal", -neg_value, tuple(point)
+            numerators[b] = tableau[i][-1]
+    return z, d, numerators
 
 
 def _normalize_fixings(fixings: Mapping[int, int] | Iterable[tuple[int, int]] | None, n: int):
@@ -287,44 +336,46 @@ def lp_relax(milp: Milp, fixings=None) -> LpSolution:
 
     Free variables range over ``[0, 1]``; results are memoized per instance
     keyed by the fixing set, since branch-and-bound revisits the same
-    subproblems across parameters and caps.
+    subproblems across parameters and caps.  Raises ``LpSolveError`` naming
+    the program and the fixing set if the simplex cannot finish.
     """
     fixed = _normalize_fixings(fixings, milp.n)
     cache = milp._lp_cache
     hit = cache.get(fixed)
     if hit is not None:
         return hit
+    form = milp._integer_form
     fix = dict(fixed)
     free = [j for j in range(milp.n) if j not in fix]
-    constant = sum((milp.objective[j] * v for j, v in fixed), Fraction(0))
-    if not free:
-        feasible = all(
-            sum((row[j] * fix[j] for j in fix), Fraction(0)) <= b
-            for row, b in zip(milp.rows, milp.rhs)
-        )
-        if feasible:
-            point = tuple(Fraction(fix[j]) for j in range(milp.n))
-            solution = LpSolution("optimal", constant, point)
-        else:
-            solution = LpSolution("infeasible", None, None)
-        cache[fixed] = solution
-        return solution
-    objective = [milp.objective[j] for j in free]
-    rows = [[row[j] for j in free] for row in milp.rows]
-    rhs = [
-        b - sum((row[j] * fix[j] for j in fix), Fraction(0))
-        for row, b in zip(milp.rows, milp.rhs)
-    ]
-    status, value, reduced_point = _solve_box_lp(objective, rows, rhs)
-    if status != "optimal":
+    constant = sum(form.objective[j] * v for j, v in fixed)
+    rhs = [b - sum(row[j] * v for j, v in fixed) for row, b in zip(form.rows, form.rhs)]
+    if free:
+        try:
+            result = _solve_box_lp(
+                [form.objective[j] for j in free],
+                [[row[j] for j in free] for row in form.rows],
+                rhs,
+                form.weights,
+            )
+        except LpSolveError as exc:
+            where = f"program {milp.name!r}" if milp.name else "unnamed program"
+            raise LpSolveError(
+                f"{exc} ({where}, fixings {fix})", program=milp.name, fixings=fixed
+            ) from None
+    else:
+        # Every variable is fixed: nothing is left to optimize.
+        result = (0, 1, []) if all(b >= 0 for b in rhs) else None
+    if result is None:
         solution = LpSolution("infeasible", None, None)
     else:
+        z, d, numerators = result
         point = [Fraction(0)] * milp.n
         for j, v in fixed:
             point[j] = Fraction(v)
-        for j, v in zip(free, reduced_point):
-            point[j] = v
-        solution = LpSolution("optimal", value + constant, tuple(point))
+        for j, v in zip(free, numerators):
+            point[j] = Fraction(v, d)
+        value = Fraction(z + d * constant, d * form.objective_scale)
+        solution = LpSolution("optimal", value, tuple(point))
     cache[fixed] = solution
     return solution
 

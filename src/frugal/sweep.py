@@ -77,6 +77,8 @@ class DecisionTracker:
 
     ``bound`` starts at the sweep's right end and shrinks to the first point
     strictly right of ``point`` where any selection made so far would change.
+    With ``upper=None`` the tracker is untracked: it only selects, and
+    ``bound`` stays None.
 
     ``tie_rightward`` controls which side of an exact score tie the winner
     comes from.  Interior points break toward the candidate that wins just
@@ -88,7 +90,9 @@ class DecisionTracker:
 
     __slots__ = ("point", "bound", "tie_rightward")
 
-    def __init__(self, point: Fraction, upper: Fraction, tie_rightward: bool = True) -> None:
+    def __init__(
+        self, point: Fraction, upper: Fraction | None, tie_rightward: bool = True
+    ) -> None:
         self.point = point
         self.bound = upper
         self.tie_rightward = tie_rightward
@@ -113,6 +117,8 @@ class DecisionTracker:
                 and side * sense * (score.slope - best_score.slope) > 0
             ):
                 best_key, best_score, best_value = key, score, value
+        if self.bound is None:
+            return best_key
         for key, score in candidates:
             if key is best_key:
                 continue
@@ -130,8 +136,9 @@ class DecisionTracker:
 
 
 def standalone_tracker(rho: Fraction) -> DecisionTracker:
-    """Tracker for one run outside a sweep: ties break rightward except at 1."""
-    return DecisionTracker(rho, Fraction(2), tie_rightward=rho != 1)
+    """Untracked selector for one run outside a sweep: no invariance bound is
+    computed, and ties break rightward except at 1."""
+    return DecisionTracker(rho, None, tie_rightward=rho != 1)
 
 
 def sweep_unit_interval(

@@ -157,6 +157,138 @@ class CountingConstantLossProblem(ConstantLossProblem):
         return super().run_with_cap(rho, instance, tau)
 
 
+def _fraction_pivot(tableau, zrow, row, col):
+    pivot_row = tableau[row]
+    piv = pivot_row[col]
+    if piv != 1:
+        inv = 1 / piv
+        tableau[row] = pivot_row = [v * inv for v in pivot_row]
+    for other in tableau:
+        if other is pivot_row:
+            continue
+        factor = other[col]
+        if factor:
+            for j, v in enumerate(pivot_row):
+                if v:
+                    other[j] -= factor * v
+    factor = zrow[col]
+    if factor:
+        for j, v in enumerate(pivot_row):
+            if v:
+                zrow[j] -= factor * v
+
+
+def _fraction_simplex_min(tableau, basis, cost, ncols):
+    """Minimize cost over the tableau in place with Bland's rule."""
+    zrow = list(cost) + [Fraction(0)]
+    for i, b in enumerate(basis):
+        if cost[b]:
+            for j in range(ncols + 1):
+                zrow[j] -= cost[b] * tableau[i][j]
+    while True:
+        entering = next((j for j in range(ncols) if zrow[j] < 0), -1)
+        if entering < 0:
+            return -zrow[ncols]
+        leaving = -1
+        best_ratio = None
+        for i, row in enumerate(tableau):
+            coef = row[entering]
+            if coef > 0:
+                ratio = row[-1] / coef
+                if (
+                    best_ratio is None
+                    or ratio < best_ratio
+                    or (ratio == best_ratio and basis[i] < basis[leaving])
+                ):
+                    best_ratio = ratio
+                    leaving = i
+        if leaving < 0:
+            raise AssertionError("unbounded LP despite box constraints")
+        _fraction_pivot(tableau, zrow, leaving, entering)
+        basis[leaving] = entering
+
+
+def _fraction_box_lp(objective, rows, rhs):
+    """Maximize objective over ``rows @ x <= rhs`` and ``0 <= x <= 1``."""
+    n = len(objective)
+    zero, one = Fraction(0), Fraction(1)
+    all_rows = [list(row) for row in rows] + [
+        [one if j == i else zero for j in range(n)] for i in range(n)
+    ]
+    all_rhs = list(rhs) + [one] * n
+    m = len(all_rows)
+    negative = [i for i in range(m) if all_rhs[i] < 0]
+    ncols = n + m + len(negative)
+    art_col = {r: n + m + k for k, r in enumerate(negative)}
+    tableau, basis = [], []
+    for i in range(m):
+        sign = -1 if all_rhs[i] < 0 else 1
+        row = [zero] * (ncols + 1)
+        for j in range(n):
+            row[j] = sign * all_rows[i][j]
+        row[n + i] = Fraction(sign)
+        row[-1] = sign * all_rhs[i]
+        if i in art_col:
+            row[art_col[i]] = one
+        basis.append(art_col.get(i, n + i))
+        tableau.append(row)
+    if negative:
+        phase1 = [zero] * ncols
+        for col in art_col.values():
+            phase1[col] = one
+        if _fraction_simplex_min(tableau, basis, phase1, ncols) > 0:
+            return "infeasible", None, None
+        # Drive leftover artificials out of the basis, dropping redundant rows.
+        keep = []
+        for i in range(len(tableau)):
+            if basis[i] >= n + m:
+                pivot_col = next((j for j in range(n + m) if tableau[i][j] != 0), None)
+                if pivot_col is None:
+                    continue
+                _fraction_pivot(tableau, [zero] * (ncols + 1), i, pivot_col)
+                basis[i] = pivot_col
+            keep.append(i)
+        tableau = [tableau[i][: n + m] + [tableau[i][-1]] for i in keep]
+        basis = [basis[i] for i in keep]
+        ncols = n + m
+    phase2 = [-c for c in objective] + [zero] * (ncols - n)
+    value = -_fraction_simplex_min(tableau, basis, phase2, ncols)
+    point = [zero] * n
+    for i, b in enumerate(basis):
+        if b < n:
+            point[b] = tableau[i][-1]
+    return "optimal", value, tuple(point)
+
+
+def fraction_lp_relax(milp, fixings=()):
+    """``(status, objective, point)`` of an LP relaxation on a ``Fraction`` tableau.
+
+    The dense two-phase simplex with Bland's rule that ``lp_relax`` used
+    before it pivoted in integers; it follows the same basis sequence, so
+    the returned vertex, not just the optimal value, must agree.
+    """
+    fix = dict(fixings)
+    free = [j for j in range(milp.n) if j not in fix]
+    constant = sum((milp.objective[j] * v for j, v in fix.items()), Fraction(0))
+    rhs = [
+        b - sum((row[j] * v for j, v in fix.items()), Fraction(0))
+        for row, b in zip(milp.rows, milp.rhs)
+    ]
+    if not free:
+        if all(b >= 0 for b in rhs):
+            return "optimal", constant, tuple(Fraction(fix[j]) for j in range(milp.n))
+        return "infeasible", None, None
+    status, value, reduced = _fraction_box_lp(
+        [milp.objective[j] for j in free], [[row[j] for j in free] for row in milp.rows], rhs
+    )
+    if status != "optimal":
+        return "infeasible", None, None
+    point = [Fraction(fix.get(j, 0)) for j in range(milp.n)]
+    for j, v in zip(free, reduced):
+        point[j] = v
+    return "optimal", value + constant, tuple(point)
+
+
 def doubling_loss(problem, rho, instance, ceiling):
     """Loss by re-running at caps 1, 2, 4, ... up to the ceiling.
 

@@ -1,12 +1,16 @@
+import itertools
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.optimize import linprog
 
+from frugal import bnb
 from frugal.bnb import (
     BnbNode,
     BnbProblem,
+    LpSolveError,
     Milp,
     bnb_cell_bound,
     bnb_partition,
@@ -21,7 +25,8 @@ from frugal.bnb import (
     scores,
 )
 from frugal.core import PoolSample, validate_cells_cover
-from support import brute_binary_optimum, check_partition_contract
+from frugal.sweep import DecisionTracker
+from support import brute_binary_optimum, check_partition_contract, fraction_lp_relax
 
 
 @pytest.fixture
@@ -40,6 +45,29 @@ def random_pool(seed, count, num_vars=5, num_rows=3):
         random_milp(rng, int(rng.integers(2, num_vars + 1)), int(rng.integers(1, num_rows + 1)))
         for _ in range(count)
     ]
+
+
+def fixing_sets(variables):
+    """Every partial 0/1 assignment of the given variables, the empty one included."""
+    for values in itertools.product((None, 0, 1), repeat=len(variables)):
+        yield {j: v for j, v in zip(variables, values) if v is not None}
+
+
+# Signed decimals with mixed denominators, so rows scale by different lcms.
+decimals = st.builds(Fraction, st.integers(-6, 6), st.sampled_from([1, 2, 4, 10]))
+
+
+@st.composite
+def programs_and_free_sets(draw):
+    n = draw(st.integers(1, 8))
+    m = draw(st.integers(0, 4))
+    milp = Milp.from_lists(
+        draw(st.lists(decimals, min_size=n, max_size=n)),
+        [draw(st.lists(decimals, min_size=n, max_size=n)) for _ in range(m)],
+        draw(st.lists(decimals, min_size=m, max_size=m)),
+    )
+    fixable = draw(st.lists(st.integers(0, n - 1), max_size=4, unique=True))
+    return milp, sorted(fixable)
 
 
 class TestLpRelax:
@@ -87,6 +115,64 @@ class TestLpRelax:
             )
             assert result.status == 0
             assert float(relax.objective) == pytest.approx(-result.fun, abs=1e-7)
+
+    @pytest.mark.parametrize(
+        "objective, rows, rhs, point",
+        [
+            # Zero objective: the point is where phase 1 stops, which
+            # depends on weighting the artificials of rows scaled by 10 and 2.
+            ([0, 0], [[-1, -1], [2, -1]], ["-1.1", "-0.5"], ("1/5", "9/10")),
+            # x0 >= 1 against its box leaves an artificial basic at zero;
+            # the column it is pivoted out on decides which optimal vertex
+            # phase 2 ends at.
+            (
+                [2, 0, 1],
+                [[-1, 0, 0], [2, "1.5", -4], ["-0.5", -1, -2]],
+                [-1, 1, -1],
+                (1, 0, 1),
+            ),
+        ],
+    )
+    def test_vertex_follows_rational_pivots(self, objective, rows, rhs, point):
+        milp = Milp.from_lists(objective, rows, rhs)
+        solution = lp_relax(milp)
+        assert (solution.status, solution.objective, solution.point) == fraction_lp_relax(milp)
+        assert solution.point == tuple(Fraction(x) for x in point)
+
+    def test_matches_fraction_tableau_on_every_fixing_set(self):
+        rng = np.random.default_rng(71)
+        pool = [random_milp(rng, 5, 4) for _ in range(6)]
+        for milp in pool:
+            for fixings in fixing_sets(range(milp.n)):
+                solution = lp_relax(milp, fixings)
+                expected = fraction_lp_relax(milp, fixings)
+                assert (solution.status, solution.objective, solution.point) == expected
+
+    @settings(max_examples=100, deadline=None)
+    @given(programs_and_free_sets())
+    def test_matches_fraction_tableau_property(self, case):
+        milp, fixable = case
+        distinct = list(fixing_sets(fixable))
+        for fixings in distinct:
+            solution = lp_relax(milp, fixings)
+            expected = fraction_lp_relax(milp, fixings)
+            assert (solution.status, solution.objective, solution.point) == expected
+        for fixings in reversed(distinct):
+            lp_relax(milp, list(fixings.items())[::-1])
+        assert len(milp._lp_cache) == len(distinct)
+
+    def test_iteration_limit_names_program_and_fixings(self, monkeypatch, two_var):
+        monkeypatch.setattr(bnb, "_SIMPLEX_ITERATION_LIMIT", 0)
+        named = Milp.from_lists([2, 1, 1], [[1, 1, 1]], ["1.5"], name="tight.milp")
+        with pytest.raises(LpSolveError, match="simplex iteration limit exceeded") as excinfo:
+            lp_relax(named, {2: 0})
+        message = str(excinfo.value)
+        assert "program 'tight.milp'" in message and "fixings {2: 0}" in message
+        assert excinfo.value.program == "tight.milp"
+        assert excinfo.value.fixings == ((2, 0),)
+        assert len(named._lp_cache) == 0
+        with pytest.raises(LpSolveError, match=r"unnamed program, fixings \{\}"):
+            lp_relax(two_var)
 
     def test_weak_duality_down_the_tree(self):
         for milp in random_pool(seed=17, count=20):
@@ -152,6 +238,17 @@ class TestBnbRun:
                 assert out.solved and out.budget_used == full.budget_used
             else:
                 assert not out.solved and out.budget_used == tau
+
+    def test_standalone_run_matches_tracking_tracker(self):
+        grid = [Fraction(i, 20) for i in range(21)]
+        for milp in random_pool(seed=29, count=12, num_vars=5, num_rows=3):
+            for rho in grid:
+                def tracking():
+                    return DecisionTracker(rho, Fraction(2), tie_rightward=rho != 1)
+
+                assert bnb_run(milp, rho, 63) == bnb._run_outcome(milp, 63, tracking())
+                record = bnb._run_capped(milp, 63, tracking())
+                assert branching_trace(milp, rho, 63) == tuple(record.decisions)
 
     def test_rho_validation(self, two_var):
         with pytest.raises(ValueError):

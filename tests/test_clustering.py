@@ -20,6 +20,7 @@ from frugal.clustering import (
     random_metric_instance,
 )
 from frugal.core import PoolSample, validate_cells_cover
+from frugal.sweep import DecisionTracker
 from support import check_partition_contract, enumerate_prunings, four_point_metric
 
 
@@ -101,6 +102,14 @@ class TestCappedLinkage:
             partial = capped_linkage_run(four_point, "0.3", budget)
             assert partial.merges == full.merges[:budget]
             assert partial.roots == full.prefix(budget).roots
+
+    def test_standalone_run_matches_tracking_tracker(self, four_point):
+        grid = [Fraction(i, 20) for i in range(21)]
+        for instance in [four_point] + random_pool(seed=13, count=10):
+            for rho in grid:
+                tracking = DecisionTracker(rho, Fraction(2), tie_rightward=rho != 1)
+                tracked = capped_linkage_run(instance, rho, instance.n - 1, tracking)
+                assert capped_linkage_run(instance, rho, instance.n - 1) == tracked
 
     def test_budget_validation(self, four_point):
         with pytest.raises(ValueError):

@@ -67,6 +67,21 @@ class TestDecisionTracker:
         mid = [("flat", line(1, 0)), ("steep", line("0.5", 1))]
         assert standalone_tracker(Fraction(1, 2)).argmax(mid) == "steep"
 
+    def test_standalone_selects_like_a_tracking_tracker(self):
+        # Small integer lines tie often, so both tie rules are exercised.
+        rng = np.random.default_rng(3)
+        for _ in range(300):
+            rho = Fraction(int(rng.integers(0, 5)), 4)
+            candidates = [
+                (key, line(int(a), int(b)))
+                for key, (a, b) in enumerate(rng.integers(-2, 3, size=(4, 2)))
+            ]
+            standalone = standalone_tracker(rho)
+            tracking = DecisionTracker(rho, Fraction(2), tie_rightward=rho != 1)
+            assert standalone.argmax(candidates) == tracking.argmax(candidates)
+            assert standalone.argmin(candidates) == tracking.argmin(candidates)
+            assert standalone.bound is None
+
     def test_empty_candidates_rejected(self):
         tracker = DecisionTracker(Fraction(0), Fraction(1))
         with pytest.raises(ValueError):
