@@ -30,7 +30,6 @@ import numpy as np
 
 from .core import (
     CappedRunOutcome,
-    InstanceHandle,
     PartitionCell,
     PoolProblem,
     format_rational,
@@ -577,26 +576,18 @@ class BnbProblem(PoolProblem):
     """Configuration problem over a finite pool of programs.
 
     The pool acts as the instance distribution: sampling is uniform with
-    replacement.  Measured cell counts are cached per (distinct instance
-    set, cap) and reused by ``f_bound``; otherwise the analytic ceiling
-    applies.
+    replacement.  ``f_bound`` is the analytic ceiling ``bnb_cell_bound``.
     """
 
     domain = "bnb"
 
     def run_with_cap(self, rho, instance, tau: int) -> CappedRunOutcome:
-        milp = instance.payload if isinstance(instance, InstanceHandle) else instance
-        return bnb_run(milp, rho, tau)
+        return bnb_run(instance.payload, rho, tau)
 
     def get_partition(self, instances, tau: int) -> list[PartitionCell]:
-        cells = bnb_partition(instances, tau)
-        self._measured[self._key(instances, tau)] = len(cells)
-        return cells
+        return bnb_partition(instances, tau)
 
     def f_bound(self, instances, tau: int) -> int:
-        measured = self._measured.get(self._key(instances, tau))
-        if measured is not None:
-            return measured
         return bnb_cell_bound(instances, tau)
 
 

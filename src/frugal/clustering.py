@@ -27,7 +27,6 @@ import numpy as np
 
 from .core import (
     CappedRunOutcome,
-    InstanceHandle,
     PartitionCell,
     PoolProblem,
     format_rational,
@@ -94,9 +93,21 @@ class ClusteringInstance:
                     raise ValueError("distances must be nonnegative")
                 if value != self.distances[j][i]:
                     raise ValueError("distance matrix must be symmetric")
-        for i, j, l in itertools.permutations(range(n), 3):
-            if self.distances[i][l] > self.distances[i][j] + self.distances[j][l] + _TRIANGLE_SLACK:
-                raise ValueError(f"triangle inequality violated at ({i}, {j}, {l})")
+        # Over one common denominator the distances and the slack are
+        # integers.  The inequality for (i, j, l) is the one for (l, j, i),
+        # so each j is checked once per pair i < l.
+        scale = math.lcm(
+            _TRIANGLE_SLACK.denominator, *(v.denominator for row in self.distances for v in row)
+        )
+        d = [[v.numerator * (scale // v.denominator) for v in row] for row in self.distances]
+        slack = _TRIANGLE_SLACK.numerator * (scale // _TRIANGLE_SLACK.denominator)
+        for i, row_i in enumerate(d):
+            for j, row_j in enumerate(d):
+                if j == i:
+                    continue
+                for l in range(i + 1, n):
+                    if l != j and row_i[l] > row_i[j] + row_j[l] + slack:
+                        raise ValueError(f"triangle inequality violated at ({i}, {j}, {l})")
         if not 1 <= self.k <= n:
             raise ValueError("k must lie in [1, n]")
         if self.theta <= 0:
@@ -254,13 +265,6 @@ def best_pruning(forest: MergeForest, k: int, instance: ClusteringInstance) -> P
     if k < len(forest.roots):
         return PruningResult(clusters=None, cost=math.inf)
     children = forest.children()
-    cost_cache: dict[int, Fraction] = {}
-
-    def node_cost(node: int) -> Fraction:
-        if node not in cost_cache:
-            cost_cache[node] = _cluster_cost(forest.members[node], instance)
-        return cost_cache[node]
-
     tables: dict[int, dict[int, Fraction]] = {}
     node_count = forest.size + len(forest.merges)
     for node in range(node_count):
@@ -268,7 +272,7 @@ def best_pruning(forest: MergeForest, k: int, instance: ClusteringInstance) -> P
             tables[node] = {1: Fraction(0)}
             continue
         left, right = children[node]
-        table: dict[int, Fraction] = {1: node_cost(node)}
+        table: dict[int, Fraction] = {1: _cluster_cost(forest.members[node], instance)}
         for q_left, c_left in tables[left].items():
             for q_right, c_right in tables[right].items():
                 q = q_left + q_right
@@ -401,23 +405,20 @@ def exact_kmedian_cost(distances: Sequence[Sequence[Any]], k: int) -> Fraction:
 
 
 class ClusteringProblem(PoolProblem):
-    """Configuration problem over a finite pool of clustering instances."""
+    """Configuration problem over a finite pool of clustering instances.
+
+    ``f_bound`` is the analytic ceiling ``clustering_cell_bound``.
+    """
 
     domain = "clustering"
 
     def run_with_cap(self, rho, instance, tau: int) -> CappedRunOutcome:
-        payload = instance.payload if isinstance(instance, InstanceHandle) else instance
-        return clustering_run_with_cap(rho, payload, tau)
+        return clustering_run_with_cap(rho, instance.payload, tau)
 
     def get_partition(self, instances, tau: int) -> list[PartitionCell]:
-        cells = clustering_partition(instances, tau)
-        self._measured[self._key(instances, tau)] = len(cells)
-        return cells
+        return clustering_partition(instances, tau)
 
     def f_bound(self, instances, tau: int) -> int:
-        measured = self._measured.get(self._key(instances, tau))
-        if measured is not None:
-            return measured
         return clustering_cell_bound(instances, tau)
 
 

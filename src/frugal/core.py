@@ -134,9 +134,6 @@ class ParamCell:
             return (Fraction(lo) + Fraction(hi)) / 2
         return (lo + hi) / 2
 
-    def total_width(self) -> float:
-        return float(sum(hi - lo for lo, hi in self.intervals))
-
 
 @dataclass(frozen=True)
 class CappedRunOutcome:
@@ -269,17 +266,14 @@ class ConfigProblem:
 class PoolProblem(ConfigProblem):
     """A problem whose instance distribution is uniform over a finite pool.
 
-    Samples are ``PoolSample`` index arrays.  Subclasses record each measured
-    cell count in ``_measured`` under ``_key`` so that ``f_bound`` can reuse
-    it for the same set of distinct instances and cap.
+    Samples are ``PoolSample`` index arrays.  The problem holds only its
+    pool, so every method is a pure function of the pool and its arguments.
     """
 
     def __init__(self, pool: Sequence[Any]) -> None:
         if not pool:
             raise ValueError("need a nonempty instance pool")
         self.pool = list(pool)
-        self.space = ParamSpace()
-        self._measured: dict[tuple[frozenset, int], int] = {}
 
     def sample(self, rng: np.random.Generator) -> InstanceHandle:
         index = int(rng.integers(len(self.pool)))
@@ -290,24 +284,14 @@ class PoolProblem(ConfigProblem):
         # in the same state, as ``count`` scalar draws.
         return PoolSample(self.domain, self.pool, rng.integers(len(self.pool), size=count))
 
-    def merge_samples(self, first, second) -> Sequence[InstanceHandle]:
-        if isinstance(first, PoolSample) and isinstance(second, PoolSample):
-            return PoolSample(self.domain, self.pool, np.concatenate([first.uids, second.uids]))
-        return super().merge_samples(first, second)
+    def merge_samples(self, first: PoolSample, second: PoolSample) -> PoolSample:
+        return PoolSample(self.domain, self.pool, np.concatenate([first.uids, second.uids]))
 
     def all_instances(self) -> list[InstanceHandle]:
         return [
             InstanceHandle(domain=self.domain, uid=i, payload=item)
             for i, item in enumerate(self.pool)
         ]
-
-    def _key(self, instances: Sequence[Any], tau: int) -> tuple[frozenset, int]:
-        if isinstance(instances, PoolSample):
-            return (frozenset(instances.distinct_uids().tolist()), tau)
-        uids = frozenset(
-            h.uid if isinstance(h, InstanceHandle) else id(h) for h in instances
-        )
-        return (uids, tau)
 
 
 def _normalize_law(law: Iterable[tuple[Any, Any]]) -> list[tuple[int, float]]:

@@ -28,7 +28,6 @@ from .core import (
     ConfigProblem,
     InstanceHandle,
     ParamCell,
-    ParamSpace,
     PartitionCell,
     law_capped_mean,
     tail_quantile_exact,
@@ -240,7 +239,6 @@ class SyntheticProblem(ConfigProblem):
 
     def __init__(self, family: SyntheticFamily | None = None) -> None:
         self.family = family or SyntheticFamily()
-        self.space = ParamSpace()
         self._next_uid = 0
 
     def _take_uids(self, count: int) -> np.ndarray:
@@ -259,18 +257,15 @@ class SyntheticProblem(ConfigProblem):
             coin_high=draws[:, 1] < 0.5,
         )
 
-    def merge_samples(self, first, second) -> SyntheticSample:
-        if isinstance(first, SyntheticSample) and isinstance(second, SyntheticSample):
-            return SyntheticSample(
-                uids=np.concatenate([first.uids, second.uids]),
-                coin_low=np.concatenate([first.coin_low, second.coin_low]),
-                coin_high=np.concatenate([first.coin_high, second.coin_high]),
-            )
-        return super().merge_samples(first, second)
+    def merge_samples(self, first: SyntheticSample, second: SyntheticSample) -> SyntheticSample:
+        return SyntheticSample(
+            uids=np.concatenate([first.uids, second.uids]),
+            coin_low=np.concatenate([first.coin_low, second.coin_low]),
+            coin_high=np.concatenate([first.coin_high, second.coin_high]),
+        )
 
     def run_with_cap(self, rho, instance, tau: int) -> CappedRunOutcome:
-        payload = instance.payload if isinstance(instance, InstanceHandle) else instance
-        return synthetic_run_with_cap(self.family, float(rho), payload, tau)
+        return synthetic_run_with_cap(self.family, float(rho), instance.payload, tau)
 
     def get_partition(self, instances, tau: int) -> list[PartitionCell]:
         return synthetic_partition(self.family, instances, tau)

@@ -348,6 +348,18 @@ class TwoBandProblem(ConfigProblem):
         return 2
 
 
+def triangle_violation(distances, slack):
+    """First ordered triple ``(i, j, l)``, in lexicographic order, with
+    ``d(i, l) > d(i, j) + d(j, l) + slack``, or None for a (slack-)metric.
+
+    Checks every ordered triple of distinct points with exact sums.
+    """
+    for i, j, l in itertools.permutations(range(len(distances)), 3):
+        if distances[i][l] > distances[i][j] + distances[j][l] + slack:
+            return (i, j, l)
+    return None
+
+
 def four_point_metric():
     """The hand-built 4-point metric with its exact 2-median cost of 3."""
     return [

@@ -328,14 +328,6 @@ class TestFBound:
         pool = [Milp.from_lists([1] * 6, [[1] * 6], [3]) for _ in range(10)]
         assert bnb_cell_bound(pool, 3) == 10 * 6**8 + 1 == 16_796_161
 
-    def test_measured_cached(self):
-        problem = BnbProblem([integral_root_milp()])
-        instances = problem.all_instances()
-        analytic = problem.f_bound(instances, 15)
-        assert analytic > 1
-        problem.get_partition(instances, 15)
-        assert problem.f_bound(instances, 15) == 1
-
     def test_monotone_in_instances_and_cap(self):
         pool = random_pool(seed=47, count=4)
         small = bnb_cell_bound(pool[:2], 7)
@@ -384,7 +376,7 @@ class TestPoolSample:
         assert below == bnb_cell_bound(list(sample), 2) < 2**62
         assert problem.f_bound(sample, 40) == bnb_cell_bound(list(sample), 40) == 2**62
         cells = problem.get_partition(sample, 7)
-        assert problem.f_bound(sample, 7) == problem.f_bound(list(sample), 7) == len(cells)
+        assert len(cells) <= problem.f_bound(sample, 7) == problem.f_bound(list(sample), 7)
 
 
 class TestParser:

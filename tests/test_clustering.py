@@ -1,10 +1,13 @@
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from frugal.clustering import (
+    _TRIANGLE_SLACK,
     ClusteringInstance,
     ClusteringProblem,
     best_pruning,
@@ -21,7 +24,12 @@ from frugal.clustering import (
 )
 from frugal.core import PoolSample, validate_cells_cover
 from frugal.sweep import DecisionTracker
-from support import check_partition_contract, enumerate_prunings, four_point_metric
+from support import (
+    check_partition_contract,
+    enumerate_prunings,
+    four_point_metric,
+    triangle_violation,
+)
 
 
 @pytest.fixture
@@ -286,7 +294,7 @@ class TestPoolSample:
             assert np.array_equal(a.capped_losses, b.capped_losses)
         assert problem.f_bound(sample, tau) == clustering_cell_bound(handles, tau)
         cells = problem.get_partition(sample, tau)
-        assert problem.f_bound(sample, tau) == len(cells)
+        assert len(cells) <= problem.f_bound(sample, tau)
 
 
 class TestInstanceFormat:
@@ -304,6 +312,53 @@ class TestInstanceFormat:
             parse_instance("2 1 1\n1 1\n1 0\n")  # nonzero diagonal
         with pytest.raises(ValueError):
             parse_instance("3 1 1\n0 1 9\n1 0 1\n9 1 0\n")  # triangle violation
+
+    @pytest.mark.parametrize(
+        "left, right, excess, accepted",
+        [
+            (Fraction(1), Fraction(1), Fraction(0), True),
+            (Fraction(1), Fraction(1), Fraction(1, 10**12), False),
+            (Fraction(1, 3), Fraction(1, 7), Fraction(0), True),
+            (Fraction(1, 3), Fraction(1, 7), Fraction(1, 10**12), False),
+        ],
+    )
+    def test_triangle_slack_boundary(self, left, right, excess, accepted):
+        # d(0, 2) sits exactly at the 1e-9 slack above d(0, 1) + d(1, 2),
+        # or 1e-12 past it.
+        far = left + right + Fraction(1, 10**9) + excess
+        zero = Fraction(0)
+        distances = ((zero, left, far), (left, zero, right), (far, right, zero))
+        if accepted:
+            ClusteringInstance(distances=distances, k=1, theta=Fraction(1))
+        else:
+            with pytest.raises(ValueError, match=re.escape("violated at (0, 1, 2)")):
+                ClusteringInstance(distances=distances, k=1, theta=Fraction(1))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_triangle_check_matches_oracle(self, data):
+        n = data.draw(st.integers(2, 7))
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        if data.draw(st.booleans()):
+            # Arbitrary symmetric matrices: mostly far from metric.
+            entries = st.fractions(0, 3, max_denominator=12)
+            values = [data.draw(entries) for _ in pairs]
+        else:
+            # Points on a line, each distance nudged around the slack.
+            xs = [data.draw(st.fractions(0, 4, max_denominator=9)) for _ in range(n)]
+            slack, past = Fraction(1, 10**9), Fraction(1, 10**12)
+            nudges = st.sampled_from([0, -slack, slack, 2 * slack, slack + past, slack - past])
+            values = [max(Fraction(0), abs(xs[i] - xs[j]) + data.draw(nudges)) for i, j in pairs]
+        matrix = [[Fraction(0)] * n for _ in range(n)]
+        for (i, j), value in zip(pairs, values):
+            matrix[i][j] = matrix[j][i] = value
+        distances = tuple(map(tuple, matrix))
+        expected = triangle_violation(distances, _TRIANGLE_SLACK)
+        if expected is None:
+            ClusteringInstance(distances=distances, k=1, theta=Fraction(1))
+        else:
+            with pytest.raises(ValueError, match=re.escape(f"violated at {expected}")):
+                ClusteringInstance(distances=distances, k=1, theta=Fraction(1))
 
     def test_load_from_file(self, tmp_path, four_point):
         path = tmp_path / "inst.metric"

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from frugal import bnb
 from frugal.bnb import BnbProblem, random_milp
@@ -12,7 +13,7 @@ from frugal.clustering import (
     exact_kmedian_cost,
     random_metric_instance,
 )
-from frugal.core import ParamCell, ParamPoint, PartitionCell
+from frugal.core import ParamCell, ParamPoint, PartitionCell, PoolSample
 from frugal.learner import (
     LearnerConfig,
     LearnerState,
@@ -211,17 +212,17 @@ class TestLearnSubset:
         rng = np.random.default_rng(3)
         pool = [random_milp(rng, 3, 2) for _ in range(8)]
         cfg = default_config(delta=0.9, seed=0)
-        first = learn_subset(BnbProblem(pool), cfg)
+        problem = BnbProblem(pool)
+        first = learn_subset(problem, cfg)
         assert [row.samples for row in first.trace] == [43232, 49806, 58491, 68442, 0]
         assert first.terminal_round == 5
         assert len(first.regions) == 6
         assert first.instance_draws == 219971
-        second = learn_subset(BnbProblem(pool), cfg)
-        assert first.trace == second.trace
-        assert first.regions == second.regions
-        assert first.parameters == second.parameters
+        # A second run on the same problem object repeats the first: the
+        # partitions the first run computed leave no state behind.
+        assert_same_run(first, learn_subset(problem, cfg))
         chosen = select_finite(
-            BnbProblem(pool),
+            problem,
             first.parameters,
             eps_prime=3.0,
             delta_prime=0.45,
@@ -230,6 +231,61 @@ class TestLearnSubset:
             cap_ceiling=2 ** (first.terminal_round + 4),
         )
         assert chosen in first.parameters
+
+    def test_clustering_pool_end_to_end(self):
+        rng = np.random.default_rng(11)
+        pool = [random_metric_instance(rng, 6, 2) for _ in range(6)]
+        cfg = default_config(delta=0.9, seed=2)
+        problem = ClusteringProblem(pool)
+        first = learn_subset(problem, cfg)
+        assert [row.samples for row in first.trace] == [48703, 52149, 54834, 57202, 59391, 0]
+        assert_same_run(first, learn_subset(problem, cfg))
+
+
+def _contract_pool(kind):
+    rng = np.random.default_rng(17)
+    if kind == "bnb":
+        return [random_milp(rng, 3, 2) for _ in range(4)]
+    return [random_metric_instance(rng, 5, 2) for _ in range(4)]
+
+
+CONTRACT_POOLS = {kind: _contract_pool(kind) for kind in ("bnb", "clustering")}
+POOL_PROBLEMS = {"bnb": BnbProblem, "clustering": ClusteringProblem}
+uid_lists = st.lists(st.integers(0, 3), min_size=1, max_size=6)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    kind=st.sampled_from(sorted(POOL_PROBLEMS)),
+    measured=st.lists(st.tuples(uid_lists, st.integers(1, 12)), max_size=4),
+    small=uid_lists,
+    extra=st.lists(st.integers(0, 3), max_size=4),
+    tau=st.integers(1, 12),
+    more_tau=st.integers(0, 8),
+)
+def test_pool_f_bound_contract(kind, measured, small, extra, tau, more_tau):
+    """After any partitions, ``f_bound`` is monotone under inclusion and in
+    the cap, dominates the cell count, and matches a fresh problem."""
+    pool = CONTRACT_POOLS[kind]
+    problem = POOL_PROBLEMS[kind](pool)
+
+    def sample(uids):
+        return PoolSample(problem.domain, problem.pool, np.array(uids))
+
+    for uids, cap in measured:
+        problem.get_partition(sample(uids), cap)
+    bound = problem.f_bound(sample(small), tau)
+    assert bound <= problem.f_bound(sample(small + extra), tau)
+    assert bound <= problem.f_bound(sample(small), tau + more_tau)
+    assert bound == POOL_PROBLEMS[kind](pool).f_bound(sample(small), tau)
+    assert len(problem.get_partition(sample(small), tau)) <= bound
+
+
+def assert_same_run(first, second):
+    assert first.trace == second.trace
+    assert first.regions == second.regions
+    assert first.parameters == second.parameters
+    assert first.instance_draws == second.instance_draws
 
 
 class TestSelectFinite:
