@@ -15,7 +15,6 @@ from .core import (
     ParamPoint,
     ParamSpace,
     PartitionCell,
-    capped_mean,
     law_capped_mean,
     tail_quantile_exact,
 )
@@ -26,7 +25,7 @@ from .learner import (
     learn_subset,
     select_finite,
 )
-from .stats import GammaInputs, gamma_bound, massart_bound, mc_rademacher
+from .stats import GammaInputs, gamma_bound
 from .synthetic import SyntheticFamily, SyntheticProblem, synthetic_exact_opt
 
 __version__ = "0.1.0"
@@ -39,7 +38,6 @@ __all__ = [
     "ParamPoint",
     "ParamSpace",
     "PartitionCell",
-    "capped_mean",
     "law_capped_mean",
     "tail_quantile_exact",
     "LearnerConfig",
@@ -49,8 +47,6 @@ __all__ = [
     "select_finite",
     "GammaInputs",
     "gamma_bound",
-    "massart_bound",
-    "mc_rademacher",
     "SyntheticFamily",
     "SyntheticProblem",
     "synthetic_exact_opt",

@@ -537,7 +537,7 @@ def bnb_partition(instances: Sequence[Any], tau: int) -> list[PartitionCell]:
     capped run at the left endpoint of each unresolved interval yields both
     the capped loss and the first point where any branching decision flips.
     The per-instance partitions are then refined into a common partition
-    whose solved fractions and capped-loss vectors count every instance.
+    whose solved fractions and loss multiplicities count every draw.
     """
     if tau < 1:
         raise ValueError("tau must be a positive integer")

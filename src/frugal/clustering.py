@@ -363,7 +363,7 @@ def clustering_partition(instances: Sequence[Any], tau: int) -> list[PartitionCe
     """Exact partition of [0, 1] into merge-invariance cells at the given cap.
 
     Each distinct instance is swept once; the refined cells' solved
-    fractions and capped-loss vectors count every instance.
+    fractions and loss multiplicities count every draw.
     """
     if tau < 0:
         raise ValueError("tau must be nonnegative")

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Any, Iterable, Sequence
 
 import numpy as np
@@ -28,7 +29,6 @@ __all__ = [
     "DegenerateDistributionError",
     "tail_quantile_exact",
     "law_capped_mean",
-    "capped_mean",
     "tail_capped_mean",
     "to_fraction",
     "format_rational",
@@ -199,29 +199,42 @@ class PoolSample(Sequence[InstanceHandle]):
         uid = int(self.uids[index])
         return InstanceHandle(domain=self.domain, uid=uid, payload=self.pool[uid])
 
-    def distinct_uids(self) -> np.ndarray:
-        """The pool indices drawn at least once, ascending."""
-        return np.flatnonzero(np.bincount(self.uids, minlength=len(self.pool)))
+    def distinct(self) -> tuple["PoolSample", np.ndarray]:
+        """The pool indices drawn at least once, ascending, as a sample, and
+        each draw's position in it."""
+        uids = np.flatnonzero(np.bincount(self.uids, minlength=len(self.pool)))
+        position = np.zeros(len(self.pool), dtype=np.int64)
+        position[uids] = np.arange(uids.size)
+        return PoolSample(self.domain, self.pool, uids), position[self.uids]
 
 
 @dataclass(eq=False)
 class PartitionCell:
     """One region of parameter space with constant capped behavior.
 
-    ``capped_losses`` is an integer array aligned with the instance sequence
-    the partition was computed for (``capped_losses[i]`` is the capped loss of
-    the ``i``-th instance anywhere in the cell); ``z`` is the exact fraction
-    of those instances solved within the cap.
+    The partition's instance sequence is held as a multiset: ``losses[j]``
+    is the capped loss in the cell of the ``j``-th distinct instance,
+    ``counts[j]`` its multiplicity, and ``inverse[i]`` the distinct instance
+    of the ``i``-th draw (one array shared by the partition's cells).  ``z``
+    is the exact fraction of draws solved within the cap.
     """
 
     cell: ParamCell
     z: float
-    capped_losses: np.ndarray
+    losses: np.ndarray
+    counts: np.ndarray
+    inverse: np.ndarray
 
     def __post_init__(self) -> None:
-        self.capped_losses = np.asarray(self.capped_losses, dtype=np.int64)
+        self.losses = np.asarray(self.losses, dtype=np.int64)
+        self.counts = np.asarray(self.counts, dtype=np.int64)
         if not 0.0 <= self.z <= 1.0:
             raise ValueError("z must lie in [0, 1]")
+
+    @cached_property
+    def capped_losses(self) -> np.ndarray:
+        """The capped loss of each draw, gathered on first use."""
+        return self.losses[self.inverse]
 
 
 class ConfigProblem:
@@ -339,25 +352,21 @@ def law_capped_mean(law: Iterable[tuple[Any, Any]], cap: int) -> float:
     return sum(p * min(v, cap) for v, p in pairs)
 
 
-def capped_mean(losses: Sequence[int] | np.ndarray, cap: int) -> float:
-    """Arithmetic mean of ``min{loss, cap}`` over a nonempty loss vector."""
-    arr = np.asarray(losses)
-    if arr.size == 0:
-        raise ValueError("capped_mean of an empty vector is undefined")
-    if cap < 0:
-        raise ValueError("cap must be nonnegative")
-    return float(np.minimum(arr, cap).mean())
+def tail_capped_mean(losses, counts, rank: int) -> tuple[int, float]:
+    """The ``rank``-th smallest (1-based) of the multiset holding each
+    ``losses[j]`` ``counts[j]`` times, and that multiset's mean capped there.
 
-
-def tail_capped_mean(losses: Sequence[int] | np.ndarray, rank: int) -> tuple[int, float]:
-    """The ``rank``-th smallest loss (1-based) and the mean of the losses capped there."""
-    sorted_losses = np.sort(losses)
-    if not 1 <= rank <= sorted_losses.size:
-        raise ValueError(
-            f"quantile index {rank} outside [1, {sorted_losses.size}]: sample too small"
-        )
-    cutoff = int(sorted_losses[rank - 1])
-    return cutoff, capped_mean(sorted_losses, cutoff)
+    The mean is one Python-int sum and one division; while the sum stays
+    below 2**53 it equals the float64 mean of the expanded vector bit for bit.
+    """
+    losses, counts = np.asarray(losses, dtype=np.int64), np.asarray(counts, dtype=np.int64)
+    total = int(counts.sum())
+    if not 1 <= rank <= total:
+        raise ValueError(f"quantile index {rank} outside [1, {total}]: sample too small")
+    order = np.argsort(losses)
+    cutoff = int(losses[order[np.searchsorted(np.cumsum(counts[order]), rank)]])
+    capped = np.minimum(losses, cutoff).tolist()
+    return cutoff, sum(loss * count for loss, count in zip(capped, counts.tolist())) / total
 
 
 def to_fraction(value: Any) -> Fraction:

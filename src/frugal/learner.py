@@ -22,7 +22,7 @@ from typing import Any, Sequence
 
 import numpy as np
 
-from .core import ConfigProblem, ParamPoint, tail_capped_mean
+from .core import ConfigProblem, ParamPoint, PoolSample, tail_capped_mean
 from .stats import GammaInputs, gamma_bound
 
 __all__ = [
@@ -252,20 +252,21 @@ def process_round(state: LearnerState, cells: Sequence, cfg: LearnerConfig) -> i
     """Admit qualifying cells and tighten the confidence bound.
 
     A cell qualifies when its solved fraction is at least ``1 - 3 delta / 8``.
-    Its recorded cap is the entry of rank ``floor(b (1 - 3 delta / 8))``
-    (1-based) in the ascending sort of its capped-loss vector, and its
-    estimate is the mean of the vector re-capped there.  Returns the number
-    of cells admitted.
+    Its recorded cap is the loss of rank ``floor(b (1 - 3 delta / 8))``
+    (1-based) among its ``b`` draws, and its estimate is the mean of the
+    draws' losses re-capped there; both are read off the cell's distinct
+    losses and counts (``tail_capped_mean``).  Returns the number of cells
+    admitted.
     """
     if not cells:
         return 0
-    sample_count = len(cells[0].capped_losses)
+    sample_count = int(cells[0].counts.sum())
     rank = math.floor(sample_count * cfg.admission_threshold)
     admitted = 0
     for cell in cells:
         if cell.z < cfg.admission_threshold:
             continue
-        tau_cell, estimate = tail_capped_mean(cell.capped_losses, rank)
+        tau_cell, estimate = tail_capped_mean(cell.losses, cell.counts, rank)
         state.regions.append(
             GoodRegion(
                 cell=cell.cell,
@@ -347,13 +348,20 @@ def measure_loss(problem, rho, instance, ceiling: int) -> int:
 def sample_losses(
     problem: ConfigProblem, rho, n_samples: int, rng: np.random.Generator, ceiling: int
 ) -> np.ndarray:
-    """Losses at ``rho`` of ``n_samples`` fresh draws, each measured up to the ceiling."""
+    """Losses at ``rho`` of ``n_samples`` fresh draws, each measured up to the ceiling.
+
+    The draws come from one ``sample_many``, which leaves the generator as
+    ``n_samples`` calls of ``sample`` would.  A pool sample's distinct
+    instances are measured once each and their losses repeated per draw.
+    """
     if ceiling < 1:
         raise ValueError("the cap ceiling must be positive")
-    losses = np.empty(n_samples, dtype=np.int64)
-    for i in range(n_samples):
-        losses[i] = measure_loss(problem, rho, problem.sample(rng), ceiling)
-    return losses
+    sample = problem.sample_many(rng, n_samples)
+    inverse = np.arange(n_samples)
+    if isinstance(sample, PoolSample):
+        sample, inverse = sample.distinct()
+    losses = [measure_loss(problem, rho, instance, ceiling) for instance in sample]
+    return np.array(losses, dtype=np.int64)[inverse]
 
 
 def estimate_capped_tail_means(
@@ -381,7 +389,8 @@ def estimate_capped_tail_means(
     estimates = []
     for candidate in candidates:
         losses = sample_losses(problem, candidate.scalar, n_samples, rng, cap_ceiling)
-        estimates.append(tail_capped_mean(losses, rank)[1])
+        values, counts = np.unique(losses, return_counts=True)
+        estimates.append(tail_capped_mean(values, counts, rank)[1])
     return estimates
 
 

@@ -4,28 +4,13 @@ The learner keeps drawing instances until the sample-accuracy bound below
 drops under its per-round accuracy target.  The bound combines a
 finite-class complexity term (via the number of behavior regions the capped
 problem admits) with a union-bound term over rounds, sample sizes and caps.
-A Monte-Carlo / exact-enumeration estimator of empirical Rademacher
-complexity is included as a testing oracle for the finite-class bound.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
 
-import numpy as np
-
-__all__ = [
-    "GammaInputs",
-    "gamma_bound",
-    "massart_bound",
-    "mc_rademacher",
-    "EXACT_ENUMERATION_LIMIT",
-]
-
-# 2^20 sign patterns is about a million: cheap enough to enumerate exactly,
-# which keeps the estimator deterministic wherever feasible.
-EXACT_ENUMERATION_LIMIT = 20
+__all__ = ["GammaInputs", "gamma_bound"]
 
 _LN8 = math.log(8.0)
 
@@ -72,60 +57,3 @@ def gamma_bound(inputs: GammaInputs) -> float:
         - math.log(inputs.confidence)
     )
     return complexity + 2.0 * math.sqrt(2.0 * log_union / b)
-
-
-def _as_matrix(loss_vectors: Iterable[Sequence[float]]) -> np.ndarray:
-    rows = [np.asarray(v, dtype=np.float64) for v in loss_vectors]
-    if not rows:
-        raise ValueError("need at least one loss vector")
-    length = rows[0].shape
-    if any(r.ndim != 1 or r.shape != length for r in rows):
-        raise ValueError("all loss vectors must be one-dimensional and equal length")
-    # The bound depends on the set of distinct trace vectors, so duplicates
-    # must not inflate the class size.
-    return np.unique(np.stack(rows), axis=0)
-
-
-def massart_bound(loss_vectors: Iterable[Sequence[float]]) -> float:
-    """Finite-class bound on empirical Rademacher complexity.
-
-    For a finite set of trace vectors in R^N with maximum Euclidean norm
-    ``r``, the complexity is at most ``r * sqrt(2 ln M) / N`` where ``M`` is
-    the number of distinct vectors.
-    """
-    matrix = _as_matrix(loss_vectors)
-    count, length = matrix.shape
-    radius = float(np.sqrt((matrix**2).sum(axis=1)).max())
-    return radius * math.sqrt(2.0 * math.log(count)) / length
-
-
-def mc_rademacher(
-    loss_vectors: Iterable[Sequence[float]],
-    trials: int,
-    seed: int | None = None,
-) -> float:
-    """Empirical Rademacher complexity of a finite vector class.
-
-    Computes ``E_sigma[ max_v (1/N) sum_i sigma_i v_i ]`` over uniform sign
-    vectors.  For N at most ``EXACT_ENUMERATION_LIMIT`` all ``2^N`` sign
-    patterns are enumerated and the value is exact; otherwise ``trials``
-    patterns are sampled, giving an unbiased estimate.
-    """
-    if trials < 1:
-        raise ValueError("trials must be a positive integer")
-    matrix = _as_matrix(loss_vectors)
-    _, length = matrix.shape
-    if length <= EXACT_ENUMERATION_LIMIT:
-        total = 0.0
-        patterns = 1 << length
-        chunk = 1 << 14
-        bits = np.arange(length, dtype=np.uint32)
-        for start in range(0, patterns, chunk):
-            idx = np.arange(start, min(start + chunk, patterns), dtype=np.uint32)
-            sign_bits = ((idx[:, None] >> bits[None, :]) & 1).astype(np.float64)
-            signs = sign_bits * 2.0 - 1.0
-            total += float((signs @ matrix.T).max(axis=1).sum())
-        return total / (patterns * length)
-    rng = np.random.default_rng(seed)
-    signs = rng.integers(0, 2, size=(trials, length)).astype(np.float64) * 2.0 - 1.0
-    return float((signs @ matrix.T).max(axis=1).mean()) / length

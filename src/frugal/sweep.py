@@ -179,12 +179,11 @@ def distinct_instances(instances: Sequence[Any]) -> tuple[list[Any], np.ndarray,
     distinct instance for error messages.
     """
     if isinstance(instances, PoolSample):
-        uids = instances.distinct_uids()
-        position = np.zeros(len(instances.pool), dtype=np.int64)
-        position[uids] = np.arange(uids.size)
-        payloads = [instances.pool[uid] for uid in uids.tolist()]
-        labels = [_label(p, f"pool uid {uid}") for p, uid in zip(payloads, uids.tolist())]
-        return payloads, position[instances.uids], labels
+        distinct, inverse = instances.distinct()
+        uids = distinct.uids.tolist()
+        payloads = [instances.pool[uid] for uid in uids]
+        labels = [_label(p, f"pool uid {uid}") for p, uid in zip(payloads, uids)]
+        return payloads, inverse, labels
     first: dict[int, int] = {}
     payloads, labels, inverse = [], [], []
     for position, item in enumerate(instances):
@@ -251,16 +250,20 @@ def cells_from_refinement(
     """Build partition cells from refined (capped_loss, solved) payloads.
 
     The refinement holds one payload per distinct instance; ``inverse``
-    (see ``distinct_instances``) expands them to one entry per instance.
+    (see ``distinct_instances``) maps each draw to its distinct instance
+    and gives their multiplicities.
     """
+    counts = np.bincount(inverse)
+    total = len(inverse)
     out = []
     for index, (lo, hi, payloads) in enumerate(refined):
-        losses = np.array([loss for loss, _ in payloads], dtype=np.int64)[inverse]
-        solved = np.array([ok for _, ok in payloads], dtype=np.bool_)[inverse]
+        losses = [loss for loss, _ in payloads]
+        solved = np.array([ok for _, ok in payloads], dtype=np.bool_)
         cell = ParamCell(
             intervals=((lo, hi),), label=index, top_closed=(hi == Fraction(1))
         )
-        out.append(PartitionCell(cell=cell, z=float(solved.mean()), capped_losses=losses))
+        z = int(counts[solved].sum()) / total
+        out.append(PartitionCell(cell=cell, z=z, losses=losses, counts=counts, inverse=inverse))
     return out
 
 

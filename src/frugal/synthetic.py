@@ -176,26 +176,30 @@ def synthetic_partition(
     if count == 0:
         raise ValueError("need at least one instance")
     just_above_a = math.nextafter(family.a, 1.0)
-    raw_losses = {
-        "low": np.where(coin_low, family.loss_low, family.loss_mid).astype(np.int64),
-        "mid": np.full(count, family.loss_mid, dtype=np.int64),
-        "high": np.where(coin_high, family.loss_high, family.loss_mid).astype(np.int64),
-    }
+    # A cell's distinct instances are the faces of its coin, light first so
+    # that the coin itself is the inverse; the middle band has only one.
+    band = (
+        ("low", 0.0, just_above_a, coin_low, (family.loss_mid, family.loss_low)),
+        ("mid", just_above_a, family.b, None, (family.loss_mid,)),
+        ("high", family.b, 1.0, coin_high, (family.loss_mid, family.loss_high)),
+    )
     cells = []
-    bounds = {
-        "low": (0.0, just_above_a, False),
-        "mid": (just_above_a, family.b, False),
-        "high": (family.b, 1.0, True),
-    }
-    for label in REGIONS:
-        lo, hi, top = bounds[label]
-        raw = raw_losses[label]
-        capped = np.minimum(raw, tau)
+    for label, lo, hi, coin, raw in band:
+        if coin is None:
+            counts = [count]
+            inverse = np.broadcast_to(np.int8(0), (count,))
+        else:
+            heavy = int(np.count_nonzero(coin))
+            counts = [count - heavy, heavy]
+            inverse = coin.view(np.int8)
+        solved = sum(n for loss, n in zip(raw, counts) if loss <= tau)
         cells.append(
             PartitionCell(
-                cell=ParamCell(intervals=((lo, hi),), label=label, top_closed=top),
-                z=float((raw <= tau).mean()),
-                capped_losses=capped,
+                cell=ParamCell(intervals=((lo, hi),), label=label, top_closed=hi == 1.0),
+                z=solved / count,
+                losses=[min(loss, tau) for loss in raw],
+                counts=counts,
+                inverse=inverse,
             )
         )
     return cells

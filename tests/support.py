@@ -9,6 +9,7 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -19,7 +20,77 @@ from frugal.core import (
     ParamCell,
     ParamSpace,
     PartitionCell,
+    PoolProblem,
 )
+
+
+def cell_from_losses(cell, z, losses):
+    """A ``PartitionCell`` over the per-draw capped-loss vector ``losses``,
+    with one distinct instance per distinct loss value."""
+    values, inverse, counts = np.unique(
+        np.asarray(losses, dtype=np.int64), return_inverse=True, return_counts=True
+    )
+    return PartitionCell(cell=cell, z=z, losses=values, counts=counts, inverse=inverse)
+
+
+def _constant_cell(cell, z, capped_loss, count):
+    """A ``PartitionCell`` whose ``count`` draws all have one capped loss."""
+    inverse = np.zeros(count, dtype=np.int64)
+    return PartitionCell(cell=cell, z=z, losses=[capped_loss], counts=[count], inverse=inverse)
+
+
+def sorted_tail_capped_mean(losses, rank):
+    """The ``rank``-th smallest entry of a per-draw loss vector and the
+    float64 mean of the vector capped there, by a full sort."""
+    sorted_losses = np.sort(np.asarray(losses, dtype=np.int64))
+    if not 1 <= rank <= sorted_losses.size:
+        raise ValueError(f"quantile index {rank} outside [1, {sorted_losses.size}]")
+    cutoff = int(sorted_losses[rank - 1])
+    return cutoff, float(np.minimum(sorted_losses, cutoff).mean())
+
+
+def per_draw_sample_losses(problem, rho, n_samples, rng, ceiling):
+    """Losses of ``n_samples`` draws made one ``sample`` at a time, each
+    measured by its own run at the ceiling."""
+    return np.array(
+        [
+            problem.run_with_cap(rho, problem.sample(rng), ceiling).budget_used
+            for _ in range(n_samples)
+        ],
+        dtype=np.int64,
+    )
+
+
+def check_pool_cells_against_gather(problem, sample, cells, tau):
+    """Pool cells of ``sample`` against per-draw vectors gathered by pool index.
+
+    Each pool instance is run standalone at the cell's left end; the
+    per-draw capped losses are those gathered by ``sample.uids``, and the
+    solved fraction counts the solved draws.
+    """
+    handles = problem.all_instances()
+    for cell in cells:
+        lo = cell.cell.intervals[0][0]
+        outcomes = [problem.run_with_cap(lo, handle, tau) for handle in handles]
+        per_pool = np.array([o.capped_loss(tau) for o in outcomes], dtype=np.int64)
+        solved = np.array([o.solved for o in outcomes], dtype=np.bool_)
+        assert cell.capped_losses.tolist() == per_pool[sample.uids].tolist()
+        assert int(cell.counts.sum()) == len(sample)
+        assert cell.z == int(np.count_nonzero(solved[sample.uids])) / len(sample)
+
+
+def per_draw_synthetic_cells(family, sample, tau):
+    """``(capped_losses, z)`` of the low, mid and high cells as per-draw
+    vectors over a ``SyntheticSample``, computed draw by draw."""
+    raw = {
+        "low": np.where(sample.coin_low, family.loss_low, family.loss_mid),
+        "mid": np.full(len(sample), family.loss_mid),
+        "high": np.where(sample.coin_high, family.loss_high, family.loss_mid),
+    }
+    return [
+        (np.minimum(raw[label], tau).astype(np.int64), float((raw[label] <= tau).mean()))
+        for label in ("low", "mid", "high")
+    ]
 
 
 def brute_tail_quantile(law, delta):
@@ -85,6 +156,68 @@ def enumerate_prunings(forest, k, instance):
     return best
 
 
+# 2^20 sign patterns is about a million: cheap enough to enumerate exactly,
+# which keeps the estimator deterministic wherever feasible.
+EXACT_ENUMERATION_LIMIT = 20
+
+
+def _as_matrix(loss_vectors: Iterable[Sequence[float]]) -> np.ndarray:
+    rows = [np.asarray(v, dtype=np.float64) for v in loss_vectors]
+    if not rows:
+        raise ValueError("need at least one loss vector")
+    length = rows[0].shape
+    if any(r.ndim != 1 or r.shape != length for r in rows):
+        raise ValueError("all loss vectors must be one-dimensional and equal length")
+    # The bound depends on the set of distinct trace vectors, so duplicates
+    # must not inflate the class size.
+    return np.unique(np.stack(rows), axis=0)
+
+
+def massart_bound(loss_vectors: Iterable[Sequence[float]]) -> float:
+    """Finite-class bound on empirical Rademacher complexity.
+
+    For a finite set of trace vectors in R^N with maximum Euclidean norm
+    ``r``, the complexity is at most ``r * sqrt(2 ln M) / N`` where ``M`` is
+    the number of distinct vectors.
+    """
+    matrix = _as_matrix(loss_vectors)
+    count, length = matrix.shape
+    radius = float(np.sqrt((matrix**2).sum(axis=1)).max())
+    return radius * math.sqrt(2.0 * math.log(count)) / length
+
+
+def mc_rademacher(
+    loss_vectors: Iterable[Sequence[float]],
+    trials: int,
+    seed: int | None = None,
+) -> float:
+    """Empirical Rademacher complexity of a finite vector class.
+
+    Computes ``E_sigma[ max_v (1/N) sum_i sigma_i v_i ]`` over uniform sign
+    vectors.  For N at most ``EXACT_ENUMERATION_LIMIT`` all ``2^N`` sign
+    patterns are enumerated and the value is exact; otherwise ``trials``
+    patterns are sampled, giving an unbiased estimate.
+    """
+    if trials < 1:
+        raise ValueError("trials must be a positive integer")
+    matrix = _as_matrix(loss_vectors)
+    _, length = matrix.shape
+    if length <= EXACT_ENUMERATION_LIMIT:
+        total = 0.0
+        patterns = 1 << length
+        chunk = 1 << 14
+        bits = np.arange(length, dtype=np.uint32)
+        for start in range(0, patterns, chunk):
+            idx = np.arange(start, min(start + chunk, patterns), dtype=np.uint32)
+            sign_bits = ((idx[:, None] >> bits[None, :]) & 1).astype(np.float64)
+            signs = sign_bits * 2.0 - 1.0
+            total += float((signs @ matrix.T).max(axis=1).sum())
+        return total / (patterns * length)
+    rng = np.random.default_rng(seed)
+    signs = rng.integers(0, 2, size=(trials, length)).astype(np.float64) * 2.0 - 1.0
+    return float((signs @ matrix.T).max(axis=1).mean()) / length
+
+
 def gamma_reference(round_index, sample_count, cap, f_value, dimension, confidence):
     """Independently coded accuracy bound: single-log form on exact integers."""
     b = sample_count
@@ -135,11 +268,9 @@ class ConstantLossProblem(ConfigProblem):
         return CappedRunOutcome.truncated(tau)
 
     def get_partition(self, instances, tau):
-        count = len(instances)
-        capped = np.full(count, min(self.loss, tau), dtype=np.int64)
         z = 1.0 if self.loss <= tau else 0.0
         cell = ParamCell(intervals=((0.0, 1.0),), label=0, top_closed=True)
-        return [PartitionCell(cell=cell, z=z, capped_losses=capped)]
+        return [_constant_cell(cell, z, min(self.loss, tau), len(instances))]
 
     def f_bound(self, instances, tau):
         return 1
@@ -155,6 +286,23 @@ class CountingConstantLossProblem(ConstantLossProblem):
     def run_with_cap(self, rho, instance, tau):
         self.runs += 1
         return super().run_with_cap(rho, instance, tau)
+
+
+class CountingPoolProblem(PoolProblem):
+    """Pool of integer losses, the same at every parameter; ``runs`` records
+    the ``(rho, uid)`` of every ``run_with_cap``."""
+
+    domain = "counting_pool"
+
+    def __init__(self, losses):
+        super().__init__(losses)
+        self.runs = []
+
+    def run_with_cap(self, rho, instance, tau):
+        self.runs.append((rho, instance.uid))
+        if instance.payload <= tau:
+            return CappedRunOutcome.finished(instance.payload)
+        return CappedRunOutcome.truncated(tau)
 
 
 def _fraction_pivot(tableau, zrow, row, col):
@@ -336,10 +484,11 @@ class TwoBandProblem(ConfigProblem):
             ((0.0, 0.5, self.low_loss), (0.5, 1.0, self.high_loss))
         ):
             cells.append(
-                PartitionCell(
-                    cell=ParamCell(intervals=((lo, hi),), label=label, top_closed=hi == 1.0),
-                    z=1.0 if loss <= tau else 0.0,
-                    capped_losses=np.full(count, min(loss, tau), dtype=np.int64),
+                _constant_cell(
+                    ParamCell(intervals=((lo, hi),), label=label, top_closed=hi == 1.0),
+                    1.0 if loss <= tau else 0.0,
+                    min(loss, tau),
+                    count,
                 )
             )
         return cells

@@ -31,7 +31,7 @@ from frugal.clustering import (
     random_metric_instance,
 )
 from frugal.learner import LearnerConfig, compute_eta, grow_sample, learn_subset, select_finite
-from frugal.stats import GammaInputs, gamma_bound, massart_bound, mc_rademacher
+from frugal.stats import GammaInputs, gamma_bound
 from frugal.synthetic import SyntheticFamily, SyntheticProblem
 from frugal.cli import main as cli_main
 from support import (
@@ -39,6 +39,8 @@ from support import (
     enumerate_prunings,
     four_point_metric,
     gamma_reference,
+    massart_bound,
+    mc_rademacher,
     min_samples_oracle,
 )
 

@@ -26,7 +26,12 @@ from frugal.bnb import (
 )
 from frugal.core import PoolSample, validate_cells_cover
 from frugal.sweep import DecisionTracker
-from support import brute_binary_optimum, check_partition_contract, fraction_lp_relax
+from support import (
+    brute_binary_optimum,
+    check_partition_contract,
+    check_pool_cells_against_gather,
+    fraction_lp_relax,
+)
 
 
 @pytest.fixture
@@ -369,6 +374,12 @@ class TestPoolSample:
             assert [c.z for c in fast] == [c.z for c in slow]
             for a, b in zip(fast, slow):
                 assert np.array_equal(a.capped_losses, b.capped_losses)
+
+    @pytest.mark.parametrize("tau", [3, 15])
+    def test_cells_match_per_draw_gather(self, problem_and_sample, tau):
+        problem, sample = problem_and_sample
+        cells = bnb_partition(sample, tau)
+        check_pool_cells_against_gather(problem, sample, cells, tau)
 
     def test_f_bound_matches_analytic_ceiling(self, problem_and_sample):
         problem, sample = problem_and_sample

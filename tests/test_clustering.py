@@ -26,6 +26,7 @@ from frugal.core import PoolSample, validate_cells_cover
 from frugal.sweep import DecisionTracker
 from support import (
     check_partition_contract,
+    check_pool_cells_against_gather,
     enumerate_prunings,
     four_point_metric,
     triangle_violation,
@@ -295,6 +296,15 @@ class TestPoolSample:
         assert problem.f_bound(sample, tau) == clustering_cell_bound(handles, tau)
         cells = problem.get_partition(sample, tau)
         assert len(cells) <= problem.f_bound(sample, tau)
+
+
+    # Three draws leave pool indices undrawn, so positions differ from uids.
+    @pytest.mark.parametrize("tau, draws", [(2, 2000), (5, 2000), (5, 3)])
+    def test_cells_match_per_draw_gather(self, tau, draws):
+        problem = ClusteringProblem(random_pool(seed=21, count=6, max_points=6))
+        sample = problem.sample_many(np.random.default_rng(3), draws)
+        cells = clustering_partition(sample, tau)
+        check_pool_cells_against_gather(problem, sample, cells, tau)
 
 
 class TestInstanceFormat:

@@ -11,7 +11,6 @@ from frugal.core import (
     ParamPoint,
     ParamSpace,
     PartitionCell,
-    capped_mean,
     format_rational,
     law_capped_mean,
     tail_capped_mean,
@@ -19,7 +18,7 @@ from frugal.core import (
     to_fraction,
     validate_cells_cover,
 )
-from support import brute_tail_quantile
+from support import brute_tail_quantile, sorted_tail_capped_mean
 
 
 class TestTailQuantile:
@@ -67,37 +66,66 @@ class TestTailQuantile:
         assert tail_quantile_exact(law, delta) == brute_tail_quantile(law, delta)
 
 
-class TestCappedMean:
-    def test_basic(self):
-        assert capped_mean([3, 5, 9], 5) == pytest.approx(13 / 3)
-
-    def test_zero_cap(self):
-        assert capped_mean([7, 100, 3], 0) == 0.0
-
-    def test_constant_vector(self):
-        assert capped_mean([8, 8, 8, 8], 8) == 8.0
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            capped_mean([], 3)
-
-
 class TestTailCappedMean:
     def test_rank_example(self):
         losses = list(range(100, 0, -1))
-        cutoff, mean = tail_capped_mean(losses, 90)
+        cutoff, mean = tail_capped_mean(losses, [1] * 100, 90)
         assert cutoff == 90
         assert mean == pytest.approx(sum(min(m, 90) for m in losses) / 100)
 
     def test_does_not_sort_input(self):
         losses = np.array([5, 1, 3], dtype=np.int64)
-        assert tail_capped_mean(losses, 2) == (3, pytest.approx(7 / 3))
+        assert tail_capped_mean(losses, [1, 1, 1], 2) == (3, pytest.approx(7 / 3))
         assert losses.tolist() == [5, 1, 3]
 
     @pytest.mark.parametrize("rank", [0, 4])
     def test_rank_out_of_range(self, rank):
         with pytest.raises(ValueError, match="quantile index"):
-            tail_capped_mean([1, 2, 3], rank)
+            tail_capped_mean([1, 2, 3], [1, 1, 1], rank)
+
+    def test_empty_rejected(self):
+        with pytest.raises(ValueError, match="quantile index"):
+            tail_capped_mean([], [], 1)
+
+    def test_counts_weight_the_rank_and_mean(self):
+        # Expanded: 2, 2, 2, 5, 9, 9 (the zero-count 7 is absent).
+        losses, counts = [9, 2, 7, 5], [2, 3, 0, 1]
+        assert tail_capped_mean(losses, counts, 3) == (2, 2.0)
+        assert tail_capped_mean(losses, counts, 4) == (5, 3.5)
+        assert tail_capped_mean(losses, counts, 6) == (9, 29 / 6)
+
+    @given(
+        st.lists(
+            st.tuples(st.integers(0, 2**20), st.integers(0, 20)), min_size=1, max_size=12
+        ).filter(lambda pairs: sum(c for _, c in pairs) > 0),
+        st.data(),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_matches_sorted_vector_oracle(self, pairs, data):
+        # Repeated loss values appear both as repeated entries and as counts.
+        losses = [loss for loss, _ in pairs]
+        counts = [count for _, count in pairs]
+        expanded = np.repeat(np.array(losses, dtype=np.int64), counts)
+        for rank in range(1, expanded.size + 1):
+            assert tail_capped_mean(losses, counts, rank) == sorted_tail_capped_mean(
+                expanded, rank
+            )
+        shuffled = data.draw(st.permutations(range(len(pairs))))
+        assert tail_capped_mean(
+            [losses[i] for i in shuffled], [counts[i] for i in shuffled], expanded.size
+        ) == sorted_tail_capped_mean(expanded, expanded.size)
+
+    def test_two_million_draws_at_the_cap_ceiling(self):
+        # The largest sums in practice: 2 M draws near the default cap
+        # ceiling 2**20, so the capped sums reach about 2**41.
+        assert tail_capped_mean([2**20], [2_000_000], 1_999_999) == (2**20, 2.0**20)
+        losses = np.array([2**20, 3, 2**20 - 1], dtype=np.int64)
+        counts = np.array([1_999_000, 700, 300], dtype=np.int64)
+        expanded = np.repeat(losses, counts)
+        for rank in (1, 700, 701, 1000, 1001, 1_500_000, 2_000_000):
+            assert tail_capped_mean(losses, counts, rank) == sorted_tail_capped_mean(
+                expanded, rank
+            )
 
 
 class TestRationals:
@@ -156,12 +184,16 @@ class TestParamTypes:
             PartitionCell(
                 cell=ParamCell(intervals=((0.0, 0.4),), label=0),
                 z=0.5,
-                capped_losses=np.array([1]),
+                losses=[1],
+                counts=[1],
+                inverse=np.zeros(1, dtype=np.int64),
             ),
             PartitionCell(
                 cell=ParamCell(intervals=((0.4, 1.0),), label=1, top_closed=True),
                 z=0.5,
-                capped_losses=np.array([1]),
+                losses=[1],
+                counts=[1],
+                inverse=np.zeros(1, dtype=np.int64),
             ),
         ]
         validate_cells_cover(cells, ParamSpace())

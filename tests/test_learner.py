@@ -13,7 +13,7 @@ from frugal.clustering import (
     exact_kmedian_cost,
     random_metric_instance,
 )
-from frugal.core import ParamCell, ParamPoint, PartitionCell, PoolSample
+from frugal.core import ParamCell, ParamPoint, PoolSample
 from frugal.learner import (
     LearnerConfig,
     LearnerState,
@@ -32,10 +32,13 @@ from frugal.synthetic import SyntheticFamily, SyntheticProblem
 from support import (
     ConstantLossProblem,
     CountingConstantLossProblem,
+    CountingPoolProblem,
     TwoBandProblem,
+    cell_from_losses,
     doubling_loss,
     four_point_metric,
     min_samples_oracle,
+    per_draw_sample_losses,
 )
 
 
@@ -100,11 +103,8 @@ class TestGrowSample:
 
 
 def make_cell(losses, z, label=0):
-    return PartitionCell(
-        cell=ParamCell(intervals=((0.0, 1.0),), label=label, top_closed=True),
-        z=z,
-        capped_losses=np.asarray(losses, dtype=np.int64),
-    )
+    cell = ParamCell(intervals=((0.0, 1.0),), label=label, top_closed=True)
+    return cell_from_losses(cell, z, losses)
 
 
 class TestProcessRound:
@@ -416,3 +416,43 @@ class TestSampleLosses:
     def test_ceiling_validation(self):
         with pytest.raises(ValueError):
             sample_losses(ConstantLossProblem(), 0.5, 5, np.random.default_rng(0), 0)
+
+    @pytest.mark.parametrize("kind", ["bnb", "clustering", "synthetic"])
+    @pytest.mark.parametrize("rho", [0.0, 0.3, 0.5, 1.0])
+    def test_matches_per_draw_loop(self, kind, rho):
+        rng = np.random.default_rng(17)
+        if kind == "bnb":
+            problem, ceiling = BnbProblem([random_milp(rng, 3, 2) for _ in range(6)]), 2**20
+        elif kind == "clustering":
+            pool = [random_metric_instance(rng, 5, 2) for _ in range(4)]
+            problem, ceiling = ClusteringProblem(pool), 3
+        else:
+            problem, ceiling = SyntheticProblem(SyntheticFamily()), 64
+        batched, looped = np.random.default_rng(4), np.random.default_rng(4)
+        losses = sample_losses(problem, rho, 120, batched, ceiling)
+        expected = per_draw_sample_losses(problem, rho, 120, looped, ceiling)
+        assert losses.dtype == np.int64
+        assert losses.tolist() == expected.tolist()
+        assert batched.bit_generator.state == looped.bit_generator.state
+
+    def test_pool_with_undrawn_indices_matches_per_draw_loop(self):
+        problem = CountingPoolProblem(list(range(1, 41)))
+        losses = sample_losses(problem, 0.5, 30, np.random.default_rng(8), 16)
+        drawn = {uid for _, uid in problem.runs}
+        assert len(drawn) < 30 and len(drawn) < len(problem.pool)
+        expected = per_draw_sample_losses(problem, 0.5, 30, np.random.default_rng(8), 16)
+        assert losses.tolist() == expected.tolist()
+
+    def test_one_run_per_distinct_pool_index(self):
+        problem = CountingPoolProblem([3, 9, 1, 40, 7])
+        candidates = [ParamPoint((rho,)) for rho in (0.1, 0.6, 0.9)]
+        estimate_capped_tail_means(
+            problem, candidates, 0.25, 30, np.random.default_rng(2), 16
+        )
+        draws = np.random.default_rng(2)
+        expected = []
+        for candidate in candidates:
+            uids = np.unique(draws.integers(len(problem.pool), size=30)).tolist()
+            assert len(uids) < 30
+            expected.extend((candidate.scalar, uid) for uid in uids)
+        assert problem.runs == expected

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from frugal.stats import GammaInputs, gamma_bound, massart_bound, mc_rademacher
-from support import gamma_reference
+from frugal.stats import GammaInputs, gamma_bound
+from support import gamma_reference, massart_bound, mc_rademacher
 
 
 def make_inputs(**overrides):

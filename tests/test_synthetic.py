@@ -13,7 +13,7 @@ from frugal.synthetic import (
     synthetic_run_with_cap,
     synthetic_sample,
 )
-from support import check_partition_contract
+from support import check_partition_contract, per_draw_synthetic_cells
 
 
 @pytest.fixture
@@ -97,6 +97,16 @@ class TestSampling:
         assert [h.payload.coin_low for h in handles] == list(batch.coin_low)
 
 
+    def test_batched_draws_match_scalar_draws(self, family):
+        batched_rng, scalar_rng = np.random.default_rng(6), np.random.default_rng(6)
+        batch = SyntheticProblem(family).sample_many(batched_rng, 500)
+        scalar = SyntheticProblem(family)
+        handles = [scalar.sample(scalar_rng) for _ in range(500)]
+        assert [batch[i] for i in range(500)] == handles
+        assert [batch[i].payload for i in range(500)] == [h.payload for h in handles]
+        assert batched_rng.bit_generator.state == scalar_rng.bit_generator.state
+
+
 class TestPartition:
     def test_always_three_cells(self, family):
         problem = SyntheticProblem(family)
@@ -129,6 +139,16 @@ class TestPartition:
         for tau in (8, 16, 256):
             cells = problem.get_partition(batch, tau)
             check_partition_contract(problem, list(batch), cells, tau, rng)
+
+    @pytest.mark.parametrize("tau", [1, 2, 3, 8, 15, 16, 17, 100, 255, 256])
+    def test_cells_match_per_draw_vectors(self, family, tau):
+        batch = SyntheticProblem(family).sample_many(np.random.default_rng(tau), 3000)
+        cells = synthetic_partition(family, batch, tau)
+        for cell, (capped, z) in zip(cells, per_draw_synthetic_cells(family, batch, tau)):
+            assert cell.capped_losses.dtype == np.int64
+            assert cell.capped_losses.tolist() == capped.tolist()
+            assert cell.z == z
+            assert int(cell.counts.sum()) == len(batch)
 
     def test_budget_monotonicity(self, family):
         problem = SyntheticProblem(family)
