@@ -30,8 +30,8 @@ import numpy as np
 
 from .core import (
     CappedRunOutcome,
+    ConfigProblem,
     PartitionCell,
-    PoolProblem,
     format_rational,
     to_fraction,
 )
@@ -416,7 +416,6 @@ class _RunRecord:
     completed: bool
     tree_size: int
     incumbent_value: Fraction | None
-    incumbent_point: tuple[Fraction, ...] | None
     decisions: list[tuple[int, int]]
 
 
@@ -428,7 +427,7 @@ def _run_capped(milp: Milp, node_limit: int, tracker: DecisionTracker) -> _RunRe
     mixture weight, so the only parameter-sensitive decisions are the
     branching argmaxes routed through the tracker.
     """
-    record = _RunRecord(False, 1, None, None, [])
+    record = _RunRecord(False, 1, None, [])
     root_lp = lp_relax(milp, None)
     if node_limit < 1:
         raise ValueError("node limit must be positive")
@@ -438,7 +437,6 @@ def _run_capped(milp: Milp, node_limit: int, tracker: DecisionTracker) -> _RunRe
     if root_lp.is_integral():
         record.completed = True
         record.incumbent_value = root_lp.objective
-        record.incumbent_point = root_lp.point
         return record
     root = BnbNode(0, 0, (), root_lp)
     next_id = 1
@@ -476,7 +474,6 @@ def _run_capped(milp: Milp, node_limit: int, tracker: DecisionTracker) -> _RunRe
                     or child_lp.objective > record.incumbent_value
                 ):
                     record.incumbent_value = child_lp.objective
-                    record.incumbent_point = child_lp.point
                 continue
             if (
                 record.incumbent_value is not None
@@ -572,7 +569,7 @@ def bnb_cell_bound(instances: Sequence[Any], tau: int) -> int:
     return cell_count_ceiling(instances, lambda milp: milp.n**exponent)
 
 
-class BnbProblem(PoolProblem):
+class BnbProblem(ConfigProblem):
     """Configuration problem over a finite pool of programs.
 
     The pool acts as the instance distribution: sampling is uniform with

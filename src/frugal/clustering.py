@@ -27,8 +27,8 @@ import numpy as np
 
 from .core import (
     CappedRunOutcome,
+    ConfigProblem,
     PartitionCell,
-    PoolProblem,
     format_rational,
     to_fraction,
 )
@@ -404,7 +404,7 @@ def exact_kmedian_cost(distances: Sequence[Sequence[Any]], k: int) -> Fraction:
     return best
 
 
-class ClusteringProblem(PoolProblem):
+class ClusteringProblem(ConfigProblem):
     """Configuration problem over a finite pool of clustering instances.
 
     ``f_bound`` is the analytic ceiling ``clustering_cell_bound``.

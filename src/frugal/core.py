@@ -25,7 +25,6 @@ __all__ = [
     "PoolSample",
     "PartitionCell",
     "ConfigProblem",
-    "PoolProblem",
     "DegenerateDistributionError",
     "tail_quantile_exact",
     "law_capped_mean",
@@ -182,7 +181,8 @@ class PoolSample(Sequence[InstanceHandle]):
     """A sample drawn from a finite pool, held as an array of pool indices.
 
     ``uids[i]`` is the pool index of the ``i``-th draw, which is also the
-    ``uid`` of its handle; indexing builds handles lazily.
+    ``uid`` of its handle; indexing builds handles lazily, and a slice is
+    the sample of the sliced draws.
     """
 
     __slots__ = ("domain", "pool", "uids")
@@ -190,12 +190,14 @@ class PoolSample(Sequence[InstanceHandle]):
     def __init__(self, domain: str, pool: Sequence[Any], uids: np.ndarray) -> None:
         self.domain = domain
         self.pool = pool
-        self.uids = np.asarray(uids, dtype=np.int64)
+        self.uids = np.asarray(uids)
 
     def __len__(self) -> int:
         return int(self.uids.shape[0])
 
-    def __getitem__(self, index: int) -> InstanceHandle:
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return PoolSample(self.domain, self.pool, self.uids[index])
         uid = int(self.uids[index])
         return InstanceHandle(domain=self.domain, uid=uid, payload=self.pool[uid])
 
@@ -240,8 +242,11 @@ class PartitionCell:
 class ConfigProblem:
     """Behavioral contract every configuration domain implements.
 
-    Subclasses must provide ``sample``, ``run_with_cap``, ``get_partition``
-    and ``f_bound``.  ``run_with_cap`` and ``get_partition`` must be pure
+    The instance distribution is uniform over a finite ``pool`` and every
+    sample is a ``PoolSample`` of pool indices; the problem holds only its
+    pool, so every method is a pure function of the pool and its arguments.
+    Subclasses must provide ``run_with_cap``, ``get_partition`` and
+    ``f_bound``.  ``run_with_cap`` and ``get_partition`` must be pure
     given a frozen instance; ``f_bound`` must be monotone in both the
     instance set (under inclusion) and the cap, and must dominate the number
     of cells ``get_partition`` returns.  The solved flag of ``run_with_cap``
@@ -254,43 +259,10 @@ class ConfigProblem:
     domain: str = "abstract"
     space: ParamSpace = ParamSpace()
 
-    def sample(self, rng: np.random.Generator) -> InstanceHandle:
-        raise NotImplementedError
-
-    def sample_many(self, rng: np.random.Generator, count: int) -> Sequence[InstanceHandle]:
-        """Draw ``count`` instances.  Domains may override with a batched path."""
-        return [self.sample(rng) for _ in range(count)]
-
-    def merge_samples(
-        self, first: Sequence[InstanceHandle], second: Sequence[InstanceHandle]
-    ) -> Sequence[InstanceHandle]:
-        return list(first) + list(second)
-
-    def run_with_cap(self, rho: Any, instance: InstanceHandle, tau: int) -> CappedRunOutcome:
-        raise NotImplementedError
-
-    def get_partition(self, instances: Sequence[InstanceHandle], tau: int) -> list[PartitionCell]:
-        raise NotImplementedError
-
-    def f_bound(self, instances: Sequence[InstanceHandle], tau: int) -> int:
-        raise NotImplementedError
-
-
-class PoolProblem(ConfigProblem):
-    """A problem whose instance distribution is uniform over a finite pool.
-
-    Samples are ``PoolSample`` index arrays.  The problem holds only its
-    pool, so every method is a pure function of the pool and its arguments.
-    """
-
     def __init__(self, pool: Sequence[Any]) -> None:
         if not pool:
             raise ValueError("need a nonempty instance pool")
         self.pool = list(pool)
-
-    def sample(self, rng: np.random.Generator) -> InstanceHandle:
-        index = int(rng.integers(len(self.pool)))
-        return InstanceHandle(domain=self.domain, uid=index, payload=self.pool[index])
 
     def sample_many(self, rng: np.random.Generator, count: int) -> PoolSample:
         # One batched draw yields the same indices, and leaves the generator
@@ -300,11 +272,17 @@ class PoolProblem(ConfigProblem):
     def merge_samples(self, first: PoolSample, second: PoolSample) -> PoolSample:
         return PoolSample(self.domain, self.pool, np.concatenate([first.uids, second.uids]))
 
-    def all_instances(self) -> list[InstanceHandle]:
-        return [
-            InstanceHandle(domain=self.domain, uid=i, payload=item)
-            for i, item in enumerate(self.pool)
-        ]
+    def all_instances(self) -> PoolSample:
+        return PoolSample(self.domain, self.pool, np.arange(len(self.pool)))
+
+    def run_with_cap(self, rho: Any, instance: InstanceHandle, tau: int) -> CappedRunOutcome:
+        raise NotImplementedError
+
+    def get_partition(self, instances: PoolSample, tau: int) -> list[PartitionCell]:
+        raise NotImplementedError
+
+    def f_bound(self, instances: PoolSample, tau: int) -> int:
+        raise NotImplementedError
 
 
 def _normalize_law(law: Iterable[tuple[Any, Any]]) -> list[tuple[int, float]]:

@@ -203,7 +203,7 @@ def grow_sample(
     round_index: int,
     cfg: LearnerConfig,
     rng: np.random.Generator,
-) -> Sequence:
+) -> PoolSample:
     """Draw instances until the sample-accuracy bound reaches ``eta * delta``.
 
     Semantically the growth loop adds one instance at a time, recomputing the
@@ -350,16 +350,12 @@ def sample_losses(
 ) -> np.ndarray:
     """Losses at ``rho`` of ``n_samples`` fresh draws, each measured up to the ceiling.
 
-    The draws come from one ``sample_many``, which leaves the generator as
-    ``n_samples`` calls of ``sample`` would.  A pool sample's distinct
-    instances are measured once each and their losses repeated per draw.
+    The draws come from one ``sample_many``; each distinct pool instance is
+    measured once and its loss repeated per draw.
     """
     if ceiling < 1:
         raise ValueError("the cap ceiling must be positive")
-    sample = problem.sample_many(rng, n_samples)
-    inverse = np.arange(n_samples)
-    if isinstance(sample, PoolSample):
-        sample, inverse = sample.distinct()
+    sample, inverse = problem.sample_many(rng, n_samples).distinct()
     losses = [measure_loss(problem, rho, instance, ceiling) for instance in sample]
     return np.array(losses, dtype=np.int64)[inverse]
 

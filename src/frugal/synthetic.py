@@ -19,16 +19,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any, Sequence
 
 import numpy as np
 
 from .core import (
     CappedRunOutcome,
     ConfigProblem,
-    InstanceHandle,
     ParamCell,
     PartitionCell,
+    PoolSample,
     law_capped_mean,
     tail_quantile_exact,
 )
@@ -36,11 +35,9 @@ from .core import (
 __all__ = [
     "SyntheticFamily",
     "SyntheticInstance",
-    "SyntheticSample",
     "SyntheticProblem",
     "SyntheticOptSummary",
     "REGIONS",
-    "synthetic_sample",
     "synthetic_run_with_cap",
     "synthetic_partition",
     "synthetic_exact_opt",
@@ -96,16 +93,10 @@ class SyntheticFamily:
 
 @dataclass(frozen=True)
 class SyntheticInstance:
-    """Coins frozen at sampling time; True means the heavy-tail outcome."""
+    """The two coins of an instance; True means the heavy-tail outcome."""
 
     coin_low: bool
     coin_high: bool
-
-
-def synthetic_sample(family: SyntheticFamily, rng: np.random.Generator) -> SyntheticInstance:
-    """Draw one instance: each coin lands heavy independently with probability 1/2."""
-    draws = rng.random(2)
-    return SyntheticInstance(coin_low=bool(draws[0] < 0.5), coin_high=bool(draws[1] < 0.5))
 
 
 def _instance_loss(family: SyntheticFamily, rho: float, instance: SyntheticInstance) -> int:
@@ -129,69 +120,36 @@ def synthetic_run_with_cap(
     return CappedRunOutcome.truncated(tau)
 
 
-class SyntheticSample(Sequence[InstanceHandle]):
-    """Array-backed batch of instances; indexing materializes handles lazily."""
-
-    __slots__ = ("uids", "coin_low", "coin_high")
-
-    def __init__(self, uids: np.ndarray, coin_low: np.ndarray, coin_high: np.ndarray) -> None:
-        self.uids = np.asarray(uids, dtype=np.int64)
-        self.coin_low = np.asarray(coin_low, dtype=np.bool_)
-        self.coin_high = np.asarray(coin_high, dtype=np.bool_)
-
-    def __len__(self) -> int:
-        return int(self.uids.shape[0])
-
-    def __getitem__(self, index: int) -> InstanceHandle:
-        payload = SyntheticInstance(bool(self.coin_low[index]), bool(self.coin_high[index]))
-        return InstanceHandle(domain="synthetic", uid=int(self.uids[index]), payload=payload)
-
-
-def _coin_arrays(instances: Sequence[Any]) -> tuple[np.ndarray, np.ndarray]:
-    if isinstance(instances, SyntheticSample):
-        return instances.coin_low, instances.coin_high
-    low = np.empty(len(instances), dtype=np.bool_)
-    high = np.empty(len(instances), dtype=np.bool_)
-    for i, item in enumerate(instances):
-        payload = item.payload if isinstance(item, InstanceHandle) else item
-        low[i] = payload.coin_low
-        high[i] = payload.coin_high
-    return low, high
-
-
 def synthetic_partition(
-    family: SyntheticFamily, instances: Sequence[Any], tau: int
+    family: SyntheticFamily, instances: PoolSample, tau: int
 ) -> list[PartitionCell]:
-    """The exact three-region partition for any instance set and cap.
+    """The exact three-region partition for any sample and cap.
 
     Cells are half-open with breakpoints owned rightward, so the left cell
     runs up to the smallest float above ``a``: membership of every
     representable parameter then matches the closed-left / open-middle /
-    closed-right region law used by ``synthetic_run_with_cap``.
+    closed-right region law used by ``synthetic_run_with_cap``.  A cell holds
+    the capped loss of every pool instance at its left end, counted as often
+    as the instance was drawn.
     """
     if tau < 1:
         raise ValueError("tau must be a positive integer")
-    coin_low, coin_high = _coin_arrays(instances)
-    count = coin_low.shape[0]
+    uids = instances.uids
+    count = uids.shape[0]
     if count == 0:
         raise ValueError("need at least one instance")
+    # One compare per pool instance (four) takes a sixth of the time of a
+    # bincount, which first widens the uint8 indices to intp.
+    counts = [int(np.count_nonzero(uids == i)) for i in range(len(instances.pool))]
     just_above_a = math.nextafter(family.a, 1.0)
-    # A cell's distinct instances are the faces of its coin, light first so
-    # that the coin itself is the inverse; the middle band has only one.
     band = (
-        ("low", 0.0, just_above_a, coin_low, (family.loss_mid, family.loss_low)),
-        ("mid", just_above_a, family.b, None, (family.loss_mid,)),
-        ("high", family.b, 1.0, coin_high, (family.loss_mid, family.loss_high)),
+        ("low", 0.0, just_above_a),
+        ("mid", just_above_a, family.b),
+        ("high", family.b, 1.0),
     )
     cells = []
-    for label, lo, hi, coin, raw in band:
-        if coin is None:
-            counts = [count]
-            inverse = np.broadcast_to(np.int8(0), (count,))
-        else:
-            heavy = int(np.count_nonzero(coin))
-            counts = [count - heavy, heavy]
-            inverse = coin.view(np.int8)
+    for label, lo, hi in band:
+        raw = [_instance_loss(family, lo, instance) for instance in instances.pool]
         solved = sum(n for loss, n in zip(raw, counts) if loss <= tau)
         cells.append(
             PartitionCell(
@@ -199,7 +157,7 @@ def synthetic_partition(
                 z=solved / count,
                 losses=[min(loss, tau) for loss in raw],
                 counts=counts,
-                inverse=inverse,
+                inverse=uids,
             )
         )
     return cells
@@ -237,36 +195,24 @@ def synthetic_exact_opt(family: SyntheticFamily, delta: float) -> SyntheticOptSu
 
 
 class SyntheticProblem(ConfigProblem):
-    """Configuration-problem adapter around a synthetic family."""
+    """Configuration-problem adapter around a synthetic family.
+
+    The two fair coins make the instance distribution uniform over four
+    instances; pool index ``coin_low + 2 * coin_high`` holds each.
+    """
 
     domain = "synthetic"
 
     def __init__(self, family: SyntheticFamily | None = None) -> None:
+        super().__init__([SyntheticInstance(bool(i & 1), bool(i & 2)) for i in range(4)])
         self.family = family or SyntheticFamily()
-        self._next_uid = 0
 
-    def _take_uids(self, count: int) -> np.ndarray:
-        start = self._next_uid
-        self._next_uid += count
-        return np.arange(start, start + count, dtype=np.int64)
+    def sample_many(self, rng: np.random.Generator, count: int) -> PoolSample:
+        heavy = (rng.random((count, 2)) < 0.5).view(np.uint8)
+        return PoolSample(self.domain, self.pool, heavy[:, 0] | (heavy[:, 1] << 1))
 
-    def sample(self, rng: np.random.Generator) -> InstanceHandle:
-        return self.sample_many(rng, 1)[0]
-
-    def sample_many(self, rng: np.random.Generator, count: int) -> SyntheticSample:
-        draws = rng.random((count, 2))
-        return SyntheticSample(
-            uids=self._take_uids(count),
-            coin_low=draws[:, 0] < 0.5,
-            coin_high=draws[:, 1] < 0.5,
-        )
-
-    def merge_samples(self, first: SyntheticSample, second: SyntheticSample) -> SyntheticSample:
-        return SyntheticSample(
-            uids=np.concatenate([first.uids, second.uids]),
-            coin_low=np.concatenate([first.coin_low, second.coin_low]),
-            coin_high=np.concatenate([first.coin_high, second.coin_high]),
-        )
+    # Bound on this class, not inherited, so that tracing finds it by name.
+    merge_samples = ConfigProblem.merge_samples
 
     def run_with_cap(self, rho, instance, tau: int) -> CappedRunOutcome:
         return synthetic_run_with_cap(self.family, float(rho), instance.payload, tau)

@@ -7,20 +7,20 @@ library code paths it checks.
 from __future__ import annotations
 
 import itertools
+import json
 import math
 from fractions import Fraction
 from typing import Iterable, Sequence
 
 import numpy as np
 
+from frugal.bnb import format_milp, random_milp
+from frugal.clustering import ClusteringInstance, exact_kmedian_cost, format_instance
 from frugal.core import (
     CappedRunOutcome,
     ConfigProblem,
-    InstanceHandle,
     ParamCell,
-    ParamSpace,
     PartitionCell,
-    PoolProblem,
 )
 
 
@@ -50,11 +50,11 @@ def sorted_tail_capped_mean(losses, rank):
 
 
 def per_draw_sample_losses(problem, rho, n_samples, rng, ceiling):
-    """Losses of ``n_samples`` draws made one ``sample`` at a time, each
-    measured by its own run at the ceiling."""
+    """Losses of ``n_samples`` draws made one at a time, each measured by
+    its own run at the ceiling."""
     return np.array(
         [
-            problem.run_with_cap(rho, problem.sample(rng), ceiling).budget_used
+            problem.run_with_cap(rho, problem.sample_many(rng, 1)[0], ceiling).budget_used
             for _ in range(n_samples)
         ],
         dtype=np.int64,
@@ -81,11 +81,13 @@ def check_pool_cells_against_gather(problem, sample, cells, tau):
 
 def per_draw_synthetic_cells(family, sample, tau):
     """``(capped_losses, z)`` of the low, mid and high cells as per-draw
-    vectors over a ``SyntheticSample``, computed draw by draw."""
+    vectors over a synthetic sample, computed draw by draw from the coins
+    its pool indices encode."""
+    coin_low, coin_high = (sample.uids & 1) != 0, (sample.uids >> 1) != 0
     raw = {
-        "low": np.where(sample.coin_low, family.loss_low, family.loss_mid),
+        "low": np.where(coin_low, family.loss_low, family.loss_mid),
         "mid": np.full(len(sample), family.loss_mid),
-        "high": np.where(sample.coin_high, family.loss_high, family.loss_mid),
+        "high": np.where(coin_high, family.loss_high, family.loss_mid),
     }
     return [
         (np.minimum(raw[label], tau).astype(np.int64), float((raw[label] <= tau).mean()))
@@ -249,18 +251,16 @@ def min_samples_oracle(round_index, cap, f_value, dimension, confidence, target,
 
 
 class ConstantLossProblem(ConfigProblem):
-    """Every parameter solves every instance at one fixed loss; one cell."""
+    """Every parameter solves every instance at one fixed loss; one cell.
+
+    The pool holds one instance, since all instances behave alike.
+    """
 
     domain = "constant"
 
     def __init__(self, loss=1):
+        super().__init__([None])
         self.loss = loss
-        self.space = ParamSpace()
-        self._uid = 0
-
-    def sample(self, rng):
-        self._uid += 1
-        return InstanceHandle(domain=self.domain, uid=self._uid, payload=None)
 
     def run_with_cap(self, rho, instance, tau):
         if self.loss <= tau:
@@ -288,7 +288,7 @@ class CountingConstantLossProblem(ConstantLossProblem):
         return super().run_with_cap(rho, instance, tau)
 
 
-class CountingPoolProblem(PoolProblem):
+class CountingPoolProblem(ConfigProblem):
     """Pool of integer losses, the same at every parameter; ``runs`` records
     the ``(rho, uid)`` of every ``run_with_cap``."""
 
@@ -454,22 +454,20 @@ def doubling_loss(problem, rho, instance, ceiling):
 
 
 class TwoBandProblem(ConfigProblem):
-    """Deterministic two-band toy: loss `low_loss` below 0.5, `high_loss` above."""
+    """Deterministic two-band toy: loss `low_loss` below 0.5, `high_loss` above.
+
+    The pool holds one instance, since all instances behave alike.
+    """
 
     domain = "two_band"
 
     def __init__(self, low_loss=2, high_loss=5):
+        super().__init__([None])
         self.low_loss = low_loss
         self.high_loss = high_loss
-        self.space = ParamSpace()
-        self._uid = 0
 
     def _loss(self, rho):
         return self.low_loss if rho < 0.5 else self.high_loss
-
-    def sample(self, rng):
-        self._uid += 1
-        return InstanceHandle(domain=self.domain, uid=self._uid, payload=None)
 
     def run_with_cap(self, rho, instance, tau):
         loss = self._loss(rho)
@@ -517,6 +515,47 @@ def four_point_metric():
         ["2", "2.5", "0", "2.3"],
         ["4", "4", "2.3", "0"],
     ]
+
+
+def write_config(tmp_path, out_name="out", **overrides):
+    """A CLI run config in ``tmp_path``: the default synthetic family at seed 7."""
+    cfg = {
+        "domain": "synthetic",
+        "family": {"a": 0.35, "b": 0.45, "L_mid": 8, "L_low": 16, "L_high": 256},
+        "epsilon": 15.0,
+        "delta": 0.25,
+        "zeta": 0.05,
+        "seed": 7,
+        "out": str(tmp_path / out_name),
+    }
+    cfg.update(overrides)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(cfg))
+    return path
+
+
+def write_bnb_config(tmp_path):
+    """A ``bnb`` run config over four random 4-variable, 2-row programs."""
+    rng = np.random.default_rng(3)
+    inst_dir = tmp_path / "milps"
+    inst_dir.mkdir()
+    for i in range(4):
+        (inst_dir / f"inst_{i}.milp").write_text(format_milp(random_milp(rng, 4, 2)))
+    return write_config(
+        tmp_path, out_name="bnb_out", domain="bnb", instances_dir=str(inst_dir)
+    )
+
+
+def write_clustering_config(tmp_path):
+    """A clustering run config over the 4-point metric at its 2-median cost."""
+    inst_dir = tmp_path / "metrics"
+    inst_dir.mkdir()
+    matrix = four_point_metric()
+    inst = ClusteringInstance.from_lists(matrix, 2, exact_kmedian_cost(matrix, 2))
+    (inst_dir / "four.metric").write_text(format_instance(inst))
+    return write_config(
+        tmp_path, out_name="clu_out", domain="clustering", instances_dir=str(inst_dir)
+    )
 
 
 def check_partition_contract(problem, instances, cells, tau, rng, points_per_cell=25):

@@ -361,7 +361,16 @@ class TestPoolSample:
         problem, sample = problem_and_sample
         assert isinstance(sample, PoolSample)
         rng = np.random.default_rng(6)
-        assert sample.uids.tolist() == [problem.sample(rng).uid for _ in range(2000)]
+        assert sample.uids.tolist() == [
+            problem.sample_many(rng, 1)[0].uid for _ in range(2000)
+        ]
+
+    def test_slice_is_a_sample(self, problem_and_sample):
+        _, sample = problem_and_sample
+        head = sample[3:9]
+        assert isinstance(head, PoolSample) and head.pool is sample.pool
+        assert head.uids.tolist() == sample.uids.tolist()[3:9]
+        assert list(head) == [sample[i] for i in range(3, 9)]
 
     def test_partition_matches_handle_list(self, problem_and_sample):
         problem, sample = problem_and_sample

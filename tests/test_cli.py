@@ -1,30 +1,12 @@
 import json
 from fractions import Fraction
 
-import numpy as np
 import pytest
 
-from frugal.bnb import BnbProblem, format_milp, random_milp
+from frugal.bnb import BnbProblem
 from frugal.cli import main
-from frugal.clustering import exact_kmedian_cost, format_instance, ClusteringInstance
 from frugal.sweep import DegenerateCellError
-from support import four_point_metric
-
-
-def write_config(tmp_path, out_name="out", **overrides):
-    cfg = {
-        "domain": "synthetic",
-        "family": {"a": 0.35, "b": 0.45, "L_mid": 8, "L_low": 16, "L_high": 256},
-        "epsilon": 15.0,
-        "delta": 0.25,
-        "zeta": 0.05,
-        "seed": 7,
-        "out": str(tmp_path / out_name),
-    }
-    cfg.update(overrides)
-    path = tmp_path / "config.json"
-    path.write_text(json.dumps(cfg))
-    return path
+from support import write_bnb_config, write_clustering_config, write_config
 
 
 def read_rows(path):
@@ -35,26 +17,12 @@ def read_rows(path):
 
 @pytest.fixture
 def bnb_config(tmp_path):
-    rng = np.random.default_rng(3)
-    inst_dir = tmp_path / "milps"
-    inst_dir.mkdir()
-    for i in range(4):
-        (inst_dir / f"inst_{i}.milp").write_text(format_milp(random_milp(rng, 4, 2)))
-    return write_config(
-        tmp_path, out_name="bnb_out", domain="bnb", instances_dir=str(inst_dir)
-    )
+    return write_bnb_config(tmp_path)
 
 
 @pytest.fixture
 def clustering_config(tmp_path):
-    inst_dir = tmp_path / "metrics"
-    inst_dir.mkdir()
-    matrix = four_point_metric()
-    inst = ClusteringInstance.from_lists(matrix, 2, exact_kmedian_cost(matrix, 2))
-    (inst_dir / "four.metric").write_text(format_instance(inst))
-    return write_config(
-        tmp_path, out_name="clu_out", domain="clustering", instances_dir=str(inst_dir)
-    )
+    return write_clustering_config(tmp_path)
 
 
 class TestLearnCommand:

@@ -388,12 +388,12 @@ class TestMeasureLoss:
     def test_synthetic_matches_doubling(self):
         problem = SyntheticProblem(SyntheticFamily())
         rng = np.random.default_rng(5)
-        assert_matches_doubling(problem, [problem.sample(rng) for _ in range(12)])
+        assert_matches_doubling(problem, list(problem.sample_many(rng, 12)))
 
     @pytest.mark.parametrize("loss, ceiling, expected", [(3, 64, 3), (100, 12, 12)])
     def test_one_run_per_loss(self, loss, ceiling, expected):
         problem = CountingConstantLossProblem(loss)
-        instance = problem.sample(np.random.default_rng(0))
+        instance = problem.sample_many(np.random.default_rng(0), 1)[0]
         assert measure_loss(problem, 0.5, instance, ceiling) == expected
         assert problem.runs == 1
 
@@ -403,15 +403,18 @@ class TestSampleLosses:
         problem = SyntheticProblem(SyntheticFamily())
         losses = sample_losses(problem, 0.4, 300, np.random.default_rng(9), 64)
         rng = np.random.default_rng(9)
-        expected = [doubling_loss(problem, 0.4, problem.sample(rng), 64) for _ in range(300)]
+        expected = [
+            doubling_loss(problem, 0.4, problem.sample_many(rng, 1)[0], 64) for _ in range(300)
+        ]
         assert losses.dtype == np.int64
         assert losses.tolist() == expected
 
-    def test_one_run_per_draw(self):
+    def test_one_run_for_repeated_draws(self):
+        # Forty draws of a one-instance pool measure that instance once.
         problem = CountingConstantLossProblem(loss=5)
         losses = sample_losses(problem, 0.5, 40, np.random.default_rng(0), 4)
         assert losses.tolist() == [4] * 40
-        assert problem.runs == 40
+        assert problem.runs == 1
 
     def test_ceiling_validation(self):
         with pytest.raises(ValueError):

@@ -11,7 +11,6 @@ from frugal.synthetic import (
     synthetic_exact_opt,
     synthetic_partition,
     synthetic_run_with_cap,
-    synthetic_sample,
 )
 from support import check_partition_contract, per_draw_synthetic_cells
 
@@ -74,12 +73,20 @@ class TestSampling:
         problem = SyntheticProblem(family)
         rng = np.random.default_rng(5)
         batch = problem.sample_many(rng, 10**5)
-        assert 0.49 <= batch.coin_low.mean() <= 0.51
-        assert 0.49 <= batch.coin_high.mean() <= 0.51
+        assert 0.49 <= (batch.uids & 1).mean() <= 0.51
+        assert 0.49 <= (batch.uids >> 1).mean() <= 0.51
+
+    @pytest.mark.parametrize("seed", [1, 7, 11])
+    def test_uids_encode_the_coin_draw(self, family, seed):
+        # The coins as drawn before synthetic samples held pool indices.
+        heavy = np.random.default_rng(seed).random((5000, 2)) < 0.5
+        expected = heavy[:, 0].astype(np.int64) + 2 * heavy[:, 1].astype(np.int64)
+        batch = SyntheticProblem(family).sample_many(np.random.default_rng(seed), 5000)
+        assert batch.uids.tolist() == expected.tolist()
 
     def test_instances_frozen(self, family):
         rng = np.random.default_rng(1)
-        inst = synthetic_sample(family, rng)
+        inst = SyntheticProblem(family).sample_many(rng, 1)[0].payload
         first = synthetic_run_with_cap(family, 0.2, inst, 16)
         second = synthetic_run_with_cap(family, 0.2, inst, 16)
         assert first == second
@@ -88,20 +95,21 @@ class TestSampling:
         problem = SyntheticProblem(family)
         a = problem.sample_many(np.random.default_rng(1), 64)
         b = problem.sample_many(np.random.default_rng(2), 64)
-        assert not np.array_equal(a.coin_low, b.coin_low)
+        assert not np.array_equal(a.uids, b.uids)
 
     def test_handles_round_trip(self, family):
         problem = SyntheticProblem(family)
         batch = problem.sample_many(np.random.default_rng(3), 8)
         handles = [batch[i] for i in range(len(batch))]
-        assert [h.payload.coin_low for h in handles] == list(batch.coin_low)
+        assert [h.payload.coin_low for h in handles] == ((batch.uids & 1) == 1).tolist()
+        assert [h.payload.coin_high for h in handles] == ((batch.uids >> 1) == 1).tolist()
 
 
     def test_batched_draws_match_scalar_draws(self, family):
         batched_rng, scalar_rng = np.random.default_rng(6), np.random.default_rng(6)
         batch = SyntheticProblem(family).sample_many(batched_rng, 500)
         scalar = SyntheticProblem(family)
-        handles = [scalar.sample(scalar_rng) for _ in range(500)]
+        handles = [scalar.sample_many(scalar_rng, 1)[0] for _ in range(500)]
         assert [batch[i] for i in range(500)] == handles
         assert [batch[i].payload for i in range(500)] == [h.payload for h in handles]
         assert batched_rng.bit_generator.state == scalar_rng.bit_generator.state
@@ -130,7 +138,7 @@ class TestPartition:
         batch = problem.sample_many(np.random.default_rng(9), 500)
         cells = synthetic_partition(family, batch, 8)
         low = next(c for c in cells if c.cell.label == "low")
-        assert low.z == float((~batch.coin_low).mean())
+        assert low.z == float(((batch.uids & 1) == 0).mean())
 
     def test_partition_contract(self, family):
         problem = SyntheticProblem(family)
