@@ -10,7 +10,6 @@ budget-capped linkage clustering.
 from .core import (
     CappedRunOutcome,
     ConfigProblem,
-    InstanceHandle,
     ParamCell,
     ParamPoint,
     ParamSpace,
@@ -33,7 +32,6 @@ __version__ = "0.1.0"
 __all__ = [
     "CappedRunOutcome",
     "ConfigProblem",
-    "InstanceHandle",
     "ParamCell",
     "ParamPoint",
     "ParamSpace",

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from pathlib import Path
-from typing import Any, Iterable, Mapping, NamedTuple, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -32,6 +32,7 @@ from .core import (
     CappedRunOutcome,
     ConfigProblem,
     PartitionCell,
+    PoolSample,
     format_rational,
     to_fraction,
 )
@@ -40,7 +41,6 @@ from .sweep import (
     DecisionTracker,
     cell_count_ceiling,
     cells_from_refinement,
-    distinct_instances,
     refine_cells,
     standalone_tracker,
     sweep_distinct,
@@ -527,7 +527,7 @@ def best_binary_solution(milp: Milp, rho, cap: int = MAX_TREE_SIZE):
     return record.incumbent_value
 
 
-def bnb_partition(instances: Sequence[Any], tau: int) -> list[PartitionCell]:
+def bnb_partition(sample: PoolSample, tau: int) -> list[PartitionCell]:
     """Exact partition of [0, 1] into tree-invariance cells at the given cap.
 
     Per distinct instance, the unit interval is swept left to right: a
@@ -538,24 +538,19 @@ def bnb_partition(instances: Sequence[Any], tau: int) -> list[PartitionCell]:
     """
     if tau < 1:
         raise ValueError("tau must be a positive integer")
-    milps, inverse, labels = distinct_instances(instances)
-    if not milps:
-        raise ValueError("need at least one instance")
 
     def sweep_one(milp: Milp):
         def execute(rho: Fraction, tracker: DecisionTracker):
             outcome = _run_outcome(milp, tau, tracker)
             return (outcome.capped_loss(tau), outcome.solved)
 
-        return sweep_unit_interval(
-            execute, degenerate_message="degenerate breakpoint cluster"
-        )
+        return sweep_unit_interval(execute)
 
-    refined = refine_cells(sweep_distinct(sweep_one, milps, labels, tau))
-    return cells_from_refinement(refined, inverse)
+    partitions, inverse = sweep_distinct(sweep_one, sample, tau)
+    return cells_from_refinement(refine_cells(partitions), inverse)
 
 
-def bnb_cell_bound(instances: Sequence[Any], tau: int) -> int:
+def bnb_cell_bound(sample: PoolSample, tau: int) -> int:
     """Analytic ceiling on the cell count: ``sum_j n_j^(2 (tau+1)) + 1``.
 
     Saturates at ``2**62``; monotone in the instance set and the cap by
@@ -566,7 +561,7 @@ def bnb_cell_bound(instances: Sequence[Any], tau: int) -> int:
     # n ** 62 already saturates for n >= 2, so larger exponents change
     # nothing and would only build huge integers.
     exponent = min(2 * (tau + 1), 62)
-    return cell_count_ceiling(instances, lambda milp: milp.n**exponent)
+    return cell_count_ceiling(sample, lambda milp: milp.n**exponent)
 
 
 class BnbProblem(ConfigProblem):
@@ -576,16 +571,14 @@ class BnbProblem(ConfigProblem):
     replacement.  ``f_bound`` is the analytic ceiling ``bnb_cell_bound``.
     """
 
-    domain = "bnb"
+    def run_with_cap(self, rho, instance: Milp, tau: int) -> CappedRunOutcome:
+        return bnb_run(instance, rho, tau)
 
-    def run_with_cap(self, rho, instance, tau: int) -> CappedRunOutcome:
-        return bnb_run(instance.payload, rho, tau)
+    def get_partition(self, sample: PoolSample, tau: int) -> list[PartitionCell]:
+        return bnb_partition(sample, tau)
 
-    def get_partition(self, instances, tau: int) -> list[PartitionCell]:
-        return bnb_partition(instances, tau)
-
-    def f_bound(self, instances, tau: int) -> int:
-        return bnb_cell_bound(instances, tau)
+    def f_bound(self, sample: PoolSample, tau: int) -> int:
+        return bnb_cell_bound(sample, tau)
 
 
 def parse_milp(text: str, name: str = "") -> Milp:

@@ -246,6 +246,11 @@ def cmd_partition(args) -> int:
     return 0
 
 
+def _has_numeric_rho(entry) -> bool:
+    rho = entry.get("rho") if isinstance(entry, dict) else None
+    return isinstance(rho, (int, float)) and not isinstance(rho, bool)
+
+
 def cmd_select(args) -> int:
     cfg = load_config(args.config, args.seed, args.out)
     subset_path = Path(args.subset) if args.subset else cfg.out / "subset.json"
@@ -253,7 +258,18 @@ def cmd_select(args) -> int:
         subset = json.loads(subset_path.read_text())
     except (OSError, json.JSONDecodeError) as exc:
         raise UsageError(f"cannot read subset {subset_path}: {exc}") from exc
+    if not isinstance(subset, dict):
+        raise UsageError(f"subset {subset_path} must be a JSON object")
+    if subset.get("domain", cfg.domain) != cfg.domain:
+        raise UsageError(
+            f"subset {subset_path} was learned on domain {subset['domain']!r}, "
+            f"the config is for {cfg.domain!r}"
+        )
     entries = subset.get("parameters", [])
+    if not isinstance(entries, list) or not all(_has_numeric_rho(e) for e in entries):
+        raise UsageError(f"subset {subset_path}: every parameter needs a numeric 'rho'")
+    if not isinstance(subset.get("terminal_round", 0), int):
+        raise UsageError(f"subset {subset_path}: 'terminal_round' must be an integer")
     if not entries:
         log.error("subset %s is empty", subset_path)
         print("error: empty subset", file=sys.stderr)

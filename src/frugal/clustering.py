@@ -21,7 +21,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
-from typing import Any, Iterable, Sequence
+from typing import Any, Sequence
 
 import numpy as np
 
@@ -29,6 +29,7 @@ from .core import (
     CappedRunOutcome,
     ConfigProblem,
     PartitionCell,
+    PoolSample,
     format_rational,
     to_fraction,
 )
@@ -37,7 +38,6 @@ from .sweep import (
     DecisionTracker,
     cell_count_ceiling,
     cells_from_refinement,
-    distinct_instances,
     refine_cells,
     standalone_tracker,
     sweep_distinct,
@@ -50,7 +50,6 @@ __all__ = [
     "PruningResult",
     "ClusteringProblem",
     "MAX_POINTS",
-    "linkage_merge_value",
     "capped_linkage_run",
     "best_pruning",
     "clustering_run_with_cap",
@@ -162,21 +161,6 @@ class MergeForest:
 
     def children(self) -> dict[int, tuple[int, int]]:
         return {new: (a, b) for a, b, new in self.merges}
-
-
-def linkage_merge_value(A: Iterable[int], B: Iterable[int], rho, distances) -> Fraction:
-    """Mixture of the closest and farthest pairwise distances between two
-    disjoint clusters: ``rho * min + (1 - rho) * max``."""
-    set_a, set_b = frozenset(A), frozenset(B)
-    if not set_a or not set_b:
-        raise ValueError("clusters must be nonempty")
-    if set_a & set_b:
-        raise ValueError("clusters must be disjoint")
-    exact_rho = to_fraction(rho)
-    if not 0 <= exact_rho <= 1:
-        raise ValueError("rho must lie in [0, 1]")
-    pairs = [distances[u][v] for u in set_a for v in set_b]
-    return exact_rho * min(pairs) + (1 - exact_rho) * max(pairs)
 
 
 def capped_linkage_run(
@@ -359,7 +343,7 @@ def clustering_run_with_cap(rho, instance: ClusteringInstance, tau: int) -> Capp
     return _run_outcome(instance, tau, standalone_tracker(to_fraction(rho)))
 
 
-def clustering_partition(instances: Sequence[Any], tau: int) -> list[PartitionCell]:
+def clustering_partition(sample: PoolSample, tau: int) -> list[PartitionCell]:
     """Exact partition of [0, 1] into merge-invariance cells at the given cap.
 
     Each distinct instance is swept once; the refined cells' solved
@@ -367,26 +351,23 @@ def clustering_partition(instances: Sequence[Any], tau: int) -> list[PartitionCe
     """
     if tau < 0:
         raise ValueError("tau must be nonnegative")
-    items, inverse, labels = distinct_instances(instances)
-    if not items:
-        raise ValueError("need at least one instance")
 
     def sweep_one(instance: ClusteringInstance):
         def execute(rho: Fraction, tracker: DecisionTracker):
             outcome = _run_outcome(instance, tau, tracker)
             return (outcome.capped_loss(tau), outcome.solved)
 
-        return sweep_unit_interval(execute, degenerate_message="degenerate linkage tie")
+        return sweep_unit_interval(execute)
 
-    refined = refine_cells(sweep_distinct(sweep_one, items, labels, tau))
-    return cells_from_refinement(refined, inverse)
+    partitions, inverse = sweep_distinct(sweep_one, sample, tau)
+    return cells_from_refinement(refine_cells(partitions), inverse)
 
 
-def clustering_cell_bound(instances: Sequence[Any], tau: int) -> int:
+def clustering_cell_bound(sample: PoolSample, tau: int) -> int:
     """Analytic ceiling on the cell count: ``sum_j n_j^8 + 1``, saturating at ``2**62``."""
     if tau < 0:
         raise ValueError("tau must be nonnegative")
-    return cell_count_ceiling(instances, lambda instance: instance.n**8)
+    return cell_count_ceiling(sample, lambda instance: instance.n**8)
 
 
 def exact_kmedian_cost(distances: Sequence[Sequence[Any]], k: int) -> Fraction:
@@ -410,16 +391,14 @@ class ClusteringProblem(ConfigProblem):
     ``f_bound`` is the analytic ceiling ``clustering_cell_bound``.
     """
 
-    domain = "clustering"
+    def run_with_cap(self, rho, instance: ClusteringInstance, tau: int) -> CappedRunOutcome:
+        return clustering_run_with_cap(rho, instance, tau)
 
-    def run_with_cap(self, rho, instance, tau: int) -> CappedRunOutcome:
-        return clustering_run_with_cap(rho, instance.payload, tau)
+    def get_partition(self, sample: PoolSample, tau: int) -> list[PartitionCell]:
+        return clustering_partition(sample, tau)
 
-    def get_partition(self, instances, tau: int) -> list[PartitionCell]:
-        return clustering_partition(instances, tau)
-
-    def f_bound(self, instances, tau: int) -> int:
-        return clustering_cell_bound(instances, tau)
+    def f_bound(self, sample: PoolSample, tau: int) -> int:
+        return clustering_cell_bound(sample, tau)
 
 
 def parse_instance(text: str, name: str = "") -> ClusteringInstance:

@@ -9,7 +9,7 @@ are never materialized.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Any, Iterable, Sequence
@@ -21,7 +21,6 @@ __all__ = [
     "ParamPoint",
     "ParamCell",
     "CappedRunOutcome",
-    "InstanceHandle",
     "PoolSample",
     "PartitionCell",
     "ConfigProblem",
@@ -162,52 +161,29 @@ class CappedRunOutcome:
         return min(self.budget_used, cap)
 
 
-@dataclass(frozen=True)
-class InstanceHandle:
-    """A frozen problem instance.
-
-    Instances are sampled once and fully determined at sampling time (any
-    internal randomness is drawn then and stored in the payload), so the loss
-    is a deterministic function of the parameter.  Equality and hashing use
-    the (domain, uid) pair only.
-    """
-
-    domain: str
-    uid: int
-    payload: Any = field(compare=False)
-
-
-class PoolSample(Sequence[InstanceHandle]):
+class PoolSample:
     """A sample drawn from a finite pool, held as an array of pool indices.
 
-    ``uids[i]`` is the pool index of the ``i``-th draw, which is also the
-    ``uid`` of its handle; indexing builds handles lazily, and a slice is
-    the sample of the sliced draws.
+    ``uids[i]`` is the pool index of the ``i``-th draw, so the instance it
+    drew is ``pool[uids[i]]``.
     """
 
-    __slots__ = ("domain", "pool", "uids")
+    __slots__ = ("pool", "uids")
 
-    def __init__(self, domain: str, pool: Sequence[Any], uids: np.ndarray) -> None:
-        self.domain = domain
+    def __init__(self, pool: Sequence[Any], uids: np.ndarray) -> None:
         self.pool = pool
         self.uids = np.asarray(uids)
 
     def __len__(self) -> int:
         return int(self.uids.shape[0])
 
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return PoolSample(self.domain, self.pool, self.uids[index])
-        uid = int(self.uids[index])
-        return InstanceHandle(domain=self.domain, uid=uid, payload=self.pool[uid])
-
-    def distinct(self) -> tuple["PoolSample", np.ndarray]:
-        """The pool indices drawn at least once, ascending, as a sample, and
-        each draw's position in it."""
+    def distinct(self) -> tuple[np.ndarray, np.ndarray]:
+        """The pool indices drawn at least once, ascending, and each draw's
+        position among them."""
         uids = np.flatnonzero(np.bincount(self.uids, minlength=len(self.pool)))
         position = np.zeros(len(self.pool), dtype=np.int64)
         position[uids] = np.arange(uids.size)
-        return PoolSample(self.domain, self.pool, uids), position[self.uids]
+        return uids, position[self.uids]
 
 
 @dataclass(eq=False)
@@ -245,9 +221,13 @@ class ConfigProblem:
     The instance distribution is uniform over a finite ``pool`` and every
     sample is a ``PoolSample`` of pool indices; the problem holds only its
     pool, so every method is a pure function of the pool and its arguments.
-    Subclasses must provide ``run_with_cap``, ``get_partition`` and
-    ``f_bound``.  ``run_with_cap`` and ``get_partition`` must be pure
-    given a frozen instance; ``f_bound`` must be monotone in both the
+    An instance is a pool item, fully determined when the pool is built, so
+    a loss is a deterministic function of the parameter.  Subclasses must
+    provide ``run_with_cap(rho, instance, tau)``, which receives the pool
+    item itself, and ``get_partition(sample, tau)`` and
+    ``f_bound(sample, tau)``, which receive a ``PoolSample``.
+    ``run_with_cap`` and ``get_partition`` must be pure given the
+    instances; ``f_bound`` must be monotone in both the
     instance set (under inclusion) and the cap, and must dominate the number
     of cells ``get_partition`` returns.  The solved flag of ``run_with_cap``
     must be non-decreasing in the cap, and a solved run's ``budget_used``
@@ -256,7 +236,6 @@ class ConfigProblem:
     the ceiling itself when the loss exceeds it.
     """
 
-    domain: str = "abstract"
     space: ParamSpace = ParamSpace()
 
     def __init__(self, pool: Sequence[Any]) -> None:
@@ -267,21 +246,21 @@ class ConfigProblem:
     def sample_many(self, rng: np.random.Generator, count: int) -> PoolSample:
         # One batched draw yields the same indices, and leaves the generator
         # in the same state, as ``count`` scalar draws.
-        return PoolSample(self.domain, self.pool, rng.integers(len(self.pool), size=count))
+        return PoolSample(self.pool, rng.integers(len(self.pool), size=count))
 
     def merge_samples(self, first: PoolSample, second: PoolSample) -> PoolSample:
-        return PoolSample(self.domain, self.pool, np.concatenate([first.uids, second.uids]))
+        return PoolSample(self.pool, np.concatenate([first.uids, second.uids]))
 
     def all_instances(self) -> PoolSample:
-        return PoolSample(self.domain, self.pool, np.arange(len(self.pool)))
+        return PoolSample(self.pool, np.arange(len(self.pool)))
 
-    def run_with_cap(self, rho: Any, instance: InstanceHandle, tau: int) -> CappedRunOutcome:
+    def run_with_cap(self, rho: Any, instance: Any, tau: int) -> CappedRunOutcome:
         raise NotImplementedError
 
-    def get_partition(self, instances: PoolSample, tau: int) -> list[PartitionCell]:
+    def get_partition(self, sample: PoolSample, tau: int) -> list[PartitionCell]:
         raise NotImplementedError
 
-    def f_bound(self, instances: PoolSample, tau: int) -> int:
+    def f_bound(self, sample: PoolSample, tau: int) -> int:
         raise NotImplementedError
 
 

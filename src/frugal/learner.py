@@ -355,8 +355,9 @@ def sample_losses(
     """
     if ceiling < 1:
         raise ValueError("the cap ceiling must be positive")
-    sample, inverse = problem.sample_many(rng, n_samples).distinct()
-    losses = [measure_loss(problem, rho, instance, ceiling) for instance in sample]
+    sample = problem.sample_many(rng, n_samples)
+    uids, inverse = sample.distinct()
+    losses = [measure_loss(problem, rho, sample.pool[uid], ceiling) for uid in uids.tolist()]
     return np.array(losses, dtype=np.int64)[inverse]
 
 

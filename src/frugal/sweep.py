@@ -26,7 +26,7 @@ from typing import Any, Callable, Sequence, TypeVar
 
 import numpy as np
 
-from .core import InstanceHandle, ParamCell, PartitionCell, PoolSample
+from .core import ParamCell, PartitionCell, PoolSample
 
 __all__ = [
     "AffineScore",
@@ -34,7 +34,6 @@ __all__ = [
     "standalone_tracker",
     "DegenerateCellError",
     "sweep_unit_interval",
-    "distinct_instances",
     "sweep_distinct",
     "refine_cells",
     "cells_from_refinement",
@@ -143,8 +142,6 @@ def standalone_tracker(rho: Fraction) -> DecisionTracker:
 
 def sweep_unit_interval(
     execute: Callable[[Fraction, DecisionTracker], T],
-    *,
-    degenerate_message: str = "degenerate breakpoint cluster",
 ) -> list[tuple[Fraction, Fraction, T]]:
     """Partition [0, 1] into maximal right-open execution-invariance cells.
 
@@ -160,7 +157,7 @@ def sweep_unit_interval(
         right = min(tracker.bound, top)
         if right - cursor < MIN_CELL_WIDTH:
             raise DegenerateCellError(
-                f"{degenerate_message}: breakpoint {right} lies within "
+                f"degenerate breakpoint cluster: breakpoint {right} lies within "
                 f"{MIN_CELL_WIDTH} of the cell's left end {cursor}",
                 left=cursor,
                 bound=right,
@@ -170,56 +167,32 @@ def sweep_unit_interval(
     return cells
 
 
-def distinct_instances(instances: Sequence[Any]) -> tuple[list[Any], np.ndarray, list[str]]:
-    """The distinct payloads of an instance sequence, as ``(payloads, inverse, labels)``.
-
-    ``inverse[i]`` is the position in ``payloads`` of the ``i``-th instance.
-    A ``PoolSample`` is deduplicated by pool index, any other sequence of
-    handles or bare payloads by payload identity.  ``labels`` name each
-    distinct instance for error messages.
-    """
-    if isinstance(instances, PoolSample):
-        distinct, inverse = instances.distinct()
-        uids = distinct.uids.tolist()
-        payloads = [instances.pool[uid] for uid in uids]
-        labels = [_label(p, f"pool uid {uid}") for p, uid in zip(payloads, uids)]
-        return payloads, inverse, labels
-    first: dict[int, int] = {}
-    payloads, labels, inverse = [], [], []
-    for position, item in enumerate(instances):
-        if isinstance(item, InstanceHandle):
-            payload, where = item.payload, f"pool uid {item.uid}"
-        else:
-            payload, where = item, f"item {position}"
-        index = first.setdefault(id(payload), len(payloads))
-        if index == len(payloads):
-            payloads.append(payload)
-            labels.append(_label(payload, where))
-        inverse.append(index)
-    return payloads, np.array(inverse, dtype=np.int64), labels
-
-
-def _label(payload: Any, where: str) -> str:
-    name = getattr(payload, "name", "")
-    return f"instance {name!r} ({where})" if name else f"instance at {where}"
-
-
 def sweep_distinct(
     sweep_one: Callable[[Any], list[tuple[Fraction, Fraction, T]]],
-    payloads: Sequence[Any],
-    labels: Sequence[str],
+    sample: PoolSample,
     tau: int,
-) -> list[list[tuple[Fraction, Fraction, T]]]:
-    """Sweep each distinct payload once; a degenerate cell names its instance and cap."""
+) -> tuple[list[list[tuple[Fraction, Fraction, T]]], np.ndarray]:
+    """Sweep each distinct instance of a sample once, as ``(partitions, inverse)``.
+
+    ``partitions[j]`` is the sweep of the ``j``-th distinct pool index in
+    ascending order, and ``inverse[i]`` the position of the ``i``-th draw's
+    among them.  A degenerate cell names its instance and the cap.
+    """
+    if len(sample) == 0:
+        raise ValueError("need at least one instance")
+    uids, inverse = sample.distinct()
     partitions = []
-    for payload, label in zip(payloads, labels):
+    for uid in uids.tolist():
+        instance = sample.pool[uid]
         try:
-            partitions.append(sweep_one(payload))
+            partitions.append(sweep_one(instance))
         except DegenerateCellError as exc:
+            name = getattr(instance, "name", "")
+            where = f"instance {name!r} (pool uid {uid})" if name else f"instance at pool uid {uid}"
             raise DegenerateCellError(
-                f"{exc} ({label}, cap {tau})", left=exc.left, bound=exc.bound
+                f"{exc} ({where}, cap {tau})", left=exc.left, bound=exc.bound
             ) from exc
-    return partitions
+    return partitions, inverse
 
 
 def refine_cells(
@@ -250,8 +223,8 @@ def cells_from_refinement(
     """Build partition cells from refined (capped_loss, solved) payloads.
 
     The refinement holds one payload per distinct instance; ``inverse``
-    (see ``distinct_instances``) maps each draw to its distinct instance
-    and gives their multiplicities.
+    (see ``sweep_distinct``) maps each draw to its distinct instance and
+    gives their multiplicities.
     """
     counts = np.bincount(inverse)
     total = len(inverse)
@@ -267,13 +240,12 @@ def cells_from_refinement(
     return out
 
 
-def cell_count_ceiling(instances: Sequence[Any], cells_of: Callable[[Any], int]) -> int:
-    """``min(1 + sum of cells_of(payload) over the instances, 2**62)``.
+def cell_count_ceiling(sample: PoolSample, cells_of: Callable[[Any], int]) -> int:
+    """``min(1 + sum of cells_of(pool[u]) over the drawn indices u, 2**62)``.
 
-    Repeated instances count once per occurrence.  The terms are positive,
-    so the sum saturates exactly when a running total would.
+    Repeated draws count once per occurrence.  The terms are positive, so
+    the sum saturates exactly when a running total would.
     """
-    payloads, inverse, _ = distinct_instances(instances)
-    counts = np.bincount(inverse, minlength=len(payloads)).tolist()
-    total = 1 + sum(count * cells_of(p) for p, count in zip(payloads, counts))
+    counts = np.bincount(sample.uids, minlength=len(sample.pool)).tolist()
+    total = 1 + sum(count * cells_of(item) for item, count in zip(sample.pool, counts) if count)
     return min(total, F_BOUND_SATURATION)

@@ -201,24 +201,22 @@ class SyntheticProblem(ConfigProblem):
     instances; pool index ``coin_low + 2 * coin_high`` holds each.
     """
 
-    domain = "synthetic"
-
     def __init__(self, family: SyntheticFamily | None = None) -> None:
         super().__init__([SyntheticInstance(bool(i & 1), bool(i & 2)) for i in range(4)])
         self.family = family or SyntheticFamily()
 
     def sample_many(self, rng: np.random.Generator, count: int) -> PoolSample:
         heavy = (rng.random((count, 2)) < 0.5).view(np.uint8)
-        return PoolSample(self.domain, self.pool, heavy[:, 0] | (heavy[:, 1] << 1))
+        return PoolSample(self.pool, heavy[:, 0] | (heavy[:, 1] << 1))
 
     # Bound on this class, not inherited, so that tracing finds it by name.
     merge_samples = ConfigProblem.merge_samples
 
-    def run_with_cap(self, rho, instance, tau: int) -> CappedRunOutcome:
-        return synthetic_run_with_cap(self.family, float(rho), instance.payload, tau)
+    def run_with_cap(self, rho, instance: SyntheticInstance, tau: int) -> CappedRunOutcome:
+        return synthetic_run_with_cap(self.family, float(rho), instance, tau)
 
-    def get_partition(self, instances, tau: int) -> list[PartitionCell]:
-        return synthetic_partition(self.family, instances, tau)
+    def get_partition(self, sample: PoolSample, tau: int) -> list[PartitionCell]:
+        return synthetic_partition(self.family, sample, tau)
 
-    def f_bound(self, instances, tau: int) -> int:
+    def f_bound(self, sample: PoolSample, tau: int) -> int:
         return 3

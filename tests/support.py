@@ -21,7 +21,18 @@ from frugal.core import (
     ConfigProblem,
     ParamCell,
     PartitionCell,
+    PoolSample,
 )
+
+
+def whole_pool(items):
+    """The sample that draws each of ``items`` once, in order."""
+    return PoolSample(items, np.arange(len(items)))
+
+
+def draw_one(problem, rng):
+    """One instance drawn from the problem's pool."""
+    return problem.pool[int(problem.sample_many(rng, 1).uids[0])]
 
 
 def cell_from_losses(cell, z, losses):
@@ -54,7 +65,7 @@ def per_draw_sample_losses(problem, rho, n_samples, rng, ceiling):
     its own run at the ceiling."""
     return np.array(
         [
-            problem.run_with_cap(rho, problem.sample_many(rng, 1)[0], ceiling).budget_used
+            problem.run_with_cap(rho, draw_one(problem, rng), ceiling).budget_used
             for _ in range(n_samples)
         ],
         dtype=np.int64,
@@ -68,10 +79,9 @@ def check_pool_cells_against_gather(problem, sample, cells, tau):
     per-draw capped losses are those gathered by ``sample.uids``, and the
     solved fraction counts the solved draws.
     """
-    handles = problem.all_instances()
     for cell in cells:
         lo = cell.cell.intervals[0][0]
-        outcomes = [problem.run_with_cap(lo, handle, tau) for handle in handles]
+        outcomes = [problem.run_with_cap(lo, instance, tau) for instance in problem.pool]
         per_pool = np.array([o.capped_loss(tau) for o in outcomes], dtype=np.int64)
         solved = np.array([o.solved for o in outcomes], dtype=np.bool_)
         assert cell.capped_losses.tolist() == per_pool[sample.uids].tolist()
@@ -256,8 +266,6 @@ class ConstantLossProblem(ConfigProblem):
     The pool holds one instance, since all instances behave alike.
     """
 
-    domain = "constant"
-
     def __init__(self, loss=1):
         super().__init__([None])
         self.loss = loss
@@ -290,18 +298,17 @@ class CountingConstantLossProblem(ConstantLossProblem):
 
 class CountingPoolProblem(ConfigProblem):
     """Pool of integer losses, the same at every parameter; ``runs`` records
-    the ``(rho, uid)`` of every ``run_with_cap``."""
-
-    domain = "counting_pool"
+    the ``(rho, id(instance))`` of every ``run_with_cap``.  Give the pool
+    distinct losses, so that each pool index has its own ``id``."""
 
     def __init__(self, losses):
         super().__init__(losses)
         self.runs = []
 
     def run_with_cap(self, rho, instance, tau):
-        self.runs.append((rho, instance.uid))
-        if instance.payload <= tau:
-            return CappedRunOutcome.finished(instance.payload)
+        self.runs.append((rho, id(instance)))
+        if instance <= tau:
+            return CappedRunOutcome.finished(instance)
         return CappedRunOutcome.truncated(tau)
 
 
@@ -459,8 +466,6 @@ class TwoBandProblem(ConfigProblem):
     The pool holds one instance, since all instances behave alike.
     """
 
-    domain = "two_band"
-
     def __init__(self, low_loss=2, high_loss=5):
         super().__init__([None])
         self.low_loss = low_loss
@@ -558,9 +563,11 @@ def write_clustering_config(tmp_path):
     )
 
 
-def check_partition_contract(problem, instances, cells, tau, rng, points_per_cell=25):
+def check_partition_contract(problem, sample, cells, tau, rng, points_per_cell=25):
     """GetPartition soundness: sampled interior points reproduce the recorded
-    capped losses exactly, and the solved fraction matches z."""
+    capped losses of the sample's draws exactly, and the solved fraction
+    matches z."""
+    instances = [sample.pool[uid] for uid in sample.uids.tolist()]
     for cell in cells:
         lo, hi = cell.cell.intervals[0]
         width = float(hi) - float(lo)
@@ -570,8 +577,8 @@ def check_partition_contract(problem, instances, cells, tau, rng, points_per_cel
         ]
         for rho in points:
             solved_count = 0
-            for idx, handle in enumerate(instances):
-                outcome = problem.run_with_cap(rho, handle, tau)
+            for idx, instance in enumerate(instances):
+                outcome = problem.run_with_cap(rho, instance, tau)
                 assert outcome.capped_loss(tau) == int(cell.capped_losses[idx]), (
                     f"capped loss mismatch at rho={rho} cell={cell.cell.intervals}"
                 )

@@ -42,6 +42,7 @@ from support import (
     massart_bound,
     mc_rademacher,
     min_samples_oracle,
+    whole_pool,
 )
 
 FAMILY = SyntheticFamily()
@@ -180,7 +181,7 @@ def test_criterion_5_bnb_partition_exactness():
     count_violations = 0
     for tau in (7, 15, 31):
         for milp in pool:
-            cells = bnb_partition([milp], tau)
+            cells = bnb_partition(whole_pool([milp]), tau)
             if len(cells) > milp.n ** (2 * (tau + 1)) + 1:
                 count_violations += 1
             bounds = [cell.cell.intervals[0] for cell in cells]
@@ -214,7 +215,7 @@ def test_criterion_5_bnb_partition_exactness():
 def test_criterion_6_clustering_fixtures():
     matrix = four_point_metric()
     four = ClusteringInstance.from_lists(matrix, 2, exact_kmedian_cost(matrix, 2))
-    cells = clustering_partition([four], 3)
+    cells = clustering_partition(whole_pool([four]), 3)
     breakpoint_ok = any(
         abs(float(cell.cell.intervals[0][0]) - 0.4) <= 1e-9 for cell in cells
     )
@@ -238,7 +239,7 @@ def test_criterion_6_clustering_fixtures():
     grid_ok = True
     pool = fixtures[:6]
     tau = 7
-    cell_list = clustering_partition(pool, tau)
+    cell_list = clustering_partition(whole_pool(pool), tau)
     for i in range(1001):
         rho = Fraction(i, 1000)
         cell = next(c for c in cell_list if c.cell.contains(rho))

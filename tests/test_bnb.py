@@ -31,6 +31,7 @@ from support import (
     check_partition_contract,
     check_pool_cells_against_gather,
     fraction_lp_relax,
+    whole_pool,
 )
 
 
@@ -264,14 +265,14 @@ class TestBnbRun:
 
 class TestPartition:
     def test_integral_root_single_cell(self):
-        cells = bnb_partition([integral_root_milp()], 15)
+        cells = bnb_partition(whole_pool([integral_root_milp()]), 15)
         assert len(cells) == 1
         assert cells[0].z == 1.0
         assert list(cells[0].capped_losses) == [1]
 
     def test_two_var_breakpoint(self, two_var):
         # Root score lines cross at rho = 2/3; tree sizes are 5 and 3.
-        cells = bnb_partition([two_var], 31)
+        cells = bnb_partition(whole_pool([two_var]), 31)
         assert len(cells) == 2
         assert cells[0].cell.intervals[0] == (Fraction(0), Fraction(2, 3))
         assert list(cells[0].capped_losses) == [5]
@@ -282,7 +283,7 @@ class TestPartition:
     def test_grid_agreement(self):
         pool = random_pool(seed=31, count=6, num_vars=5, num_rows=3)
         for tau in (7, 15):
-            cells = bnb_partition(pool, tau)
+            cells = bnb_partition(whole_pool(pool), tau)
             validate_cells_cover(cells, BnbProblem(pool).space)
             for rho in np.linspace(0.0, 1.0, 101):
                 cell_index = next(
@@ -297,7 +298,7 @@ class TestPartition:
     def test_decision_invariance_inside_cells(self):
         pool = random_pool(seed=37, count=3, num_vars=5, num_rows=2)
         tau = 15
-        cells = bnb_partition(pool, tau)
+        cells = bnb_partition(whole_pool(pool), tau)
         rng = np.random.default_rng(2)
         for cell in cells:
             lo, hi = cell.cell.intervals[0]
@@ -324,30 +325,32 @@ class TestPartition:
         pool = random_pool(seed=43, count=5, num_vars=4, num_rows=2)
         for tau in (3, 7):
             for milp in pool:
-                cells = bnb_partition([milp], tau)
+                cells = bnb_partition(whole_pool([milp]), tau)
                 assert len(cells) <= milp.n ** (2 * (tau + 1)) + 1
 
 
 class TestFBound:
     def test_analytic_value(self):
         pool = [Milp.from_lists([1] * 6, [[1] * 6], [3]) for _ in range(10)]
-        assert bnb_cell_bound(pool, 3) == 10 * 6**8 + 1 == 16_796_161
+        assert bnb_cell_bound(whole_pool(pool), 3) == 10 * 6**8 + 1 == 16_796_161
 
     def test_monotone_in_instances_and_cap(self):
         pool = random_pool(seed=47, count=4)
-        small = bnb_cell_bound(pool[:2], 7)
-        assert small <= bnb_cell_bound(pool, 7) <= bnb_cell_bound(pool, 15)
+        small = bnb_cell_bound(whole_pool(pool[:2]), 7)
+        everything = whole_pool(pool)
+        assert small <= bnb_cell_bound(everything, 7) <= bnb_cell_bound(everything, 15)
         problem = BnbProblem(pool)
         instances = problem.all_instances()
-        problem.get_partition(instances[:2], 7)
+        head = PoolSample(problem.pool, instances.uids[:2])
+        problem.get_partition(head, 7)
         problem.get_partition(instances, 7)
-        assert problem.f_bound(instances[:2], 7) <= problem.f_bound(instances, 7)
+        assert problem.f_bound(head, 7) <= problem.f_bound(instances, 7)
 
     def test_dominates_measured(self):
         pool = random_pool(seed=53, count=3)
         for tau in (7, 15):
-            cells = bnb_partition(pool, tau)
-            assert len(cells) <= bnb_cell_bound(pool, tau)
+            cells = bnb_partition(whole_pool(pool), tau)
+            assert len(cells) <= bnb_cell_bound(whole_pool(pool), tau)
 
 
 class TestPoolSample:
@@ -362,27 +365,8 @@ class TestPoolSample:
         assert isinstance(sample, PoolSample)
         rng = np.random.default_rng(6)
         assert sample.uids.tolist() == [
-            problem.sample_many(rng, 1)[0].uid for _ in range(2000)
+            int(problem.sample_many(rng, 1).uids[0]) for _ in range(2000)
         ]
-
-    def test_slice_is_a_sample(self, problem_and_sample):
-        _, sample = problem_and_sample
-        head = sample[3:9]
-        assert isinstance(head, PoolSample) and head.pool is sample.pool
-        assert head.uids.tolist() == sample.uids.tolist()[3:9]
-        assert list(head) == [sample[i] for i in range(3, 9)]
-
-    def test_partition_matches_handle_list(self, problem_and_sample):
-        problem, sample = problem_and_sample
-        handles = list(sample)
-        assert [h.payload for h in handles] == [problem.pool[u] for u in sample.uids]
-        for tau in (3, 15):
-            fast = bnb_partition(sample, tau)
-            slow = bnb_partition(handles, tau)
-            assert [c.cell.intervals for c in fast] == [c.cell.intervals for c in slow]
-            assert [c.z for c in fast] == [c.z for c in slow]
-            for a, b in zip(fast, slow):
-                assert np.array_equal(a.capped_losses, b.capped_losses)
 
     @pytest.mark.parametrize("tau", [3, 15])
     def test_cells_match_per_draw_gather(self, problem_and_sample, tau):
@@ -392,11 +376,14 @@ class TestPoolSample:
 
     def test_f_bound_matches_analytic_ceiling(self, problem_and_sample):
         problem, sample = problem_and_sample
-        below = problem.f_bound(sample, 2)
-        assert below == bnb_cell_bound(list(sample), 2) < 2**62
-        assert problem.f_bound(sample, 40) == bnb_cell_bound(list(sample), 40) == 2**62
+
+        def per_draw(tau):
+            return min(1 + sum(problem.pool[u].n ** (2 * (tau + 1)) for u in sample.uids), 2**62)
+
+        assert problem.f_bound(sample, 2) == per_draw(2) < 2**62
+        assert problem.f_bound(sample, 40) == per_draw(40) == 2**62
         cells = problem.get_partition(sample, 7)
-        assert len(cells) <= problem.f_bound(sample, 7) == problem.f_bound(list(sample), 7)
+        assert len(cells) <= problem.f_bound(sample, 7) == per_draw(7)
 
 
 class TestParser:

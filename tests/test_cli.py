@@ -148,6 +148,27 @@ class TestSelectCommand:
         config = write_config(tmp_path)
         assert main(["select", "--config", str(config)]) == 1
 
+    @pytest.mark.parametrize(
+        "subset, message",
+        [
+            ({"parameters": [{"rho": 0.4}, {}]}, "numeric 'rho'"),
+            ({"parameters": [{"rho": "0.4"}]}, "numeric 'rho'"),
+            ([{"rho": 0.4}], "must be a JSON object"),
+            ({"domain": "bnb", "parameters": [{"rho": 0.4}]}, "domain 'bnb'"),
+            ({"terminal_round": [5], "parameters": [{"rho": 0.4}]}, "'terminal_round'"),
+        ],
+        ids=["entry-without-rho", "string-rho", "list-subset", "other-domain", "list-round"],
+    )
+    def test_malformed_subset_exits_one(self, tmp_path, capsys, subset, message):
+        config = write_config(tmp_path)
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "subset.json").write_text(json.dumps(subset))
+        assert main(["select", "--config", str(config), "--samples", "50"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        assert not (out / "selected.json").exists()
+
     def test_rerun_identical(self, tmp_path):
         config = write_config(tmp_path)
         assert main(["learn", "--config", str(config)]) == 0

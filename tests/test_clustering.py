@@ -17,12 +17,11 @@ from frugal.clustering import (
     clustering_run_with_cap,
     exact_kmedian_cost,
     format_instance,
-    linkage_merge_value,
     load_instance,
     parse_instance,
     random_metric_instance,
 )
-from frugal.core import PoolSample, validate_cells_cover
+from frugal.core import validate_cells_cover
 from frugal.sweep import DecisionTracker
 from support import (
     check_partition_contract,
@@ -30,6 +29,7 @@ from support import (
     enumerate_prunings,
     four_point_metric,
     triangle_violation,
+    whole_pool,
 )
 
 
@@ -51,38 +51,6 @@ def random_pool(seed, count, max_points=7):
         )
         for _ in range(count)
     ]
-
-
-class TestLinkageValue:
-    def test_singletons_ignore_rho(self):
-        dists = [[Fraction(0), Fraction(2)], [Fraction(2), Fraction(0)]]
-        for rho in (0, "0.25", 1):
-            assert linkage_merge_value([0], [1], rho, dists) == 2
-
-    def test_hand_mixture(self, four_point):
-        value = linkage_merge_value([0, 1], [2], "0.4", four_point.distances)
-        assert value == Fraction("2.3")
-
-    def test_extremes_recover_single_and_complete(self):
-        rng = np.random.default_rng(4)
-        inst = random_metric_instance(rng, num_points=6, k=2)
-        a, b = [0, 2, 4], [1, 5]
-        pairs = [inst.distances[u][v] for u in a for v in b]
-        assert linkage_merge_value(a, b, 1, inst.distances) == min(pairs)
-        assert linkage_merge_value(a, b, 0, inst.distances) == max(pairs)
-
-    def test_affine_in_rho(self):
-        rng = np.random.default_rng(9)
-        inst = random_metric_instance(rng, num_points=5, k=2)
-        a, b = [0, 1], [3, 4]
-        v0 = linkage_merge_value(a, b, 0, inst.distances)
-        v1 = linkage_merge_value(a, b, 1, inst.distances)
-        vm = linkage_merge_value(a, b, Fraction(1, 2), inst.distances)
-        assert vm == (v0 + v1) / 2
-
-    def test_overlap_rejected(self, four_point):
-        with pytest.raises(ValueError):
-            linkage_merge_value([0, 1], [1, 2], 0.5, four_point.distances)
 
 
 class TestCappedLinkage:
@@ -222,7 +190,7 @@ class TestRunWithCap:
 
 class TestClusteringPartition:
     def test_four_point_cells(self, four_point):
-        cells = clustering_partition([four_point], 3)
+        cells = clustering_partition(whole_pool([four_point]), 3)
         assert len(cells) == 2
         assert cells[0].cell.intervals[0] == (Fraction(0), Fraction(2, 5))
         assert abs(float(cells[1].cell.intervals[0][0]) - 0.4) < 1e-9
@@ -235,13 +203,13 @@ class TestClusteringPartition:
         inst = ClusteringInstance(
             distances=tuple(tuple(row) for row in dists), k=2, theta=Fraction(4)
         )
-        cells = clustering_partition([inst], 3)
+        cells = clustering_partition(whole_pool([inst]), 3)
         assert len(cells) == 1
 
     def test_grid_agreement(self):
         pool = random_pool(seed=15, count=5, max_points=6)
         tau = 5
-        cells = clustering_partition(pool, tau)
+        cells = clustering_partition(whole_pool(pool), tau)
         for rho in np.linspace(0.0, 1.0, 101):
             cell = next(c for c in cells if c.cell.contains(float(rho)))
             for j, inst in enumerate(pool):
@@ -251,7 +219,7 @@ class TestClusteringPartition:
     def test_merge_sequences_invariant_within_cells(self):
         pool = random_pool(seed=19, count=4, max_points=6)
         tau = 5
-        cells = clustering_partition(pool, tau)
+        cells = clustering_partition(whole_pool(pool), tau)
         rng = np.random.default_rng(3)
         for cell in cells:
             lo, hi = cell.cell.intervals[0]
@@ -275,29 +243,12 @@ class TestClusteringPartition:
     def test_cell_count_within_bound(self):
         pool = random_pool(seed=33, count=6, max_points=7)
         for inst in pool:
-            cells = clustering_partition([inst], inst.n - 1)
+            cells = clustering_partition(whole_pool([inst]), inst.n - 1)
             assert len(cells) <= inst.n**8
-        assert clustering_cell_bound(pool, 5) == sum(i.n**8 for i in pool) + 1
+        assert clustering_cell_bound(whole_pool(pool), 5) == sum(i.n**8 for i in pool) + 1
 
 
 class TestPoolSample:
-    def test_partition_and_bound_match_handle_list(self):
-        problem = ClusteringProblem(random_pool(seed=21, count=6, max_points=6))
-        sample = problem.sample_many(np.random.default_rng(2), 2000)
-        assert isinstance(sample, PoolSample)
-        handles = list(sample)
-        tau = 5
-        fast = clustering_partition(sample, tau)
-        slow = clustering_partition(handles, tau)
-        assert [c.cell.intervals for c in fast] == [c.cell.intervals for c in slow]
-        assert [c.z for c in fast] == [c.z for c in slow]
-        for a, b in zip(fast, slow):
-            assert np.array_equal(a.capped_losses, b.capped_losses)
-        assert problem.f_bound(sample, tau) == clustering_cell_bound(handles, tau)
-        cells = problem.get_partition(sample, tau)
-        assert len(cells) <= problem.f_bound(sample, tau)
-
-
     # Three draws leave pool indices undrawn, so positions differ from uids.
     @pytest.mark.parametrize("tau, draws", [(2, 2000), (5, 2000), (5, 3)])
     def test_cells_match_per_draw_gather(self, tau, draws):

@@ -36,6 +36,7 @@ from support import (
     TwoBandProblem,
     cell_from_losses,
     doubling_loss,
+    draw_one,
     four_point_metric,
     min_samples_oracle,
     per_draw_sample_losses,
@@ -270,7 +271,7 @@ def test_pool_f_bound_contract(kind, measured, small, extra, tau, more_tau):
     problem = POOL_PROBLEMS[kind](pool)
 
     def sample(uids):
-        return PoolSample(problem.domain, problem.pool, np.array(uids))
+        return PoolSample(problem.pool, np.array(uids))
 
     for uids, cap in measured:
         problem.get_partition(sample(uids), cap)
@@ -279,6 +280,23 @@ def test_pool_f_bound_contract(kind, measured, small, extra, tau, more_tau):
     assert bound <= problem.f_bound(sample(small), tau + more_tau)
     assert bound == POOL_PROBLEMS[kind](pool).f_bound(sample(small), tau)
     assert len(problem.get_partition(sample(small), tau)) <= bound
+
+
+CELLS_OF = {
+    "bnb": lambda milp, tau: milp.n ** (2 * (tau + 1)),
+    "clustering": lambda instance, tau: instance.n**8,
+}
+
+
+@pytest.mark.parametrize("kind", sorted(POOL_PROBLEMS))
+@pytest.mark.parametrize("tau", [2, 40])
+def test_pool_f_bound_is_per_draw_ceiling(kind, tau):
+    """``f_bound`` of a sample with repeated and undrawn pool indices is the
+    analytic ceiling summed draw by draw."""
+    pool = CONTRACT_POOLS[kind]
+    uids = [2, 0, 2, 2]
+    expected = min(1 + sum(CELLS_OF[kind](pool[u], tau) for u in uids), 2**62)
+    assert POOL_PROBLEMS[kind](pool).f_bound(PoolSample(pool, np.array(uids)), tau) == expected
 
 
 def assert_same_run(first, second):
@@ -349,12 +367,12 @@ RHOS = (0, Fraction(1, 4), 0.3, Fraction(1, 2), 0.75, 1)
 
 
 def assert_matches_doubling(problem, instances):
-    for instance in instances:
+    for index, instance in enumerate(instances):
         for rho in RHOS:
             for ceiling in CEILINGS:
                 expected = doubling_loss(problem, rho, instance, ceiling)
                 assert measure_loss(problem, rho, instance, ceiling) == expected, (
-                    f"rho={rho} ceiling={ceiling} uid={instance.uid}"
+                    f"rho={rho} ceiling={ceiling} instance {index}"
                 )
 
 
@@ -362,7 +380,7 @@ class TestMeasureLoss:
     def test_bnb_matches_doubling(self):
         rng = np.random.default_rng(3)
         problem = BnbProblem([random_milp(rng, 4, 2) for _ in range(6)])
-        assert_matches_doubling(problem, problem.all_instances())
+        assert_matches_doubling(problem, problem.pool)
 
     def test_bnb_tree_size_limit_matches_doubling(self, monkeypatch):
         # A run that hits the absolute tree-size bound counts as finished at
@@ -370,9 +388,8 @@ class TestMeasureLoss:
         monkeypatch.setattr(bnb, "MAX_TREE_SIZE", 4)
         rng = np.random.default_rng(3)
         problem = BnbProblem([random_milp(rng, 5, 3) for _ in range(6)])
-        instances = problem.all_instances()
-        assert_matches_doubling(problem, instances)
-        losses = [measure_loss(problem, 0.5, h, 2**20) for h in instances]
+        assert_matches_doubling(problem, problem.pool)
+        losses = [measure_loss(problem, 0.5, milp, 2**20) for milp in problem.pool]
         assert 4 in losses
 
     def test_clustering_matches_doubling(self):
@@ -383,17 +400,17 @@ class TestMeasureLoss:
         # An unreachable threshold: never solved, so the ceiling binds.
         pool.append(ClusteringInstance.from_lists(matrix, 1, Fraction(1, 10**6)))
         problem = ClusteringProblem(pool)
-        assert_matches_doubling(problem, problem.all_instances())
+        assert_matches_doubling(problem, problem.pool)
 
     def test_synthetic_matches_doubling(self):
         problem = SyntheticProblem(SyntheticFamily())
         rng = np.random.default_rng(5)
-        assert_matches_doubling(problem, list(problem.sample_many(rng, 12)))
+        assert_matches_doubling(problem, [draw_one(problem, rng) for _ in range(12)])
 
     @pytest.mark.parametrize("loss, ceiling, expected", [(3, 64, 3), (100, 12, 12)])
     def test_one_run_per_loss(self, loss, ceiling, expected):
         problem = CountingConstantLossProblem(loss)
-        instance = problem.sample_many(np.random.default_rng(0), 1)[0]
+        instance = draw_one(problem, np.random.default_rng(0))
         assert measure_loss(problem, 0.5, instance, ceiling) == expected
         assert problem.runs == 1
 
@@ -404,7 +421,7 @@ class TestSampleLosses:
         losses = sample_losses(problem, 0.4, 300, np.random.default_rng(9), 64)
         rng = np.random.default_rng(9)
         expected = [
-            doubling_loss(problem, 0.4, problem.sample_many(rng, 1)[0], 64) for _ in range(300)
+            doubling_loss(problem, 0.4, draw_one(problem, rng), 64) for _ in range(300)
         ]
         assert losses.dtype == np.int64
         assert losses.tolist() == expected
@@ -441,7 +458,7 @@ class TestSampleLosses:
     def test_pool_with_undrawn_indices_matches_per_draw_loop(self):
         problem = CountingPoolProblem(list(range(1, 41)))
         losses = sample_losses(problem, 0.5, 30, np.random.default_rng(8), 16)
-        drawn = {uid for _, uid in problem.runs}
+        drawn = {key for _, key in problem.runs}
         assert len(drawn) < 30 and len(drawn) < len(problem.pool)
         expected = per_draw_sample_losses(problem, 0.5, 30, np.random.default_rng(8), 16)
         assert losses.tolist() == expected.tolist()
@@ -457,5 +474,5 @@ class TestSampleLosses:
         for candidate in candidates:
             uids = np.unique(draws.integers(len(problem.pool), size=30)).tolist()
             assert len(uids) < 30
-            expected.extend((candidate.scalar, uid) for uid in uids)
+            expected.extend((candidate.scalar, id(problem.pool[uid])) for uid in uids)
         assert problem.runs == expected

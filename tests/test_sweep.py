@@ -9,7 +9,6 @@ from frugal.sweep import (
     AffineScore,
     DecisionTracker,
     DegenerateCellError,
-    distinct_instances,
     refine_cells,
     standalone_tracker,
     sweep_distinct,
@@ -117,19 +116,20 @@ class TestSweep:
 
     def test_degenerate_cell_names_instance_and_cap(self):
         pool = [SimpleNamespace(name=""), SimpleNamespace(name="b.milp")]
-        payloads, inverse, labels = distinct_instances(
-            PoolSample("bnb", pool, np.array([1, 0, 1]))
-        )
-        assert payloads == pool
+        sample = PoolSample(pool, np.array([1, 0, 1]))
+        partitions, inverse = sweep_distinct(lambda instance: [instance], sample, 7)
+        assert partitions == [[instance] for instance in pool]
         assert inverse.tolist() == [1, 0, 1]
+        with pytest.raises(ValueError, match="at least one instance"):
+            sweep_distinct(lambda instance: [instance], PoolSample(pool, np.array([], int)), 7)
 
-        def sweep_one(payload):
-            if payload.name:
+        def sweep_one(instance):
+            if instance.name:
                 raise DegenerateCellError("too close", Fraction(1, 3), Fraction(1, 3))
             return [(Fraction(0), Fraction(1), None)]
 
         with pytest.raises(DegenerateCellError) as excinfo:
-            sweep_distinct(sweep_one, payloads, labels, 7)
+            sweep_distinct(sweep_one, sample, 7)
         message = str(excinfo.value)
         assert "'b.milp'" in message and "pool uid 1" in message and "cap 7" in message
         assert excinfo.value.left == excinfo.value.bound == Fraction(1, 3)

@@ -12,7 +12,7 @@ from frugal.synthetic import (
     synthetic_partition,
     synthetic_run_with_cap,
 )
-from support import check_partition_contract, per_draw_synthetic_cells
+from support import check_partition_contract, draw_one, per_draw_synthetic_cells
 
 
 @pytest.fixture
@@ -86,7 +86,7 @@ class TestSampling:
 
     def test_instances_frozen(self, family):
         rng = np.random.default_rng(1)
-        inst = SyntheticProblem(family).sample_many(rng, 1)[0].payload
+        inst = draw_one(SyntheticProblem(family), rng)
         first = synthetic_run_with_cap(family, 0.2, inst, 16)
         second = synthetic_run_with_cap(family, 0.2, inst, 16)
         assert first == second
@@ -97,21 +97,12 @@ class TestSampling:
         b = problem.sample_many(np.random.default_rng(2), 64)
         assert not np.array_equal(a.uids, b.uids)
 
-    def test_handles_round_trip(self, family):
-        problem = SyntheticProblem(family)
-        batch = problem.sample_many(np.random.default_rng(3), 8)
-        handles = [batch[i] for i in range(len(batch))]
-        assert [h.payload.coin_low for h in handles] == ((batch.uids & 1) == 1).tolist()
-        assert [h.payload.coin_high for h in handles] == ((batch.uids >> 1) == 1).tolist()
-
-
     def test_batched_draws_match_scalar_draws(self, family):
         batched_rng, scalar_rng = np.random.default_rng(6), np.random.default_rng(6)
         batch = SyntheticProblem(family).sample_many(batched_rng, 500)
         scalar = SyntheticProblem(family)
-        handles = [scalar.sample_many(scalar_rng, 1)[0] for _ in range(500)]
-        assert [batch[i] for i in range(500)] == handles
-        assert [batch[i].payload for i in range(500)] == [h.payload for h in handles]
+        uids = [int(scalar.sample_many(scalar_rng, 1).uids[0]) for _ in range(500)]
+        assert batch.uids.tolist() == uids
         assert batched_rng.bit_generator.state == scalar_rng.bit_generator.state
 
 
@@ -146,7 +137,7 @@ class TestPartition:
         batch = problem.sample_many(rng, 40)
         for tau in (8, 16, 256):
             cells = problem.get_partition(batch, tau)
-            check_partition_contract(problem, list(batch), cells, tau, rng)
+            check_partition_contract(problem, batch, cells, tau, rng)
 
     @pytest.mark.parametrize("tau", [1, 2, 3, 8, 15, 16, 17, 100, 255, 256])
     def test_cells_match_per_draw_vectors(self, family, tau):
@@ -162,10 +153,10 @@ class TestPartition:
         problem = SyntheticProblem(family)
         rng = np.random.default_rng(12)
         batch = problem.sample_many(rng, 20)
-        for handle in batch:
+        for uid in batch.uids.tolist():
             for tau in (7, 8, 15, 16, 255, 256):
-                now = problem.run_with_cap(0.2, handle, tau)
-                nxt = problem.run_with_cap(0.2, handle, tau + 1)
+                now = problem.run_with_cap(0.2, problem.pool[uid], tau)
+                nxt = problem.run_with_cap(0.2, problem.pool[uid], tau + 1)
                 if now.solved:
                     assert nxt.solved and nxt.budget_used == now.budget_used
 
