@@ -59,7 +59,6 @@ __all__ = [
     "lp_relax",
     "scores",
     "bnb_run",
-    "branching_trace",
     "bnb_partition",
     "bnb_cell_bound",
     "parse_milp",
@@ -510,13 +509,6 @@ def _run_tracker(rho, cap: int) -> DecisionTracker:
 def bnb_run(milp: Milp, rho, cap: int) -> CappedRunOutcome:
     """Capped search: solved with the exact tree size, or cap-exceeded."""
     return _run_outcome(milp, cap, _run_tracker(rho, cap))
-
-
-def branching_trace(milp: Milp, rho, cap: int) -> tuple[tuple[int, int], ...]:
-    """The (node id, branched variable) sequence of a capped run, for
-    execution-invariance checks."""
-    record = _run_capped(milp, min(cap, MAX_TREE_SIZE), _run_tracker(rho, cap))
-    return tuple(record.decisions)
 
 
 def best_binary_solution(milp: Milp, rho, cap: int = MAX_TREE_SIZE):

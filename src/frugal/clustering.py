@@ -12,13 +12,16 @@ threshold.
 Merge values are affine in the mixture weight, so merge sequences are
 piecewise constant over the unit interval; the partition here computes the
 exact invariance cells with rational arithmetic, the same way the
-branch-and-bound domain does.
+branch-and-bound domain does.  Runs work on the distances scaled once to
+integers (``ClusteringInstance.integer_form``), so merge values are integer
+lines and pruning costs integer sums.
 """
 from __future__ import annotations
 
 import itertools
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from fractions import Fraction
 from pathlib import Path
 from typing import Any, Sequence
@@ -92,14 +95,12 @@ class ClusteringInstance:
                     raise ValueError("distances must be nonnegative")
                 if value != self.distances[j][i]:
                     raise ValueError("distance matrix must be symmetric")
-        # Over one common denominator the distances and the slack are
-        # integers.  The inequality for (i, j, l) is the one for (l, j, i),
-        # so each j is checked once per pair i < l.
-        scale = math.lcm(
-            _TRIANGLE_SLACK.denominator, *(v.denominator for row in self.distances for v in row)
-        )
-        d = [[v.numerator * (scale // v.denominator) for v in row] for row in self.distances]
-        slack = _TRIANGLE_SLACK.numerator * (scale // _TRIANGLE_SLACK.denominator)
+        # In integer form a violation d(i, l) - d(i, j) - d(j, l) is an
+        # integer, so exceeding slack * scale means exceeding its floor.  The
+        # inequality for (i, j, l) is the one for (l, j, i), so each j is
+        # checked once per pair i < l.
+        scale, d = self.integer_form
+        slack = scale * _TRIANGLE_SLACK.numerator // _TRIANGLE_SLACK.denominator
         for i, row_i in enumerate(d):
             for j, row_j in enumerate(d):
                 if j == i:
@@ -115,6 +116,16 @@ class ClusteringInstance:
     @property
     def n(self) -> int:
         return len(self.distances)
+
+    @cached_property
+    def integer_form(self) -> tuple[int, tuple[tuple[int, ...], ...]]:
+        """``(scale, d)``: the distances times ``scale``, the lcm of their
+        denominators, as ints."""
+        scale = math.lcm(*(v.denominator for row in self.distances for v in row))
+        d = tuple(
+            tuple(v.numerator * (scale // v.denominator) for v in row) for row in self.distances
+        )
+        return scale, d
 
     @classmethod
     def from_lists(cls, distances, k: int, theta, name: str = "") -> "ClusteringInstance":
@@ -186,20 +197,24 @@ def capped_linkage_run(
         tracker = standalone_tracker(exact_rho)
     members: list[frozenset[int]] = [frozenset((i,)) for i in range(n)]
     roots: list[int] = list(range(n))
-    # Closest/farthest pair distances between live roots, updated on merge.
-    stats: dict[tuple[int, int], tuple[Fraction, Fraction]] = {}
+    # Closest/farthest pair distances between live roots in integer form,
+    # and each pair's linkage line, built once when the pair forms.  Scaling
+    # every line by one positive factor leaves the argmin and its crossings
+    # unchanged.
+    _, distances = instance.integer_form
+    stats: dict[tuple[int, int], tuple[int, int]] = {}
+    lines: dict[tuple[int, int], AffineScore] = {}
+
+    def add_pair(pair: tuple[int, int], closest: int, farthest: int) -> None:
+        stats[pair] = (closest, farthest)
+        lines[pair] = AffineScore(intercept=farthest, slope=closest - farthest)
+
     for i in range(n):
         for j in range(i + 1, n):
-            d = instance.distances[i][j]
-            stats[(i, j)] = (d, d)
+            add_pair((i, j), distances[i][j], distances[i][j])
     merges: list[tuple[int, int, int]] = []
     for step in range(tau_merges):
-        candidates = []
-        for a, b in itertools.combinations(sorted(roots), 2):
-            closest, farthest = stats[(a, b)]
-            candidates.append(
-                ((a, b), AffineScore(intercept=farthest, slope=closest - farthest))
-            )
+        candidates = [(pair, lines[pair]) for pair in itertools.combinations(sorted(roots), 2)]
         a, b = tracker.argmin(candidates)
         new_id = n + step
         members.append(members[a] | members[b])
@@ -207,14 +222,9 @@ def capped_linkage_run(
         roots.remove(a)
         roots.remove(b)
         for r in roots:
-            mins = []
-            maxs = []
-            for old in (a, b):
-                lo, hi = min(old, r), max(old, r)
-                closest, farthest = stats[(lo, hi)]
-                mins.append(closest)
-                maxs.append(farthest)
-            stats[(r, new_id)] = (min(mins), max(maxs))
+            closest_a, farthest_a = stats[(a, r) if a < r else (r, a)]
+            closest_b, farthest_b = stats[(b, r) if b < r else (r, b)]
+            add_pair((r, new_id), min(closest_a, closest_b), max(farthest_a, farthest_b))
         roots.append(new_id)
     return MergeForest(
         size=n, merges=tuple(merges), members=tuple(members), roots=tuple(sorted(roots))
@@ -229,10 +239,8 @@ class PruningResult:
     cost: Any  # Fraction, or math.inf when no selection of size k exists
 
 
-def _cluster_cost(members: frozenset[int], instance: ClusteringInstance) -> Fraction:
-    return min(
-        sum((instance.distances[p][c] for p in members), Fraction(0)) for c in members
-    )
+def _cluster_cost(members: frozenset[int], distances: tuple[tuple[int, ...], ...]) -> int:
+    return min(sum(distances[p][c] for p in members) for c in members)
 
 
 def best_pruning(forest: MergeForest, k: int, instance: ClusteringInstance) -> PruningResult:
@@ -240,23 +248,25 @@ def best_pruning(forest: MergeForest, k: int, instance: ClusteringInstance) -> P
 
     Per forest node, a table maps each achievable cluster count to the best
     cost of covering that node's points with clusters from its subtree;
-    tables combine across roots by a knapsack over the cluster count.  When
-    fewer roots than k exist the selection is infeasible and the cost is the
-    infinity sentinel.
+    tables combine across roots by a knapsack over the cluster count.  The
+    tables hold integer-form costs; the result is rescaled to a Fraction.
+    When fewer roots than k exist the selection is infeasible and the cost
+    is the infinity sentinel.
     """
     if not 1 <= k <= forest.size:
         raise ValueError("k must lie in [1, n]")
     if k < len(forest.roots):
         return PruningResult(clusters=None, cost=math.inf)
+    scale, distances = instance.integer_form
     children = forest.children()
-    tables: dict[int, dict[int, Fraction]] = {}
+    tables: dict[int, dict[int, int]] = {}
     node_count = forest.size + len(forest.merges)
     for node in range(node_count):
         if node < forest.size:
-            tables[node] = {1: Fraction(0)}
+            tables[node] = {1: 0}
             continue
         left, right = children[node]
-        table: dict[int, Fraction] = {1: _cluster_cost(forest.members[node], instance)}
+        table: dict[int, int] = {1: _cluster_cost(forest.members[node], distances)}
         for q_left, c_left in tables[left].items():
             for q_right, c_right in tables[right].items():
                 q = q_left + q_right
@@ -268,10 +278,10 @@ def best_pruning(forest: MergeForest, k: int, instance: ClusteringInstance) -> P
     # suffix_best[i] maps q to the best cost of covering roots[i:] with
     # exactly q clusters.
     roots = list(forest.roots)
-    suffix_best: list[dict[int, Fraction]] = [{} for _ in range(len(roots) + 1)]
-    suffix_best[len(roots)] = {0: Fraction(0)}
+    suffix_best: list[dict[int, int]] = [{} for _ in range(len(roots) + 1)]
+    suffix_best[len(roots)] = {0: 0}
     for i in reversed(range(len(roots))):
-        current: dict[int, Fraction] = {}
+        current: dict[int, int] = {}
         for q_root, c_root in tables[roots[i]].items():
             for q_rest, c_rest in suffix_best[i + 1].items():
                 q = q_root + q_rest
@@ -316,7 +326,7 @@ def best_pruning(forest: MergeForest, k: int, instance: ClusteringInstance) -> P
         else:
             raise AssertionError("pruning reconstruction failed across roots")
     clusters = tuple(forest.members[node] for node in chosen)
-    return PruningResult(clusters=clusters, cost=target_cost)
+    return PruningResult(clusters=clusters, cost=Fraction(target_cost, scale))
 
 
 def _run_outcome(instance: ClusteringInstance, tau: int, tracker: DecisionTracker) -> CappedRunOutcome:

@@ -9,8 +9,13 @@ right-open interval on which the whole execution is invariant.  Sweeping
 left to right therefore produces the exact execution-invariance partition of
 the unit interval.
 
-All arithmetic is over ``fractions.Fraction``, so breakpoints are exact and
-cells never drift against a grid sweep.
+Arithmetic is exact and stays in Python ints: a score line with ``int`` or
+``Fraction`` coefficients is read as ``(a + b * rho) / d`` over ints, values
+at the point ``rho = p/q`` are compared scaled by ``q`` and cross-multiplied
+by the lines' denominators, and a crossing is tested against the bound the
+same way.  A breakpoint becomes a ``fractions.Fraction`` only when it
+shrinks the bound, so breakpoints are exact and cells never drift against a
+grid sweep.
 
 Selection ties break toward the candidate that stays the winner immediately
 to the right of the tie point (largest slope for argmax, smallest for
@@ -62,13 +67,11 @@ class DegenerateCellError(RuntimeError):
 
 @dataclass(frozen=True)
 class AffineScore:
-    """A score line ``value(rho) = intercept + slope * rho``."""
+    """A score line ``value(rho) = intercept + slope * rho``, with ``int`` or
+    ``Fraction`` coefficients."""
 
-    intercept: Fraction
-    slope: Fraction
-
-    def value_at(self, rho: Fraction) -> Fraction:
-        return self.intercept + self.slope * rho
+    intercept: Fraction | int
+    slope: Fraction | int
 
 
 class DecisionTracker:
@@ -105,32 +108,44 @@ class DecisionTracker:
     def _select(self, candidates: Sequence[tuple[K, AffineScore]], sense: int) -> K:
         if not candidates:
             raise ValueError("no candidates to select from")
-        rho = self.point
+        p, q = self.point.numerator, self.point.denominator
         side = 1 if self.tie_rightward else -1
-        best_key, best_score = candidates[0]
-        best_value = best_score.value_at(rho)
-        for key, score in candidates[1:]:
-            value = score.value_at(rho)
-            if sense * (value - best_value) > 0 or (
-                value == best_value
-                and side * sense * (score.slope - best_score.slope) > 0
-            ):
-                best_key, best_score, best_value = key, score, value
+        # Each line as (a + b * rho) / d over ints with d > 0 (int lines keep
+        # d = 1), and its value at rho = p/q as (q * a + p * b) / (q * d):
+        # every comparison below cross-multiplies by positive denominators.
+        lines = []
+        for _, score in candidates:
+            intercept, slope = score.intercept, score.slope
+            a = intercept.numerator * slope.denominator
+            b = slope.numerator * intercept.denominator
+            d = intercept.denominator * slope.denominator
+            lines.append((a, b, d, q * a + p * b))
+        best = 0
+        _, best_b, best_d, best_v = lines[0]
+        for index in range(1, len(lines)):
+            _, b, d, v = lines[index]
+            lead = sense * (v * best_d - best_v * d)
+            if lead > 0 or (lead == 0 and side * sense * (b * best_d - best_b * d) > 0):
+                best, best_b, best_d, best_v = index, b, d, v
+        best_key = candidates[best][0]
         if self.bound is None:
             return best_key
-        for key, score in candidates:
+        best_a = lines[best][0]
+        bound_num, bound_den = self.bound.numerator, self.bound.denominator
+        for (key, _), (a, b, d, v) in zip(candidates, lines):
             if key is best_key:
                 continue
-            value = score.value_at(rho)
-            gap = sense * (best_value - value)
-            closing = sense * (score.slope - best_score.slope)
+            gap = sense * (best_v * d - v * best_d)
+            closing = sense * (b * best_d - best_b * d)
             # gap == 0 means a tie the winner keeps forever (equal or
             # diverging line); only a strictly trailing rival that closes the
-            # gap produces a crossing.
+            # gap produces a crossing, where the lines meet:
+            # rho = (a_w d - a d_w) / (b d_w - b_w d) against the winner w.
             if gap > 0 and closing > 0:
-                crossing = rho + gap / closing
-                if crossing < self.bound:
-                    self.bound = crossing
+                crossing = sense * (best_a * d - a * best_d)
+                if crossing * bound_den < bound_num * closing:
+                    self.bound = Fraction(crossing, closing)
+                    bound_num, bound_den = self.bound.numerator, self.bound.denominator
         return best_key
 
 

@@ -206,8 +206,11 @@ class SyntheticProblem(ConfigProblem):
         self.family = family or SyntheticFamily()
 
     def sample_many(self, rng: np.random.Generator, count: int) -> PoolSample:
-        heavy = (rng.random((count, 2)) < 0.5).view(np.uint8)
-        return PoolSample(self.pool, heavy[:, 0] | (heavy[:, 1] << 1))
+        # Each draw's two 0/1 coin bytes read as one little-endian uint16
+        # ``low | high << 8``; shifting by 7 moves ``high`` to bit 1, and the
+        # low byte is then ``low | high << 1``.
+        heavy = (rng.random((count, 2)) < 0.5).view("<u2")[:, 0]
+        return PoolSample(self.pool, (heavy | (heavy >> 7)).astype(np.uint8))
 
     # Bound on this class, not inherited, so that tracing finds it by name.
     merge_samples = ConfigProblem.merge_samples

@@ -14,7 +14,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from frugal.bnb import format_milp, random_milp
+from frugal.bnb import MAX_TREE_SIZE, _run_capped, _run_tracker, format_milp, random_milp
 from frugal.clustering import ClusteringInstance, exact_kmedian_cost, format_instance
 from frugal.core import (
     CappedRunOutcome,
@@ -114,6 +114,13 @@ def brute_tail_quantile(law, delta):
         if tail >= delta:
             best = tau
     return best
+
+
+def branching_trace(milp, rho, cap):
+    """The (node id, branched variable) sequence of a capped ``bnb`` run, for
+    execution-invariance checks."""
+    record = _run_capped(milp, min(cap, MAX_TREE_SIZE), _run_tracker(rho, cap))
+    return tuple(record.decisions)
 
 
 def brute_binary_optimum(milp):
@@ -498,6 +505,39 @@ class TwoBandProblem(ConfigProblem):
 
     def f_bound(self, instances, tau):
         return 2
+
+
+def fraction_select(point, bound, tie_rightward, candidates, sense):
+    """``(winner key, new bound)`` of one tracker selection, by evaluating
+    every line as a ``Fraction`` at the point and computing each crossing.
+
+    ``sense`` is 1 for argmax and -1 for argmin; ``bound=None`` is an
+    untracked selection.
+    """
+    rho = Fraction(point)
+    side = 1 if tie_rightward else -1
+
+    def value_at(score):
+        return Fraction(score.intercept) + Fraction(score.slope) * rho
+
+    best_key, best_score = candidates[0]
+    best_value = value_at(best_score)
+    for key, score in candidates[1:]:
+        value = value_at(score)
+        if sense * (value - best_value) > 0 or (
+            value == best_value and side * sense * (score.slope - best_score.slope) > 0
+        ):
+            best_key, best_score, best_value = key, score, value
+    if bound is None:
+        return best_key, None
+    for key, score in candidates:
+        if key is best_key:
+            continue
+        gap = sense * (best_value - value_at(score))
+        closing = Fraction(sense * (score.slope - best_score.slope))
+        if gap > 0 and closing > 0:
+            bound = min(bound, rho + gap / closing)
+    return best_key, bound
 
 
 def triangle_violation(distances, slack):

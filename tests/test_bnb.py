@@ -16,7 +16,6 @@ from frugal.bnb import (
     bnb_partition,
     bnb_run,
     best_binary_solution,
-    branching_trace,
     format_milp,
     load_milp,
     lp_relax,
@@ -27,6 +26,7 @@ from frugal.bnb import (
 from frugal.core import PoolSample, validate_cells_cover
 from frugal.sweep import DecisionTracker
 from support import (
+    branching_trace,
     brute_binary_optimum,
     check_partition_contract,
     check_pool_cells_against_gather,

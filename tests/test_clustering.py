@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from frugal.clustering import (
     _TRIANGLE_SLACK,
@@ -246,6 +246,96 @@ class TestClusteringPartition:
             cells = clustering_partition(whole_pool([inst]), inst.n - 1)
             assert len(cells) <= inst.n**8
         assert clustering_cell_bound(whole_pool(pool), 5) == sum(i.n**8 for i in pool) + 1
+
+
+class TestFractionalMetrics:
+    """Metrics whose distances have denominators other than 1, which the runs
+    see only through the integer form."""
+
+    @staticmethod
+    def draw_metric(data, max_points=6):
+        n = data.draw(st.integers(3, max_points))
+        grid = st.tuples(st.integers(0, 12), st.integers(0, 12))
+        points = data.draw(st.lists(grid, min_size=n, max_size=n, unique=True))
+        # A sum of two metrics is a metric; the two denominators make the
+        # reduced distances' denominators differ across the matrix.
+        l1_den = data.draw(st.sampled_from([1, 6, 35]))
+        linf_den = data.draw(st.sampled_from([6, 35, 12]))
+        return [
+            [
+                Fraction(abs(p[0] - q[0]) + abs(p[1] - q[1]), l1_den)
+                + Fraction(max(abs(p[0] - q[0]), abs(p[1] - q[1])), linf_den)
+                for q in points
+            ]
+            for p in points
+        ]
+
+    @settings(max_examples=12, deadline=None)
+    @given(st.data())
+    def test_partition_matches_runs(self, data):
+        matrix = self.draw_metric(data)
+        n = len(matrix)
+        k = data.draw(st.integers(1, n - 1))
+        inst = ClusteringInstance.from_lists(
+            matrix, k, exact_kmedian_cost(matrix, k) * Fraction(6, 5)
+        )
+        assume(inst.integer_form[0] > 1)
+        tau = data.draw(st.integers(1, n - 1))
+        cells = clustering_partition(whole_pool([inst]), tau)
+        validate_cells_cover(cells, ClusteringProblem([inst]).space)
+        bounds = [c.cell.intervals[0] for c in cells]
+        assert bounds[0][0] == 0 and bounds[-1][1] == 1
+        assert all(hi == lo for (_, hi), (lo, _) in zip(bounds, bounds[1:]))
+        budget = min(tau, n - 1)
+        for cell, (lo, hi) in zip(cells, bounds):
+            mid = (lo + hi) / 2
+            assert capped_linkage_run(inst, mid, budget).merges == (
+                capped_linkage_run(inst, lo, budget).merges
+            )
+            for rho in (lo, mid):
+                loss = clustering_run_with_cap(rho, inst, tau).capped_loss(tau)
+                assert loss == int(cell.capped_losses[0])
+        for i in range(1001):
+            rho = Fraction(i, 1000)
+            cell = next(c for c in cells if c.cell.contains(rho))
+            loss = clustering_run_with_cap(rho, inst, tau).capped_loss(tau)
+            assert loss == int(cell.capped_losses[0])
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.data())
+    def test_pruning_cost_is_exact(self, data):
+        matrix = self.draw_metric(data)
+        n = len(matrix)
+        inst = ClusteringInstance.from_lists(matrix, 1, Fraction(1))
+        rho = data.draw(st.fractions(0, 1, max_denominator=10))
+        full = capped_linkage_run(inst, rho, n - 1)
+        for budget in range(n):
+            forest = full.prefix(budget)
+            for k in range(1, 4):
+                got = best_pruning(forest, k, inst).cost
+                want = enumerate_prunings(forest, k, inst)
+                assert got == want
+                if not math.isinf(want):
+                    assert isinstance(got, Fraction)
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.data())
+    def test_triangle_check_at_the_slack(self, data):
+        matrix = self.draw_metric(data, max_points=5)
+        n = len(matrix)
+        # Stretch d(0, n-1) to the tightest detour plus the slack, then
+        # nudge it by less than any distance's denominator resolves.
+        detour = min(matrix[0][j] + matrix[j][n - 1] for j in range(1, n - 1))
+        excess = data.draw(st.sampled_from([0, Fraction(1, 10**12), -Fraction(1, 10**12)]))
+        matrix[0][n - 1] = matrix[n - 1][0] = detour + _TRIANGLE_SLACK + excess
+        distances = tuple(map(tuple, matrix))
+        expected = triangle_violation(distances, _TRIANGLE_SLACK)
+        assert (expected is None) == (excess <= 0)
+        if expected is None:
+            ClusteringInstance(distances=distances, k=1, theta=Fraction(1))
+        else:
+            with pytest.raises(ValueError, match=re.escape(f"violated at {expected}")):
+                ClusteringInstance(distances=distances, k=1, theta=Fraction(1))
 
 
 class TestPoolSample:

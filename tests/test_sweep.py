@@ -3,6 +3,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from frugal.core import PoolSample
 from frugal.sweep import (
@@ -14,6 +15,7 @@ from frugal.sweep import (
     sweep_distinct,
     sweep_unit_interval,
 )
+from support import fraction_select
 
 
 def line(intercept, slope):
@@ -80,6 +82,36 @@ class TestDecisionTracker:
             assert standalone.argmax(candidates) == tracking.argmax(candidates)
             assert standalone.argmin(candidates) == tracking.argmin(candidates)
             assert standalone.bound is None
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_selection_matches_fraction_oracle(self, data):
+        # Small coefficients force exact ties and parallel lines; Fraction
+        # coefficients are the bnb domain's scores, ints the clustering's,
+        # and a line set may mix both.
+        ints, fractions = st.integers(-4, 4), st.fractions(-2, 2, max_denominator=6)
+        coefficient = data.draw(st.sampled_from([ints, fractions, st.one_of(ints, fractions)]))
+        size = data.draw(st.integers(1, 6))
+        candidates = [
+            (key, AffineScore(data.draw(coefficient), data.draw(coefficient)))
+            for key in range(size)
+        ]
+        if data.draw(st.booleans()):
+            # A repeated line: an exact tie at every point.
+            candidates.append((size, candidates[data.draw(st.integers(0, size - 1))][1]))
+        ends = st.sampled_from([Fraction(0), Fraction(1)])
+        point = data.draw(st.one_of(ends, st.fractions(0, 1, max_denominator=12)))
+        tie_rightward = point != 1 or data.draw(st.booleans())
+        above = st.fractions(point, 2, max_denominator=30).filter(lambda b: b > point)
+        upper = data.draw(st.one_of(st.none(), above))
+        sense = data.draw(st.sampled_from([1, -1]))
+        tracker = DecisionTracker(point, upper, tie_rightward=tie_rightward)
+        select = tracker.argmax if sense == 1 else tracker.argmin
+        winner = select(candidates)
+        want_winner, want_bound = fraction_select(point, upper, tie_rightward, candidates, sense)
+        assert winner == want_winner
+        assert tracker.bound == want_bound
+        assert type(tracker.bound) is type(want_bound)
 
     def test_empty_candidates_rejected(self):
         tracker = DecisionTracker(Fraction(0), Fraction(1))
