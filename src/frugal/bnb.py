@@ -499,11 +499,12 @@ def _run_outcome(milp: Milp, cap: int, tracker: DecisionTracker) -> CappedRunOut
 
 def _run_tracker(rho, cap: int) -> DecisionTracker:
     """The standalone tracker of a run at ``rho``, after checking the arguments."""
-    if not 0 <= rho <= 1:
+    exact_rho = to_fraction(rho)
+    if not 0 <= exact_rho <= 1:
         raise ValueError("rho must lie in [0, 1]")
     if cap < 1:
         raise ValueError("cap must be a positive integer")
-    return standalone_tracker(to_fraction(rho))
+    return standalone_tracker(exact_rho)
 
 
 def bnb_run(milp: Milp, rho, cap: int) -> CappedRunOutcome:

@@ -88,6 +88,8 @@ def load_config(path: str | Path, seed_override=None, out_override=None) -> RunC
     instances_dir = None
     if domain == "synthetic":
         spec = raw.get("family", {})
+        if not isinstance(spec, dict):
+            raise UsageError("config 'family' must be a JSON object")
         kwargs = {dest: spec[key] for key, dest in _FAMILY_KEYS.items() if key in spec}
         try:
             family = SyntheticFamily(**kwargs)
@@ -96,6 +98,8 @@ def load_config(path: str | Path, seed_override=None, out_override=None) -> RunC
     else:
         if "instances_dir" not in raw:
             raise UsageError(f"domain {domain} needs 'instances_dir'")
+        if not isinstance(raw["instances_dir"], str):
+            raise UsageError("config 'instances_dir' must be a path string")
         instances_dir = Path(raw["instances_dir"])
         if not instances_dir.is_dir():
             raise UsageError(f"instances_dir {instances_dir} is not a directory")
@@ -113,7 +117,7 @@ def load_config(path: str | Path, seed_override=None, out_override=None) -> RunC
             instances_dir=instances_dir,
         )
         cfg.learner_config()  # validate ranges eagerly
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise UsageError(f"bad config value: {exc}") from exc
     return cfg
 

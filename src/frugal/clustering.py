@@ -3,11 +3,11 @@
 The merge value of two clusters interpolates between their closest and
 farthest pairwise distances: weight 1 recovers single linkage, weight 0
 complete linkage.  A run performs at most a budgeted number of greedy
-merges, then a dynamic program recovers the best pruning of the resulting
-forest under the k-median objective (cluster cost is the best medoid among
-the cluster's own members).  A run counts as solved at the smallest merge
-budget whose best pruning cost reaches the instance's admissibility
-threshold.
+merges, then a dynamic program finds the cost of the best pruning of the
+resulting forest under the k-median objective (cluster cost is the best
+medoid among the cluster's own members).  A run counts as solved at the
+smallest merge budget whose best pruning cost reaches the instance's
+admissibility threshold.
 
 Merge values are affine in the mixture weight, so merge sequences are
 piecewise constant over the unit interval; the partition here computes the
@@ -142,36 +142,30 @@ class MergeForest:
     """State of a linkage run: singletons plus one node per performed merge.
 
     Node ids 0..n-1 are the points; merge ``s`` (0-based) creates node
-    ``n + s``.  ``members[i]`` is the point set of node ``i``.
+    ``n + s``.  ``members[i]`` is the point set of node ``i``; ``roots`` are
+    the nodes no merge has consumed, ascending.
     """
 
     size: int
     merges: tuple[tuple[int, int, int], ...]
-    members: tuple[frozenset[int], ...]
-    roots: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        if len(self.roots) != self.size - len(self.merges):
-            raise ValueError("a forest with m merges must have n - m roots")
+    @cached_property
+    def members(self) -> tuple[frozenset[int], ...]:
+        members = [frozenset((i,)) for i in range(self.size)]
+        for a, b, _ in self.merges:
+            members.append(members[a] | members[b])
+        return tuple(members)
+
+    @cached_property
+    def roots(self) -> tuple[int, ...]:
+        merged_away = {node for a, b, _ in self.merges for node in (a, b)}
+        return tuple(i for i in range(self.size + len(self.merges)) if i not in merged_away)
 
     def prefix(self, merge_count: int) -> "MergeForest":
         """The forest after only the first ``merge_count`` merges."""
         if not 0 <= merge_count <= len(self.merges):
             raise ValueError("merge_count out of range")
-        merged_away = set()
-        for a, b, _ in self.merges[:merge_count]:
-            merged_away.update((a, b))
-        node_count = self.size + merge_count
-        roots = tuple(i for i in range(node_count) if i not in merged_away)
-        return MergeForest(
-            size=self.size,
-            merges=self.merges[:merge_count],
-            members=self.members[:node_count],
-            roots=roots,
-        )
-
-    def children(self) -> dict[int, tuple[int, int]]:
-        return {new: (a, b) for a, b, new in self.merges}
+        return MergeForest(size=self.size, merges=self.merges[:merge_count])
 
 
 def capped_linkage_run(
@@ -195,7 +189,7 @@ def capped_linkage_run(
         raise ValueError("rho must lie in [0, 1]")
     if tracker is None:
         tracker = standalone_tracker(exact_rho)
-    members: list[frozenset[int]] = [frozenset((i,)) for i in range(n)]
+    # The live roots stay ascending: each new node id is the largest so far.
     roots: list[int] = list(range(n))
     # Closest/farthest pair distances between live roots in integer form,
     # and each pair's linkage line, built once when the pair forms.  Scaling
@@ -214,10 +208,9 @@ def capped_linkage_run(
             add_pair((i, j), distances[i][j], distances[i][j])
     merges: list[tuple[int, int, int]] = []
     for step in range(tau_merges):
-        candidates = [(pair, lines[pair]) for pair in itertools.combinations(sorted(roots), 2)]
+        candidates = [(pair, lines[pair]) for pair in itertools.combinations(roots, 2)]
         a, b = tracker.argmin(candidates)
         new_id = n + step
-        members.append(members[a] | members[b])
         merges.append((a, b, new_id))
         roots.remove(a)
         roots.remove(b)
@@ -226,16 +219,13 @@ def capped_linkage_run(
             closest_b, farthest_b = stats[(b, r) if b < r else (r, b)]
             add_pair((r, new_id), min(closest_a, closest_b), max(farthest_a, farthest_b))
         roots.append(new_id)
-    return MergeForest(
-        size=n, merges=tuple(merges), members=tuple(members), roots=tuple(sorted(roots))
-    )
+    return MergeForest(size=n, merges=tuple(merges))
 
 
 @dataclass(frozen=True)
 class PruningResult:
-    """Best antichain selection: clusters covering all points, or inadmissible."""
+    """Cost of the best exact-k antichain selection."""
 
-    clusters: tuple[frozenset[int], ...] | None
     cost: Any  # Fraction, or math.inf when no selection of size k exists
 
 
@@ -243,90 +233,47 @@ def _cluster_cost(members: frozenset[int], distances: tuple[tuple[int, ...], ...
     return min(sum(distances[p][c] for p in members) for c in members)
 
 
-def best_pruning(forest: MergeForest, k: int, instance: ClusteringInstance) -> PruningResult:
-    """Minimum k-median cost over all exact-k antichain selections.
-
-    Per forest node, a table maps each achievable cluster count to the best
-    cost of covering that node's points with clusters from its subtree;
-    tables combine across roots by a knapsack over the cluster count.  The
-    tables hold integer-form costs; the result is rescaled to a Fraction.
-    When fewer roots than k exist the selection is infeasible and the cost
-    is the infinity sentinel.
-    """
-    if not 1 <= k <= forest.size:
-        raise ValueError("k must lie in [1, n]")
-    if k < len(forest.roots):
-        return PruningResult(clusters=None, cost=math.inf)
-    scale, distances = instance.integer_form
-    children = forest.children()
-    tables: dict[int, dict[int, int]] = {}
-    node_count = forest.size + len(forest.merges)
-    for node in range(node_count):
-        if node < forest.size:
-            tables[node] = {1: 0}
-            continue
-        left, right = children[node]
-        table: dict[int, int] = {1: _cluster_cost(forest.members[node], distances)}
-        for q_left, c_left in tables[left].items():
-            for q_right, c_right in tables[right].items():
-                q = q_left + q_right
+def _combine(left: dict[int, int], right: dict[int, int], k: int) -> dict[int, int]:
+    """Best cost per cluster count, at most ``k``, of covering two disjoint
+    point sets that each have a table of best costs per count."""
+    table: dict[int, int] = {}
+    for q_left, c_left in left.items():
+        for q_right, c_right in right.items():
+            q = q_left + q_right
+            if q <= k:
                 total = c_left + c_right
                 if q not in table or total < table[q]:
                     table[q] = total
-        tables[node] = table
+    return table
 
-    # suffix_best[i] maps q to the best cost of covering roots[i:] with
-    # exactly q clusters.
-    roots = list(forest.roots)
-    suffix_best: list[dict[int, int]] = [{} for _ in range(len(roots) + 1)]
-    suffix_best[len(roots)] = {0: 0}
-    for i in reversed(range(len(roots))):
-        current: dict[int, int] = {}
-        for q_root, c_root in tables[roots[i]].items():
-            for q_rest, c_rest in suffix_best[i + 1].items():
-                q = q_root + q_rest
-                if q > k:
-                    continue
-                total = c_root + c_rest
-                if q not in current or total < current[q]:
-                    current[q] = total
-        suffix_best[i] = current
-    if k not in suffix_best[0]:
-        return PruningResult(clusters=None, cost=math.inf)
-    target_cost = suffix_best[0][k]
 
-    def select(node: int, q: int) -> list[int]:
-        # A single cluster covering a node's points can only be the node
-        # itself; larger counts must split between the children.
-        if q == 1:
-            return [node]
-        left, right = children[node]
-        for q_left in sorted(tables[left]):
-            q_right = q - q_left
-            if (
-                q_right in tables[right]
-                and tables[left][q_left] + tables[right][q_right] == tables[node][q]
-            ):
-                return select(left, q_left) + select(right, q_right)
-        raise AssertionError("pruning reconstruction failed below a node")
+def best_pruning(forest: MergeForest, k: int, instance: ClusteringInstance) -> PruningResult:
+    """Minimum k-median cost over all exact-k antichain selections.
 
-    chosen: list[int] = []
-    remaining = k
-    for i, root in enumerate(roots):
-        for q_root in sorted(tables[root]):
-            rest = remaining - q_root
-            if (
-                rest in suffix_best[i + 1]
-                and tables[root][q_root] + suffix_best[i + 1][rest]
-                == suffix_best[i][remaining]
-            ):
-                chosen.extend(select(root, q_root))
-                remaining = rest
-                break
-        else:
-            raise AssertionError("pruning reconstruction failed across roots")
-    clusters = tuple(forest.members[node] for node in chosen)
-    return PruningResult(clusters=clusters, cost=Fraction(target_cost, scale))
+    Per forest node, a table maps each achievable cluster count up to ``k``
+    to the best cost of covering that node's points with clusters from its
+    subtree: the node itself as one cluster, or the two children's tables
+    combined.  The roots' tables combine the same way into the cost of
+    covering all points.  The tables hold integer-form costs; the result is
+    rescaled to a Fraction.  When more roots than k exist no selection of k
+    clusters covers the points and the cost is the infinity sentinel.
+    """
+    if not 1 <= k <= forest.size:
+        raise ValueError("k must lie in [1, n]")
+    if len(forest.roots) > k:
+        return PruningResult(cost=math.inf)
+    scale, distances = instance.integer_form
+    tables: list[dict[int, int]] = [{1: 0} for _ in range(forest.size)]
+    for left, right, node in forest.merges:
+        table = _combine(tables[left], tables[right], k)
+        table[1] = _cluster_cost(forest.members[node], distances)
+        tables.append(table)
+    best: dict[int, int] = {0: 0}
+    for root in forest.roots:
+        best = _combine(best, tables[root], k)
+    if k not in best:
+        return PruningResult(cost=math.inf)
+    return PruningResult(cost=Fraction(best[k], scale))
 
 
 def _run_outcome(instance: ClusteringInstance, tau: int, tracker: DecisionTracker) -> CappedRunOutcome:
@@ -334,12 +281,14 @@ def _run_outcome(instance: ClusteringInstance, tau: int, tracker: DecisionTracke
 
     The run is at the tracker's point.  The best pruning cost is
     non-increasing in the merge budget (later forests contain every earlier
-    node), so the first admissible budget is the exact loss.  Budgets are
-    capped at ``n - 1`` merges; a cap beyond that cannot help.
+    node), so the first admissible budget is the exact loss.  A prefix of
+    ``m`` merges has ``n - m`` roots, which no selection of ``k`` clusters
+    covers while ``m < n - k``, so the search starts at budget ``n - k``.
+    Budgets are capped at ``n - 1`` merges; a cap beyond that cannot help.
     """
     budget = min(tau, instance.n - 1)
     forest = capped_linkage_run(instance, tracker.point, budget, tracker)
-    for tau_prime in range(budget + 1):
+    for tau_prime in range(instance.n - instance.k, budget + 1):
         result = best_pruning(forest.prefix(tau_prime), instance.k, instance)
         if result.cost <= instance.theta:
             return CappedRunOutcome.finished(tau_prime)

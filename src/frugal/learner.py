@@ -16,6 +16,7 @@ tail ``delta / 2``).
 """
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass, field
 from typing import Any, Sequence
@@ -172,7 +173,8 @@ def _min_samples_for_target(
     """Smallest sample count in [lower, upper] meeting the accuracy target.
 
     Assumes the region count stays at ``f_value``; the bound is strictly
-    decreasing in the sample count, so plain doubling plus bisection works.
+    decreasing in the sample count, so whether a count meets the target is
+    monotone and a bisection over the range finds the first that does.
     Returns None when even ``upper`` misses the target.
     """
 
@@ -182,20 +184,8 @@ def _min_samples_for_target(
             <= target
         )
 
-    if ok(lower):
-        return lower
-    if not ok(upper):
-        return None
-    lo, hi = lower, min(2 * lower, upper)
-    while not ok(hi):
-        lo, hi = hi, min(2 * hi, upper)
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if ok(mid):
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    offset = bisect.bisect_left(range(lower, upper + 1), True, key=ok)
+    return lower + offset if lower + offset <= upper else None
 
 
 def grow_sample(

@@ -146,7 +146,7 @@ def enumerate_prunings(forest, k, instance):
     itself or frontiers of both children, recursively); selections with
     exactly k clusters are scored directly.
     """
-    children = forest.children()
+    children = {new: (a, b) for a, b, new in forest.merges}
 
     def frontiers(node):
         yield (node,)

@@ -262,6 +262,13 @@ class TestBnbRun:
         with pytest.raises(ValueError):
             bnb_run(two_var, 0.5, 0)
 
+    def test_decimal_string_rho(self, two_var):
+        for text, exact in (("0.5", Fraction(1, 2)), ("2/3", Fraction(2, 3)), ("1", Fraction(1))):
+            assert bnb_run(two_var, text, 31) == bnb_run(two_var, exact, 31)
+            assert best_binary_solution(two_var, text) == best_binary_solution(two_var, exact)
+        with pytest.raises(ValueError):
+            bnb_run(two_var, "3/2", 10)
+
 
 class TestPartition:
     def test_integral_root_single_cell(self):

@@ -74,6 +74,22 @@ class TestLearnCommand:
         bad.write_text(json.dumps({"domain": "unknown"}))
         assert main(["learn", "--config", str(bad)]) == 1
 
+    @pytest.mark.parametrize(
+        "raw",
+        [
+            {"domain": "synthetic", "epsilon": [1]},
+            {"domain": "synthetic", "max_rounds": None},
+            {"domain": "synthetic", "family": "abc"},
+            {"domain": "bnb", "instances_dir": 5},
+        ],
+        ids=["epsilon-list", "max-rounds-null", "family-string", "instances-dir-int"],
+    )
+    def test_wrong_json_type_exits_one(self, tmp_path, capsys, raw):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(raw))
+        assert main(["learn", "--config", str(bad)]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_learner_failure_exits_two(self, tmp_path):
         config = write_config(tmp_path, max_samples_per_round=50)
         assert main(["learn", "--config", str(config)]) == 2

@@ -100,7 +100,6 @@ class TestBestPruning:
         forest = capped_linkage_run(four_point, 0.5, 0)
         result = best_pruning(forest, 4, four_point)
         assert result.cost == 0
-        assert len(result.clusters) == 4
 
     def test_single_tree_one_cluster(self, four_point):
         forest = capped_linkage_run(four_point, 0.5, 3)
@@ -110,9 +109,8 @@ class TestBestPruning:
             sum(four_point.distances[p][c] for p in points) for c in points
         )
         assert result.cost == direct
-        assert result.clusters == (frozenset(points),)
 
-    def test_fewer_roots_than_k_inadmissible(self, four_point):
+    def test_more_roots_than_k_inadmissible(self, four_point):
         singletons = capped_linkage_run(four_point, 0.5, 0)  # four roots
         assert best_pruning(singletons, 4, four_point).cost == 0
         assert math.isinf(best_pruning(singletons, 3, four_point).cost)
@@ -129,23 +127,32 @@ class TestBestPruning:
             best_pruning(forest, 5, four_point)
 
     def test_matches_enumeration_on_random_instances(self):
-        # Every n <= 8 fixture, every budget, k <= 3.
+        # Every n <= 8 fixture, every budget, every k: the tables stop at k
+        # clusters, so k = n and k just above the root count are covered.
         for inst in random_pool(seed=6, count=12, max_points=8):
             for rho in ("0", "0.37", "1"):
                 full = capped_linkage_run(inst, rho, inst.n - 1)
                 for budget in range(inst.n):
                     forest = full.prefix(budget)
-                    for k in range(1, 4):
+                    for k in range(1, inst.n + 1):
                         got = best_pruning(forest, k, inst).cost
                         want = enumerate_prunings(forest, k, inst)
                         assert got == want
 
-    def test_clusters_cover_points(self, four_point):
-        forest = capped_linkage_run(four_point, "0.5", 2)
-        result = best_pruning(forest, 2, four_point)
-        union = frozenset().union(*result.clusters)
-        assert union == frozenset(range(four_point.n))
-        assert sum(len(c) for c in result.clusters) == four_point.n
+    def test_members_follow_merges(self):
+        for inst in random_pool(seed=8, count=10, max_points=8):
+            for rho in ("0", "0.61", "1"):
+                full = capped_linkage_run(inst, rho, inst.n - 1)
+                for budget in range(inst.n):
+                    forest = full.prefix(budget)
+                    members = forest.members
+                    assert members[: inst.n] == tuple(frozenset((i,)) for i in range(inst.n))
+                    for a, b, node in forest.merges:
+                        assert not members[a] & members[b]
+                        assert members[node] == members[a] | members[b]
+                    assert len(forest.roots) == inst.n - budget
+                    covered = [p for root in forest.roots for p in members[root]]
+                    assert sorted(covered) == list(range(inst.n))
 
 
 class TestRunWithCap:
@@ -186,6 +193,30 @@ class TestRunWithCap:
     def test_cap_clamped_to_merge_range(self, four_point):
         capped = clustering_run_with_cap("0.5", four_point, 100)
         assert capped.solved and capped.budget_used == 2
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_matches_first_admissible_prefix(self, data):
+        # The run skips the budgets below n - k; scoring every prefix from
+        # budget 0 by enumeration must give the same outcome at every cap.
+        n = data.draw(st.integers(2, 6))
+        grid = st.tuples(st.integers(0, 12), st.integers(0, 12))
+        points = data.draw(st.lists(grid, min_size=n, max_size=n, unique=True))
+        matrix = [[abs(p[0] - q[0]) + abs(p[1] - q[1]) for q in points] for p in points]
+        k = data.draw(st.integers(1, n))
+        slack = data.draw(st.sampled_from([Fraction(1), Fraction(6, 5), Fraction(2)]))
+        theta = exact_kmedian_cost(matrix, k) * slack + Fraction(1, 10)
+        inst = ClusteringInstance.from_lists(matrix, k, theta)
+        rho = data.draw(st.fractions(0, 1, max_denominator=10))
+        full = capped_linkage_run(inst, rho, n - 1)
+        admissible = [enumerate_prunings(full.prefix(b), k, inst) <= theta for b in range(n)]
+        for cap in range(n + 2):
+            budget = min(cap, n - 1)
+            first = next((b for b in range(budget + 1) if admissible[b]), None)
+            got = clustering_run_with_cap(rho, inst, cap)
+            assert (got.solved, got.budget_used) == (
+                (True, first) if first is not None else (False, cap)
+            )
 
 
 class TestClusteringPartition:
