@@ -14,7 +14,16 @@ common denominator (fraction-free Edmonds pivoting): each program's rows,
 right-hand sides and objective are scaled to integers once, and only the
 returned objective value and point become fractions.  So objective values,
 scores, and cell breakpoints are exact.  This is desk-scale machinery: at
-most 20 variables, and every solved relaxation is memoized per instance.
+most 20 variables.
+
+Each program carries two memos, both excluded from its equality and hash.
+``_lp_cache`` maps a sorted fixing set to its solved relaxation.
+``_expansions`` maps the sorted fixing set of a branched node to its
+expansion: the candidates' score lines scaled to ints, and the two children
+of every variable a run has branched on there.  A capped run at any
+parameter is then a walk over ints that reads both memos and solves only
+the LPs no earlier run needed.  Every expansion belongs to a cached
+relaxation, so the node memo is never larger than the LP cache.
 """
 from __future__ import annotations
 
@@ -113,6 +122,11 @@ class Milp:
     ``rows @ x <= rhs`` with ``x`` binary; the box ``0 <= x <= 1`` is always
     imposed on the relaxation, so the feasible region is bounded regardless
     of the constraint matrix.
+
+    ``_lp_cache`` (keyed by sorted fixings, see ``lp_relax``) and
+    ``_expansions`` (keyed by a branched node's sorted fixings, see
+    ``_expansion``) are memos that fill as runs visit nodes; neither takes
+    part in equality or hashing.
     """
 
     objective: tuple[Fraction, ...]
@@ -120,6 +134,7 @@ class Milp:
     rhs: tuple[Fraction, ...]
     name: str = field(default="", compare=False)
     _lp_cache: dict = field(default_factory=dict, compare=False, repr=False)
+    _expansions: dict = field(default_factory=dict, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if not self.objective:
@@ -392,7 +407,9 @@ def scores(node: BnbNode, index: int, milp: Milp) -> tuple[Fraction, Fraction]:
     """Objective decreases of the two children from branching on a variable.
 
     Returns ``(smaller, larger)`` of the two decreases; an infeasible child
-    contributes the finite sentinel ``INFEASIBLE_SCORE``.
+    contributes the finite sentinel ``INFEASIBLE_SCORE``.  A child that
+    fixes the variable at its value in the node's optimum keeps that optimum
+    feasible, so its decrease is 0 and no LP is solved for it.
     """
     fix = dict(node.fixings)
     if index in fix:
@@ -400,14 +417,58 @@ def scores(node: BnbNode, index: int, milp: Milp) -> tuple[Fraction, Fraction]:
     if not node.relaxation.is_optimal:
         raise ValueError("scores need a node with an optimal relaxation")
     parent_value = node.relaxation.objective
+    settled = node.relaxation.point[index]
     decreases = []
     for value in (0, 1):
+        if settled == value:
+            decreases.append(Fraction(0))
+            continue
         child = lp_relax(milp, {**fix, index: value})
         if child.is_optimal:
             decreases.append(parent_value - child.objective)
         else:
             decreases.append(INFEASIBLE_SCORE)
     return min(decreases), max(decreases)
+
+
+class _Expansion(NamedTuple):
+    """A branched node as every run sees it.
+
+    ``lines`` are the ``(variable, score line)`` candidates of the branching
+    argmax, with each line ``high + (low - high) * rho`` scaled by one
+    positive common factor to ints, which changes no winner, tie or
+    crossing.  ``children`` maps each variable a run has branched on to its
+    two children ``(fixings, relaxation, integral)``, for values 0 and 1.
+    """
+
+    lines: list[tuple[int, AffineScore]]
+    children: dict[int, tuple[tuple[tuple, LpSolution, bool], ...]]
+
+
+def _expansion(milp: Milp, node: BnbNode) -> _Expansion:
+    """The memoized expansion of a node; stored only once its scores exist."""
+    expansion = milp._expansions.get(node.fixings)
+    if expansion is None:
+        fix = dict(node.fixings)
+        free = [i for i in range(milp.n) if i not in fix]
+        pairs = [scores(node, i, milp) for i in free]
+        _, scaled = _scaled([v for pair in pairs for v in pair])
+        lines = [
+            (i, AffineScore(high, low - high))
+            for i, low, high in zip(free, scaled[::2], scaled[1::2])
+        ]
+        expansion = milp._expansions[node.fixings] = _Expansion(lines, {})
+    return expansion
+
+
+def _children(milp: Milp, fixings: tuple, index: int) -> tuple:
+    """Both children of branching on ``index``, as ``_Expansion.children`` holds them."""
+    out = []
+    for value in (0, 1):
+        child_fixings = tuple(sorted((*fixings, (index, value))))
+        child_lp = lp_relax(milp, child_fixings)
+        out.append((child_fixings, child_lp, child_lp.is_integral()))
+    return tuple(out)
 
 
 @dataclass
@@ -424,7 +485,9 @@ def _run_capped(milp: Milp, node_limit: int, tracker: DecisionTracker) -> _RunRe
     Node selection pops the frontier node with the largest relaxation value
     (ties: deeper node, then lower node id); these keys never depend on the
     mixture weight, so the only parameter-sensitive decisions are the
-    branching argmaxes routed through the tracker.
+    branching argmaxes routed through the tracker.  Each node's score lines
+    and children come from the program's node memo, so a node that an
+    earlier run expanded costs one argmax over int lines.
     """
     record = _RunRecord(False, 1, None, [])
     root_lp = lp_relax(milp, None)
@@ -448,26 +511,21 @@ def _run_capped(milp: Milp, node_limit: int, tracker: DecisionTracker) -> _RunRe
             and node.relaxation.objective <= record.incumbent_value
         ):
             continue
-        fix = dict(node.fixings)
-        candidates = []
-        for i in range(milp.n):
-            if i in fix:
-                continue
-            low, high = scores(node, i, milp)
-            candidates.append((i, AffineScore(intercept=high, slope=low - high)))
-        chosen = tracker.argmax(candidates)
+        expansion = _expansion(milp, node)
+        chosen = tracker.argmax(expansion.lines)
         record.decisions.append((node.node_id, chosen))
-        for value in (0, 1):
+        children = expansion.children.get(chosen)
+        if children is None:
+            children = expansion.children[chosen] = _children(milp, node.fixings, chosen)
+        for child_fixings, child_lp, integral in children:
             if record.tree_size + 1 > node_limit:
                 return record
             record.tree_size += 1
-            child_fixings = tuple(sorted({**fix, chosen: value}.items()))
-            child_lp = lp_relax(milp, child_fixings)
-            child = BnbNode(next_id, node.depth + 1, child_fixings, child_lp)
+            child_id = next_id
             next_id += 1
             if not child_lp.is_optimal:
                 continue
-            if child_lp.is_integral():
+            if integral:
                 if (
                     record.incumbent_value is None
                     or child_lp.objective > record.incumbent_value
@@ -479,6 +537,7 @@ def _run_capped(milp: Milp, node_limit: int, tracker: DecisionTracker) -> _RunRe
                 and child_lp.objective <= record.incumbent_value
             ):
                 continue
+            child = BnbNode(child_id, node.depth + 1, child_fixings, child_lp)
             heapq.heappush(
                 frontier, (-child_lp.objective, -child.depth, child.node_id, child)
             )

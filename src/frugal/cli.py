@@ -25,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .bnb import BnbProblem, load_milp
+from .bnb import BnbProblem, LpSolveError, load_milp
 from .clustering import ClusteringProblem, load_instance
 from .core import ConfigProblem, ParamPoint
 from .learner import (
@@ -381,7 +381,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (LearnerError, DegenerateCellError) as exc:
+    except (LearnerError, DegenerateCellError, LpSolveError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (ValueError, OSError) as exc:

@@ -6,15 +6,23 @@ library code paths it checks.
 """
 from __future__ import annotations
 
+import heapq
 import itertools
 import json
 import math
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from frugal.bnb import MAX_TREE_SIZE, _run_capped, _run_tracker, format_milp, random_milp
+from frugal.bnb import (
+    INFEASIBLE_SCORE,
+    MAX_TREE_SIZE,
+    _run_capped,
+    _run_tracker,
+    format_milp,
+    random_milp,
+)
 from frugal.clustering import ClusteringInstance, exact_kmedian_cost, format_instance
 from frugal.core import (
     CappedRunOutcome,
@@ -23,6 +31,7 @@ from frugal.core import (
     PartitionCell,
     PoolSample,
 )
+from frugal.sweep import AffineScore
 
 
 def whole_pool(items):
@@ -505,6 +514,95 @@ class TwoBandProblem(ConfigProblem):
 
     def f_bound(self, instances, tau):
         return 2
+
+
+class ReferenceRun(NamedTuple):
+    """A capped ``bnb`` run as ``reference_bnb_run`` replays it."""
+
+    outcome: CappedRunOutcome
+    decisions: tuple[tuple[int, int], ...]
+    incumbent: Fraction | None  # as ``best_binary_solution`` reports it
+    bound: Fraction | None
+
+
+def reference_bnb_run(milp, rho, cap, bound=None, lp_cache=None):
+    """A capped best-first ``bnb`` run with no node memo.
+
+    Every node's candidates are rebuilt from ``fraction_lp_relax`` as
+    ``Fraction`` score lines (an infeasible child scores
+    ``INFEASIBLE_SCORE``), and every branching choice is made by
+    ``fraction_select``.  With ``bound=None`` the choice is the standalone
+    one (ties rightward except at 1); otherwise ties break rightward and the
+    returned bound is the first point right of ``rho`` where a choice flips.
+    ``lp_cache`` may carry solved relaxations, keyed by sorted fixings,
+    between runs on one program.
+    """
+    rho = Fraction(rho)
+    tie_rightward = bound is not None or rho != 1
+    limit = min(cap, MAX_TREE_SIZE)
+    cache = {} if lp_cache is None else lp_cache
+
+    def relax(fixings):
+        key = tuple(sorted(fixings.items()))
+        if key not in cache:
+            cache[key] = fraction_lp_relax(milp, key)
+        status, value, point = cache[key]
+        if status != "optimal":
+            return None, None
+        return value, point
+
+    def finish(completed, size, incumbent, decisions, bound):
+        if completed:
+            outcome = CappedRunOutcome.finished(size)
+        elif limit == MAX_TREE_SIZE:
+            outcome = CappedRunOutcome.finished(MAX_TREE_SIZE)
+        else:
+            outcome = CappedRunOutcome.truncated(cap)
+        return ReferenceRun(outcome, tuple(decisions), incumbent if completed else None, bound)
+
+    def integral(point):
+        return all(x in (0, 1) for x in point)
+
+    root_value, root_point = relax({})
+    if root_value is None:
+        return finish(True, 1, None, [], bound)
+    if integral(root_point):
+        return finish(True, 1, root_value, [], bound)
+    size, incumbent, decisions, next_id = 1, None, [], 1
+    frontier = [(-root_value, 0, 0, {}, root_value)]
+    while frontier:
+        _, neg_depth, node_id, fix, value = heapq.heappop(frontier)
+        if incumbent is not None and value <= incumbent:
+            continue
+        candidates = []
+        for i in range(milp.n):
+            if i in fix:
+                continue
+            decreases = []
+            for v in (0, 1):
+                child_value, _ = relax({**fix, i: v})
+                decreases.append(INFEASIBLE_SCORE if child_value is None else value - child_value)
+            low, high = min(decreases), max(decreases)
+            candidates.append((i, AffineScore(intercept=high, slope=low - high)))
+        chosen, bound = fraction_select(rho, bound, tie_rightward, candidates, 1)
+        decisions.append((node_id, chosen))
+        for v in (0, 1):
+            if size + 1 > limit:
+                return finish(False, size, incumbent, decisions, bound)
+            size += 1
+            child_fix = {**fix, chosen: v}
+            child_value, child_point = relax(child_fix)
+            child_id, next_id = next_id, next_id + 1
+            if child_value is None:
+                continue
+            if integral(child_point):
+                if incumbent is None or child_value > incumbent:
+                    incumbent = child_value
+                continue
+            if incumbent is not None and child_value <= incumbent:
+                continue
+            heapq.heappush(frontier, (-child_value, neg_depth - 1, child_id, child_fix, child_value))
+    return finish(True, size, incumbent, decisions, bound)
 
 
 def fraction_select(point, bound, tie_rightward, candidates, sense):

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy.optimize import linprog
 
 from frugal import bnb
@@ -24,13 +24,14 @@ from frugal.bnb import (
     scores,
 )
 from frugal.core import PoolSample, validate_cells_cover
-from frugal.sweep import DecisionTracker
+from frugal.sweep import DecisionTracker, DegenerateCellError
 from support import (
     branching_trace,
     brute_binary_optimum,
     check_partition_contract,
     check_pool_cells_against_gather,
     fraction_lp_relax,
+    reference_bnb_run,
     whole_pool,
 )
 
@@ -74,6 +75,28 @@ def programs_and_free_sets(draw):
     )
     fixable = draw(st.lists(st.integers(0, n - 1), max_size=4, unique=True))
     return milp, sorted(fixable)
+
+
+@st.composite
+def bnb_cases(draw):
+    """A program of 2-6 variables and 1-4 rows, knapsack-like or with signed
+    decimal data (infeasible children and sentinel scores), and a cap."""
+    n = draw(st.integers(2, 6))
+    m = draw(st.integers(1, 4))
+    if draw(st.booleans()):
+        milp = random_milp(np.random.default_rng(draw(st.integers(0, 2**32 - 1))), n, m)
+    else:
+        milp = Milp.from_lists(
+            draw(st.lists(decimals, min_size=n, max_size=n)),
+            [draw(st.lists(decimals, min_size=n, max_size=n)) for _ in range(m)],
+            draw(st.lists(decimals, min_size=m, max_size=m)),
+        )
+    return milp, draw(st.integers(1, 63))
+
+
+def cold_copy(milp):
+    """The same program with empty memos."""
+    return Milp(milp.objective, milp.rows, milp.rhs, milp.name)
 
 
 class TestLpRelax:
@@ -214,6 +237,24 @@ class TestScores:
         with pytest.raises(ValueError):
             scores(node, 0, two_var)
 
+    def test_settled_child_solves_no_lp(self):
+        settled_seen = 0
+        for milp in random_pool(seed=19, count=20, num_vars=6, num_rows=3):
+            root = BnbNode(0, 0, (), lp_relax(milp))
+            for index, x in enumerate(root.relaxation.point):
+                if x not in (0, 1):
+                    continue
+                settled_seen += 1
+                before = set(milp._lp_cache)
+                low, _ = scores(root, index, milp)
+                assert low == 0
+                settled = ((index, int(x)),)
+                assert settled not in milp._lp_cache
+                assert set(milp._lp_cache) - before <= {((index, 1 - int(x)),)}
+                status, value, _ = fraction_lp_relax(milp, settled)
+                assert status == "optimal" and value == root.relaxation.objective
+        assert settled_seen > 0
+
 
 class TestBnbRun:
     def test_integral_root_single_node(self):
@@ -268,6 +309,77 @@ class TestBnbRun:
             assert best_binary_solution(two_var, text) == best_binary_solution(two_var, exact)
         with pytest.raises(ValueError):
             bnb_run(two_var, "3/2", 10)
+
+
+class TestExpansionMemo:
+    @settings(max_examples=100, deadline=None)
+    @given(bnb_cases())
+    # A 6-variable program whose sweep at cap 15 stops on a degenerate cell.
+    @example((random_milp(np.random.default_rng(57), 6, 4), 15))
+    def test_matches_memo_free_reference(self, case):
+        warm, cap = case
+        cold = cold_copy(warm)
+        lp_cache = {}
+        try:
+            cells = bnb_partition(whole_pool([warm]), cap)
+        except DegenerateCellError as exc:
+            # The finite infeasibility sentinel can pile breakpoints up near
+            # 1; the memoized sweep must stop exactly where the reference
+            # does, and the program stays warmed up to that point.
+            tracked = reference_bnb_run(warm, exc.left, cap, bound=Fraction(1), lp_cache=lp_cache)
+            assert tracked.bound == exc.bound
+            cells = []
+        for cell in cells:
+            lo, hi = cell.cell.intervals[0]
+            tracked = reference_bnb_run(warm, lo, cap, bound=Fraction(1), lp_cache=lp_cache)
+            assert tracked.bound == hi
+            assert tracked.outcome.capped_loss(cap) == int(cell.capped_losses[0])
+            assert tracked.outcome.solved == (cell.z == 1.0)
+        points = [Fraction(k, 10) for k in range(11)]
+        points += [cell.cell.intervals[0][0] for cell in cells]
+        for rho in points:
+            expected = reference_bnb_run(warm, rho, cap, lp_cache=lp_cache)
+            for milp in (warm, cold):
+                assert bnb_run(milp, rho, cap) == expected.outcome
+                assert branching_trace(milp, rho, cap) == expected.decisions
+                assert best_binary_solution(milp, rho, cap) == expected.incumbent
+
+    def test_bounded_by_lp_cache(self):
+        pool = random_pool(seed=47, count=12, num_vars=6, num_rows=3)
+        for tau in (7, 31):
+            for milp in pool:
+                bnb_partition(whole_pool([milp]), tau)
+                assert len(milp._expansions) <= len(milp._lp_cache)
+        for milp in pool:
+            for rho in np.linspace(0.0, 1.0, 21):
+                bnb_run(milp, float(rho), 63)
+            assert len(milp._expansions) <= len(milp._lp_cache)
+        assert sum(len(milp._expansions) for milp in pool) > 0
+
+    def test_warming_keeps_equality_and_hash(self):
+        milp = random_pool(seed=53, count=1, num_vars=5, num_rows=3)[0]
+        twin = cold_copy(milp)
+        bnb_partition(whole_pool([milp]), 31)
+        assert milp._expansions and not twin._expansions
+        assert milp == twin and hash(milp) == hash(twin)
+        assert {milp: "warm"}[twin] == "warm"
+
+    def test_failed_run_leaves_no_entry(self, monkeypatch):
+        milp = random_milp(np.random.default_rng(11), 5, 3)
+        bnb_run(milp, Fraction(1, 3), 1)
+        before = {key: dict(expansion.children) for key, expansion in milp._expansions.items()}
+        assert before
+        monkeypatch.setattr(bnb, "_SIMPLEX_ITERATION_LIMIT", 0)
+        with pytest.raises(LpSolveError):
+            bnb_run(milp, Fraction(1, 3), 63)
+        after = {key: dict(expansion.children) for key, expansion in milp._expansions.items()}
+        assert after.keys() == before.keys()
+        assert all(len(pair) == 2 for children in after.values() for pair in children.values())
+        monkeypatch.undo()
+        cold = cold_copy(milp)
+        for rho in (Fraction(1, 3), Fraction(0), Fraction(1)):
+            assert bnb_run(milp, rho, 63) == bnb_run(cold, rho, 63)
+            assert branching_trace(milp, rho, 63) == branching_trace(cold, rho, 63)
 
 
 class TestPartition:

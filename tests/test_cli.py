@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from frugal import bnb
 from frugal.bnb import BnbProblem
 from frugal.cli import main
 from frugal.sweep import DegenerateCellError
@@ -109,6 +110,13 @@ class TestPartitionCommand:
         monkeypatch.setattr(BnbProblem, "get_partition", degenerate)
         assert main(["partition", "--config", str(bnb_config), "--tau", "15"]) == 2
         assert "error: too close (cap 15)" in capsys.readouterr().err
+
+    def test_lp_solve_error_exits_two(self, bnb_config, monkeypatch, capsys):
+        monkeypatch.setattr(bnb, "_SIMPLEX_ITERATION_LIMIT", 0)
+        assert main(["partition", "--config", str(bnb_config), "--tau", "15"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: simplex iteration limit exceeded (program 'inst_0.milp'")
+        assert "Traceback" not in err
 
     def test_requires_tau(self, tmp_path):
         config = write_config(tmp_path)
