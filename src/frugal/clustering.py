@@ -15,6 +15,18 @@ exact invariance cells with rational arithmetic, the same way the
 branch-and-bound domain does.  Runs work on the distances scaled once to
 integers (``ClusteringInstance.integer_form``), so merge values are integer
 lines and pruning costs integer sums.
+
+A sweep does not rerun the linkage from scratch at each cell's left end.
+It records the tracker's running bound after each merge decision; the next
+cell's left end ``c'`` is the final bound, and the run there resumes at the
+first decision whose running bound equals ``c'``.  That is exact: every
+earlier decision has all its crossings strictly right of ``c'``, so at
+``c'`` it picks the same pair and contributes the same crossings, and the
+resumed run starts from the saved roots with the bound recorded after the
+last reused decision.  A node's pruning table depends only on its subtree,
+so each is built once, when a prefix cost first needs it, and serves every
+later merge budget and resumed run; per budget only the combination across
+the roots is recomputed.
 """
 from __future__ import annotations
 
@@ -168,6 +180,113 @@ class MergeForest:
         return MergeForest(size=self.size, merges=self.merges[:merge_count])
 
 
+class _LinkageRun:
+    """One instance's linkage run, which a left-to-right sweep resumes.
+
+    The run keeps the live roots after each merge count, every merge
+    decision that lowered the tracker's running bound (with the bound it
+    left), each node's member set, each node's pruning table once a prefix
+    cost needed it, and cluster costs by member set.  A run at a point
+    ``c'`` right of the previous run's point restarts at the first decision
+    whose running bound is at most ``c'``; every step before it is reused,
+    and so is the pruning table of every node those steps created.  In a
+    sweep ``c'`` is the previous run's final bound, so that decision is the
+    first whose bound equals ``c'``.  Successive ``advance`` calls must come
+    from one sweep, left to right, at one budget.
+    """
+
+    def __init__(self, instance: ClusteringInstance) -> None:
+        n = instance.n
+        self.instance = instance
+        self.size = n
+        scale, self.distances = instance.integer_form
+        theta = instance.theta
+        # Pruning costs are integer-form ints, so cost <= theta * scale is
+        # cost <= floor(theta * scale).
+        self.threshold = theta.numerator * scale // theta.denominator
+        # Closest/farthest pair distances between roots in integer form, and
+        # each pair's linkage line, built once when the pair forms.  Scaling
+        # every line by one positive factor leaves the argmin and its
+        # crossings unchanged.  A resumed step overwrites the pairs of the
+        # node ids it recreates, and no live pair reads a stale entry.
+        self.stats: dict[tuple[int, int], tuple[int, int]] = {}
+        self.lines: dict[tuple[int, int], AffineScore] = {}
+        for i in range(n):
+            for j in range(i + 1, n):
+                d = self.distances[i][j]
+                self.stats[(i, j)] = (d, d)
+                self.lines[(i, j)] = AffineScore(d, 0)
+        self.merges: list[tuple[int, int, int]] = []
+        # (s, bound) for each merge decision s that lowered the running bound.
+        self.drops: list[tuple[int, Fraction]] = []
+        self.roots: list[tuple[int, ...]] = [tuple(range(n))]  # roots[m]: after m merges
+        self.members: list[frozenset[int]] = [frozenset((i,)) for i in range(n)]
+        self.tables: list[dict[int, int]] = [{1: 0}] * n
+        self.cluster_costs: dict[frozenset[int], int] = {}
+
+    def _resume_step(self, tracker: DecisionTracker) -> int:
+        """First merge step the run at the tracker's point must recompute.
+
+        Every step before it has its crossings strictly right of the new
+        point, so its winner and its contribution to the bound are what they
+        were; the tracker's bound is set to the one recorded after the last
+        reused step.  A first run recomputes from step 0.
+        """
+        point = tracker.point
+        start = next((s for s, bound in self.drops if bound <= point), len(self.merges))
+        reused = [bound for s, bound in self.drops if s < start]
+        if reused:
+            tracker.bound = min(tracker.bound, reused[-1])
+        return start
+
+    def advance(self, tracker: DecisionTracker, budget: int) -> None:
+        """Bring the run to ``budget`` greedy merges at the tracker's point."""
+        n = self.size
+        start = self._resume_step(tracker)
+        del self.merges[start:], self.roots[start + 1 :]
+        del self.members[n + start :], self.tables[n + start :]
+        self.drops = [(s, bound) for s, bound in self.drops if s < start]
+        # The live roots stay ascending: each new node id is the largest so far.
+        roots = list(self.roots[start])
+        stats, lines = self.stats, self.lines
+        for step in range(start, budget):
+            candidates = [(pair, lines[pair]) for pair in itertools.combinations(roots, 2)]
+            bound = tracker.bound
+            a, b = tracker.argmin(candidates)
+            # The tracker assigns a new bound only when the bound shrinks.
+            if tracker.bound is not bound:
+                self.drops.append((step, tracker.bound))
+            new_id = n + step
+            self.merges.append((a, b, new_id))
+            self.members.append(self.members[a] | self.members[b])
+            roots.remove(a)
+            roots.remove(b)
+            for r in roots:
+                closest_a, farthest_a = stats[(a, r) if a < r else (r, a)]
+                closest_b, farthest_b = stats[(b, r) if b < r else (r, b)]
+                closest = min(closest_a, closest_b)
+                farthest = max(farthest_a, farthest_b)
+                stats[(r, new_id)] = (closest, farthest)
+                lines[(r, new_id)] = AffineScore(farthest, closest - farthest)
+            roots.append(new_id)
+            self.roots.append(tuple(roots))
+
+    def pruning_cost(self, merge_count: int) -> int | None:
+        """Integer-form best pruning cost of the first ``merge_count`` merges
+        at ``instance.k`` clusters, or None when no selection exists."""
+        k = self.instance.k
+        built = len(self.tables) - self.size
+        _extend_tables(
+            self.tables,
+            self.merges[built:merge_count],
+            self.members,
+            k,
+            self.distances,
+            self.cluster_costs,
+        )
+        return _covering_cost(self.tables, self.roots[merge_count], k)
+
+
 def capped_linkage_run(
     instance: ClusteringInstance,
     rho,
@@ -189,37 +308,9 @@ def capped_linkage_run(
         raise ValueError("rho must lie in [0, 1]")
     if tracker is None:
         tracker = standalone_tracker(exact_rho)
-    # The live roots stay ascending: each new node id is the largest so far.
-    roots: list[int] = list(range(n))
-    # Closest/farthest pair distances between live roots in integer form,
-    # and each pair's linkage line, built once when the pair forms.  Scaling
-    # every line by one positive factor leaves the argmin and its crossings
-    # unchanged.
-    _, distances = instance.integer_form
-    stats: dict[tuple[int, int], tuple[int, int]] = {}
-    lines: dict[tuple[int, int], AffineScore] = {}
-
-    def add_pair(pair: tuple[int, int], closest: int, farthest: int) -> None:
-        stats[pair] = (closest, farthest)
-        lines[pair] = AffineScore(intercept=farthest, slope=closest - farthest)
-
-    for i in range(n):
-        for j in range(i + 1, n):
-            add_pair((i, j), distances[i][j], distances[i][j])
-    merges: list[tuple[int, int, int]] = []
-    for step in range(tau_merges):
-        candidates = [(pair, lines[pair]) for pair in itertools.combinations(roots, 2)]
-        a, b = tracker.argmin(candidates)
-        new_id = n + step
-        merges.append((a, b, new_id))
-        roots.remove(a)
-        roots.remove(b)
-        for r in roots:
-            closest_a, farthest_a = stats[(a, r) if a < r else (r, a)]
-            closest_b, farthest_b = stats[(b, r) if b < r else (r, b)]
-            add_pair((r, new_id), min(closest_a, closest_b), max(farthest_a, farthest_b))
-        roots.append(new_id)
-    return MergeForest(size=n, merges=tuple(merges))
+    run = _LinkageRun(instance)
+    run.advance(tracker, tau_merges)
+    return MergeForest(size=n, merges=tuple(run.merges))
 
 
 @dataclass(frozen=True)
@@ -247,36 +338,67 @@ def _combine(left: dict[int, int], right: dict[int, int], k: int) -> dict[int, i
     return table
 
 
+def _extend_tables(
+    tables: list[dict[int, int]],
+    merges: Sequence[tuple[int, int, int]],
+    members: Sequence[frozenset[int]],
+    k: int,
+    distances: tuple[tuple[int, ...], ...],
+    cluster_costs: dict[frozenset[int], int],
+) -> None:
+    """Append the pruning table of each merge's node, in merge order.
+
+    A node's table maps each achievable cluster count up to ``k`` to the best
+    cost of covering its points with clusters from its subtree: the node
+    itself as one cluster, or its two children's tables combined.  It depends
+    only on the subtree, so one table serves every forest prefix holding the
+    node.  ``merges`` must create node ids ``len(tables)``, ``len(tables) +
+    1``, ...; ``cluster_costs`` memoizes cluster costs by member set.
+    """
+    for left, right, node in merges:
+        cluster = members[node]
+        cost = cluster_costs.get(cluster)
+        if cost is None:
+            cost = cluster_costs[cluster] = _cluster_cost(cluster, distances)
+        table = _combine(tables[left], tables[right], k)
+        table[1] = cost
+        tables.append(table)
+
+
+def _covering_cost(tables: Sequence[dict[int, int]], roots: Sequence[int], k: int) -> int | None:
+    """Best cost of covering all points with exactly ``k`` clusters, the
+    roots' tables combined, or None when no selection of ``k`` exists (for
+    one, when more roots than ``k`` remain)."""
+    if len(roots) > k:
+        return None
+    best: dict[int, int] = {0: 0}
+    for root in roots:
+        best = _combine(best, tables[root], k)
+    return best.get(k)
+
+
 def best_pruning(forest: MergeForest, k: int, instance: ClusteringInstance) -> PruningResult:
     """Minimum k-median cost over all exact-k antichain selections.
 
-    Per forest node, a table maps each achievable cluster count up to ``k``
-    to the best cost of covering that node's points with clusters from its
-    subtree: the node itself as one cluster, or the two children's tables
-    combined.  The roots' tables combine the same way into the cost of
-    covering all points.  The tables hold integer-form costs; the result is
-    rescaled to a Fraction.  When more roots than k exist no selection of k
-    clusters covers the points and the cost is the infinity sentinel.
+    Each node gets a table of best costs per cluster count up to ``k`` (see
+    ``_extend_tables``), and the roots' tables combine the same way into the
+    cost of covering all points.  The tables hold integer-form costs; the
+    result is rescaled to a Fraction.  When more roots than k exist no
+    selection of k clusters covers the points and the cost is the infinity
+    sentinel.
     """
     if not 1 <= k <= forest.size:
         raise ValueError("k must lie in [1, n]")
     if len(forest.roots) > k:
         return PruningResult(cost=math.inf)
     scale, distances = instance.integer_form
-    tables: list[dict[int, int]] = [{1: 0} for _ in range(forest.size)]
-    for left, right, node in forest.merges:
-        table = _combine(tables[left], tables[right], k)
-        table[1] = _cluster_cost(forest.members[node], distances)
-        tables.append(table)
-    best: dict[int, int] = {0: 0}
-    for root in forest.roots:
-        best = _combine(best, tables[root], k)
-    if k not in best:
-        return PruningResult(cost=math.inf)
-    return PruningResult(cost=Fraction(best[k], scale))
+    tables: list[dict[int, int]] = [{1: 0}] * forest.size
+    _extend_tables(tables, forest.merges, forest.members, k, distances, {})
+    cost = _covering_cost(tables, forest.roots, k)
+    return PruningResult(cost=math.inf if cost is None else Fraction(cost, scale))
 
 
-def _run_outcome(instance: ClusteringInstance, tau: int, tracker: DecisionTracker) -> CappedRunOutcome:
+def _run_outcome(run: _LinkageRun, tau: int, tracker: DecisionTracker) -> CappedRunOutcome:
     """Smallest merge budget whose best pruning is admissible, if within cap.
 
     The run is at the tracker's point.  The best pruning cost is
@@ -286,11 +408,12 @@ def _run_outcome(instance: ClusteringInstance, tau: int, tracker: DecisionTracke
     covers while ``m < n - k``, so the search starts at budget ``n - k``.
     Budgets are capped at ``n - 1`` merges; a cap beyond that cannot help.
     """
-    budget = min(tau, instance.n - 1)
-    forest = capped_linkage_run(instance, tracker.point, budget, tracker)
-    for tau_prime in range(instance.n - instance.k, budget + 1):
-        result = best_pruning(forest.prefix(tau_prime), instance.k, instance)
-        if result.cost <= instance.theta:
+    n, k = run.size, run.instance.k
+    budget = min(tau, n - 1)
+    run.advance(tracker, budget)
+    for tau_prime in range(n - k, budget + 1):
+        cost = run.pruning_cost(tau_prime)
+        if cost is not None and cost <= run.threshold:
             return CappedRunOutcome.finished(tau_prime)
     return CappedRunOutcome.truncated(tau)
 
@@ -299,21 +422,25 @@ def clustering_run_with_cap(rho, instance: ClusteringInstance, tau: int) -> Capp
     """Capped run at one weight: solved with the exact merge budget, or cap-exceeded."""
     if tau < 0:
         raise ValueError("tau must be nonnegative")
-    return _run_outcome(instance, tau, standalone_tracker(to_fraction(rho)))
+    return _run_outcome(_LinkageRun(instance), tau, standalone_tracker(to_fraction(rho)))
 
 
 def clustering_partition(sample: PoolSample, tau: int) -> list[PartitionCell]:
     """Exact partition of [0, 1] into merge-invariance cells at the given cap.
 
-    Each distinct instance is swept once; the refined cells' solved
-    fractions and loss multiplicities count every draw.
+    Each distinct instance is swept once, and each cell's run resumes the
+    previous cell's at the first merge whose decision changes (see
+    ``_LinkageRun``).  The refined cells' solved fractions and loss
+    multiplicities count every draw.
     """
     if tau < 0:
         raise ValueError("tau must be nonnegative")
 
     def sweep_one(instance: ClusteringInstance):
+        run = _LinkageRun(instance)
+
         def execute(rho: Fraction, tracker: DecisionTracker):
-            outcome = _run_outcome(instance, tau, tracker)
+            outcome = _run_outcome(run, tau, tracker)
             return (outcome.capped_loss(tau), outcome.solved)
 
         return sweep_unit_interval(execute)

@@ -23,7 +23,12 @@ from frugal.bnb import (
     format_milp,
     random_milp,
 )
-from frugal.clustering import ClusteringInstance, exact_kmedian_cost, format_instance
+from frugal.clustering import (
+    ClusteringInstance,
+    capped_linkage_run,
+    exact_kmedian_cost,
+    format_instance,
+)
 from frugal.core import (
     CappedRunOutcome,
     ConfigProblem,
@@ -31,7 +36,7 @@ from frugal.core import (
     PartitionCell,
     PoolSample,
 )
-from frugal.sweep import AffineScore
+from frugal.sweep import AffineScore, sweep_unit_interval
 
 
 def whole_pool(items):
@@ -182,6 +187,23 @@ def enumerate_prunings(forest, k, instance):
         if cost < best:
             best = cost
     return best
+
+
+def reference_clustering_sweep(instance, tau):
+    """The clustering sweep without resumption: ``(lo, hi, (capped_loss,
+    solved))`` cells from a fresh ``capped_linkage_run`` at each cell's left
+    end, whose every prefix from budget 0 is scored by ``enumerate_prunings``.
+    """
+    budget = min(tau, instance.n - 1)
+
+    def execute(rho, tracker):
+        forest = capped_linkage_run(instance, rho, budget, tracker)
+        for b in range(budget + 1):
+            if enumerate_prunings(forest.prefix(b), instance.k, instance) <= instance.theta:
+                return (b, True)
+        return (tau, False)
+
+    return sweep_unit_interval(execute)
 
 
 # 2^20 sign patterns is about a million: cheap enough to enumerate exactly,

@@ -10,6 +10,9 @@ from frugal.clustering import (
     _TRIANGLE_SLACK,
     ClusteringInstance,
     ClusteringProblem,
+    MergeForest,
+    _covering_cost,
+    _extend_tables,
     best_pruning,
     capped_linkage_run,
     clustering_cell_bound,
@@ -28,6 +31,7 @@ from support import (
     check_pool_cells_against_gather,
     enumerate_prunings,
     four_point_metric,
+    reference_clustering_sweep,
     triangle_violation,
     whole_pool,
 )
@@ -39,6 +43,10 @@ def four_point():
     theta = exact_kmedian_cost(matrix, 2)
     assert theta == Fraction(3)
     return ClusteringInstance.from_lists(matrix, k=2, theta=theta)
+
+
+def equilateral_metric(n=4, side=2):
+    return [[side * (i != j) for j in range(n)] for i in range(n)]
 
 
 def random_pool(seed, count, max_points=7):
@@ -139,6 +147,34 @@ class TestBestPruning:
                         want = enumerate_prunings(forest, k, inst)
                         assert got == want
 
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_node_tables_serve_every_prefix(self, data):
+        # Any binary forest, not only linkage ones: each node's table is
+        # built once for the whole forest, and the roots' combination alone
+        # must score every prefix.
+        matrix = TestFractionalMetrics.draw_metric(data, max_points=8)
+        n = len(matrix)
+        inst = ClusteringInstance.from_lists(matrix, 1, Fraction(1))
+        scale, distances = inst.integer_form
+        roots, merges = list(range(n)), []
+        for node in range(n, n + data.draw(st.integers(0, n - 1))):
+            a, b = data.draw(st.lists(st.sampled_from(roots), min_size=2, max_size=2, unique=True))
+            roots.remove(a)
+            roots.remove(b)
+            roots.append(node)
+            merges.append((a, b, node))
+        forest = MergeForest(size=n, merges=tuple(merges))
+        for k in range(1, n + 1):
+            tables = [{1: 0}] * n
+            _extend_tables(tables, forest.merges, forest.members, k, distances, {})
+            for m in range(len(merges) + 1):
+                prefix = forest.prefix(m)
+                cost = _covering_cost(tables, prefix.roots, k)
+                got = math.inf if cost is None else Fraction(cost, scale)
+                assert got == best_pruning(prefix, k, inst).cost
+                assert got == enumerate_prunings(prefix, k, inst)
+
     def test_members_follow_merges(self):
         for inst in random_pool(seed=8, count=10, max_points=8):
             for rho in ("0", "0.61", "1"):
@@ -229,11 +265,7 @@ class TestClusteringPartition:
         validate_cells_cover(cells, ClusteringProblem([four_point]).space)
 
     def test_equilateral_single_cell(self):
-        side = Fraction(2)
-        dists = [[side * (i != j) for j in range(4)] for i in range(4)]
-        inst = ClusteringInstance(
-            distances=tuple(tuple(row) for row in dists), k=2, theta=Fraction(4)
-        )
+        inst = ClusteringInstance.from_lists(equilateral_metric(), k=2, theta=Fraction(4))
         cells = clustering_partition(whole_pool([inst]), 3)
         assert len(cells) == 1
 
@@ -277,6 +309,60 @@ class TestClusteringPartition:
             cells = clustering_partition(whole_pool([inst]), inst.n - 1)
             assert len(cells) <= inst.n**8
         assert clustering_cell_bound(whole_pool(pool), 5) == sum(i.n**8 for i in pool) + 1
+
+
+def assert_sweep_matches_reference(inst, tau):
+    cells = clustering_partition(whole_pool([inst]), tau)
+    got = [(c.cell.intervals[0], (int(c.capped_losses[0]), c.z == 1.0)) for c in cells]
+    want = [((lo, hi), payload) for lo, hi, payload in reference_clustering_sweep(inst, tau)]
+    assert got == want
+
+
+class TestResumedSweep:
+    """Each cell's run resumes the previous cell's at the first merge
+    decision whose running bound equals the cell's left end; every bound and
+    payload must match a sweep that reruns from scratch at each cell."""
+
+    @pytest.mark.parametrize("matrix", [four_point_metric(), equilateral_metric()])
+    def test_tie_heavy_fixtures(self, matrix):
+        n = len(matrix)
+        for k in range(1, n + 1):
+            for slack in (Fraction(1), Fraction(6, 5), Fraction(2)):
+                theta = exact_kmedian_cost(matrix, k) * slack + Fraction(1, 10)
+                inst = ClusteringInstance.from_lists(matrix, k, theta)
+                for tau in range(n + 1):
+                    assert_sweep_matches_reference(inst, tau)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_matches_reference(self, data):
+        if data.draw(st.booleans()):
+            matrix = TestFractionalMetrics.draw_metric(data, max_points=12)
+        else:
+            # A 4 x 4 grid makes equal distances, and so ties, common.
+            n = data.draw(st.integers(3, 12))
+            side = data.draw(st.sampled_from([4, 13]))
+            grid = st.tuples(st.integers(0, side - 1), st.integers(0, side - 1))
+            points = data.draw(st.lists(grid, min_size=n, max_size=n, unique=True))
+            matrix = [[abs(p[0] - q[0]) + abs(p[1] - q[1]) for q in points] for p in points]
+        n = len(matrix)
+        k = data.draw(st.integers(1, n))
+        slack = data.draw(st.sampled_from([Fraction(1), Fraction(6, 5), Fraction(2)]))
+        theta = exact_kmedian_cost(matrix, k) * slack + Fraction(1, 10)
+        inst = ClusteringInstance.from_lists(matrix, k, theta)
+        assert_sweep_matches_reference(inst, data.draw(st.integers(0, n)))
+
+    def test_resumes_at_the_flipping_merge(self, four_point, monkeypatch):
+        # At rho = 2/5 the second merge flips; the first is reused, so the
+        # two cells take 3 + 2 merge decisions instead of 3 + 3.
+        selects = []
+        argmin = DecisionTracker.argmin
+        monkeypatch.setattr(
+            DecisionTracker, "argmin", lambda self, c: selects.append(self.point) or argmin(self, c)
+        )
+        cells = clustering_partition(whole_pool([four_point]), 3)
+        assert [c.cell.intervals[0][0] for c in cells] == [0, Fraction(2, 5)]
+        assert selects == [0, 0, 0, Fraction(2, 5), Fraction(2, 5)]
 
 
 class TestFractionalMetrics:
