@@ -46,7 +46,6 @@ from .core import (
     to_fraction,
 )
 from .sweep import (
-    AffineScore,
     DecisionTracker,
     cell_count_ceiling,
     cells_from_refinement,
@@ -434,14 +433,14 @@ def scores(node: BnbNode, index: int, milp: Milp) -> tuple[Fraction, Fraction]:
 class _Expansion(NamedTuple):
     """A branched node as every run sees it.
 
-    ``lines`` are the ``(variable, score line)`` candidates of the branching
-    argmax, with each line ``high + (low - high) * rho`` scaled by one
+    ``lines`` are the ``(variable, (intercept, slope))`` candidates of the
+    branching argmax, each line ``high + (low - high) * rho`` scaled by one
     positive common factor to ints, which changes no winner, tie or
     crossing.  ``children`` maps each variable a run has branched on to its
     two children ``(fixings, relaxation, integral)``, for values 0 and 1.
     """
 
-    lines: list[tuple[int, AffineScore]]
+    lines: list[tuple[int, tuple[int, int]]]
     children: dict[int, tuple[tuple[tuple, LpSolution, bool], ...]]
 
 
@@ -453,10 +452,7 @@ def _expansion(milp: Milp, node: BnbNode) -> _Expansion:
         free = [i for i in range(milp.n) if i not in fix]
         pairs = [scores(node, i, milp) for i in free]
         _, scaled = _scaled([v for pair in pairs for v in pair])
-        lines = [
-            (i, AffineScore(high, low - high))
-            for i, low, high in zip(free, scaled[::2], scaled[1::2])
-        ]
+        lines = [(i, (high, low - high)) for i, low, high in zip(free, scaled[::2], scaled[1::2])]
         expansion = milp._expansions[node.fixings] = _Expansion(lines, {})
     return expansion
 
@@ -489,10 +485,10 @@ def _run_capped(milp: Milp, node_limit: int, tracker: DecisionTracker) -> _RunRe
     and children come from the program's node memo, so a node that an
     earlier run expanded costs one argmax over int lines.
     """
-    record = _RunRecord(False, 1, None, [])
-    root_lp = lp_relax(milp, None)
     if node_limit < 1:
         raise ValueError("node limit must be positive")
+    record = _RunRecord(False, 1, None, [])
+    root_lp = lp_relax(milp, None)
     if not root_lp.is_optimal:
         record.completed = True
         return record
@@ -556,24 +552,14 @@ def _run_outcome(milp: Milp, cap: int, tracker: DecisionTracker) -> CappedRunOut
     return CappedRunOutcome.truncated(cap)
 
 
-def _run_tracker(rho, cap: int) -> DecisionTracker:
-    """The standalone tracker of a run at ``rho``, after checking the arguments."""
-    exact_rho = to_fraction(rho)
-    if not 0 <= exact_rho <= 1:
-        raise ValueError("rho must lie in [0, 1]")
-    if cap < 1:
-        raise ValueError("cap must be a positive integer")
-    return standalone_tracker(exact_rho)
-
-
 def bnb_run(milp: Milp, rho, cap: int) -> CappedRunOutcome:
     """Capped search: solved with the exact tree size, or cap-exceeded."""
-    return _run_outcome(milp, cap, _run_tracker(rho, cap))
+    return _run_outcome(milp, cap, standalone_tracker(rho))
 
 
 def best_binary_solution(milp: Milp, rho, cap: int = MAX_TREE_SIZE):
     """Incumbent value of a capped run (None when infeasible or cap exceeded)."""
-    record = _run_capped(milp, min(cap, MAX_TREE_SIZE), _run_tracker(rho, cap))
+    record = _run_capped(milp, min(cap, MAX_TREE_SIZE), standalone_tracker(rho))
     if not record.completed:
         return None
     return record.incumbent_value

@@ -240,9 +240,7 @@ def cmd_partition(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     rows = []
     for index, cell in enumerate(cells):
-        if len(cell.cell.intervals) != 1:
-            raise RuntimeError("expected single-interval cells from shipped domains")
-        lo, hi = cell.cell.intervals[0]
+        (lo, hi), = cell.cell.intervals
         losses = ";".join(str(int(v)) for v in cell.capped_losses)
         rows.append([index, float(lo), float(hi), cell.z, losses])
     _write_csv(out / "cells.csv", ["cell", "lo", "hi", "z", "capped_losses"], rows)

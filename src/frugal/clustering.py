@@ -49,7 +49,6 @@ from .core import (
     to_fraction,
 )
 from .sweep import (
-    AffineScore,
     DecisionTracker,
     cell_count_ceiling,
     cells_from_refinement,
@@ -204,18 +203,15 @@ class _LinkageRun:
         # Pruning costs are integer-form ints, so cost <= theta * scale is
         # cost <= floor(theta * scale).
         self.threshold = theta.numerator * scale // theta.denominator
-        # Closest/farthest pair distances between roots in integer form, and
-        # each pair's linkage line, built once when the pair forms.  Scaling
+        # Each root pair's linkage line ``(farthest, closest - farthest)`` in
+        # integer form, built once when the pair forms: its intercept is the
+        # farthest pair distance and intercept + slope the closest.  Scaling
         # every line by one positive factor leaves the argmin and its
         # crossings unchanged.  A resumed step overwrites the pairs of the
         # node ids it recreates, and no live pair reads a stale entry.
-        self.stats: dict[tuple[int, int], tuple[int, int]] = {}
-        self.lines: dict[tuple[int, int], AffineScore] = {}
-        for i in range(n):
-            for j in range(i + 1, n):
-                d = self.distances[i][j]
-                self.stats[(i, j)] = (d, d)
-                self.lines[(i, j)] = AffineScore(d, 0)
+        self.lines: dict[tuple[int, int], tuple[int, int]] = {
+            (i, j): (self.distances[i][j], 0) for i in range(n) for j in range(i + 1, n)
+        }
         self.merges: list[tuple[int, int, int]] = []
         # (s, bound) for each merge decision s that lowered the running bound.
         self.drops: list[tuple[int, Fraction]] = []
@@ -248,7 +244,7 @@ class _LinkageRun:
         self.drops = [(s, bound) for s, bound in self.drops if s < start]
         # The live roots stay ascending: each new node id is the largest so far.
         roots = list(self.roots[start])
-        stats, lines = self.stats, self.lines
+        lines = self.lines
         for step in range(start, budget):
             candidates = [(pair, lines[pair]) for pair in itertools.combinations(roots, 2)]
             bound = tracker.bound
@@ -262,12 +258,10 @@ class _LinkageRun:
             roots.remove(a)
             roots.remove(b)
             for r in roots:
-                closest_a, farthest_a = stats[(a, r) if a < r else (r, a)]
-                closest_b, farthest_b = stats[(b, r) if b < r else (r, b)]
-                closest = min(closest_a, closest_b)
-                farthest = max(farthest_a, farthest_b)
-                stats[(r, new_id)] = (closest, farthest)
-                lines[(r, new_id)] = AffineScore(farthest, closest - farthest)
+                far_a, slope_a = lines[(a, r) if a < r else (r, a)]
+                far_b, slope_b = lines[(b, r) if b < r else (r, b)]
+                farthest = max(far_a, far_b)
+                lines[(r, new_id)] = (farthest, min(far_a + slope_a, far_b + slope_b) - farthest)
             roots.append(new_id)
             self.roots.append(tuple(roots))
 
@@ -299,15 +293,14 @@ def capped_linkage_run(
     break toward the pair that stays minimal just right of the tie, then
     toward the lexicographically smallest (smaller id, larger id) pair.
     Routing the argmin through a tracker records the invariance interval.
+    ``rho`` is read, and checked to lie in [0, 1], only when no tracker is
+    given; a given tracker's point is the weight.
     """
     n = instance.n
     if not 0 <= tau_merges <= n - 1:
         raise ValueError("tau_merges must lie in [0, n - 1]")
-    exact_rho = to_fraction(rho)
-    if not 0 <= exact_rho <= 1:
-        raise ValueError("rho must lie in [0, 1]")
     if tracker is None:
-        tracker = standalone_tracker(exact_rho)
+        tracker = standalone_tracker(rho)
     run = _LinkageRun(instance)
     run.advance(tracker, tau_merges)
     return MergeForest(size=n, merges=tuple(run.merges))
@@ -422,7 +415,7 @@ def clustering_run_with_cap(rho, instance: ClusteringInstance, tau: int) -> Capp
     """Capped run at one weight: solved with the exact merge budget, or cap-exceeded."""
     if tau < 0:
         raise ValueError("tau must be nonnegative")
-    return _run_outcome(_LinkageRun(instance), tau, standalone_tracker(to_fraction(rho)))
+    return _run_outcome(_LinkageRun(instance), tau, standalone_tracker(rho))
 
 
 def clustering_partition(sample: PoolSample, tau: int) -> list[PartitionCell]:

@@ -9,13 +9,14 @@ right-open interval on which the whole execution is invariant.  Sweeping
 left to right therefore produces the exact execution-invariance partition of
 the unit interval.
 
-Arithmetic is exact and stays in Python ints: a score line with ``int`` or
-``Fraction`` coefficients is read as ``(a + b * rho) / d`` over ints, values
-at the point ``rho = p/q`` are compared scaled by ``q`` and cross-multiplied
-by the lines' denominators, and a crossing is tested against the bound the
-same way.  A breakpoint becomes a ``fractions.Fraction`` only when it
-shrinks the bound, so breakpoints are exact and cells never drift against a
-grid sweep.
+A score line is a plain ``(intercept, slope)`` pair, whose value is
+``intercept + slope * rho``.  Both domains pass int pairs, so arithmetic is
+exact and stays in Python ints: values at the point ``rho = p/q`` are
+compared scaled by ``q``, and a crossing is tested against the bound by
+cross-multiplication.  A pair of ``Fraction`` coefficients goes through the
+same expressions and stays exact.  A breakpoint becomes a
+``fractions.Fraction`` only when it shrinks the bound, so breakpoints are
+exact and cells never drift against a grid sweep.
 
 Selection ties break toward the candidate that stays the winner immediately
 to the right of the tie point (largest slope for argmax, smallest for
@@ -25,16 +26,14 @@ be half-open ``[lo, hi)`` with breakpoints owned by the cell on their right.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Callable, Sequence, TypeVar
 
 import numpy as np
 
-from .core import ParamCell, PartitionCell, PoolSample
+from .core import ParamCell, PartitionCell, PoolSample, to_fraction
 
 __all__ = [
-    "AffineScore",
     "DecisionTracker",
     "standalone_tracker",
     "DegenerateCellError",
@@ -65,22 +64,15 @@ class DegenerateCellError(RuntimeError):
         self.bound = bound
 
 
-@dataclass(frozen=True)
-class AffineScore:
-    """A score line ``value(rho) = intercept + slope * rho``, with ``int`` or
-    ``Fraction`` coefficients."""
-
-    intercept: Fraction | int
-    slope: Fraction | int
-
-
 class DecisionTracker:
     """Selects decision winners at a point and tracks their invariance bound.
 
-    ``bound`` starts at the sweep's right end and shrinks to the first point
-    strictly right of ``point`` where any selection made so far would change.
-    With ``upper=None`` the tracker is untracked: it only selects, and
-    ``bound`` stays None.
+    A candidate is ``(key, (intercept, slope))``: its score line, valued
+    ``intercept + slope * rho``, is compared as given, with no common
+    denominator.  ``bound`` starts at the sweep's right end and shrinks to
+    the first point strictly right of ``point`` where any selection made so
+    far would change.  With ``upper=None`` the tracker is untracked: it only
+    selects, and ``bound`` stays None.
 
     ``tie_rightward`` controls which side of an exact score tie the winner
     comes from.  Interior points break toward the candidate that wins just
@@ -99,60 +91,52 @@ class DecisionTracker:
         self.bound = upper
         self.tie_rightward = tie_rightward
 
-    def argmax(self, candidates: Sequence[tuple[K, AffineScore]]) -> K:
+    def argmax(self, candidates: Sequence[tuple[K, tuple]]) -> K:
         return self._select(candidates, 1)
 
-    def argmin(self, candidates: Sequence[tuple[K, AffineScore]]) -> K:
+    def argmin(self, candidates: Sequence[tuple[K, tuple]]) -> K:
         return self._select(candidates, -1)
 
-    def _select(self, candidates: Sequence[tuple[K, AffineScore]], sense: int) -> K:
+    def _select(self, candidates: Sequence[tuple[K, tuple]], sense: int) -> K:
         if not candidates:
             raise ValueError("no candidates to select from")
         p, q = self.point.numerator, self.point.denominator
         side = 1 if self.tie_rightward else -1
-        # Each line as (a + b * rho) / d over ints with d > 0 (int lines keep
-        # d = 1), and its value at rho = p/q as (q * a + p * b) / (q * d):
-        # every comparison below cross-multiplies by positive denominators.
-        lines = []
-        for _, score in candidates:
-            intercept, slope = score.intercept, score.slope
-            a = intercept.numerator * slope.denominator
-            b = slope.numerator * intercept.denominator
-            d = intercept.denominator * slope.denominator
-            lines.append((a, b, d, q * a + p * b))
-        best = 0
-        _, best_b, best_d, best_v = lines[0]
-        for index in range(1, len(lines)):
-            _, b, d, v = lines[index]
-            lead = sense * (v * best_d - best_v * d)
-            if lead > 0 or (lead == 0 and side * sense * (b * best_d - best_b * d) > 0):
-                best, best_b, best_d, best_v = index, b, d, v
-        best_key = candidates[best][0]
+        # Each line's value at rho = p/q, scaled by q > 0.
+        values = [q * a + p * b for _, (a, b) in candidates]
+        best, best_v, best_b = 0, values[0], candidates[0][1][1]
+        for index, ((_, (_, b)), v) in enumerate(zip(candidates, values)):
+            lead = sense * (v - best_v)
+            if lead > 0 or (lead == 0 and side * sense * (b - best_b) > 0):
+                best, best_v, best_b = index, v, b
+        best_key, (best_a, _) = candidates[best]
         if self.bound is None:
             return best_key
-        best_a = lines[best][0]
         bound_num, bound_den = self.bound.numerator, self.bound.denominator
-        for (key, _), (a, b, d, v) in zip(candidates, lines):
-            if key is best_key:
-                continue
-            gap = sense * (best_v * d - v * best_d)
-            closing = sense * (b * best_d - best_b * d)
-            # gap == 0 means a tie the winner keeps forever (equal or
-            # diverging line); only a strictly trailing rival that closes the
-            # gap produces a crossing, where the lines meet:
-            # rho = (a_w d - a d_w) / (b d_w - b_w d) against the winner w.
-            if gap > 0 and closing > 0:
-                crossing = sense * (best_a * d - a * best_d)
+        for (_, (a, b)), v in zip(candidates, values):
+            # Only a strictly trailing rival that closes the gap crosses the
+            # winner w, where the lines meet: rho = (a_w - a) / (b - b_w).  A
+            # tie (the winner itself among them) is kept forever.
+            closing = sense * (b - best_b)
+            if closing > 0 and sense * (best_v - v) > 0:
+                crossing = sense * (best_a - a)
                 if crossing * bound_den < bound_num * closing:
                     self.bound = Fraction(crossing, closing)
                     bound_num, bound_den = self.bound.numerator, self.bound.denominator
         return best_key
 
 
-def standalone_tracker(rho: Fraction) -> DecisionTracker:
-    """Untracked selector for one run outside a sweep: no invariance bound is
-    computed, and ties break rightward except at 1."""
-    return DecisionTracker(rho, None, tie_rightward=rho != 1)
+def standalone_tracker(rho: Any) -> DecisionTracker:
+    """Untracked selector for one run outside a sweep at the raw weight ``rho``.
+
+    ``rho`` is read with ``to_fraction`` and must lie in [0, 1], else
+    ``ValueError``; this is the one weight check of every standalone run.
+    No invariance bound is computed, and ties break rightward except at 1.
+    """
+    point = to_fraction(rho)
+    if not 0 <= point <= 1:
+        raise ValueError("rho must lie in [0, 1]")
+    return DecisionTracker(point, None, tie_rightward=point != 1)
 
 
 def sweep_unit_interval(

@@ -19,7 +19,6 @@ from frugal.bnb import (
     INFEASIBLE_SCORE,
     MAX_TREE_SIZE,
     _run_capped,
-    _run_tracker,
     format_milp,
     random_milp,
 )
@@ -36,7 +35,7 @@ from frugal.core import (
     PartitionCell,
     PoolSample,
 )
-from frugal.sweep import AffineScore, sweep_unit_interval
+from frugal.sweep import standalone_tracker, sweep_unit_interval
 
 
 def whole_pool(items):
@@ -133,7 +132,7 @@ def brute_tail_quantile(law, delta):
 def branching_trace(milp, rho, cap):
     """The (node id, branched variable) sequence of a capped ``bnb`` run, for
     execution-invariance checks."""
-    record = _run_capped(milp, min(cap, MAX_TREE_SIZE), _run_tracker(rho, cap))
+    record = _run_capped(milp, min(cap, MAX_TREE_SIZE), standalone_tracker(rho))
     return tuple(record.decisions)
 
 
@@ -605,7 +604,7 @@ def reference_bnb_run(milp, rho, cap, bound=None, lp_cache=None):
                 child_value, _ = relax({**fix, i: v})
                 decreases.append(INFEASIBLE_SCORE if child_value is None else value - child_value)
             low, high = min(decreases), max(decreases)
-            candidates.append((i, AffineScore(intercept=high, slope=low - high)))
+            candidates.append((i, (high, low - high)))
         chosen, bound = fraction_select(rho, bound, tie_rightward, candidates, 1)
         decisions.append((node_id, chosen))
         for v in (0, 1):
@@ -638,14 +637,15 @@ def fraction_select(point, bound, tie_rightward, candidates, sense):
     side = 1 if tie_rightward else -1
 
     def value_at(score):
-        return Fraction(score.intercept) + Fraction(score.slope) * rho
+        intercept, slope = score
+        return Fraction(intercept) + Fraction(slope) * rho
 
     best_key, best_score = candidates[0]
     best_value = value_at(best_score)
     for key, score in candidates[1:]:
         value = value_at(score)
         if sense * (value - best_value) > 0 or (
-            value == best_value and side * sense * (score.slope - best_score.slope) > 0
+            value == best_value and side * sense * (score[1] - best_score[1]) > 0
         ):
             best_key, best_score, best_value = key, score, value
     if bound is None:
@@ -654,7 +654,7 @@ def fraction_select(point, bound, tie_rightward, candidates, sense):
         if key is best_key:
             continue
         gap = sense * (best_value - value_at(score))
-        closing = Fraction(sense * (score.slope - best_score.slope))
+        closing = Fraction(sense * (score[1] - best_score[1]))
         if gap > 0 and closing > 0:
             bound = min(bound, rho + gap / closing)
     return best_key, bound

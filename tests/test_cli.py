@@ -193,6 +193,15 @@ class TestSelectCommand:
         assert err.startswith("error: ") and message in err
         assert not (out / "selected.json").exists()
 
+    def test_out_of_range_rho_exits_one(self, clustering_config, tmp_path, capsys):
+        out = tmp_path / "clu_out"
+        out.mkdir()
+        subset = {"domain": "clustering", "terminal_round": 2, "parameters": [{"rho": 1.5}]}
+        (out / "subset.json").write_text(json.dumps(subset))
+        assert main(["select", "--config", str(clustering_config), "--samples", "5"]) == 1
+        assert "rho must lie in [0, 1]" in capsys.readouterr().err
+        assert not (out / "selected.json").exists()
+
     def test_rerun_identical(self, tmp_path):
         config = write_config(tmp_path)
         assert main(["learn", "--config", str(config)]) == 0

@@ -226,6 +226,13 @@ class TestRunWithCap:
             ]
             assert all(a >= b for a, b in zip(costs, costs[1:]))
 
+    @pytest.mark.parametrize("rho", [1.5, -3, "3/2"])
+    def test_rho_validation(self, four_point, rho):
+        with pytest.raises(ValueError, match="rho must lie in"):
+            clustering_run_with_cap(rho, four_point, 3)
+        with pytest.raises(ValueError, match="rho must lie in"):
+            ClusteringProblem([four_point]).run_with_cap(rho, four_point, 3)
+
     def test_cap_clamped_to_merge_range(self, four_point):
         capped = clustering_run_with_cap("0.5", four_point, 100)
         assert capped.solved and capped.budget_used == 2

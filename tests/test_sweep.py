@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 
 from frugal.core import PoolSample
 from frugal.sweep import (
-    AffineScore,
     DecisionTracker,
     DegenerateCellError,
     refine_cells,
@@ -19,7 +18,7 @@ from support import fraction_select
 
 
 def line(intercept, slope):
-    return AffineScore(Fraction(intercept), Fraction(slope))
+    return (Fraction(intercept), Fraction(slope))
 
 
 class TestDecisionTracker:
@@ -86,14 +85,14 @@ class TestDecisionTracker:
     @settings(max_examples=300, deadline=None)
     @given(st.data())
     def test_selection_matches_fraction_oracle(self, data):
-        # Small coefficients force exact ties and parallel lines; Fraction
-        # coefficients are the bnb domain's scores, ints the clustering's,
-        # and a line set may mix both.
+        # Small coefficients force exact ties and parallel lines.  Both
+        # domains pass int lines; Fraction and mixed line sets check that the
+        # tracker stays exact on non-int input too.
         ints, fractions = st.integers(-4, 4), st.fractions(-2, 2, max_denominator=6)
         coefficient = data.draw(st.sampled_from([ints, fractions, st.one_of(ints, fractions)]))
         size = data.draw(st.integers(1, 6))
         candidates = [
-            (key, AffineScore(data.draw(coefficient), data.draw(coefficient)))
+            (key, (data.draw(coefficient), data.draw(coefficient)))
             for key in range(size)
         ]
         if data.draw(st.booleans()):
