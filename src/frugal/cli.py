@@ -74,6 +74,18 @@ class RunConfig:
         )
 
 
+def _is_json_number(value, integer: bool = False) -> bool:
+    """Whether a parsed JSON value is a number, an integer if asked; a bool is neither."""
+    return not isinstance(value, bool) and isinstance(value, int if integer else (int, float))
+
+
+def _config_number(raw: dict, key: str, default, integer: bool = False):
+    value = raw.get(key, default)
+    if not _is_json_number(value, integer):
+        raise UsageError(f"config {key!r} must be {'an integer' if integer else 'a number'}")
+    return value if integer else float(value)
+
+
 def load_config(path: str | Path, seed_override=None, out_override=None) -> RunConfig:
     try:
         raw = json.loads(Path(path).read_text())
@@ -103,15 +115,18 @@ def load_config(path: str | Path, seed_override=None, out_override=None) -> RunC
         instances_dir = Path(raw["instances_dir"])
         if not instances_dir.is_dir():
             raise UsageError(f"instances_dir {instances_dir} is not a directory")
+    seed = _config_number(raw, "seed", 0, integer=True)
     try:
         cfg = RunConfig(
             domain=domain,
-            epsilon=float(raw.get("epsilon", 15.0)),
-            delta=float(raw.get("delta", 0.25)),
-            zeta=float(raw.get("zeta", 0.05)),
-            seed=int(raw.get("seed", 0)) if seed_override is None else int(seed_override),
-            max_rounds=int(raw.get("max_rounds", 40)),
-            max_samples_per_round=int(raw.get("max_samples_per_round", 2_000_000)),
+            epsilon=_config_number(raw, "epsilon", 15.0),
+            delta=_config_number(raw, "delta", 0.25),
+            zeta=_config_number(raw, "zeta", 0.05),
+            seed=seed if seed_override is None else int(seed_override),
+            max_rounds=_config_number(raw, "max_rounds", 40, integer=True),
+            max_samples_per_round=_config_number(
+                raw, "max_samples_per_round", 2_000_000, integer=True
+            ),
             out=Path(out_override if out_override is not None else raw.get("out", "frugal_out")),
             family=family,
             instances_dir=instances_dir,
@@ -166,7 +181,7 @@ def _subset_payload(cfg: RunConfig, result) -> dict:
         "parameters": [
             {
                 "rho": float(point.scalar),
-                "intervals": [[float(lo), float(hi)] for lo, hi in region.cell.intervals],
+                "intervals": [[float(region.cell.lo), float(region.cell.hi)]],
                 "round": region.round_added,
                 "tau_cell": region.tau_cell,
                 "estimate": region.capped_estimate,
@@ -240,17 +255,11 @@ def cmd_partition(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     rows = []
     for index, cell in enumerate(cells):
-        (lo, hi), = cell.cell.intervals
         losses = ";".join(str(int(v)) for v in cell.capped_losses)
-        rows.append([index, float(lo), float(hi), cell.z, losses])
+        rows.append([index, float(cell.cell.lo), float(cell.cell.hi), cell.z, losses])
     _write_csv(out / "cells.csv", ["cell", "lo", "hi", "z", "capped_losses"], rows)
     print(f"{len(cells)} cells at cap {args.tau} over {len(instances)} instances -> {out / 'cells.csv'}")
     return 0
-
-
-def _has_numeric_rho(entry) -> bool:
-    rho = entry.get("rho") if isinstance(entry, dict) else None
-    return isinstance(rho, (int, float)) and not isinstance(rho, bool)
 
 
 def cmd_select(args) -> int:
@@ -268,9 +277,12 @@ def cmd_select(args) -> int:
             f"the config is for {cfg.domain!r}"
         )
     entries = subset.get("parameters", [])
-    if not isinstance(entries, list) or not all(_has_numeric_rho(e) for e in entries):
+    if not isinstance(entries, list) or not all(
+        isinstance(e, dict) and _is_json_number(e.get("rho")) for e in entries
+    ):
         raise UsageError(f"subset {subset_path}: every parameter needs a numeric 'rho'")
-    if not isinstance(subset.get("terminal_round", 0), int):
+    terminal = subset.get("terminal_round", 0)
+    if not _is_json_number(terminal, integer=True):
         raise UsageError(f"subset {subset_path}: 'terminal_round' must be an integer")
     if not entries:
         log.error("subset %s is empty", subset_path)
@@ -279,13 +291,12 @@ def cmd_select(args) -> int:
     if args.samples < 1:
         raise UsageError("--samples must be positive")
     problem = build_problem(cfg)
-    candidates = [ParamPoint((entry["rho"],)) for entry in entries]
+    candidates = [ParamPoint(entry["rho"]) for entry in entries]
     eps_prime = math.sqrt(1.0 + cfg.epsilon) - 1.0
     delta_prime = cfg.delta / 2.0
     ceiling = args.ceiling
     if ceiling is None:
-        terminal = subset.get("terminal_round")
-        ceiling = 2 ** (int(terminal) + 4) if terminal is not None else DEFAULT_CAP_CEILING
+        ceiling = 2 ** (terminal + 4) if "terminal_round" in subset else DEFAULT_CAP_CEILING
     rng = np.random.default_rng(cfg.seed)
     estimates = estimate_capped_tail_means(
         problem, candidates, delta_prime, args.samples, rng, ceiling

@@ -6,6 +6,11 @@ configured algorithm needs to finish an instance.  All oracles here are
 cap-mediated: a run either finishes within the requested budget (and reports
 the exact minimum budget it needed) or exhausts the cap.  Losses above the cap
 are never materialized.
+
+Every domain tunes one weight ``rho`` in the unit interval, and its capped
+loss is piecewise constant in ``rho``.  So a parameter is one number
+(``ParamPoint``), the space is ``[0, 1]`` (``ParamSpace``), and a cell of
+constant behavior is one half-open interval ``[lo, hi)`` (``ParamCell``).
 """
 from __future__ import annotations
 
@@ -38,99 +43,50 @@ class DegenerateDistributionError(ValueError):
     """Raised for loss laws on which a tail quantile is not defined."""
 
 
-@dataclass(frozen=True)
 class ParamSpace:
-    """A box-shaped parameter space of fixed dimension.
+    """The unit interval ``[0, 1]``: the parameter space of every domain."""
 
-    All shipped domains use the one-dimensional unit interval; the dimension
-    is carried explicitly because the sample-accuracy bound scales with it.
-    """
-
-    dimension: int = 1
-    bounds: tuple[tuple[float, float], ...] = ((0.0, 1.0),)
-
-    def __post_init__(self) -> None:
-        if self.dimension < 1:
-            raise ValueError("dimension must be at least 1")
-        if len(self.bounds) != self.dimension:
-            raise ValueError("one bound pair required per coordinate")
-        for lo, hi in self.bounds:
-            if lo > hi:
-                raise ValueError(f"empty bound [{lo}, {hi}]")
-
-    @property
-    def lower(self) -> float:
-        return self.bounds[0][0]
-
-    @property
-    def upper(self) -> float:
-        return self.bounds[0][1]
-
-    def contains(self, point: "ParamPoint") -> bool:
-        if len(point.coordinates) != self.dimension:
-            return False
-        return all(
-            lo <= x <= hi for x, (lo, hi) in zip(point.coordinates, self.bounds)
-        )
+    lower = 0
+    upper = 1
 
 
 @dataclass(frozen=True)
 class ParamPoint:
-    """A parameter vector.  Coordinates may be floats or exact rationals."""
+    """A learned parameter: one weight, a float or an exact rational."""
 
-    coordinates: tuple[Any, ...]
-
-    def __post_init__(self) -> None:
-        if not self.coordinates:
-            raise ValueError("a parameter point needs at least one coordinate")
-
-    @property
-    def scalar(self) -> Any:
-        """The single coordinate of a one-dimensional point."""
-        if len(self.coordinates) != 1:
-            raise ValueError("scalar access requires a one-dimensional point")
-        return self.coordinates[0]
+    scalar: Any
 
 
 @dataclass(frozen=True)
 class ParamCell:
-    """A region of a one-dimensional parameter space.
+    """A half-open interval ``[lo, hi)`` of the parameter space.
 
-    The region is a union of disjoint half-open intervals ``[lo, hi)`` sorted
-    ascending.  When ``top_closed`` is set, the topmost interval additionally
-    contains its right endpoint; partition builders set the flag on the cell
-    that reaches the space's upper bound so the cells tile the whole space.
-    A point lying exactly on an interior breakpoint belongs to the cell on
-    its right.
+    When ``top_closed`` is set the cell also contains ``hi``; partition
+    builders set the flag on the cell that reaches the space's upper bound
+    so the cells tile the whole space.  A point lying exactly on an interior
+    breakpoint belongs to the cell on its right.
     """
 
-    intervals: tuple[tuple[Any, Any], ...]
-    label: Any = None
+    lo: Any
+    hi: Any
     top_closed: bool = False
 
     def __post_init__(self) -> None:
-        if not self.intervals:
-            raise ValueError("a cell needs at least one interval")
-        prev_hi = None
-        for lo, hi in self.intervals:
-            if not lo < hi:
-                raise ValueError(f"empty interval [{lo}, {hi})")
-            if prev_hi is not None and lo < prev_hi:
-                raise ValueError("intervals must be disjoint and sorted ascending")
-            prev_hi = hi
+        if not self.lo < self.hi:
+            raise ValueError(f"empty interval [{self.lo}, {self.hi})")
+
+    @property
+    def intervals(self) -> tuple[tuple[Any, Any]]:
+        """``((lo, hi),)``.  Exists only because ``perfbench/workloads.py``
+        reads it; read ``lo`` and ``hi`` instead."""
+        return ((self.lo, self.hi),)
 
     def contains(self, x: Any) -> bool:
-        for lo, hi in self.intervals:
-            if lo <= x < hi:
-                return True
-        return self.top_closed and x == self.intervals[-1][1]
+        return self.lo <= x < self.hi or (self.top_closed and x == self.hi)
 
     def representative(self) -> Any:
-        """Deterministic interior point: the midpoint of the first interval."""
-        lo, hi = self.intervals[0]
-        if isinstance(lo, Fraction) or isinstance(hi, Fraction):
-            return (Fraction(lo) + Fraction(hi)) / 2
-        return (lo + hi) / 2
+        """Deterministic interior point: the midpoint, exact for rational ends."""
+        return (self.lo + self.hi) / 2
 
 
 @dataclass(frozen=True)
@@ -235,8 +191,6 @@ class ConfigProblem:
     contract this makes one run at a cap ceiling report the exact loss, or
     the ceiling itself when the loss exceeds it.
     """
-
-    space: ParamSpace = ParamSpace()
 
     def __init__(self, pool: Sequence[Any]) -> None:
         if not pool:
@@ -347,26 +301,20 @@ def format_rational(value: Fraction) -> str:
 
 
 def validate_cells_cover(cells: Sequence[PartitionCell], space: ParamSpace) -> None:
-    """Check that the cells' intervals tile the space exactly, without overlap.
+    """Check that the cells tile the space exactly, without overlap.
 
     Raises ``ValueError`` on gaps, overlaps, or a missing closed top end.
-    Exact comparisons only, so interval endpoints must be exact values
+    Exact comparisons only, so cell endpoints must be exact values
     (ints, Fractions, or floats produced by the same arithmetic).
     """
-    if space.dimension != 1:
-        raise ValueError("coverage validation is implemented for dimension 1")
-    intervals = sorted(
-        (iv for c in cells for iv in c.cell.intervals), key=lambda iv: (iv[0], iv[1])
-    )
-    if not intervals:
+    if not cells:
         raise ValueError("no cells")
     cursor = space.lower
-    for lo, hi in intervals:
+    for lo, hi in sorted((c.cell.lo, c.cell.hi) for c in cells):
         if lo != cursor:
             raise ValueError(f"gap or overlap at {cursor}: next interval starts at {lo}")
         cursor = hi
     if cursor != space.upper:
         raise ValueError(f"cells stop at {cursor}, space ends at {space.upper}")
-    top = max(cells, key=lambda c: c.cell.intervals[-1][1])
-    if not top.cell.top_closed:
+    if not max(cells, key=lambda c: c.cell.hi).cell.top_closed:
         raise ValueError("topmost cell must close at the space's upper bound")

@@ -19,11 +19,11 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass, field
-from typing import Any, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .core import ConfigProblem, ParamPoint, PoolSample, tail_capped_mean
+from .core import ConfigProblem, ParamCell, ParamPoint, PoolSample, tail_capped_mean
 from .stats import GammaInputs, gamma_bound
 
 __all__ = [
@@ -120,7 +120,7 @@ class LearnerConfig:
 class GoodRegion:
     """An admitted cell with the quantities recorded at admission time."""
 
-    cell: Any
+    cell: ParamCell
     round_added: int
     tau_cell: int
     capped_estimate: float
@@ -164,7 +164,6 @@ def _min_samples_for_target(
     round_index: int,
     cap: int,
     f_value: int,
-    dimension: int,
     zeta: float,
     target: float,
     lower: int,
@@ -180,7 +179,7 @@ def _min_samples_for_target(
 
     def ok(b: int) -> bool:
         return (
-            gamma_bound(GammaInputs(round_index, b, cap, f_value, dimension, zeta))
+            gamma_bound(GammaInputs(round_index, b, cap, f_value, confidence=zeta))
             <= target
         )
 
@@ -208,12 +207,11 @@ def grow_sample(
         raise ValueError("round_index must be at least 1")
     target = cfg.eta * cfg.delta
     cap = 2**round_index
-    dimension = problem.space.dimension
     sample = problem.sample_many(rng, 1)
     while True:
         f_value = problem.f_bound(sample, cap)
         gamma = gamma_bound(
-            GammaInputs(round_index, len(sample), cap, f_value, dimension, cfg.zeta)
+            GammaInputs(round_index, len(sample), cap, f_value, confidence=cfg.zeta)
         )
         if gamma <= target:
             return sample
@@ -227,7 +225,6 @@ def grow_sample(
             round_index,
             cap,
             f_value,
-            dimension,
             cfg.zeta,
             target,
             lower=len(sample) + 1,
@@ -312,7 +309,7 @@ def learn_subset(problem: ConfigProblem, cfg: LearnerConfig) -> OptimalSubsetRes
             TraceRow(round_index, cap, len(sample), len(cells), admitted, state.threshold)
         )
         round_index += 1
-    parameters = [ParamPoint((region.cell.representative(),)) for region in state.regions]
+    parameters = [ParamPoint(region.cell.representative()) for region in state.regions]
     return OptimalSubsetResult(
         parameters=parameters,
         regions=state.regions,

@@ -228,12 +228,10 @@ def cells_from_refinement(
     counts = np.bincount(inverse)
     total = len(inverse)
     out = []
-    for index, (lo, hi, payloads) in enumerate(refined):
+    for lo, hi, payloads in refined:
         losses = [loss for loss, _ in payloads]
         solved = np.array([ok for _, ok in payloads], dtype=np.bool_)
-        cell = ParamCell(
-            intervals=((lo, hi),), label=index, top_closed=(hi == Fraction(1))
-        )
+        cell = ParamCell(lo, hi, top_closed=(hi == Fraction(1)))
         z = int(counts[solved].sum()) / total
         out.append(PartitionCell(cell=cell, z=z, losses=losses, counts=counts, inverse=inverse))
     return out

@@ -18,6 +18,7 @@ learner.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,6 +63,11 @@ class SyntheticFamily:
     loss_high: int = 256
 
     def __post_init__(self) -> None:
+        # A fractional loss would be truncated by ``CappedRunOutcome.finished``
+        # but compared whole against the cap by ``synthetic_partition``.
+        for loss in (self.loss_mid, self.loss_low, self.loss_high):
+            if isinstance(loss, bool) or not isinstance(loss, numbers.Integral):
+                raise ValueError(f"losses must be integers, got {loss!r}")
         if not 1.0 / 3.0 < self.a < self.b < 0.5:
             raise ValueError("breakpoints must satisfy 1/3 < a < b < 1/2")
         if not 0 < self.loss_mid < self.loss_low < self.loss_high:
@@ -142,18 +148,14 @@ def synthetic_partition(
     # bincount, which first widens the uint8 indices to intp.
     counts = [int(np.count_nonzero(uids == i)) for i in range(len(instances.pool))]
     just_above_a = math.nextafter(family.a, 1.0)
-    band = (
-        ("low", 0.0, just_above_a),
-        ("mid", just_above_a, family.b),
-        ("high", family.b, 1.0),
-    )
+    band = ((0.0, just_above_a), (just_above_a, family.b), (family.b, 1.0))
     cells = []
-    for label, lo, hi in band:
+    for lo, hi in band:
         raw = [_instance_loss(family, lo, instance) for instance in instances.pool]
         solved = sum(n for loss, n in zip(raw, counts) if loss <= tau)
         cells.append(
             PartitionCell(
-                cell=ParamCell(intervals=((lo, hi),), label=label, top_closed=hi == 1.0),
+                cell=ParamCell(lo, hi, top_closed=hi == 1.0),
                 z=solved / count,
                 losses=[min(loss, tau) for loss in raw],
                 counts=counts,

@@ -93,7 +93,7 @@ def check_pool_cells_against_gather(problem, sample, cells, tau):
     solved fraction counts the solved draws.
     """
     for cell in cells:
-        lo = cell.cell.intervals[0][0]
+        lo = cell.cell.lo
         outcomes = [problem.run_with_cap(lo, instance, tau) for instance in problem.pool]
         per_pool = np.array([o.capped_loss(tau) for o in outcomes], dtype=np.int64)
         solved = np.array([o.solved for o in outcomes], dtype=np.bool_)
@@ -314,7 +314,7 @@ class ConstantLossProblem(ConfigProblem):
 
     def get_partition(self, instances, tau):
         z = 1.0 if self.loss <= tau else 0.0
-        cell = ParamCell(intervals=((0.0, 1.0),), label=0, top_closed=True)
+        cell = ParamCell(0.0, 1.0, top_closed=True)
         return [_constant_cell(cell, z, min(self.loss, tau), len(instances))]
 
     def f_bound(self, instances, tau):
@@ -520,12 +520,10 @@ class TwoBandProblem(ConfigProblem):
     def get_partition(self, instances, tau):
         count = len(instances)
         cells = []
-        for label, (lo, hi, loss) in enumerate(
-            ((0.0, 0.5, self.low_loss), (0.5, 1.0, self.high_loss))
-        ):
+        for lo, hi, loss in ((0.0, 0.5, self.low_loss), (0.5, 1.0, self.high_loss)):
             cells.append(
                 _constant_cell(
-                    ParamCell(intervals=((lo, hi),), label=label, top_closed=hi == 1.0),
+                    ParamCell(lo, hi, top_closed=hi == 1.0),
                     1.0 if loss <= tau else 0.0,
                     min(loss, tau),
                     count,
@@ -729,7 +727,7 @@ def check_partition_contract(problem, sample, cells, tau, rng, points_per_cell=2
     matches z."""
     instances = [sample.pool[uid] for uid in sample.uids.tolist()]
     for cell in cells:
-        lo, hi = cell.cell.intervals[0]
+        lo, hi = cell.cell.lo, cell.cell.hi
         width = float(hi) - float(lo)
         points = [float(lo) + width * float(u) for u in rng.random(points_per_cell)]
         points = [p for p in points if cell.cell.contains(p)] or [
@@ -740,7 +738,7 @@ def check_partition_contract(problem, sample, cells, tau, rng, points_per_cell=2
             for idx, instance in enumerate(instances):
                 outcome = problem.run_with_cap(rho, instance, tau)
                 assert outcome.capped_loss(tau) == int(cell.capped_losses[idx]), (
-                    f"capped loss mismatch at rho={rho} cell={cell.cell.intervals}"
+                    f"capped loss mismatch at rho={rho} cell=[{cell.cell.lo}, {cell.cell.hi})"
                 )
                 solved_count += outcome.solved
             assert solved_count / len(instances) == cell.z

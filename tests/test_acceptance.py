@@ -94,7 +94,7 @@ def test_criterion_2_tail_sandwich(synthetic_runs):
     for _, result in runs:
         seed_ok = True
         for region in result.regions:
-            lo, hi = region.cell.intervals[0]
+            lo, hi = region.cell.lo, region.cell.hi
             lo, hi = float(lo), float(hi)
             probes = [lo + (hi - lo) * float(u) for u in rng.random(10)]
             for rho in probes:
@@ -184,7 +184,7 @@ def test_criterion_5_bnb_partition_exactness():
             cells = bnb_partition(whole_pool([milp]), tau)
             if len(cells) > milp.n ** (2 * (tau + 1)) + 1:
                 count_violations += 1
-            bounds = [cell.cell.intervals[0] for cell in cells]
+            bounds = [(cell.cell.lo, cell.cell.hi) for cell in cells]
             idx = 0
             for rho in grid:
                 while not (
@@ -217,7 +217,7 @@ def test_criterion_6_clustering_fixtures():
     four = ClusteringInstance.from_lists(matrix, 2, exact_kmedian_cost(matrix, 2))
     cells = clustering_partition(whole_pool([four]), 3)
     breakpoint_ok = any(
-        abs(float(cell.cell.intervals[0][0]) - 0.4) <= 1e-9 for cell in cells
+        abs(float(cell.cell.lo) - 0.4) <= 1e-9 for cell in cells
     )
 
     rng = np.random.default_rng(77)
@@ -243,7 +243,7 @@ def test_criterion_6_clustering_fixtures():
     for i in range(1001):
         rho = Fraction(i, 1000)
         cell = next(c for c in cell_list if c.cell.contains(rho))
-        lo = cell.cell.intervals[0][0]
+        lo = cell.cell.lo
         for inst in pool:
             budget = min(tau, inst.n - 1)
             if (

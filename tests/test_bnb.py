@@ -23,7 +23,7 @@ from frugal.bnb import (
     random_milp,
     scores,
 )
-from frugal.core import PoolSample, validate_cells_cover
+from frugal.core import ParamSpace, PoolSample, validate_cells_cover
 from frugal.sweep import DecisionTracker, DegenerateCellError
 from support import (
     branching_trace,
@@ -330,13 +330,13 @@ class TestExpansionMemo:
             assert tracked.bound == exc.bound
             cells = []
         for cell in cells:
-            lo, hi = cell.cell.intervals[0]
+            lo, hi = cell.cell.lo, cell.cell.hi
             tracked = reference_bnb_run(warm, lo, cap, bound=Fraction(1), lp_cache=lp_cache)
             assert tracked.bound == hi
             assert tracked.outcome.capped_loss(cap) == int(cell.capped_losses[0])
             assert tracked.outcome.solved == (cell.z == 1.0)
         points = [Fraction(k, 10) for k in range(11)]
-        points += [cell.cell.intervals[0][0] for cell in cells]
+        points += [cell.cell.lo for cell in cells]
         for rho in points:
             expected = reference_bnb_run(warm, rho, cap, lp_cache=lp_cache)
             for milp in (warm, cold):
@@ -393,7 +393,7 @@ class TestPartition:
         # Root score lines cross at rho = 2/3; tree sizes are 5 and 3.
         cells = bnb_partition(whole_pool([two_var]), 31)
         assert len(cells) == 2
-        assert cells[0].cell.intervals[0] == (Fraction(0), Fraction(2, 3))
+        assert (cells[0].cell.lo, cells[0].cell.hi) == (Fraction(0), Fraction(2, 3))
         assert list(cells[0].capped_losses) == [5]
         assert list(cells[1].capped_losses) == [3]
         # The breakpoint itself belongs to the right cell.
@@ -403,7 +403,7 @@ class TestPartition:
         pool = random_pool(seed=31, count=6, num_vars=5, num_rows=3)
         for tau in (7, 15):
             cells = bnb_partition(whole_pool(pool), tau)
-            validate_cells_cover(cells, BnbProblem(pool).space)
+            validate_cells_cover(cells, ParamSpace())
             for rho in np.linspace(0.0, 1.0, 101):
                 cell_index = next(
                     i for i, c in enumerate(cells) if c.cell.contains(float(rho))
@@ -420,7 +420,7 @@ class TestPartition:
         cells = bnb_partition(whole_pool(pool), tau)
         rng = np.random.default_rng(2)
         for cell in cells:
-            lo, hi = cell.cell.intervals[0]
+            lo, hi = cell.cell.lo, cell.cell.hi
             probes = [
                 float(lo) + (float(hi) - float(lo)) * float(u)
                 for u in rng.random(10)

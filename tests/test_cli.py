@@ -82,8 +82,25 @@ class TestLearnCommand:
             {"domain": "synthetic", "max_rounds": None},
             {"domain": "synthetic", "family": "abc"},
             {"domain": "bnb", "instances_dir": 5},
+            {"domain": "synthetic", "seed": 1.7},
+            {"domain": "synthetic", "max_rounds": True},
+            {"domain": "synthetic", "epsilon": True},
+            {"domain": "synthetic", "max_samples_per_round": 2.5},
+            {"domain": "synthetic", "delta": "0.5"},
+            {"domain": "synthetic", "family": {"L_mid": 8.5}},
         ],
-        ids=["epsilon-list", "max-rounds-null", "family-string", "instances-dir-int"],
+        ids=[
+            "epsilon-list",
+            "max-rounds-null",
+            "family-string",
+            "instances-dir-int",
+            "seed-float",
+            "max-rounds-bool",
+            "epsilon-bool",
+            "samples-float",
+            "delta-string",
+            "family-float-loss",
+        ],
     )
     def test_wrong_json_type_exits_one(self, tmp_path, capsys, raw):
         bad = tmp_path / "bad.json"
@@ -180,8 +197,10 @@ class TestSelectCommand:
             ([{"rho": 0.4}], "must be a JSON object"),
             ({"domain": "bnb", "parameters": [{"rho": 0.4}]}, "domain 'bnb'"),
             ({"terminal_round": [5], "parameters": [{"rho": 0.4}]}, "'terminal_round'"),
+            ({"terminal_round": True, "parameters": [{"rho": 0.4}]}, "'terminal_round'"),
         ],
-        ids=["entry-without-rho", "string-rho", "list-subset", "other-domain", "list-round"],
+        ids=["entry-without-rho", "string-rho", "list-subset", "other-domain", "list-round",
+             "bool-round"],
     )
     def test_malformed_subset_exits_one(self, tmp_path, capsys, subset, message):
         config = write_config(tmp_path)

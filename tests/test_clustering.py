@@ -24,7 +24,7 @@ from frugal.clustering import (
     parse_instance,
     random_metric_instance,
 )
-from frugal.core import validate_cells_cover
+from frugal.core import ParamSpace, validate_cells_cover
 from frugal.sweep import DecisionTracker
 from support import (
     check_partition_contract,
@@ -266,10 +266,10 @@ class TestClusteringPartition:
     def test_four_point_cells(self, four_point):
         cells = clustering_partition(whole_pool([four_point]), 3)
         assert len(cells) == 2
-        assert cells[0].cell.intervals[0] == (Fraction(0), Fraction(2, 5))
-        assert abs(float(cells[1].cell.intervals[0][0]) - 0.4) < 1e-9
+        assert (cells[0].cell.lo, cells[0].cell.hi) == (Fraction(0), Fraction(2, 5))
+        assert abs(float(cells[1].cell.lo) - 0.4) < 1e-9
         assert list(cells[0].capped_losses) != list(cells[1].capped_losses)
-        validate_cells_cover(cells, ClusteringProblem([four_point]).space)
+        validate_cells_cover(cells, ParamSpace())
 
     def test_equilateral_single_cell(self):
         inst = ClusteringInstance.from_lists(equilateral_metric(), k=2, theta=Fraction(4))
@@ -292,7 +292,7 @@ class TestClusteringPartition:
         cells = clustering_partition(whole_pool(pool), tau)
         rng = np.random.default_rng(3)
         for cell in cells:
-            lo, hi = cell.cell.intervals[0]
+            lo, hi = cell.cell.lo, cell.cell.hi
             probes = [float(lo) + (float(hi) - float(lo)) * float(u) for u in rng.random(10)]
             for inst in pool:
                 budget = min(tau, inst.n - 1)
@@ -320,7 +320,7 @@ class TestClusteringPartition:
 
 def assert_sweep_matches_reference(inst, tau):
     cells = clustering_partition(whole_pool([inst]), tau)
-    got = [(c.cell.intervals[0], (int(c.capped_losses[0]), c.z == 1.0)) for c in cells]
+    got = [((c.cell.lo, c.cell.hi), (int(c.capped_losses[0]), c.z == 1.0)) for c in cells]
     want = [((lo, hi), payload) for lo, hi, payload in reference_clustering_sweep(inst, tau)]
     assert got == want
 
@@ -368,7 +368,7 @@ class TestResumedSweep:
             DecisionTracker, "argmin", lambda self, c: selects.append(self.point) or argmin(self, c)
         )
         cells = clustering_partition(whole_pool([four_point]), 3)
-        assert [c.cell.intervals[0][0] for c in cells] == [0, Fraction(2, 5)]
+        assert [c.cell.lo for c in cells] == [0, Fraction(2, 5)]
         assert selects == [0, 0, 0, Fraction(2, 5), Fraction(2, 5)]
 
 
@@ -406,8 +406,8 @@ class TestFractionalMetrics:
         assume(inst.integer_form[0] > 1)
         tau = data.draw(st.integers(1, n - 1))
         cells = clustering_partition(whole_pool([inst]), tau)
-        validate_cells_cover(cells, ClusteringProblem([inst]).space)
-        bounds = [c.cell.intervals[0] for c in cells]
+        validate_cells_cover(cells, ParamSpace())
+        bounds = [(c.cell.lo, c.cell.hi) for c in cells]
         assert bounds[0][0] == 0 and bounds[-1][1] == 1
         assert all(hi == lo for (_, hi), (lo, _) in zip(bounds, bounds[1:]))
         budget = min(tau, n - 1)

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -8,7 +9,6 @@ from frugal.core import (
     CappedRunOutcome,
     DegenerateDistributionError,
     ParamCell,
-    ParamPoint,
     ParamSpace,
     PartitionCell,
     format_rational,
@@ -145,34 +145,34 @@ class TestRationals:
 
 
 class TestParamTypes:
-    def test_space_validation(self):
-        with pytest.raises(ValueError):
-            ParamSpace(dimension=0, bounds=())
-        with pytest.raises(ValueError):
-            ParamSpace(dimension=1, bounds=((1.0, 0.0),))
-        space = ParamSpace()
-        assert space.contains(ParamPoint((0.5,)))
-        assert not space.contains(ParamPoint((1.5,)))
-
     def test_cell_validation(self):
         with pytest.raises(ValueError):
-            ParamCell(intervals=((0.3, 0.3),))
+            ParamCell(0.3, 0.3)
         with pytest.raises(ValueError):
-            ParamCell(intervals=((0.0, 0.5), (0.4, 0.8)))
+            ParamCell(Fraction(1, 2), Fraction(1, 3))
 
     def test_cell_membership_boundaries(self):
-        cell = ParamCell(intervals=((0.2, 0.6),))
+        cell = ParamCell(0.2, 0.6)
         assert cell.contains(0.2)
+        assert cell.contains(math.nextafter(0.6, 0.0))
         assert not cell.contains(0.6)
-        closed = ParamCell(intervals=((0.6, 1.0),), top_closed=True)
+        assert not cell.contains(math.nextafter(0.2, 0.0))
+        closed = ParamCell(0.6, 1.0, top_closed=True)
         assert closed.contains(1.0)
         assert closed.contains(0.6)
+        assert not closed.contains(math.nextafter(1.0, 2.0))
 
     def test_representative_is_interior(self):
-        cell = ParamCell(intervals=((Fraction(1, 3), Fraction(1, 2)),))
+        cell = ParamCell(Fraction(1, 3), Fraction(1, 2))
         rep = cell.representative()
         assert cell.contains(rep)
-        assert rep == Fraction(5, 12)
+        assert type(rep) is Fraction and rep == Fraction(5, 12)
+        floats = ParamCell(0.25, 0.5).representative()
+        assert type(floats) is float and floats == 0.375
+
+    def test_intervals_is_the_one_span(self):
+        cell = ParamCell(Fraction(0), Fraction(2, 3))
+        assert cell.intervals == ((Fraction(0), Fraction(2, 3)),)
 
     def test_outcome_validation(self):
         with pytest.raises(ValueError):
@@ -182,14 +182,14 @@ class TestParamTypes:
     def test_coverage_validator(self):
         cells = [
             PartitionCell(
-                cell=ParamCell(intervals=((0.0, 0.4),), label=0),
+                cell=ParamCell(0.0, 0.4),
                 z=0.5,
                 losses=[1],
                 counts=[1],
                 inverse=np.zeros(1, dtype=np.int64),
             ),
             PartitionCell(
-                cell=ParamCell(intervals=((0.4, 1.0),), label=1, top_closed=True),
+                cell=ParamCell(0.4, 1.0, top_closed=True),
                 z=0.5,
                 losses=[1],
                 counts=[1],

@@ -103,8 +103,8 @@ class TestGrowSample:
         assert excinfo.value.last_gamma > cfg.eta * cfg.delta
 
 
-def make_cell(losses, z, label=0):
-    cell = ParamCell(intervals=((0.0, 1.0),), label=label, top_closed=True)
+def make_cell(losses, z):
+    cell = ParamCell(0.0, 1.0, top_closed=True)
     return cell_from_losses(cell, z, losses)
 
 
@@ -309,7 +309,7 @@ def assert_same_run(first, second):
 class TestSelectFinite:
     def test_singleton_returned(self):
         problem = TwoBandProblem()
-        point = ParamPoint((0.8,))
+        point = ParamPoint(0.8)
         chosen = select_finite(
             problem, [point], 0.5, 0.125, 50, np.random.default_rng(0), cap_ceiling=64
         )
@@ -317,7 +317,7 @@ class TestSelectFinite:
 
     def test_constant_losses_prefer_lower(self):
         problem = TwoBandProblem(low_loss=2, high_loss=5)
-        candidates = [ParamPoint((0.9,)), ParamPoint((0.1,))]
+        candidates = [ParamPoint(0.9), ParamPoint(0.1)]
         chosen = select_finite(
             problem, candidates, 0.5, 0.125, 20, np.random.default_rng(1), cap_ceiling=64
         )
@@ -325,7 +325,7 @@ class TestSelectFinite:
 
     def test_tie_breaks_to_first(self):
         problem = ConstantLossProblem(loss=3)
-        candidates = [ParamPoint((0.7,)), ParamPoint((0.2,))]
+        candidates = [ParamPoint(0.7), ParamPoint(0.2)]
         chosen = select_finite(
             problem, candidates, 0.5, 0.125, 20, np.random.default_rng(2), cap_ceiling=64
         )
@@ -335,7 +335,7 @@ class TestSelectFinite:
         # Exact capped-tail means are 12 / 8 / 132: the middle parameter
         # should win in at least 18 of 20 seeded runs.
         family = SyntheticFamily()
-        candidates = [ParamPoint((0.2,)), ParamPoint((0.4,)), ParamPoint((0.6,))]
+        candidates = [ParamPoint(0.2), ParamPoint(0.4), ParamPoint(0.6)]
         wins = 0
         for seed in range(20):
             problem = SyntheticProblem(family)
@@ -349,7 +349,7 @@ class TestSelectFinite:
     def test_ceiling_substitutes_for_unsolved(self):
         problem = ConstantLossProblem(loss=10**6)
         estimates = estimate_capped_tail_means(
-            problem, [ParamPoint((0.5,))], 0.25, 10, np.random.default_rng(0), cap_ceiling=32
+            problem, [ParamPoint(0.5)], 0.25, 10, np.random.default_rng(0), cap_ceiling=32
         )
         assert estimates == [32.0]
 
@@ -357,7 +357,7 @@ class TestSelectFinite:
         problem = ConstantLossProblem()
         with pytest.raises(ValueError):
             estimate_capped_tail_means(
-                problem, [ParamPoint((0.5,))], 0.9, 5, np.random.default_rng(0), 16
+                problem, [ParamPoint(0.5)], 0.9, 5, np.random.default_rng(0), 16
             )
 
 
@@ -465,7 +465,7 @@ class TestSampleLosses:
 
     def test_one_run_per_distinct_pool_index(self):
         problem = CountingPoolProblem([3, 9, 1, 40, 7])
-        candidates = [ParamPoint((rho,)) for rho in (0.1, 0.6, 0.9)]
+        candidates = [ParamPoint(rho) for rho in (0.1, 0.6, 0.9)]
         estimate_capped_tail_means(
             problem, candidates, 0.25, 30, np.random.default_rng(2), 16
         )

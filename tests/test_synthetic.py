@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from frugal.core import validate_cells_cover
+from frugal.core import ParamSpace, validate_cells_cover
 from frugal.synthetic import (
     SyntheticFamily,
     SyntheticInstance,
@@ -31,6 +31,11 @@ class TestFamily:
             SyntheticFamily(a=0.4, b=0.55)
         with pytest.raises(ValueError):
             SyntheticFamily(loss_mid=8, loss_low=8, loss_high=256)
+
+    @pytest.mark.parametrize("loss", [8.5, True, "8"])
+    def test_non_integer_loss_rejected(self, loss):
+        with pytest.raises(ValueError, match="losses must be integers"):
+            SyntheticFamily(loss_mid=loss)
 
     def test_region_boundaries(self, family):
         assert family.region(family.a) == "low"  # closed left region
@@ -113,14 +118,14 @@ class TestPartition:
             batch = problem.sample_many(np.random.default_rng(tau), 50)
             cells = problem.get_partition(batch, tau)
             assert len(cells) == 3
-            validate_cells_cover(cells, problem.space)
+            validate_cells_cover(cells, ParamSpace())
             assert problem.f_bound(batch, tau) == 3
 
     def test_mid_cell_at_cap_eight(self, family):
         problem = SyntheticProblem(family)
         batch = problem.sample_many(np.random.default_rng(2), 200)
         cells = synthetic_partition(family, batch, 8)
-        mid = next(c for c in cells if c.cell.label == "mid")
+        _, mid, _ = cells
         assert mid.z == 1.0
         assert set(mid.capped_losses) == {8}
 
@@ -128,7 +133,7 @@ class TestPartition:
         problem = SyntheticProblem(family)
         batch = problem.sample_many(np.random.default_rng(9), 500)
         cells = synthetic_partition(family, batch, 8)
-        low = next(c for c in cells if c.cell.label == "low")
+        low = cells[0]
         assert low.z == float(((batch.uids & 1) == 0).mean())
 
     def test_partition_contract(self, family):
