@@ -584,8 +584,8 @@ def bnb_partition(sample: PoolSample, tau: int) -> list[PartitionCell]:
 
         return sweep_unit_interval(execute)
 
-    partitions, inverse = sweep_distinct(sweep_one, sample, tau)
-    return cells_from_refinement(refine_cells(partitions), inverse)
+    partitions, counts = sweep_distinct(sweep_one, sample, tau)
+    return cells_from_refinement(refine_cells(partitions), counts)
 
 
 def bnb_cell_bound(sample: PoolSample, tau: int) -> int:

@@ -330,9 +330,9 @@ def cmd_evaluate(args) -> int:
     problem = build_problem(cfg)
     rng = np.random.default_rng(cfg.seed)
     ceiling = args.ceiling if args.ceiling is not None else DEFAULT_CAP_CEILING
-    losses = sample_losses(problem, args.rho, args.samples, rng, ceiling)
-    values, counts = np.unique(losses, return_counts=True)
-    fractions = np.cumsum(counts) / args.samples
+    losses, counts = sample_losses(problem, args.rho, args.samples, rng, ceiling)
+    values, inverse = np.unique(losses, return_inverse=True)
+    fractions = np.cumsum(np.bincount(inverse, weights=counts)) / args.samples
     out = cfg.out
     out.mkdir(parents=True, exist_ok=True)
     _write_csv(

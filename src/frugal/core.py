@@ -118,28 +118,33 @@ class CappedRunOutcome:
 
 
 class PoolSample:
-    """A sample drawn from a finite pool, held as an array of pool indices.
+    """A sample drawn from a finite pool, held as one draw count per pool item.
 
-    ``uids[i]`` is the pool index of the ``i``-th draw, so the instance it
-    drew is ``pool[uids[i]]``.
+    ``counts[u]`` is how often the sample drew ``pool[u]``.  Everything the
+    learner reads of a sample is a function of that multiset, so the order
+    of the draws is not kept.
     """
 
-    __slots__ = ("pool", "uids")
+    __slots__ = ("pool", "counts")
 
-    def __init__(self, pool: Sequence[Any], uids: np.ndarray) -> None:
+    def __init__(self, pool: Sequence[Any], counts: np.ndarray) -> None:
         self.pool = pool
-        self.uids = np.asarray(uids)
+        self.counts = np.asarray(counts, dtype=np.int64)
+        if self.counts.shape != (len(pool),):
+            raise ValueError(f"need one count per pool item, got shape {self.counts.shape}")
 
     def __len__(self) -> int:
-        return int(self.uids.shape[0])
+        return int(self.counts.sum())
+
+    @property
+    def uids(self) -> np.ndarray:
+        """The pool indices drawn at least once, ascending."""
+        return np.flatnonzero(self.counts)
 
     def distinct(self) -> tuple[np.ndarray, np.ndarray]:
-        """The pool indices drawn at least once, ascending, and each draw's
-        position among them."""
-        uids = np.flatnonzero(np.bincount(self.uids, minlength=len(self.pool)))
-        position = np.zeros(len(self.pool), dtype=np.int64)
-        position[uids] = np.arange(uids.size)
-        return uids, position[self.uids]
+        """The pool indices drawn at least once, ascending, and their counts."""
+        uids = self.uids
+        return uids, self.counts[uids]
 
 
 @dataclass(eq=False)
@@ -147,17 +152,15 @@ class PartitionCell:
     """One region of parameter space with constant capped behavior.
 
     The partition's instance sequence is held as a multiset: ``losses[j]``
-    is the capped loss in the cell of the ``j``-th distinct instance,
-    ``counts[j]`` its multiplicity, and ``inverse[i]`` the distinct instance
-    of the ``i``-th draw (one array shared by the partition's cells).  ``z``
-    is the exact fraction of draws solved within the cap.
+    is the capped loss in the cell of the ``j``-th distinct instance and
+    ``counts[j]`` its multiplicity.  ``z`` is the exact fraction of draws
+    solved within the cap.
     """
 
     cell: ParamCell
     z: float
     losses: np.ndarray
     counts: np.ndarray
-    inverse: np.ndarray
 
     def __post_init__(self) -> None:
         self.losses = np.asarray(self.losses, dtype=np.int64)
@@ -167,25 +170,27 @@ class PartitionCell:
 
     @cached_property
     def capped_losses(self) -> np.ndarray:
-        """The capped loss of each draw, gathered on first use."""
-        return self.losses[self.inverse]
+        """The capped loss of each draw, grouped by distinct instance."""
+        return np.repeat(self.losses, self.counts)
 
 
 class ConfigProblem:
     """Behavioral contract every configuration domain implements.
 
     The instance distribution is uniform over a finite ``pool`` and every
-    sample is a ``PoolSample`` of pool indices; the problem holds only its
-    pool, so every method is a pure function of the pool and its arguments.
-    An instance is a pool item, fully determined when the pool is built, so
-    a loss is a deterministic function of the parameter.  Subclasses must
-    provide ``run_with_cap(rho, instance, tau)``, which receives the pool
-    item itself, and ``get_partition(sample, tau)`` and
-    ``f_bound(sample, tau)``, which receive a ``PoolSample``.
-    ``run_with_cap`` and ``get_partition`` must be pure given the
-    instances; ``f_bound`` must be monotone in both the
-    instance set (under inclusion) and the cap, and must dominate the number
-    of cells ``get_partition`` returns.  The solved flag of ``run_with_cap``
+    sample is a ``PoolSample`` of draw counts per pool item.  The counts of
+    ``count`` i.i.d. uniform draws are Multinomial(count, 1/n), so
+    ``sample_many`` draws them as one multinomial, exact in distribution.
+    The problem holds only its pool, so every method is a pure function of
+    the pool and its arguments.  An instance is a pool item, fully
+    determined when the pool is built, so a loss is a deterministic
+    function of the parameter.  Subclasses must provide
+    ``run_with_cap(rho, instance, tau)``, which receives the pool item
+    itself, and ``get_partition(sample, tau)`` and ``f_bound(sample, tau)``,
+    which receive a ``PoolSample``.  ``run_with_cap`` and ``get_partition``
+    must be pure given the instances; ``f_bound`` must be monotone in both
+    the instance set (under inclusion) and the cap, and must dominate the
+    number of cells ``get_partition`` returns.  The solved flag of ``run_with_cap``
     must be non-decreasing in the cap, and a solved run's ``budget_used``
     must not depend on the cap.  Together with ``CappedRunOutcome``'s
     contract this makes one run at a cap ceiling report the exact loss, or
@@ -198,15 +203,14 @@ class ConfigProblem:
         self.pool = list(pool)
 
     def sample_many(self, rng: np.random.Generator, count: int) -> PoolSample:
-        # One batched draw yields the same indices, and leaves the generator
-        # in the same state, as ``count`` scalar draws.
-        return PoolSample(self.pool, rng.integers(len(self.pool), size=count))
+        n = len(self.pool)
+        return PoolSample(self.pool, rng.multinomial(count, np.full(n, 1.0 / n)))
 
     def merge_samples(self, first: PoolSample, second: PoolSample) -> PoolSample:
-        return PoolSample(self.pool, np.concatenate([first.uids, second.uids]))
+        return PoolSample(self.pool, first.counts + second.counts)
 
     def all_instances(self) -> PoolSample:
-        return PoolSample(self.pool, np.arange(len(self.pool)))
+        return PoolSample(self.pool, np.ones(len(self.pool), dtype=np.int64))
 
     def run_with_cap(self, rho: Any, instance: Any, tau: int) -> CappedRunOutcome:
         raise NotImplementedError

@@ -17,6 +17,7 @@ tail ``delta / 2``).
 from __future__ import annotations
 
 import bisect
+import logging
 import math
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -51,6 +52,8 @@ __all__ = [
 # Loss ceiling of the selector and of ``frugal evaluate`` when none is given.
 DEFAULT_CAP_CEILING = 2**20
 
+log = logging.getLogger("frugal")
+
 
 class LearnerError(RuntimeError):
     """Base class for learner failures."""
@@ -59,8 +62,8 @@ class LearnerError(RuntimeError):
 class SampleBudgetError(LearnerError):
     """Sample growth hit the per-round safety limit before reaching its target.
 
-    Carries the last accuracy value, which signals that the accuracy target
-    (eta * delta) is too small for the configured limit.
+    Names the round, its cap, the region count and the last accuracy
+    ``last_gamma``, which signals a target (eta * delta) too small for the limit.
     """
 
     def __init__(self, message: str, last_gamma: float) -> None:
@@ -202,6 +205,9 @@ def grow_sample(
     for a fixed region count, no intermediate size can satisfy the target
     before the solved lower bound does -- so the loop below draws the gap in
     one batch per region-count refresh and returns the identical sample size.
+    A batch is one multinomial draw of counts and a merge adds counts: two
+    independent multinomials over the pool sum to the multinomial of the
+    merged batch, so the sample has the law of the one-at-a-time loop's.
     """
     if round_index < 1:
         raise ValueError("round_index must be at least 1")
@@ -217,8 +223,9 @@ def grow_sample(
             return sample
         if len(sample) >= cfg.max_samples_per_round:
             raise SampleBudgetError(
-                f"accuracy {gamma:.6g} still above target {target:.6g} at the "
-                f"per-round sample limit {cfg.max_samples_per_round}",
+                f"round {round_index} (cap {cap}, f_value {f_value}): accuracy "
+                f"{gamma:.6g} still above target {target:.6g} at the per-round "
+                f"sample limit {cfg.max_samples_per_round}",
                 last_gamma=gamma,
             )
         needed = _min_samples_for_target(
@@ -305,6 +312,9 @@ def learn_subset(problem: ConfigProblem, cfg: LearnerConfig) -> OptimalSubsetRes
         cells = problem.get_partition(sample, cap)
         loss_evaluations += len(cells) * len(sample)
         admitted = process_round(state, cells, cfg)
+        log.info("round %d cap %d: %d draws, %d distinct instances, %d cells, %d admitted, "
+                 "T=%s", round_index, cap, len(sample), sample.uids.size, len(cells),
+                 admitted, state.threshold)
         trace.append(
             TraceRow(round_index, cap, len(sample), len(cells), admitted, state.threshold)
         )
@@ -334,18 +344,19 @@ def measure_loss(problem, rho, instance, ceiling: int) -> int:
 
 def sample_losses(
     problem: ConfigProblem, rho, n_samples: int, rng: np.random.Generator, ceiling: int
-) -> np.ndarray:
+) -> tuple[np.ndarray, np.ndarray]:
     """Losses at ``rho`` of ``n_samples`` fresh draws, each measured up to the ceiling.
 
-    The draws come from one ``sample_many``; each distinct pool instance is
-    measured once and its loss repeated per draw.
+    The draws come from one ``sample_many``.  Returns ``(losses, counts)``:
+    the loss of each distinct drawn pool instance, in ascending pool order
+    and measured once, and how often it was drawn.
     """
     if ceiling < 1:
         raise ValueError("the cap ceiling must be positive")
     sample = problem.sample_many(rng, n_samples)
-    uids, inverse = sample.distinct()
+    uids, counts = sample.distinct()
     losses = [measure_loss(problem, rho, sample.pool[uid], ceiling) for uid in uids.tolist()]
-    return np.array(losses, dtype=np.int64)[inverse]
+    return np.array(losses, dtype=np.int64), counts
 
 
 def estimate_capped_tail_means(
@@ -372,9 +383,8 @@ def estimate_capped_tail_means(
         raise ValueError("n_samples too small for the tail index")
     estimates = []
     for candidate in candidates:
-        losses = sample_losses(problem, candidate.scalar, n_samples, rng, cap_ceiling)
-        values, counts = np.unique(losses, return_counts=True)
-        estimates.append(tail_capped_mean(values, counts, rank)[1])
+        losses, counts = sample_losses(problem, candidate.scalar, n_samples, rng, cap_ceiling)
+        estimates.append(tail_capped_mean(losses, counts, rank)[1])
     return estimates
 
 

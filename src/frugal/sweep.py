@@ -171,15 +171,15 @@ def sweep_distinct(
     sample: PoolSample,
     tau: int,
 ) -> tuple[list[list[tuple[Fraction, Fraction, T]]], np.ndarray]:
-    """Sweep each distinct instance of a sample once, as ``(partitions, inverse)``.
+    """Sweep each distinct instance of a sample once, as ``(partitions, counts)``.
 
     ``partitions[j]`` is the sweep of the ``j``-th distinct pool index in
-    ascending order, and ``inverse[i]`` the position of the ``i``-th draw's
-    among them.  A degenerate cell names its instance and the cap.
+    ascending order, and ``counts[j]`` how often the sample drew it.  A
+    degenerate cell names its instance and the cap.
     """
-    if len(sample) == 0:
+    uids, counts = sample.distinct()
+    if uids.size == 0:
         raise ValueError("need at least one instance")
-    uids, inverse = sample.distinct()
     partitions = []
     for uid in uids.tolist():
         instance = sample.pool[uid]
@@ -191,7 +191,7 @@ def sweep_distinct(
             raise DegenerateCellError(
                 f"{exc} ({where}, cap {tau})", left=exc.left, bound=exc.bound
             ) from exc
-    return partitions, inverse
+    return partitions, counts
 
 
 def refine_cells(
@@ -217,23 +217,21 @@ def refine_cells(
 
 def cells_from_refinement(
     refined: Sequence[tuple[Fraction, Fraction, list[tuple[int, bool]]]],
-    inverse: np.ndarray,
+    counts: np.ndarray,
 ) -> list[PartitionCell]:
     """Build partition cells from refined (capped_loss, solved) payloads.
 
-    The refinement holds one payload per distinct instance; ``inverse``
-    (see ``sweep_distinct``) maps each draw to its distinct instance and
-    gives their multiplicities.
+    The refinement holds one payload per distinct instance and ``counts``
+    (see ``sweep_distinct``) their multiplicities.
     """
-    counts = np.bincount(inverse)
-    total = len(inverse)
+    total = int(counts.sum())
     out = []
     for lo, hi, payloads in refined:
         losses = [loss for loss, _ in payloads]
         solved = np.array([ok for _, ok in payloads], dtype=np.bool_)
         cell = ParamCell(lo, hi, top_closed=(hi == Fraction(1)))
         z = int(counts[solved].sum()) / total
-        out.append(PartitionCell(cell=cell, z=z, losses=losses, counts=counts, inverse=inverse))
+        out.append(PartitionCell(cell=cell, z=z, losses=losses, counts=counts))
     return out
 
 
@@ -243,6 +241,6 @@ def cell_count_ceiling(sample: PoolSample, cells_of: Callable[[Any], int]) -> in
     Repeated draws count once per occurrence.  The terms are positive, so
     the sum saturates exactly when a running total would.
     """
-    counts = np.bincount(sample.uids, minlength=len(sample.pool)).tolist()
+    counts = sample.counts.tolist()
     total = 1 + sum(count * cells_of(item) for item, count in zip(sample.pool, counts) if count)
     return min(total, F_BOUND_SATURATION)

@@ -21,8 +21,6 @@ import math
 import numbers
 from dataclasses import dataclass
 
-import numpy as np
-
 from .core import (
     CappedRunOutcome,
     ConfigProblem,
@@ -140,13 +138,10 @@ def synthetic_partition(
     """
     if tau < 1:
         raise ValueError("tau must be a positive integer")
-    uids = instances.uids
-    count = uids.shape[0]
+    counts = instances.counts.tolist()
+    count = sum(counts)
     if count == 0:
         raise ValueError("need at least one instance")
-    # One compare per pool instance (four) takes a sixth of the time of a
-    # bincount, which first widens the uint8 indices to intp.
-    counts = [int(np.count_nonzero(uids == i)) for i in range(len(instances.pool))]
     just_above_a = math.nextafter(family.a, 1.0)
     band = ((0.0, just_above_a), (just_above_a, family.b), (family.b, 1.0))
     cells = []
@@ -159,7 +154,6 @@ def synthetic_partition(
                 z=solved / count,
                 losses=[min(loss, tau) for loss in raw],
                 counts=counts,
-                inverse=uids,
             )
         )
     return cells
@@ -207,14 +201,8 @@ class SyntheticProblem(ConfigProblem):
         super().__init__([SyntheticInstance(bool(i & 1), bool(i & 2)) for i in range(4)])
         self.family = family or SyntheticFamily()
 
-    def sample_many(self, rng: np.random.Generator, count: int) -> PoolSample:
-        # Each draw's two 0/1 coin bytes read as one little-endian uint16
-        # ``low | high << 8``; shifting by 7 moves ``high`` to bit 1, and the
-        # low byte is then ``low | high << 1``.
-        heavy = (rng.random((count, 2)) < 0.5).view("<u2")[:, 0]
-        return PoolSample(self.pool, (heavy | (heavy >> 7)).astype(np.uint8))
-
-    # Bound on this class, not inherited, so that tracing finds it by name.
+    # Bound on this class, not inherited, so that tracing finds them by name.
+    sample_many = ConfigProblem.sample_many
     merge_samples = ConfigProblem.merge_samples
 
     def run_with_cap(self, rho, instance: SyntheticInstance, tau: int) -> CappedRunOutcome:

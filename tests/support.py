@@ -38,9 +38,19 @@ from frugal.core import (
 from frugal.sweep import standalone_tracker, sweep_unit_interval
 
 
+def sample_of(pool, uids):
+    """The sample whose draws are the pool indices ``uids``, as counts."""
+    return PoolSample(pool, np.bincount(np.asarray(uids, dtype=np.int64), minlength=len(pool)))
+
+
 def whole_pool(items):
-    """The sample that draws each of ``items`` once, in order."""
-    return PoolSample(items, np.arange(len(items)))
+    """The sample that draws each of ``items`` once."""
+    return sample_of(items, range(len(items)))
+
+
+def draw_indices(sample):
+    """The pool index of each draw of ``sample``, grouped by pool index."""
+    return np.repeat(np.arange(len(sample.pool)), sample.counts)
 
 
 def draw_one(problem, rng):
@@ -51,16 +61,13 @@ def draw_one(problem, rng):
 def cell_from_losses(cell, z, losses):
     """A ``PartitionCell`` over the per-draw capped-loss vector ``losses``,
     with one distinct instance per distinct loss value."""
-    values, inverse, counts = np.unique(
-        np.asarray(losses, dtype=np.int64), return_inverse=True, return_counts=True
-    )
-    return PartitionCell(cell=cell, z=z, losses=values, counts=counts, inverse=inverse)
+    values, counts = np.unique(np.asarray(losses, dtype=np.int64), return_counts=True)
+    return PartitionCell(cell=cell, z=z, losses=values, counts=counts)
 
 
 def _constant_cell(cell, z, capped_loss, count):
     """A ``PartitionCell`` whose ``count`` draws all have one capped loss."""
-    inverse = np.zeros(count, dtype=np.int64)
-    return PartitionCell(cell=cell, z=z, losses=[capped_loss], counts=[count], inverse=inverse)
+    return PartitionCell(cell=cell, z=z, losses=[capped_loss], counts=[count])
 
 
 def sorted_tail_capped_mean(losses, rank):
@@ -74,12 +81,13 @@ def sorted_tail_capped_mean(losses, rank):
 
 
 def per_draw_sample_losses(problem, rho, n_samples, rng, ceiling):
-    """Losses of ``n_samples`` draws made one at a time, each measured by
-    its own run at the ceiling."""
+    """Losses of the ``n_samples`` draws of one ``sample_many`` on ``rng``,
+    grouped by pool index, each draw measured by its own run at the ceiling."""
+    sample = problem.sample_many(rng, n_samples)
     return np.array(
         [
-            problem.run_with_cap(rho, draw_one(problem, rng), ceiling).budget_used
-            for _ in range(n_samples)
+            problem.run_with_cap(rho, problem.pool[uid], ceiling).budget_used
+            for uid in draw_indices(sample).tolist()
         ],
         dtype=np.int64,
     )
@@ -89,24 +97,26 @@ def check_pool_cells_against_gather(problem, sample, cells, tau):
     """Pool cells of ``sample`` against per-draw vectors gathered by pool index.
 
     Each pool instance is run standalone at the cell's left end; the
-    per-draw capped losses are those gathered by ``sample.uids``, and the
+    per-draw capped losses are those gathered by ``draw_indices``, and the
     solved fraction counts the solved draws.
     """
+    draws = draw_indices(sample)
     for cell in cells:
         lo = cell.cell.lo
         outcomes = [problem.run_with_cap(lo, instance, tau) for instance in problem.pool]
         per_pool = np.array([o.capped_loss(tau) for o in outcomes], dtype=np.int64)
         solved = np.array([o.solved for o in outcomes], dtype=np.bool_)
-        assert cell.capped_losses.tolist() == per_pool[sample.uids].tolist()
+        assert cell.capped_losses.tolist() == per_pool[draws].tolist()
         assert int(cell.counts.sum()) == len(sample)
-        assert cell.z == int(np.count_nonzero(solved[sample.uids])) / len(sample)
+        assert cell.z == int(np.count_nonzero(solved[draws])) / len(sample)
 
 
 def per_draw_synthetic_cells(family, sample, tau):
     """``(capped_losses, z)`` of the low, mid and high cells as per-draw
     vectors over a synthetic sample, computed draw by draw from the coins
     its pool indices encode."""
-    coin_low, coin_high = (sample.uids & 1) != 0, (sample.uids >> 1) != 0
+    draws = draw_indices(sample)
+    coin_low, coin_high = (draws & 1) != 0, (draws >> 1) != 0
     raw = {
         "low": np.where(coin_low, family.loss_low, family.loss_mid),
         "mid": np.full(len(sample), family.loss_mid),
@@ -725,7 +735,7 @@ def check_partition_contract(problem, sample, cells, tau, rng, points_per_cell=2
     """GetPartition soundness: sampled interior points reproduce the recorded
     capped losses of the sample's draws exactly, and the solved fraction
     matches z."""
-    instances = [sample.pool[uid] for uid in sample.uids.tolist()]
+    instances = [sample.pool[uid] for uid in draw_indices(sample).tolist()]
     for cell in cells:
         lo, hi = cell.cell.lo, cell.cell.hi
         width = float(hi) - float(lo)

@@ -30,8 +30,10 @@ from support import (
     brute_binary_optimum,
     check_partition_contract,
     check_pool_cells_against_gather,
+    draw_indices,
     fraction_lp_relax,
     reference_bnb_run,
+    sample_of,
     whole_pool,
 )
 
@@ -460,7 +462,7 @@ class TestFBound:
         assert small <= bnb_cell_bound(everything, 7) <= bnb_cell_bound(everything, 15)
         problem = BnbProblem(pool)
         instances = problem.all_instances()
-        head = PoolSample(problem.pool, instances.uids[:2])
+        head = sample_of(problem.pool, instances.uids[:2])
         problem.get_partition(head, 7)
         problem.get_partition(instances, 7)
         assert problem.f_bound(head, 7) <= problem.f_bound(instances, 7)
@@ -479,13 +481,14 @@ class TestPoolSample:
         problem = BnbProblem([random_milp(rng, 3, 2) for _ in range(7)])
         return problem, problem.sample_many(np.random.default_rng(6), 2000)
 
-    def test_batched_draws_match_scalar_draws(self, problem_and_sample):
+    def test_counts_cover_the_pool(self, problem_and_sample):
         problem, sample = problem_and_sample
         assert isinstance(sample, PoolSample)
-        rng = np.random.default_rng(6)
-        assert sample.uids.tolist() == [
-            int(problem.sample_many(rng, 1).uids[0]) for _ in range(2000)
-        ]
+        assert sample.counts.shape == (len(problem.pool),)
+        assert int(sample.counts.sum()) == len(sample) == 2000
+        assert sample.uids.tolist() == [u for u in range(7) if sample.counts[u] > 0]
+        uids, counts = sample.distinct()
+        assert counts.tolist() == sample.counts[uids].tolist() and counts.min() > 0
 
     @pytest.mark.parametrize("tau", [3, 15])
     def test_cells_match_per_draw_gather(self, problem_and_sample, tau):
@@ -497,7 +500,8 @@ class TestPoolSample:
         problem, sample = problem_and_sample
 
         def per_draw(tau):
-            return min(1 + sum(problem.pool[u].n ** (2 * (tau + 1)) for u in sample.uids), 2**62)
+            draws = draw_indices(sample)
+            return min(1 + sum(problem.pool[u].n ** (2 * (tau + 1)) for u in draws), 2**62)
 
         assert problem.f_bound(sample, 2) == per_draw(2) < 2**62
         assert problem.f_bound(sample, 40) == per_draw(40) == 2**62

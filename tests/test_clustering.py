@@ -463,7 +463,8 @@ class TestFractionalMetrics:
 
 
 class TestPoolSample:
-    # Three draws leave pool indices undrawn, so positions differ from uids.
+    # Three draws leave pool indices undrawn, so a cell's j-th distinct
+    # instance need not be pool index j.
     @pytest.mark.parametrize("tau, draws", [(2, 2000), (5, 2000), (5, 3)])
     def test_cells_match_per_draw_gather(self, tau, draws):
         problem = ClusteringProblem(random_pool(seed=21, count=6, max_points=6))

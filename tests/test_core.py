@@ -7,10 +7,12 @@ from hypothesis import given, settings, strategies as st
 
 from frugal.core import (
     CappedRunOutcome,
+    ConfigProblem,
     DegenerateDistributionError,
     ParamCell,
     ParamSpace,
     PartitionCell,
+    PoolSample,
     format_rational,
     law_capped_mean,
     tail_capped_mean,
@@ -186,17 +188,42 @@ class TestParamTypes:
                 z=0.5,
                 losses=[1],
                 counts=[1],
-                inverse=np.zeros(1, dtype=np.int64),
             ),
             PartitionCell(
                 cell=ParamCell(0.4, 1.0, top_closed=True),
                 z=0.5,
                 losses=[1],
                 counts=[1],
-                inverse=np.zeros(1, dtype=np.int64),
             ),
         ]
         validate_cells_cover(cells, ParamSpace())
         gappy = cells[:1]
         with pytest.raises(ValueError):
             validate_cells_cover(gappy, ParamSpace())
+
+
+class TestPoolSample:
+    def test_counts_and_their_views(self):
+        sample = PoolSample("abcde", [0, 3, 0, 1, 2])
+        assert len(sample) == 6
+        assert sample.uids.tolist() == [1, 3, 4]
+        uids, counts = sample.distinct()
+        assert uids.tolist() == [1, 3, 4] and counts.tolist() == [3, 1, 2]
+
+    @pytest.mark.parametrize("counts", [[1, 2], [1, 2, 3, 4], [[1, 2, 3]]])
+    def test_one_count_per_pool_item(self, counts):
+        with pytest.raises(ValueError, match="one count per pool item"):
+            PoolSample("abc", counts)
+
+    def test_problem_samples(self):
+        problem = ConfigProblem("abc")
+        assert problem.all_instances().counts.tolist() == [1, 1, 1]
+        rng = np.random.default_rng(0)
+        first, second = problem.sample_many(rng, 10), problem.sample_many(rng, 0)
+        assert len(first) == 10 and len(second) == 0
+        merged = problem.merge_samples(first, problem.all_instances())
+        assert merged.counts.tolist() == (first.counts + 1).tolist()
+
+    def test_capped_losses_repeat_by_count(self):
+        cell = PartitionCell(ParamCell(0, 1), 1.0, losses=[5, 2, 9], counts=[2, 0, 1])
+        assert cell.capped_losses.tolist() == [5, 5, 9]

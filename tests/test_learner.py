@@ -1,3 +1,4 @@
+import logging
 import math
 from fractions import Fraction
 
@@ -13,7 +14,7 @@ from frugal.clustering import (
     exact_kmedian_cost,
     random_metric_instance,
 )
-from frugal.core import ParamCell, ParamPoint, PoolSample
+from frugal.core import ParamCell, ParamPoint
 from frugal.learner import (
     LearnerConfig,
     LearnerState,
@@ -40,6 +41,7 @@ from support import (
     four_point_metric,
     min_samples_oracle,
     per_draw_sample_losses,
+    sample_of,
 )
 
 
@@ -100,7 +102,11 @@ class TestGrowSample:
         cfg = default_config(max_samples_per_round=100)
         with pytest.raises(SampleBudgetError) as excinfo:
             grow_sample(problem, 3, cfg, np.random.default_rng(0))
-        assert excinfo.value.last_gamma > cfg.eta * cfg.delta
+        gamma = excinfo.value.last_gamma
+        assert gamma > cfg.eta * cfg.delta
+        message = str(excinfo.value)
+        for field in ("round 3", "cap 8", "f_value 3", f"accuracy {gamma:.6g}", "limit 100"):
+            assert field in message
 
 
 def make_cell(losses, z):
@@ -233,6 +239,19 @@ class TestLearnSubset:
         )
         assert chosen in first.parameters
 
+    def test_logs_one_line_per_round(self, caplog):
+        caplog.set_level(logging.INFO, logger="frugal")
+        result = learn_subset(SyntheticProblem(SyntheticFamily()), default_config())
+        lines = [r.getMessage() for r in caplog.records if r.name == "frugal"]
+        executed = [row for row in result.trace if row.samples > 0]
+        assert len(lines) == len(executed)
+        for line, row in zip(lines, executed):
+            assert line == (
+                f"round {row.round_index} cap {row.cap}: {row.samples} draws, "
+                f"4 distinct instances, {row.cells} cells, {row.admitted} admitted, "
+                f"T={row.threshold}"
+            )
+
     def test_clustering_pool_end_to_end(self):
         rng = np.random.default_rng(11)
         pool = [random_metric_instance(rng, 6, 2) for _ in range(6)]
@@ -241,6 +260,23 @@ class TestLearnSubset:
         first = learn_subset(problem, cfg)
         assert [row.samples for row in first.trace] == [48703, 52149, 54834, 57202, 59391, 0]
         assert_same_run(first, learn_subset(problem, cfg))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_learned_set_finds_a_band_a_grid_misses(seed):
+    """The abstract's motivating claim: a data-independent discretization
+    can miss a tiny pocket of good parameters.  Methods that take sampled or
+    gridded parameters as input (Kleinberg, Leyton-Brown & Lucier, IJCAI
+    2017; Weisz, György & Szepesvári, ICML 2019) only see the pocket if a
+    candidate lands in it.  Here the optimal band is 1e-9 wide: the learner
+    partitions the space exactly and returns a point inside it, while a
+    uniform 1,001-point grid has none."""
+    family = SyntheticFamily(a=0.4, b=0.4 + 1e-9)
+    result = learn_subset(SyntheticProblem(family), default_config(seed=seed))
+    assert result.terminal_round == 8
+    assert any(family.a < p.scalar < family.b for p in result.parameters)
+    grid = np.linspace(0.0, 1.0, 1001)
+    assert not np.any((family.a < grid) & (grid < family.b))
 
 
 def _contract_pool(kind):
@@ -271,7 +307,7 @@ def test_pool_f_bound_contract(kind, measured, small, extra, tau, more_tau):
     problem = POOL_PROBLEMS[kind](pool)
 
     def sample(uids):
-        return PoolSample(problem.pool, np.array(uids))
+        return sample_of(problem.pool, uids)
 
     for uids, cap in measured:
         problem.get_partition(sample(uids), cap)
@@ -296,7 +332,7 @@ def test_pool_f_bound_is_per_draw_ceiling(kind, tau):
     pool = CONTRACT_POOLS[kind]
     uids = [2, 0, 2, 2]
     expected = min(1 + sum(CELLS_OF[kind](pool[u], tau) for u in uids), 2**62)
-    assert POOL_PROBLEMS[kind](pool).f_bound(PoolSample(pool, np.array(uids)), tau) == expected
+    assert POOL_PROBLEMS[kind](pool).f_bound(sample_of(pool, uids), tau) == expected
 
 
 def assert_same_run(first, second):
@@ -416,21 +452,20 @@ class TestMeasureLoss:
 
 
 class TestSampleLosses:
-    def test_draw_order_and_values(self):
+    def test_values_match_doubling_oracle(self):
         problem = SyntheticProblem(SyntheticFamily())
-        losses = sample_losses(problem, 0.4, 300, np.random.default_rng(9), 64)
-        rng = np.random.default_rng(9)
-        expected = [
-            doubling_loss(problem, 0.4, draw_one(problem, rng), 64) for _ in range(300)
-        ]
+        losses, counts = sample_losses(problem, 0.4, 300, np.random.default_rng(9), 64)
+        drawn = problem.sample_many(np.random.default_rng(9), 300)
+        expected = [doubling_loss(problem, 0.4, problem.pool[u], 64) for u in drawn.uids]
         assert losses.dtype == np.int64
         assert losses.tolist() == expected
+        assert counts.tolist() == drawn.counts[drawn.uids].tolist()
 
     def test_one_run_for_repeated_draws(self):
         # Forty draws of a one-instance pool measure that instance once.
         problem = CountingConstantLossProblem(loss=5)
-        losses = sample_losses(problem, 0.5, 40, np.random.default_rng(0), 4)
-        assert losses.tolist() == [4] * 40
+        losses, counts = sample_losses(problem, 0.5, 40, np.random.default_rng(0), 4)
+        assert losses.tolist() == [4] and counts.tolist() == [40]
         assert problem.runs == 1
 
     def test_ceiling_validation(self):
@@ -440,6 +475,8 @@ class TestSampleLosses:
     @pytest.mark.parametrize("kind", ["bnb", "clustering", "synthetic"])
     @pytest.mark.parametrize("rho", [0.0, 0.3, 0.5, 1.0])
     def test_matches_per_draw_loop(self, kind, rho):
+        # Each drawn item's loss, repeated by its count, equals one run per
+        # draw of an identically seeded sample.
         rng = np.random.default_rng(17)
         if kind == "bnb":
             problem, ceiling = BnbProblem([random_milp(rng, 3, 2) for _ in range(6)]), 2**20
@@ -449,19 +486,19 @@ class TestSampleLosses:
         else:
             problem, ceiling = SyntheticProblem(SyntheticFamily()), 64
         batched, looped = np.random.default_rng(4), np.random.default_rng(4)
-        losses = sample_losses(problem, rho, 120, batched, ceiling)
+        losses, counts = sample_losses(problem, rho, 120, batched, ceiling)
         expected = per_draw_sample_losses(problem, rho, 120, looped, ceiling)
-        assert losses.dtype == np.int64
-        assert losses.tolist() == expected.tolist()
+        assert losses.dtype == np.int64 and int(counts.sum()) == 120
+        assert np.repeat(losses, counts).tolist() == expected.tolist()
         assert batched.bit_generator.state == looped.bit_generator.state
 
     def test_pool_with_undrawn_indices_matches_per_draw_loop(self):
         problem = CountingPoolProblem(list(range(1, 41)))
-        losses = sample_losses(problem, 0.5, 30, np.random.default_rng(8), 16)
+        losses, counts = sample_losses(problem, 0.5, 30, np.random.default_rng(8), 16)
         drawn = {key for _, key in problem.runs}
         assert len(drawn) < 30 and len(drawn) < len(problem.pool)
         expected = per_draw_sample_losses(problem, 0.5, 30, np.random.default_rng(8), 16)
-        assert losses.tolist() == expected.tolist()
+        assert np.repeat(losses, counts).tolist() == expected.tolist()
 
     def test_one_run_per_distinct_pool_index(self):
         problem = CountingPoolProblem([3, 9, 1, 40, 7])
@@ -472,7 +509,7 @@ class TestSampleLosses:
         draws = np.random.default_rng(2)
         expected = []
         for candidate in candidates:
-            uids = np.unique(draws.integers(len(problem.pool), size=30)).tolist()
+            uids = problem.sample_many(draws, 30).uids.tolist()
             assert len(uids) < 30
             expected.extend((candidate.scalar, id(problem.pool[uid])) for uid in uids)
         assert problem.runs == expected

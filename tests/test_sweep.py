@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from frugal.core import PoolSample
 from frugal.sweep import (
     DecisionTracker,
     DegenerateCellError,
@@ -14,7 +13,7 @@ from frugal.sweep import (
     sweep_distinct,
     sweep_unit_interval,
 )
-from support import fraction_select
+from support import fraction_select, sample_of
 
 
 def line(intercept, slope):
@@ -147,12 +146,12 @@ class TestSweep:
 
     def test_degenerate_cell_names_instance_and_cap(self):
         pool = [SimpleNamespace(name=""), SimpleNamespace(name="b.milp")]
-        sample = PoolSample(pool, np.array([1, 0, 1]))
-        partitions, inverse = sweep_distinct(lambda instance: [instance], sample, 7)
+        sample = sample_of(pool, [1, 0, 1])
+        partitions, counts = sweep_distinct(lambda instance: [instance], sample, 7)
         assert partitions == [[instance] for instance in pool]
-        assert inverse.tolist() == [1, 0, 1]
+        assert counts.tolist() == [1, 2]
         with pytest.raises(ValueError, match="at least one instance"):
-            sweep_distinct(lambda instance: [instance], PoolSample(pool, np.array([], int)), 7)
+            sweep_distinct(lambda instance: [instance], sample_of(pool, []), 7)
 
         def sweep_one(instance):
             if instance.name:

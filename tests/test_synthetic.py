@@ -12,7 +12,12 @@ from frugal.synthetic import (
     synthetic_partition,
     synthetic_run_with_cap,
 )
-from support import check_partition_contract, draw_one, per_draw_synthetic_cells
+from support import (
+    check_partition_contract,
+    draw_indices,
+    draw_one,
+    per_draw_synthetic_cells,
+)
 
 
 @pytest.fixture
@@ -77,17 +82,20 @@ class TestSampling:
     def test_coin_balance(self, family):
         problem = SyntheticProblem(family)
         rng = np.random.default_rng(5)
-        batch = problem.sample_many(rng, 10**5)
-        assert 0.49 <= (batch.uids & 1).mean() <= 0.51
-        assert 0.49 <= (batch.uids >> 1).mean() <= 0.51
+        draws = draw_indices(problem.sample_many(rng, 10**5))
+        assert 0.49 <= (draws & 1).mean() <= 0.51
+        assert 0.49 <= (draws >> 1).mean() <= 0.51
 
     @pytest.mark.parametrize("seed", [1, 7, 11])
-    def test_uids_encode_the_coin_draw(self, family, seed):
-        # The coins as drawn before synthetic samples held pool indices.
-        heavy = np.random.default_rng(seed).random((5000, 2)) < 0.5
-        expected = heavy[:, 0].astype(np.int64) + 2 * heavy[:, 1].astype(np.int64)
-        batch = SyntheticProblem(family).sample_many(np.random.default_rng(seed), 5000)
-        assert batch.uids.tolist() == expected.tolist()
+    def test_counts_follow_the_uniform_law(self, family, seed):
+        # Each count of n uniform draws over k items is Binomial(n, 1/k).
+        problem = SyntheticProblem(family)
+        n, k = 10**6, len(problem.pool)
+        batch = problem.sample_many(np.random.default_rng(seed), n)
+        assert batch.counts.shape == (k,) and batch.counts.dtype == np.int64
+        assert int(batch.counts.sum()) == len(batch) == n
+        sigma = math.sqrt(n * (1 / k) * (1 - 1 / k))
+        assert np.all(np.abs(batch.counts - n / k) <= 5 * sigma)
 
     def test_instances_frozen(self, family):
         rng = np.random.default_rng(1)
@@ -100,15 +108,16 @@ class TestSampling:
         problem = SyntheticProblem(family)
         a = problem.sample_many(np.random.default_rng(1), 64)
         b = problem.sample_many(np.random.default_rng(2), 64)
-        assert not np.array_equal(a.uids, b.uids)
+        assert not np.array_equal(a.counts, b.counts)
 
-    def test_batched_draws_match_scalar_draws(self, family):
-        batched_rng, scalar_rng = np.random.default_rng(6), np.random.default_rng(6)
-        batch = SyntheticProblem(family).sample_many(batched_rng, 500)
-        scalar = SyntheticProblem(family)
-        uids = [int(scalar.sample_many(scalar_rng, 1).uids[0]) for _ in range(500)]
-        assert batch.uids.tolist() == uids
-        assert batched_rng.bit_generator.state == scalar_rng.bit_generator.state
+    def test_merging_adds_the_counts(self, family):
+        problem = SyntheticProblem(family)
+        rng = np.random.default_rng(6)
+        first, second = problem.sample_many(rng, 500), problem.sample_many(rng, 37)
+        merged = problem.merge_samples(first, second)
+        assert merged.counts.tolist() == (first.counts + second.counts).tolist()
+        assert len(merged) == 537
+        assert merged.uids.tolist() == [u for u in range(4) if merged.counts[u] > 0]
 
 
 class TestPartition:
@@ -134,7 +143,7 @@ class TestPartition:
         batch = problem.sample_many(np.random.default_rng(9), 500)
         cells = synthetic_partition(family, batch, 8)
         low = cells[0]
-        assert low.z == float(((batch.uids & 1) == 0).mean())
+        assert low.z == float(((draw_indices(batch) & 1) == 0).mean())
 
     def test_partition_contract(self, family):
         problem = SyntheticProblem(family)
@@ -146,12 +155,15 @@ class TestPartition:
 
     @pytest.mark.parametrize("tau", [1, 2, 3, 8, 15, 16, 17, 100, 255, 256])
     def test_cells_match_per_draw_vectors(self, family, tau):
+        # The per-draw vectors are the per-instance oracle's capped losses
+        # repeated by the draw counts, in pool order.
         batch = SyntheticProblem(family).sample_many(np.random.default_rng(tau), 3000)
         cells = synthetic_partition(family, batch, tau)
         for cell, (capped, z) in zip(cells, per_draw_synthetic_cells(family, batch, tau)):
             assert cell.capped_losses.dtype == np.int64
             assert cell.capped_losses.tolist() == capped.tolist()
             assert cell.z == z
+            assert cell.counts.tolist() == batch.counts.tolist()
             assert int(cell.counts.sum()) == len(batch)
 
     def test_budget_monotonicity(self, family):
