@@ -83,7 +83,10 @@ def _config_number(raw: dict, key: str, default, integer: bool = False):
     value = raw.get(key, default)
     if not _is_json_number(value, integer):
         raise UsageError(f"config {key!r} must be {'an integer' if integer else 'a number'}")
-    return value if integer else float(value)
+    try:
+        return value if integer else float(value)
+    except OverflowError as exc:
+        raise UsageError(f"config {key!r} is too large for a float") from exc
 
 
 def load_config(path: str | Path, seed_override=None, out_override=None) -> RunConfig:

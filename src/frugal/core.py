@@ -122,19 +122,22 @@ class PoolSample:
 
     ``counts[u]`` is how often the sample drew ``pool[u]``.  Everything the
     learner reads of a sample is a function of that multiset, so the order
-    of the draws is not kept.
+    of the draws is not kept.  ``counts`` is a read-only copy and the size
+    is summed once here, so ``len`` is O(1) and cannot go stale.
     """
 
-    __slots__ = ("pool", "counts")
+    __slots__ = ("pool", "counts", "_size")
 
     def __init__(self, pool: Sequence[Any], counts: np.ndarray) -> None:
         self.pool = pool
-        self.counts = np.asarray(counts, dtype=np.int64)
+        self.counts = np.array(counts, dtype=np.int64)
         if self.counts.shape != (len(pool),):
             raise ValueError(f"need one count per pool item, got shape {self.counts.shape}")
+        self.counts.setflags(write=False)
+        self._size = int(self.counts.sum())
 
     def __len__(self) -> int:
-        return int(self.counts.sum())
+        return self._size
 
     @property
     def uids(self) -> np.ndarray:

@@ -25,7 +25,7 @@ from typing import Sequence
 import numpy as np
 
 from .core import ConfigProblem, ParamCell, ParamPoint, PoolSample, tail_capped_mean
-from .stats import GammaInputs, gamma_bound
+from .stats import GammaInputs, _gamma_of_count, gamma_bound
 
 __all__ = [
     "LearnerConfig",
@@ -179,14 +179,8 @@ def _min_samples_for_target(
     monotone and a bisection over the range finds the first that does.
     Returns None when even ``upper`` misses the target.
     """
-
-    def ok(b: int) -> bool:
-        return (
-            gamma_bound(GammaInputs(round_index, b, cap, f_value, confidence=zeta))
-            <= target
-        )
-
-    offset = bisect.bisect_left(range(lower, upper + 1), True, key=ok)
+    gamma = _gamma_of_count(round_index, cap, f_value, dimension=1, confidence=zeta)
+    offset = bisect.bisect_left(range(lower, upper + 1), True, key=lambda b: gamma(b) <= target)
     return lower + offset if lower + offset <= upper else None
 
 
@@ -216,9 +210,7 @@ def grow_sample(
     sample = problem.sample_many(rng, 1)
     while True:
         f_value = problem.f_bound(sample, cap)
-        gamma = gamma_bound(
-            GammaInputs(round_index, len(sample), cap, f_value, confidence=cfg.zeta)
-        )
+        gamma = gamma_bound(GammaInputs(round_index, len(sample), cap, f_value, confidence=cfg.zeta))
         if gamma <= target:
             return sample
         if len(sample) >= cfg.max_samples_per_round:

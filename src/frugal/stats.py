@@ -4,11 +4,14 @@ The learner keeps drawing instances until the sample-accuracy bound below
 drops under its per-round accuracy target.  The bound combines a
 finite-class complexity term (via the number of behavior regions the capped
 problem admits) with a union-bound term over rounds, sample sizes and caps.
+Sizing a round bisects one float function of the sample count.  The bound
+and its target ``eta * delta`` are floats that only size samples.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 __all__ = ["GammaInputs", "gamma_bound"]
 
@@ -39,6 +42,19 @@ class GammaInputs:
             raise ValueError("confidence must lie in (0, 1)")
 
 
+def _gamma_of_count(round_index, cap, f_value, dimension, confidence) -> Callable[[int], float]:
+    """``gamma_bound`` as a function of ``b`` alone: the terms free of ``b`` are
+    computed once and summed in ``gamma_bound``'s order, so floats stay bit-identical."""
+    two_d_ln_f = 2.0 * dimension * math.log(f_value)
+    ln_cap, ln_t, ln_zeta = math.log(cap), math.log(round_index), math.log(confidence)
+
+    def gamma(b: int) -> float:
+        log_union = _LN8 + 2.0 * (ln_cap + math.log(b) + ln_t) - ln_zeta
+        return math.sqrt(two_d_ln_f / b) + 2.0 * math.sqrt(2.0 * log_union / b)
+
+    return gamma
+
+
 def gamma_bound(inputs: GammaInputs) -> float:
     """Accuracy to which a sample of the given size pins down capped losses.
 
@@ -49,11 +65,6 @@ def gamma_bound(inputs: GammaInputs) -> float:
     overflow.  Strictly positive, and strictly decreasing in ``b`` for any
     valid inputs when ``f_value`` is held fixed.
     """
-    b = inputs.sample_count
-    complexity = math.sqrt(2.0 * inputs.dimension * math.log(inputs.f_value) / b)
-    log_union = (
-        _LN8
-        + 2.0 * (math.log(inputs.cap) + math.log(b) + math.log(inputs.round_index))
-        - math.log(inputs.confidence)
-    )
-    return complexity + 2.0 * math.sqrt(2.0 * log_union / b)
+    return _gamma_of_count(
+        inputs.round_index, inputs.cap, inputs.f_value, inputs.dimension, inputs.confidence
+    )(inputs.sample_count)

@@ -6,6 +6,7 @@ library code paths it checks.
 """
 from __future__ import annotations
 
+import bisect
 import heapq
 import itertools
 import json
@@ -35,6 +36,7 @@ from frugal.core import (
     PartitionCell,
     PoolSample,
 )
+from frugal.stats import GammaInputs
 from frugal.sweep import standalone_tracker, sweep_unit_interval
 
 
@@ -305,6 +307,38 @@ def min_samples_oracle(round_index, cap, f_value, dimension, confidence, target,
         else:
             lo = mid
     return hi if gamma(hi) <= target else None
+
+
+_LN8 = math.log(8.0)
+
+
+def expanded_gamma_bound(inputs: GammaInputs) -> float:
+    """The accuracy bound as one expression over the validated inputs, in the
+    association ``gamma_bound`` must reproduce bit for bit."""
+    b = inputs.sample_count
+    complexity = math.sqrt(2.0 * inputs.dimension * math.log(inputs.f_value) / b)
+    log_union = (
+        _LN8
+        + 2.0 * (math.log(inputs.cap) + math.log(b) + math.log(inputs.round_index))
+        - math.log(inputs.confidence)
+    )
+    return complexity + 2.0 * math.sqrt(2.0 * log_union / b)
+
+
+def bisect_min_samples(round_index, cap, f_value, zeta, target, lower, upper):
+    """Smallest count in [lower, upper] whose ``expanded_gamma_bound`` meets
+    the target, found by the same bisection over the same range as the
+    learner's sizing, with a validated ``GammaInputs`` per probe; None when
+    even ``upper`` misses."""
+
+    def ok(b: int) -> bool:
+        return (
+            expanded_gamma_bound(GammaInputs(round_index, b, cap, f_value, confidence=zeta))
+            <= target
+        )
+
+    offset = bisect.bisect_left(range(lower, upper + 1), True, key=ok)
+    return lower + offset if lower + offset <= upper else None
 
 
 class ConstantLossProblem(ConfigProblem):

@@ -108,6 +108,13 @@ class TestLearnCommand:
         assert main(["learn", "--config", str(bad)]) == 1
         assert capsys.readouterr().err.startswith("error: ")
 
+    @pytest.mark.parametrize("key", ["epsilon", "delta", "zeta"])
+    def test_number_too_large_for_a_float_exits_one(self, tmp_path, capsys, key):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"domain": "synthetic", key: 10**400}))
+        assert main(["learn", "--config", str(bad)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: config {key!r} ")
+
     def test_learner_failure_exits_two(self, tmp_path):
         config = write_config(tmp_path, max_samples_per_round=50)
         assert main(["learn", "--config", str(config)]) == 2

@@ -224,6 +224,28 @@ class TestPoolSample:
         merged = problem.merge_samples(first, problem.all_instances())
         assert merged.counts.tolist() == (first.counts + 1).tolist()
 
+    def test_size_is_fixed_and_counts_read_only(self):
+        problem = ConfigProblem("abcd")
+        rng = np.random.default_rng(5)
+        drawn = problem.sample_many(rng, 37)
+        samples = [drawn, problem.merge_samples(drawn, problem.sample_many(rng, 5)),
+                   problem.all_instances()]
+        assert [len(sample) for sample in samples] == [37, 42, 4]
+        for sample in samples:
+            assert len(sample) == int(sample.counts.sum())
+            with pytest.raises(ValueError, match="read-only"):
+                sample.counts[0] += 1
+            with pytest.raises(ValueError, match="read-only"):
+                sample.counts.fill(0)
+            assert len(sample) == int(sample.counts.sum())
+
+    def test_counts_are_copied(self):
+        counts = np.array([2, 0, 1], dtype=np.int64)
+        sample = PoolSample("abc", counts)
+        counts[1] = 7
+        assert counts.flags.writeable
+        assert sample.counts.tolist() == [2, 0, 1] and len(sample) == 3
+
     def test_capped_losses_repeat_by_count(self):
         cell = PartitionCell(ParamCell(0, 1), 1.0, losses=[5, 2, 9], counts=[2, 0, 1])
         assert cell.capped_losses.tolist() == [5, 5, 9]

@@ -4,8 +4,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from frugal.stats import GammaInputs, gamma_bound
-from support import gamma_reference, massart_bound, mc_rademacher
+from frugal.learner import _min_samples_for_target
+from frugal.stats import GammaInputs, _gamma_of_count, gamma_bound
+from support import (
+    bisect_min_samples,
+    expanded_gamma_bound,
+    gamma_reference,
+    massart_bound,
+    mc_rademacher,
+)
 
 
 def make_inputs(**overrides):
@@ -80,6 +87,43 @@ class TestGammaBound:
             make_inputs(f_value=0)
         with pytest.raises(ValueError):
             make_inputs(confidence=1.0)
+
+
+ROUNDS = st.integers(1, 40)
+CAPS = st.integers(1, 2**60)
+F_VALUES = st.integers(1, 2**62)
+CONFIDENCES = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
+COUNTS = st.integers(1, 2_000_000)
+
+
+class TestSizingFunction:
+    """The sizing function of the sample count is the bound itself, float for
+    float, so bisecting it returns the counts the validated bound gives."""
+
+    @given(ROUNDS, CAPS, F_VALUES, st.integers(1, 4), CONFIDENCES, COUNTS)
+    @settings(max_examples=300, deadline=None)
+    def test_equals_the_bound_exactly(self, round_index, cap, f_value, dimension,
+                                      confidence, b):
+        inputs = GammaInputs(round_index, b, cap, f_value, dimension, confidence)
+        value = _gamma_of_count(round_index, cap, f_value, dimension, confidence)(b)
+        assert value == gamma_bound(inputs)
+        assert value == expanded_gamma_bound(inputs)
+
+    @given(ROUNDS, CAPS, F_VALUES, CONFIDENCES, COUNTS, st.integers(0, 2_000_000),
+           st.integers(0, 2_000_000), st.sampled_from([-math.inf, 0.0, math.inf]))
+    @settings(max_examples=200, deadline=None)
+    def test_sizing_matches_the_validated_bisection(self, round_index, cap, f_value, zeta,
+                                                    lower, pivot_offset, span, nudge):
+        # The target sits on, or one float either side of, the bound at a
+        # pivot count, so ties decide; a pivot past ``upper`` gives None.
+        pivot, upper = lower + pivot_offset, lower + span
+        exact = expanded_gamma_bound(GammaInputs(round_index, pivot, cap, f_value,
+                                                 confidence=zeta))
+        target = exact if nudge == 0.0 else math.nextafter(exact, nudge)
+        expected = bisect_min_samples(round_index, cap, f_value, zeta, target, lower, upper)
+        assert _min_samples_for_target(
+            round_index, cap, f_value, zeta, target, lower, upper
+        ) == expected
 
 
 class TestMassartBound:
