@@ -182,7 +182,8 @@ class MergeForest:
 class _LinkageRun:
     """One instance's linkage run, which a left-to-right sweep resumes.
 
-    The run keeps the live roots after each merge count, every merge
+    The run keeps the linkage line of every pair of node ids in a table
+    indexed by node id, the live roots after each merge count, every merge
     decision that lowered the tracker's running bound (with the bound it
     left), each node's member set, each node's pruning table once a prefix
     cost needed it, and cluster costs by member set.  A run at a point
@@ -207,11 +208,11 @@ class _LinkageRun:
         # integer form, built once when the pair forms: its intercept is the
         # farthest pair distance and intercept + slope the closest.  Scaling
         # every line by one positive factor leaves the argmin and its
-        # crossings unchanged.  A resumed step overwrites the pairs of the
-        # node ids it recreates, and no live pair reads a stale entry.
-        self.lines: dict[tuple[int, int], tuple[int, int]] = {
-            (i, j): (self.distances[i][j], 0) for i in range(n) for j in range(i + 1, n)
-        }
+        # crossings unchanged.  ``lines[i][j] == lines[j][i]``; a resumed step
+        # rewrites the node ids it recreates, so no live pair reads a stale line.
+        self.lines: list[list[tuple[int, int] | None]] = [
+            [(d, 0) for d in row] + [None] * (n - 1) for row in self.distances
+        ] + [[None] * (2 * n - 1) for _ in range(n - 1)]
         self.merges: list[tuple[int, int, int]] = []
         # (s, bound) for each merge decision s that lowered the running bound.
         self.drops: list[tuple[int, Fraction]] = []
@@ -242,11 +243,11 @@ class _LinkageRun:
         del self.merges[start:], self.roots[start + 1 :]
         del self.members[n + start :], self.tables[n + start :]
         self.drops = [(s, bound) for s, bound in self.drops if s < start]
-        # The live roots stay ascending: each new node id is the largest so far.
+        # Roots stay ascending (a new id is the largest), so pairs come in tie-break order.
         roots = list(self.roots[start])
         lines = self.lines
         for step in range(start, budget):
-            candidates = [(pair, lines[pair]) for pair in itertools.combinations(roots, 2)]
+            candidates = [((i, j), lines[i][j]) for i, j in itertools.combinations(roots, 2)]
             bound = tracker.bound
             a, b = tracker.argmin(candidates)
             # The tracker assigns a new bound only when the bound shrinks.
@@ -257,11 +258,14 @@ class _LinkageRun:
             self.members.append(self.members[a] | self.members[b])
             roots.remove(a)
             roots.remove(b)
+            row_a, row_b, row_new = lines[a], lines[b], lines[new_id]
             for r in roots:
-                far_a, slope_a = lines[(a, r) if a < r else (r, a)]
-                far_b, slope_b = lines[(b, r) if b < r else (r, b)]
-                farthest = max(far_a, far_b)
-                lines[(r, new_id)] = (farthest, min(far_a + slope_a, far_b + slope_b) - farthest)
+                far_a, slope_a = row_a[r]
+                far_b, slope_b = row_b[r]
+                close_a, close_b = far_a + slope_a, far_b + slope_b
+                farthest = far_a if far_a > far_b else far_b
+                line = (farthest, (close_a if close_a < close_b else close_b) - farthest)
+                row_new[r] = lines[r][new_id] = line
             roots.append(new_id)
             self.roots.append(tuple(roots))
 

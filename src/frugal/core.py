@@ -14,6 +14,7 @@ constant behavior is one half-open interval ``[lo, hi)`` (``ParamCell``).
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -288,7 +289,7 @@ def tail_capped_mean(losses, counts, rank: int) -> tuple[int, float]:
 
 
 def to_fraction(value: Any) -> Fraction:
-    """Exact rational for a Fraction, an integer, a decimal string or a float."""
+    """Exact rational for a Fraction, an integer, a decimal string or a finite float."""
     if isinstance(value, Fraction):
         return value
     if isinstance(value, (int, np.integer)):
@@ -296,6 +297,8 @@ def to_fraction(value: Any) -> Fraction:
     if isinstance(value, str):
         return Fraction(value)
     if isinstance(value, (float, np.floating)):
+        if not math.isfinite(value):
+            raise ValueError(f"cannot interpret non-finite {float(value)!r} as an exact rational")
         return Fraction(float(value))
     raise TypeError(f"cannot interpret {value!r} as an exact rational")
 

@@ -11,12 +11,12 @@ the unit interval.
 
 A score line is a plain ``(intercept, slope)`` pair, whose value is
 ``intercept + slope * rho``.  Both domains pass int pairs, so arithmetic is
-exact and stays in Python ints: values at the point ``rho = p/q`` are
-compared scaled by ``q``, and a crossing is tested against the bound by
-cross-multiplication.  A pair of ``Fraction`` coefficients goes through the
-same expressions and stays exact.  A breakpoint becomes a
-``fractions.Fraction`` only when it shrinks the bound, so breakpoints are
-exact and cells never drift against a grid sweep.
+exact and stays in Python ints: a selection makes one pass comparing
+values at ``rho = p/q`` scaled by ``q``, then one testing crossings by
+cross-multiplication.  ``Fraction`` coefficients go through the same
+expressions and stay exact.  The bound becomes a ``fractions.Fraction``
+only when it shrinks, so breakpoints are exact and cells never drift
+against a grid sweep.
 
 Selection ties break toward the candidate that stays the winner immediately
 to the right of the tie point (largest slope for argmax, smallest for
@@ -71,8 +71,12 @@ class DecisionTracker:
     ``intercept + slope * rho``, is compared as given, with no common
     denominator.  ``bound`` starts at the sweep's right end and shrinks to
     the first point strictly right of ``point`` where any selection made so
-    far would change.  With ``upper=None`` the tracker is untracked: it only
-    selects, and ``bound`` stays None.
+    far would change.  A rival whose slope closes on the winner's meets it
+    at ``crossing / closing``, and changes the selection there only if it
+    trails at ``point = p/q``: ``crossing * q > p * closing``.  A tied rival
+    never does.  ``bound`` is assigned only when it shrinks, so an unchanged
+    bound is the same object.  With ``upper=None`` the tracker is
+    untracked: it only selects, and ``bound`` stays None.
 
     ``tie_rightward`` controls which side of an exact score tie the winner
     comes from.  Interior points break toward the candidate that wins just
@@ -101,28 +105,27 @@ class DecisionTracker:
         if not candidates:
             raise ValueError("no candidates to select from")
         p, q = self.point.numerator, self.point.denominator
-        side = 1 if self.tie_rightward else -1
-        # Each line's value at rho = p/q, scaled by q > 0.
-        values = [q * a + p * b for _, (a, b) in candidates]
-        best, best_v, best_b = 0, values[0], candidates[0][1][1]
-        for index, ((_, (_, b)), v) in enumerate(zip(candidates, values)):
-            lead = sense * (v - best_v)
-            if lead > 0 or (lead == 0 and side * sense * (b - best_b) > 0):
-                best, best_v, best_b = index, v, b
-        best_key, (best_a, _) = candidates[best]
+        tie = sense if self.tie_rightward else -sense
+        # Each line's value at rho = p/q, scaled by sense * q: the winner's is largest.
+        sp, sq = sense * p, sense * q
+        best_key, (best_a, best_b) = candidates[0]
+        best_v = sq * best_a + sp * best_b
+        for key, (a, b) in candidates:
+            v = sq * a + sp * b
+            if v > best_v or (v == best_v and tie * (b - best_b) > 0):
+                best_key, best_a, best_b, best_v = key, a, b, v
         if self.bound is None:
             return best_key
         bound_num, bound_den = self.bound.numerator, self.bound.denominator
-        for (_, (a, b)), v in zip(candidates, values):
-            # Only a strictly trailing rival that closes the gap crosses the
-            # winner w, where the lines meet: rho = (a_w - a) / (b - b_w).  A
-            # tie (the winner itself among them) is kept forever.
+        shrunk = False
+        for _, (a, b) in candidates:
             closing = sense * (b - best_b)
-            if closing > 0 and sense * (best_v - v) > 0:
+            if closing > 0:
                 crossing = sense * (best_a - a)
-                if crossing * bound_den < bound_num * closing:
-                    self.bound = Fraction(crossing, closing)
-                    bound_num, bound_den = self.bound.numerator, self.bound.denominator
+                if crossing * bound_den < bound_num * closing and crossing * q > p * closing:
+                    bound_num, bound_den, shrunk = crossing, closing, True
+        if shrunk:
+            self.bound = Fraction(bound_num, bound_den)
         return best_key
 
 
@@ -224,14 +227,14 @@ def cells_from_refinement(
     The refinement holds one payload per distinct instance and ``counts``
     (see ``sweep_distinct``) their multiplicities.
     """
-    total = int(counts.sum())
+    weights = counts.tolist()
+    total = sum(weights)
     out = []
     for lo, hi, payloads in refined:
         losses = [loss for loss, _ in payloads]
-        solved = np.array([ok for _, ok in payloads], dtype=np.bool_)
-        cell = ParamCell(lo, hi, top_closed=(hi == Fraction(1)))
-        z = int(counts[solved].sum()) / total
-        out.append(PartitionCell(cell=cell, z=z, losses=losses, counts=counts))
+        solved = sum(weight for (_, ok), weight in zip(payloads, weights) if ok)
+        cell = ParamCell(lo, hi, top_closed=(hi == 1))
+        out.append(PartitionCell(cell=cell, z=solved / total, losses=losses, counts=counts))
     return out
 
 

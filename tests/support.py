@@ -217,6 +217,48 @@ def reference_clustering_sweep(instance, tau):
     return sweep_unit_interval(execute)
 
 
+class ReferenceLinkageRun(NamedTuple):
+    """A capped linkage run as ``reference_linkage_run`` replays it."""
+
+    merges: tuple[tuple[int, int, int], ...]
+    bound: Fraction | None
+
+
+def reference_linkage_run(instance, rho, budget, bound=None):
+    """``budget`` greedy merges at ``rho`` from ``Fraction`` linkage lines.
+
+    Each root pair's line is ``(farthest, closest - farthest)`` over the
+    pairwise ``instance.distances`` of its two clusters' members, kept in a
+    dict keyed by the sorted pair.  Each step's candidates are the pairs of
+    ``itertools.combinations`` over the sorted roots, and ``fraction_select``
+    picks the argmin.  With ``bound=None`` the choice is the standalone one
+    (ties rightward except at 1); otherwise ties break rightward and the
+    returned bound is the first point right of ``rho`` where a choice flips.
+    """
+    rho = Fraction(rho)
+    tie_rightward = bound is not None or rho != 1
+    distances = instance.distances
+    members = {i: (i,) for i in range(instance.n)}
+
+    def linkage(u, v):
+        pairs = [distances[p][q] for p in members[u] for q in members[v]]
+        return (max(pairs), min(pairs) - max(pairs))
+
+    lines = {pair: linkage(*pair) for pair in itertools.combinations(sorted(members), 2)}
+    merges = []
+    for step in range(budget):
+        roots = sorted(members)
+        candidates = [(pair, lines[pair]) for pair in itertools.combinations(roots, 2)]
+        (a, b), bound = fraction_select(rho, bound, tie_rightward, candidates, -1)
+        new = instance.n + step
+        members[new] = members.pop(a) + members.pop(b)
+        for r in members:
+            if r != new:
+                lines[(r, new)] = linkage(r, new)
+        merges.append((a, b, new))
+    return ReferenceLinkageRun(tuple(merges), bound)
+
+
 # 2^20 sign patterns is about a million: cheap enough to enumerate exactly,
 # which keeps the estimator deterministic wherever feasible.
 EXACT_ENUMERATION_LIMIT = 20

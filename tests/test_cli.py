@@ -228,6 +228,18 @@ class TestSelectCommand:
         assert "rho must lie in [0, 1]" in capsys.readouterr().err
         assert not (out / "selected.json").exists()
 
+    @pytest.mark.parametrize("rho", ["Infinity", "-Infinity", "1e400"])
+    def test_non_finite_rho_exits_one(self, clustering_config, tmp_path, capsys, rho):
+        out = tmp_path / "clu_out"
+        out.mkdir()
+        (out / "subset.json").write_text(
+            '{"domain": "clustering", "terminal_round": 2, "parameters": [{"rho": %s}]}' % rho
+        )
+        assert main(["select", "--config", str(clustering_config), "--samples", "5"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "non-finite" in err
+        assert not (out / "selected.json").exists()
+
     def test_rerun_identical(self, tmp_path):
         config = write_config(tmp_path)
         assert main(["learn", "--config", str(config)]) == 0

@@ -32,6 +32,7 @@ from support import (
     enumerate_prunings,
     four_point_metric,
     reference_clustering_sweep,
+    reference_linkage_run,
     triangle_violation,
     whole_pool,
 )
@@ -318,6 +319,44 @@ class TestClusteringPartition:
         assert clustering_cell_bound(whole_pool(pool), 5) == sum(i.n**8 for i in pool) + 1
 
 
+def draw_tie_heavy_metric(data):
+    """A fractional metric, or an L1 metric on a 4 x 4 or 13 x 13 grid; the
+    4 x 4 grid makes equal distances, and so ties, common."""
+    if data.draw(st.booleans()):
+        return TestFractionalMetrics.draw_metric(data, max_points=12)
+    n = data.draw(st.integers(3, 12))
+    side = data.draw(st.sampled_from([4, 13]))
+    grid = st.tuples(st.integers(0, side - 1), st.integers(0, side - 1))
+    points = data.draw(st.lists(grid, min_size=n, max_size=n, unique=True))
+    return [[abs(p[0] - q[0]) + abs(p[1] - q[1]) for q in points] for p in points]
+
+
+class TestLinkageOracle:
+    """Linkage runs against ``reference_linkage_run``, which rebuilds every
+    line from the ``Fraction`` distances and shares no code with the run."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_runs_match_oracle(self, data):
+        matrix = draw_tie_heavy_metric(data)
+        n = len(matrix)
+        inst = ClusteringInstance.from_lists(matrix, 1, 1)
+        budget = data.draw(st.integers(0, n - 1))
+        # The oracle's own sweep: each cell's left end is the bound the
+        # oracle returned at the previous one.
+        left, top = Fraction(0), Fraction(1)
+        while left < top:
+            want = reference_linkage_run(inst, left, budget, top)
+            assert capped_linkage_run(inst, left, budget).merges == want.merges
+            tracker = DecisionTracker(left, top)
+            assert capped_linkage_run(inst, left, budget, tracker).merges == want.merges
+            assert tracker.bound == want.bound
+            left = want.bound
+        assert capped_linkage_run(inst, top, budget).merges == (
+            reference_linkage_run(inst, top, budget).merges
+        )
+
+
 def assert_sweep_matches_reference(inst, tau):
     cells = clustering_partition(whole_pool([inst]), tau)
     got = [((c.cell.lo, c.cell.hi), (int(c.capped_losses[0]), c.z == 1.0)) for c in cells]
@@ -343,15 +382,7 @@ class TestResumedSweep:
     @settings(max_examples=100, deadline=None)
     @given(st.data())
     def test_matches_reference(self, data):
-        if data.draw(st.booleans()):
-            matrix = TestFractionalMetrics.draw_metric(data, max_points=12)
-        else:
-            # A 4 x 4 grid makes equal distances, and so ties, common.
-            n = data.draw(st.integers(3, 12))
-            side = data.draw(st.sampled_from([4, 13]))
-            grid = st.tuples(st.integers(0, side - 1), st.integers(0, side - 1))
-            points = data.draw(st.lists(grid, min_size=n, max_size=n, unique=True))
-            matrix = [[abs(p[0] - q[0]) + abs(p[1] - q[1]) for q in points] for p in points]
+        matrix = draw_tie_heavy_metric(data)
         n = len(matrix)
         k = data.draw(st.integers(1, n))
         slack = data.draw(st.sampled_from([Fraction(1), Fraction(6, 5), Fraction(2)]))

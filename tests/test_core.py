@@ -139,6 +139,14 @@ class TestRationals:
         with pytest.raises(TypeError):
             to_fraction(None)
 
+    @pytest.mark.parametrize(
+        "value", [math.inf, -math.inf, math.nan, np.float64(math.inf)],
+        ids=["inf", "-inf", "nan", "np-inf"],
+    )
+    def test_to_fraction_rejects_non_finite(self, value):
+        with pytest.raises(ValueError, match=f"non-finite {float(value)!r}"):
+            to_fraction(value)
+
     def test_format_rational(self):
         assert format_rational(Fraction(12)) == "12"
         assert format_rational(Fraction(-3)) == "-3"

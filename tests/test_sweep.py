@@ -60,6 +60,29 @@ class TestDecisionTracker:
         tracker.argmax([("c", line(1, 0)), ("d", line("0.5", 1))])
         assert tracker.bound == Fraction(1, 2)
 
+    def test_bound_is_reassigned_only_when_it_shrinks(self):
+        # A run resuming a sweep detects a shrink as a new bound object.
+        upper = Fraction(1)
+        tracker = DecisionTracker(Fraction(0), upper)
+        tracker.argmax([("a", line(1, 0)), ("b", line(0, 2))])
+        shrunk = tracker.bound
+        assert shrunk == Fraction(1, 2) and shrunk is not upper
+        assert type(shrunk) is Fraction
+        # Rivals that meet the winner right of the bound, or diverge from
+        # it, leave the bound as it is.
+        tracker.argmax([("c", line(1, 0)), ("d", line(0, 1)), ("e", line(0, -1))])
+        tracker.argmin([("f", line(0, 1)), ("g", line(2, -1))])
+        assert tracker.bound is shrunk
+        tracker.argmax([("h", line(1, 0)), ("i", line(0, 4))])
+        assert tracker.bound == Fraction(1, 4) and tracker.bound is not shrunk
+
+    def test_tied_rival_never_moves_the_bound(self):
+        # Ties break leftward here, so the flat line wins and the steep one
+        # closes on it; they meet at the point itself, which is no crossing.
+        tracker = DecisionTracker(Fraction(1), Fraction(2), tie_rightward=False)
+        assert tracker.argmax([("flat", line(1, 0)), ("steep", line(0, 1))]) == "flat"
+        assert tracker.bound == 2
+
     def test_standalone_ties_rightward_except_at_top(self):
         candidates = [("flat", line(1, 0)), ("steep", line(0, 1))]
         assert standalone_tracker(Fraction(1)).argmax(candidates) == "flat"
