@@ -467,85 +467,61 @@ def _children(milp: Milp, fixings: tuple, index: int) -> tuple:
     return tuple(out)
 
 
-@dataclass
-class _RunRecord:
-    completed: bool
-    tree_size: int
-    incumbent_value: Fraction | None
-    decisions: list[tuple[int, int]]
-
-
-def _run_capped(milp: Milp, node_limit: int, tracker: DecisionTracker) -> _RunRecord:
+def _run_capped(
+    milp: Milp, node_limit: int, tracker: DecisionTracker
+) -> tuple[bool, int, Fraction | None]:
     """Best-first branch-and-bound capped at ``node_limit`` tree nodes.
 
-    Node selection pops the frontier node with the largest relaxation value
-    (ties: deeper node, then lower node id); these keys never depend on the
-    mixture weight, so the only parameter-sensitive decisions are the
-    branching argmaxes routed through the tracker.  Each node's score lines
-    and children come from the program's node memo, so a node that an
-    earlier run expanded costs one argmax over int lines.
+    Returns ``(completed, tree_size, incumbent)``: whether the search
+    finished within the limit, the nodes it built, and the best integral
+    objective value found (None when there is none).  Node selection pops
+    the frontier node with the largest relaxation value (ties: deeper node,
+    then lower node id); these keys never depend on the mixture weight, so
+    the only parameter-sensitive decisions are the branching argmaxes routed
+    through the tracker.  Each node's score lines and children come from the
+    program's node memo, so a node that an earlier run expanded costs one
+    argmax over int lines.
     """
     if node_limit < 1:
         raise ValueError("node limit must be positive")
-    record = _RunRecord(False, 1, None, [])
     root_lp = lp_relax(milp, None)
     if not root_lp.is_optimal:
-        record.completed = True
-        return record
+        return True, 1, None
     if root_lp.is_integral():
-        record.completed = True
-        record.incumbent_value = root_lp.objective
-        return record
-    root = BnbNode(0, 0, (), root_lp)
-    next_id = 1
-    frontier: list[tuple[Fraction, int, int, BnbNode]] = []
-    heapq.heappush(frontier, (-root_lp.objective, -root.depth, root.node_id, root))
+        return True, 1, root_lp.objective
+    size, incumbent = 1, None
+    frontier = [(-root_lp.objective, 0, 0, BnbNode(0, 0, (), root_lp))]
     while frontier:
         _, _, _, node = heapq.heappop(frontier)
-        if (
-            record.incumbent_value is not None
-            and node.relaxation.objective <= record.incumbent_value
-        ):
+        if incumbent is not None and node.relaxation.objective <= incumbent:
             continue
         expansion = _expansion(milp, node)
         chosen = tracker.argmax(expansion.lines)
-        record.decisions.append((node.node_id, chosen))
         children = expansion.children.get(chosen)
         if children is None:
             children = expansion.children[chosen] = _children(milp, node.fixings, chosen)
         for child_fixings, child_lp, integral in children:
-            if record.tree_size + 1 > node_limit:
-                return record
-            record.tree_size += 1
-            child_id = next_id
-            next_id += 1
+            if size >= node_limit:
+                return False, size, incumbent
+            child_id, size = size, size + 1  # a node's id is its creation index
             if not child_lp.is_optimal:
                 continue
             if integral:
-                if (
-                    record.incumbent_value is None
-                    or child_lp.objective > record.incumbent_value
-                ):
-                    record.incumbent_value = child_lp.objective
+                if incumbent is None or child_lp.objective > incumbent:
+                    incumbent = child_lp.objective
                 continue
-            if (
-                record.incumbent_value is not None
-                and child_lp.objective <= record.incumbent_value
-            ):
+            if incumbent is not None and child_lp.objective <= incumbent:
                 continue
             child = BnbNode(child_id, node.depth + 1, child_fixings, child_lp)
-            heapq.heappush(
-                frontier, (-child_lp.objective, -child.depth, child.node_id, child)
-            )
-    record.completed = True
-    return record
+            heapq.heappush(frontier, (-child_lp.objective, -child.depth, child_id, child))
+    return True, size, incumbent
 
 
 def _run_outcome(milp: Milp, cap: int, tracker: DecisionTracker) -> CappedRunOutcome:
     limit = min(cap, MAX_TREE_SIZE)
-    record = _run_capped(milp, limit, tracker)
-    if record.completed:
-        return CappedRunOutcome.finished(record.tree_size)
+    completed, tree_size, _ = _run_capped(milp, limit, tracker)
+    if completed:
+        return CappedRunOutcome.finished(tree_size)
     if limit == MAX_TREE_SIZE:
         # Hitting the absolute tree-size bound counts as termination.
         return CappedRunOutcome.finished(MAX_TREE_SIZE)
@@ -559,10 +535,8 @@ def bnb_run(milp: Milp, rho, cap: int) -> CappedRunOutcome:
 
 def best_binary_solution(milp: Milp, rho, cap: int = MAX_TREE_SIZE):
     """Incumbent value of a capped run (None when infeasible or cap exceeded)."""
-    record = _run_capped(milp, min(cap, MAX_TREE_SIZE), standalone_tracker(rho))
-    if not record.completed:
-        return None
-    return record.incumbent_value
+    completed, _, incumbent = _run_capped(milp, min(cap, MAX_TREE_SIZE), standalone_tracker(rho))
+    return incumbent if completed else None
 
 
 def bnb_partition(sample: PoolSample, tau: int) -> list[PartitionCell]:
@@ -578,11 +552,7 @@ def bnb_partition(sample: PoolSample, tau: int) -> list[PartitionCell]:
         raise ValueError("tau must be a positive integer")
 
     def sweep_one(milp: Milp):
-        def execute(rho: Fraction, tracker: DecisionTracker):
-            outcome = _run_outcome(milp, tau, tracker)
-            return (outcome.capped_loss(tau), outcome.solved)
-
-        return sweep_unit_interval(execute)
+        return sweep_unit_interval(lambda tracker: _run_outcome(milp, tau, tracker))
 
     partitions, counts = sweep_distinct(sweep_one, sample, tau)
     return cells_from_refinement(refine_cells(partitions), counts)

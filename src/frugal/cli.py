@@ -20,7 +20,7 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -53,25 +53,14 @@ class UsageError(Exception):
 @dataclass
 class RunConfig:
     domain: str
-    epsilon: float
-    delta: float
-    zeta: float
-    seed: int
-    max_rounds: int
-    max_samples_per_round: int
+    learner: LearnerConfig
     out: Path
     family: SyntheticFamily | None = None
     instances_dir: Path | None = None
 
     def learner_config(self) -> LearnerConfig:
-        return LearnerConfig(
-            epsilon=self.epsilon,
-            delta=self.delta,
-            zeta=self.zeta,
-            seed=self.seed,
-            max_rounds=self.max_rounds,
-            max_samples_per_round=self.max_samples_per_round,
-        )
+        """``learner``.  Exists only because ``perfbench/workloads.py`` calls it."""
+        return self.learner
 
 
 def _is_json_number(value, integer: bool = False) -> bool:
@@ -79,14 +68,19 @@ def _is_json_number(value, integer: bool = False) -> bool:
     return not isinstance(value, bool) and isinstance(value, int if integer else (int, float))
 
 
-def _config_number(raw: dict, key: str, default, integer: bool = False):
-    value = raw.get(key, default)
+def _config_number(raw: dict, key: str, integer: bool = False):
+    value = raw[key]
     if not _is_json_number(value, integer):
         raise UsageError(f"config {key!r} must be {'an integer' if integer else 'a number'}")
+    if integer:
+        return value
     try:
-        return value if integer else float(value)
+        value = float(value)
     except OverflowError as exc:
         raise UsageError(f"config {key!r} is too large for a float") from exc
+    if not math.isfinite(value):
+        raise UsageError(f"config {key!r} must be finite")
+    return value
 
 
 def load_config(path: str | Path, seed_override=None, out_override=None) -> RunConfig:
@@ -118,26 +112,19 @@ def load_config(path: str | Path, seed_override=None, out_override=None) -> RunC
         instances_dir = Path(raw["instances_dir"])
         if not instances_dir.is_dir():
             raise UsageError(f"instances_dir {instances_dir} is not a directory")
-    seed = _config_number(raw, "seed", 0, integer=True)
+    # The learner's other knobs default in ``LearnerConfig``.
+    knobs = {"epsilon": 15.0, "delta": 0.25, "zeta": 0.05}
+    for knob in fields(LearnerConfig):
+        if knob.name in raw:
+            knobs[knob.name] = _config_number(raw, knob.name, integer=knob.type == "int")
+    if seed_override is not None:
+        knobs["seed"] = int(seed_override)
     try:
-        cfg = RunConfig(
-            domain=domain,
-            epsilon=_config_number(raw, "epsilon", 15.0),
-            delta=_config_number(raw, "delta", 0.25),
-            zeta=_config_number(raw, "zeta", 0.05),
-            seed=seed if seed_override is None else int(seed_override),
-            max_rounds=_config_number(raw, "max_rounds", 40, integer=True),
-            max_samples_per_round=_config_number(
-                raw, "max_samples_per_round", 2_000_000, integer=True
-            ),
-            out=Path(out_override if out_override is not None else raw.get("out", "frugal_out")),
-            family=family,
-            instances_dir=instances_dir,
-        )
-        cfg.learner_config()  # validate ranges eagerly
+        learner = LearnerConfig(**knobs)
+        out = Path(out_override if out_override is not None else raw.get("out", "frugal_out"))
     except (TypeError, ValueError) as exc:
         raise UsageError(f"bad config value: {exc}") from exc
-    return cfg
+    return RunConfig(domain, learner, out, family, instances_dir)
 
 
 def build_problem(cfg: RunConfig) -> ConfigProblem:
@@ -175,10 +162,10 @@ def _write_json(path: Path, payload) -> None:
 def _subset_payload(cfg: RunConfig, result) -> dict:
     return {
         "domain": cfg.domain,
-        "epsilon": cfg.epsilon,
-        "delta": cfg.delta,
-        "zeta": cfg.zeta,
-        "seed": cfg.seed,
+        "epsilon": cfg.learner.epsilon,
+        "delta": cfg.learner.delta,
+        "zeta": cfg.learner.zeta,
+        "seed": cfg.learner.seed,
         "terminal_round": result.terminal_round,
         "threshold": result.threshold,
         "parameters": [
@@ -201,7 +188,7 @@ def cmd_learn(args) -> int:
     out = cfg.out
     out.mkdir(parents=True, exist_ok=True)
     started = time.perf_counter()
-    result = learn_subset(problem, cfg.learner_config())
+    result = learn_subset(problem, cfg.learner)
     elapsed = time.perf_counter() - started
     _write_csv(
         out / "trace.csv",
@@ -215,15 +202,7 @@ def cmd_learn(args) -> int:
     _write_json(
         out / "report.json",
         {
-            "config": {
-                "domain": cfg.domain,
-                "epsilon": cfg.epsilon,
-                "delta": cfg.delta,
-                "zeta": cfg.zeta,
-                "seed": cfg.seed,
-                "max_rounds": cfg.max_rounds,
-                "max_samples_per_round": cfg.max_samples_per_round,
-            },
+            "config": {"domain": cfg.domain, **asdict(cfg.learner)},
             "counters": {
                 "instance_draws": result.instance_draws,
                 "loss_evaluations": result.loss_evaluations,
@@ -249,7 +228,7 @@ def cmd_partition(args) -> int:
     if cfg.domain == "synthetic":
         if args.samples < 1:
             raise UsageError("--samples must be positive")
-        rng = np.random.default_rng(cfg.seed)
+        rng = np.random.default_rng(cfg.learner.seed)
         instances = problem.sample_many(rng, args.samples)
     else:
         instances = problem.all_instances()
@@ -295,12 +274,12 @@ def cmd_select(args) -> int:
         raise UsageError("--samples must be positive")
     problem = build_problem(cfg)
     candidates = [ParamPoint(entry["rho"]) for entry in entries]
-    eps_prime = math.sqrt(1.0 + cfg.epsilon) - 1.0
-    delta_prime = cfg.delta / 2.0
+    eps_prime = math.sqrt(1.0 + cfg.learner.epsilon) - 1.0
+    delta_prime = cfg.learner.delta / 2.0
     ceiling = args.ceiling
     if ceiling is None:
         ceiling = 2 ** (terminal + 4) if "terminal_round" in subset else DEFAULT_CAP_CEILING
-    rng = np.random.default_rng(cfg.seed)
+    rng = np.random.default_rng(cfg.learner.seed)
     estimates = estimate_capped_tail_means(
         problem, candidates, delta_prime, args.samples, rng, ceiling
     )
@@ -331,7 +310,7 @@ def cmd_evaluate(args) -> int:
     if args.samples < 1:
         raise UsageError("--samples must be positive")
     problem = build_problem(cfg)
-    rng = np.random.default_rng(cfg.seed)
+    rng = np.random.default_rng(cfg.learner.seed)
     ceiling = args.ceiling if args.ceiling is not None else DEFAULT_CAP_CEILING
     losses, counts = sample_losses(problem, args.rho, args.samples, rng, ceiling)
     values, inverse = np.unique(losses, return_inverse=True)

@@ -435,12 +435,7 @@ def clustering_partition(sample: PoolSample, tau: int) -> list[PartitionCell]:
 
     def sweep_one(instance: ClusteringInstance):
         run = _LinkageRun(instance)
-
-        def execute(rho: Fraction, tracker: DecisionTracker):
-            outcome = _run_outcome(run, tau, tracker)
-            return (outcome.capped_loss(tau), outcome.solved)
-
-        return sweep_unit_interval(execute)
+        return sweep_unit_interval(lambda tracker: _run_outcome(run, tau, tracker))
 
     partitions, counts = sweep_distinct(sweep_one, sample, tau)
     return cells_from_refinement(refine_cells(partitions), counts)

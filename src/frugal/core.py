@@ -62,15 +62,13 @@ class ParamPoint:
 class ParamCell:
     """A half-open interval ``[lo, hi)`` of the parameter space.
 
-    When ``top_closed`` is set the cell also contains ``hi``; partition
-    builders set the flag on the cell that reaches the space's upper bound
-    so the cells tile the whole space.  A point lying exactly on an interior
-    breakpoint belongs to the cell on its right.
+    A cell that reaches the space's upper bound 1 also contains 1, so the
+    cells of a partition tile the whole space.  A point lying exactly on an
+    interior breakpoint belongs to the cell on its right.
     """
 
     lo: Any
     hi: Any
-    top_closed: bool = False
 
     def __post_init__(self) -> None:
         if not self.lo < self.hi:
@@ -83,7 +81,7 @@ class ParamCell:
         return ((self.lo, self.hi),)
 
     def contains(self, x: Any) -> bool:
-        return self.lo <= x < self.hi or (self.top_closed and x == self.hi)
+        return self.lo <= x < self.hi or x == self.hi == ParamSpace.upper
 
     def representative(self) -> Any:
         """Deterministic interior point: the midpoint, exact for rational ends."""
@@ -313,9 +311,10 @@ def format_rational(value: Fraction) -> str:
 def validate_cells_cover(cells: Sequence[PartitionCell], space: ParamSpace) -> None:
     """Check that the cells tile the space exactly, without overlap.
 
-    Raises ``ValueError`` on gaps, overlaps, or a missing closed top end.
-    Exact comparisons only, so cell endpoints must be exact values
-    (ints, Fractions, or floats produced by the same arithmetic).
+    Raises ``ValueError`` on gaps or overlaps.  The cell ending at the
+    upper bound contains it (see ``ParamCell``).  Exact comparisons only, so
+    cell endpoints must be exact values (ints, Fractions, or floats produced
+    by the same arithmetic).
     """
     if not cells:
         raise ValueError("no cells")
@@ -326,5 +325,3 @@ def validate_cells_cover(cells: Sequence[PartitionCell], space: ParamSpace) -> N
         cursor = hi
     if cursor != space.upper:
         raise ValueError(f"cells stop at {cursor}, space ends at {space.upper}")
-    if not max(cells, key=lambda c: c.cell.hi).cell.top_closed:
-        raise ValueError("topmost cell must close at the space's upper bound")

@@ -90,8 +90,10 @@ def compute_eta(epsilon: float) -> float:
 class LearnerConfig:
     """Accuracy/confidence knobs plus safety limits.
 
-    ``epsilon`` must be positive so the accuracy coefficient is nonzero;
-    ``delta`` is the tail level and ``zeta`` the failure probability budget.
+    ``epsilon`` must be positive and finite so the accuracy coefficient is
+    nonzero and every output number is valid JSON; ``delta`` is the tail
+    level and ``zeta`` the failure probability budget.  ``seed`` seeds
+    numpy's generator, so it must be nonnegative.
     """
 
     epsilon: float
@@ -102,11 +104,13 @@ class LearnerConfig:
     max_samples_per_round: int = 2_000_000
 
     def __post_init__(self) -> None:
-        if self.epsilon <= 0:
-            raise ValueError("epsilon must be positive")
+        if not 0 < self.epsilon < math.inf:
+            raise ValueError("epsilon must be positive and finite")
         for name in ("delta", "zeta"):
             if not 0.0 < getattr(self, name) < 1.0:
                 raise ValueError(f"{name} must lie in (0, 1)")
+        if self.seed < 0:
+            raise ValueError(f"seed must be nonnegative, got {self.seed}")
         if self.max_rounds < 1 or self.max_samples_per_round < 1:
             raise ValueError("safety limits must be positive")
 

@@ -22,7 +22,12 @@ Selection ties break toward the candidate that stays the winner immediately
 to the right of the tie point (largest slope for argmax, smallest for
 argmin), then toward the earliest candidate in the supplied order.  This
 makes executions right-continuous in ``rho``, which is what lets every cell
-be half-open ``[lo, hi)`` with breakpoints owned by the cell on their right.
+be half-open ``[lo, hi)`` with breakpoints owned by the cell on their right;
+the cell ending at 1 also holds 1 (see ``ParamCell``).
+
+A domain's sweep passes ``execute(tracker) -> CappedRunOutcome``: one run
+at ``tracker.point``, capped at the partition's cap, so its ``budget_used``
+is its capped loss.  ``cells_from_refinement`` reads nothing else.
 """
 from __future__ import annotations
 
@@ -31,7 +36,7 @@ from typing import Any, Callable, Sequence, TypeVar
 
 import numpy as np
 
-from .core import ParamCell, PartitionCell, PoolSample, to_fraction
+from .core import CappedRunOutcome, ParamCell, PartitionCell, PoolSample, to_fraction
 
 __all__ = [
     "DecisionTracker",
@@ -143,20 +148,21 @@ def standalone_tracker(rho: Any) -> DecisionTracker:
 
 
 def sweep_unit_interval(
-    execute: Callable[[Fraction, DecisionTracker], T],
+    execute: Callable[[DecisionTracker], T],
 ) -> list[tuple[Fraction, Fraction, T]]:
     """Partition [0, 1] into maximal right-open execution-invariance cells.
 
-    ``execute`` runs the full algorithm at the given point, routing every
-    score comparison through the tracker, and returns the cell payload.
+    ``execute`` runs the full algorithm at ``tracker.point``, routing every
+    score comparison through the tracker, and returns the cell payload: in
+    both domains the run's ``CappedRunOutcome``.
     """
     cells: list[tuple[Fraction, Fraction, T]] = []
     cursor = Fraction(0)
     top = Fraction(1)
     while cursor < top:
         tracker = DecisionTracker(cursor, top)
-        payload = execute(cursor, tracker)
-        right = min(tracker.bound, top)
+        payload = execute(tracker)
+        right = tracker.bound
         if right - cursor < MIN_CELL_WIDTH:
             raise DegenerateCellError(
                 f"degenerate breakpoint cluster: breakpoint {right} lies within "
@@ -219,22 +225,22 @@ def refine_cells(
 
 
 def cells_from_refinement(
-    refined: Sequence[tuple[Fraction, Fraction, list[tuple[int, bool]]]],
+    refined: Sequence[tuple[Fraction, Fraction, list[CappedRunOutcome]]],
     counts: np.ndarray,
 ) -> list[PartitionCell]:
-    """Build partition cells from refined (capped_loss, solved) payloads.
+    """Build partition cells from refined run outcomes.
 
-    The refinement holds one payload per distinct instance and ``counts``
-    (see ``sweep_distinct``) their multiplicities.
+    The refinement holds one outcome per distinct instance and ``counts``
+    (see ``sweep_distinct``) their multiplicities.  Every run was capped at
+    the partition's cap, so its ``budget_used`` is its capped loss.
     """
     weights = counts.tolist()
     total = sum(weights)
     out = []
-    for lo, hi, payloads in refined:
-        losses = [loss for loss, _ in payloads]
-        solved = sum(weight for (_, ok), weight in zip(payloads, weights) if ok)
-        cell = ParamCell(lo, hi, top_closed=(hi == 1))
-        out.append(PartitionCell(cell=cell, z=solved / total, losses=losses, counts=counts))
+    for lo, hi, outcomes in refined:
+        losses = [outcome.budget_used for outcome in outcomes]
+        solved = sum(weight for outcome, weight in zip(outcomes, weights) if outcome.solved)
+        out.append(PartitionCell(ParamCell(lo, hi), solved / total, losses, counts))
     return out
 
 

@@ -150,7 +150,7 @@ def synthetic_partition(
         solved = sum(n for loss, n in zip(raw, counts) if loss <= tau)
         cells.append(
             PartitionCell(
-                cell=ParamCell(lo, hi, top_closed=hi == 1.0),
+                cell=ParamCell(lo, hi),
                 z=solved / count,
                 losses=[min(loss, tau) for loss in raw],
                 counts=counts,

@@ -37,7 +37,7 @@ from frugal.core import (
     PoolSample,
 )
 from frugal.stats import GammaInputs
-from frugal.sweep import standalone_tracker, sweep_unit_interval
+from frugal.sweep import DecisionTracker, standalone_tracker, sweep_unit_interval
 
 
 def sample_of(pool, uids):
@@ -141,11 +141,29 @@ def brute_tail_quantile(law, delta):
     return best
 
 
+class RecordingTracker(DecisionTracker):
+    """A tracker that records each ``argmax`` winner in ``winners``."""
+
+    __slots__ = ("winners",)
+
+    def __init__(self, point, upper, tie_rightward=True):
+        super().__init__(point, upper, tie_rightward)
+        self.winners = []
+
+    def argmax(self, candidates):
+        winner = super().argmax(candidates)
+        self.winners.append(winner)
+        return winner
+
+
 def branching_trace(milp, rho, cap):
-    """The (node id, branched variable) sequence of a capped ``bnb`` run, for
-    execution-invariance checks."""
-    record = _run_capped(milp, min(cap, MAX_TREE_SIZE), standalone_tracker(rho))
-    return tuple(record.decisions)
+    """The branched-variable sequence of a capped standalone ``bnb`` run, for
+    execution-invariance checks.  Node selection keys do not depend on the
+    weight, so equal sequences mean equal search trees."""
+    standalone = standalone_tracker(rho)
+    tracker = RecordingTracker(standalone.point, None, standalone.tie_rightward)
+    _run_capped(milp, min(cap, MAX_TREE_SIZE), tracker)
+    return tuple(tracker.winners)
 
 
 def brute_binary_optimum(milp):
@@ -201,18 +219,18 @@ def enumerate_prunings(forest, k, instance):
 
 
 def reference_clustering_sweep(instance, tau):
-    """The clustering sweep without resumption: ``(lo, hi, (capped_loss,
-    solved))`` cells from a fresh ``capped_linkage_run`` at each cell's left
-    end, whose every prefix from budget 0 is scored by ``enumerate_prunings``.
+    """The clustering sweep without resumption: ``(lo, hi, outcome)`` cells
+    from a fresh ``capped_linkage_run`` at each cell's left end, whose every
+    prefix from budget 0 is scored by ``enumerate_prunings``.
     """
     budget = min(tau, instance.n - 1)
 
-    def execute(rho, tracker):
-        forest = capped_linkage_run(instance, rho, budget, tracker)
+    def execute(tracker):
+        forest = capped_linkage_run(instance, None, budget, tracker)
         for b in range(budget + 1):
             if enumerate_prunings(forest.prefix(b), instance.k, instance) <= instance.theta:
-                return (b, True)
-        return (tau, False)
+                return CappedRunOutcome.finished(b)
+        return CappedRunOutcome.truncated(tau)
 
     return sweep_unit_interval(execute)
 
@@ -400,7 +418,7 @@ class ConstantLossProblem(ConfigProblem):
 
     def get_partition(self, instances, tau):
         z = 1.0 if self.loss <= tau else 0.0
-        cell = ParamCell(0.0, 1.0, top_closed=True)
+        cell = ParamCell(0.0, 1.0)
         return [_constant_cell(cell, z, min(self.loss, tau), len(instances))]
 
     def f_bound(self, instances, tau):
@@ -609,7 +627,7 @@ class TwoBandProblem(ConfigProblem):
         for lo, hi, loss in ((0.0, 0.5, self.low_loss), (0.5, 1.0, self.high_loss)):
             cells.append(
                 _constant_cell(
-                    ParamCell(lo, hi, top_closed=hi == 1.0),
+                    ParamCell(lo, hi),
                     1.0 if loss <= tau else 0.0,
                     min(loss, tau),
                     count,
@@ -625,7 +643,7 @@ class ReferenceRun(NamedTuple):
     """A capped ``bnb`` run as ``reference_bnb_run`` replays it."""
 
     outcome: CappedRunOutcome
-    decisions: tuple[tuple[int, int], ...]
+    decisions: tuple[int, ...]  # the branched variables, as ``branching_trace`` gives them
     incumbent: Fraction | None  # as ``best_binary_solution`` reports it
     bound: Fraction | None
 
@@ -676,7 +694,7 @@ def reference_bnb_run(milp, rho, cap, bound=None, lp_cache=None):
     size, incumbent, decisions, next_id = 1, None, [], 1
     frontier = [(-root_value, 0, 0, {}, root_value)]
     while frontier:
-        _, neg_depth, node_id, fix, value = heapq.heappop(frontier)
+        _, neg_depth, _, fix, value = heapq.heappop(frontier)
         if incumbent is not None and value <= incumbent:
             continue
         candidates = []
@@ -690,7 +708,7 @@ def reference_bnb_run(milp, rho, cap, bound=None, lp_cache=None):
             low, high = min(decreases), max(decreases)
             candidates.append((i, (high, low - high)))
         chosen, bound = fraction_select(rho, bound, tie_rightward, candidates, 1)
-        decisions.append((node_id, chosen))
+        decisions.append(chosen)
         for v in (0, 1):
             if size + 1 > limit:
                 return finish(False, size, incumbent, decisions, bound)

@@ -24,8 +24,9 @@ from frugal.bnb import (
     scores,
 )
 from frugal.core import ParamSpace, PoolSample, validate_cells_cover
-from frugal.sweep import DecisionTracker, DegenerateCellError
+from frugal.sweep import DegenerateCellError
 from support import (
+    RecordingTracker,
     branching_trace,
     brute_binary_optimum,
     check_partition_contract,
@@ -269,7 +270,7 @@ class TestBnbRun:
 
     def test_pure_min_score_branches_second_variable(self, two_var):
         trace = branching_trace(two_var, 1.0, 100)
-        assert trace[0] == (0, 1)
+        assert trace[0] == 1
 
     def test_incumbent_matches_enumeration(self):
         rng = np.random.default_rng(23)
@@ -293,11 +294,12 @@ class TestBnbRun:
         for milp in random_pool(seed=29, count=12, num_vars=5, num_rows=3):
             for rho in grid:
                 def tracking():
-                    return DecisionTracker(rho, Fraction(2), tie_rightward=rho != 1)
+                    return RecordingTracker(rho, Fraction(2), tie_rightward=rho != 1)
 
                 assert bnb_run(milp, rho, 63) == bnb._run_outcome(milp, 63, tracking())
-                record = bnb._run_capped(milp, 63, tracking())
-                assert branching_trace(milp, rho, 63) == tuple(record.decisions)
+                tracker = tracking()
+                bnb._run_capped(milp, 63, tracker)
+                assert branching_trace(milp, rho, 63) == tuple(tracker.winners)
 
     def test_rho_validation(self, two_var):
         with pytest.raises(ValueError):

@@ -1,4 +1,5 @@
 import json
+import math
 from fractions import Fraction
 
 import pytest
@@ -114,6 +115,26 @@ class TestLearnCommand:
         bad.write_text(json.dumps({"domain": "synthetic", key: 10**400}))
         assert main(["learn", "--config", str(bad)]) == 1
         assert capsys.readouterr().err.startswith(f"error: config {key!r} ")
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("key", ["epsilon", "delta", "zeta"])
+    def test_non_finite_number_exits_one(self, tmp_path, capsys, key, value):
+        # ``json.dumps`` writes NaN and Infinity, which ``json.loads`` accepts.
+        config = write_config(tmp_path, **{key: value})
+        assert main(["learn", "--config", str(config)]) == 1
+        assert capsys.readouterr().err == f"error: config {key!r} must be finite\n"
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "raw, argv",
+        [({"seed": -3}, []), ({}, ["--seed", "-1"])],
+        ids=["config", "override"],
+    )
+    def test_negative_seed_exits_one(self, tmp_path, capsys, raw, argv):
+        config = write_config(tmp_path, **raw)
+        assert main(["learn", "--config", str(config), *argv]) == 1
+        assert "seed must be nonnegative" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_learner_failure_exits_two(self, tmp_path):
         config = write_config(tmp_path, max_samples_per_round=50)

@@ -360,7 +360,10 @@ class TestLinkageOracle:
 def assert_sweep_matches_reference(inst, tau):
     cells = clustering_partition(whole_pool([inst]), tau)
     got = [((c.cell.lo, c.cell.hi), (int(c.capped_losses[0]), c.z == 1.0)) for c in cells]
-    want = [((lo, hi), payload) for lo, hi, payload in reference_clustering_sweep(inst, tau)]
+    want = [
+        ((lo, hi), (outcome.budget_used, outcome.solved))
+        for lo, hi, outcome in reference_clustering_sweep(inst, tau)
+    ]
     assert got == want
 
 

@@ -167,7 +167,7 @@ class TestParamTypes:
         assert cell.contains(math.nextafter(0.6, 0.0))
         assert not cell.contains(0.6)
         assert not cell.contains(math.nextafter(0.2, 0.0))
-        closed = ParamCell(0.6, 1.0, top_closed=True)
+        closed = ParamCell(0.6, 1.0)
         assert closed.contains(1.0)
         assert closed.contains(0.6)
         assert not closed.contains(math.nextafter(1.0, 2.0))
@@ -198,7 +198,7 @@ class TestParamTypes:
                 counts=[1],
             ),
             PartitionCell(
-                cell=ParamCell(0.4, 1.0, top_closed=True),
+                cell=ParamCell(0.4, 1.0),
                 z=0.5,
                 losses=[1],
                 counts=[1],

@@ -70,6 +70,15 @@ class TestEta:
         with pytest.raises(ValueError):
             LearnerConfig(epsilon=-1.0, delta=0.5, zeta=0.5)
 
+    @pytest.mark.parametrize("epsilon", [math.inf, math.nan])
+    def test_config_rejects_non_finite_epsilon(self, epsilon):
+        with pytest.raises(ValueError, match="epsilon must be positive and finite"):
+            default_config(epsilon=epsilon)
+
+    def test_config_rejects_negative_seed(self):
+        with pytest.raises(ValueError, match="seed must be nonnegative"):
+            default_config(seed=-1)
+
 
 class TestGrowSample:
     def test_at_least_one_sample(self):
@@ -110,7 +119,7 @@ class TestGrowSample:
 
 
 def make_cell(losses, z):
-    cell = ParamCell(0.0, 1.0, top_closed=True)
+    cell = ParamCell(0.0, 1.0)
     return cell_from_losses(cell, z, losses)
 
 

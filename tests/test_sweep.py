@@ -142,7 +142,7 @@ class TestDecisionTracker:
 
 class TestSweep:
     def test_two_cell_sweep(self):
-        def execute(rho, tracker):
+        def execute(tracker):
             return tracker.argmax([("a", line(1, 0)), ("b", line("0.5", 1))])
 
         cells = sweep_unit_interval(execute)
@@ -152,14 +152,14 @@ class TestSweep:
         ]
 
     def test_single_cell_when_constant(self):
-        cells = sweep_unit_interval(lambda rho, tracker: "const")
+        cells = sweep_unit_interval(lambda tracker: "const")
         assert cells == [(Fraction(0), Fraction(1), "const")]
 
     def test_degenerate_cluster_raises(self):
         eps = Fraction(1, 10**14)
 
-        def execute(rho, tracker):
-            tracker.bound = min(tracker.bound, rho + eps)
+        def execute(tracker):
+            tracker.bound = min(tracker.bound, tracker.point + eps)
             return None
 
         with pytest.raises(DegenerateCellError) as excinfo:
