@@ -59,7 +59,6 @@ __all__ = [
     "Milp",
     "LpSolution",
     "LpSolveError",
-    "BnbNode",
     "BnbProblem",
     "MAX_VARIABLES",
     "MAX_TREE_SIZE",
@@ -68,7 +67,6 @@ __all__ = [
     "scores",
     "bnb_run",
     "bnb_partition",
-    "bnb_cell_bound",
     "parse_milp",
     "format_milp",
     "load_milp",
@@ -392,31 +390,24 @@ def lp_relax(milp: Milp, fixings=None) -> LpSolution:
     return solution
 
 
-@dataclass(frozen=True)
-class BnbNode:
-    """A search-tree node: a partial assignment plus its LP relaxation."""
-
-    node_id: int
-    depth: int
-    fixings: tuple[tuple[int, int], ...]
-    relaxation: LpSolution
-
-
-def scores(node: BnbNode, index: int, milp: Milp) -> tuple[Fraction, Fraction]:
-    """Objective decreases of the two children from branching on a variable.
+def scores(
+    milp: Milp, fixings: tuple, relaxation: LpSolution, index: int
+) -> tuple[Fraction, Fraction]:
+    """Objective decreases of the children of a node, sorted ``fixings`` with
+    LP ``relaxation``, from branching on variable ``index``.
 
     Returns ``(smaller, larger)`` of the two decreases; an infeasible child
     contributes the finite sentinel ``INFEASIBLE_SCORE``.  A child that
     fixes the variable at its value in the node's optimum keeps that optimum
     feasible, so its decrease is 0 and no LP is solved for it.
     """
-    fix = dict(node.fixings)
+    fix = dict(fixings)
     if index in fix:
         raise ValueError(f"variable {index} is already fixed at this node")
-    if not node.relaxation.is_optimal:
+    if not relaxation.is_optimal:
         raise ValueError("scores need a node with an optimal relaxation")
-    parent_value = node.relaxation.objective
-    settled = node.relaxation.point[index]
+    parent_value = relaxation.objective
+    settled = relaxation.point[index]
     decreases = []
     for value in (0, 1):
         if settled == value:
@@ -444,16 +435,16 @@ class _Expansion(NamedTuple):
     children: dict[int, tuple[tuple[tuple, LpSolution, bool], ...]]
 
 
-def _expansion(milp: Milp, node: BnbNode) -> _Expansion:
+def _expansion(milp: Milp, fixings: tuple, relaxation: LpSolution) -> _Expansion:
     """The memoized expansion of a node; stored only once its scores exist."""
-    expansion = milp._expansions.get(node.fixings)
+    expansion = milp._expansions.get(fixings)
     if expansion is None:
-        fix = dict(node.fixings)
+        fix = dict(fixings)
         free = [i for i in range(milp.n) if i not in fix]
-        pairs = [scores(node, i, milp) for i in free]
+        pairs = [scores(milp, fixings, relaxation, i) for i in free]
         _, scaled = _scaled([v for pair in pairs for v in pair])
         lines = [(i, (high, low - high)) for i, low, high in zip(free, scaled[::2], scaled[1::2])]
-        expansion = milp._expansions[node.fixings] = _Expansion(lines, {})
+        expansion = milp._expansions[fixings] = _Expansion(lines, {})
     return expansion
 
 
@@ -474,11 +465,13 @@ def _run_capped(
 
     Returns ``(completed, tree_size, incumbent)``: whether the search
     finished within the limit, the nodes it built, and the best integral
-    objective value found (None when there is none).  Node selection pops
-    the frontier node with the largest relaxation value (ties: deeper node,
-    then lower node id); these keys never depend on the mixture weight, so
-    the only parameter-sensitive decisions are the branching argmaxes routed
-    through the tracker.  Each node's score lines and children come from the
+    objective value found (None when there is none).  A frontier entry is
+    ``(-objective, -depth, id, fixings, relaxation)`` with depth
+    ``len(fixings)`` and id the node's creation index, so node selection
+    pops the largest relaxation value (ties: deeper node, then lower id).
+    These keys never depend on the mixture weight, so the only
+    parameter-sensitive decisions are the branching argmaxes routed through
+    the tracker.  Each node's score lines and children come from the
     program's node memo, so a node that an earlier run expanded costs one
     argmax over int lines.
     """
@@ -490,20 +483,20 @@ def _run_capped(
     if root_lp.is_integral():
         return True, 1, root_lp.objective
     size, incumbent = 1, None
-    frontier = [(-root_lp.objective, 0, 0, BnbNode(0, 0, (), root_lp))]
+    frontier = [(-root_lp.objective, 0, 0, (), root_lp)]
     while frontier:
-        _, _, _, node = heapq.heappop(frontier)
-        if incumbent is not None and node.relaxation.objective <= incumbent:
+        _, _, _, fixings, relaxation = heapq.heappop(frontier)
+        if incumbent is not None and relaxation.objective <= incumbent:
             continue
-        expansion = _expansion(milp, node)
+        expansion = _expansion(milp, fixings, relaxation)
         chosen = tracker.argmax(expansion.lines)
         children = expansion.children.get(chosen)
         if children is None:
-            children = expansion.children[chosen] = _children(milp, node.fixings, chosen)
+            children = expansion.children[chosen] = _children(milp, fixings, chosen)
         for child_fixings, child_lp, integral in children:
             if size >= node_limit:
                 return False, size, incumbent
-            child_id, size = size, size + 1  # a node's id is its creation index
+            child_id, size = size, size + 1
             if not child_lp.is_optimal:
                 continue
             if integral:
@@ -512,8 +505,8 @@ def _run_capped(
                 continue
             if incumbent is not None and child_lp.objective <= incumbent:
                 continue
-            child = BnbNode(child_id, node.depth + 1, child_fixings, child_lp)
-            heapq.heappush(frontier, (-child_lp.objective, -child.depth, child_id, child))
+            depth = len(child_fixings)
+            heapq.heappush(frontier, (-child_lp.objective, -depth, child_id, child_fixings, child_lp))
     return True, size, incumbent
 
 
@@ -558,25 +551,11 @@ def bnb_partition(sample: PoolSample, tau: int) -> list[PartitionCell]:
     return cells_from_refinement(refine_cells(partitions), counts)
 
 
-def bnb_cell_bound(sample: PoolSample, tau: int) -> int:
-    """Analytic ceiling on the cell count: ``sum_j n_j^(2 (tau+1)) + 1``.
-
-    Saturates at ``2**62``; monotone in the instance set and the cap by
-    construction.
-    """
-    if tau < 0:
-        raise ValueError("tau must be nonnegative")
-    # n ** 62 already saturates for n >= 2, so larger exponents change
-    # nothing and would only build huge integers.
-    exponent = min(2 * (tau + 1), 62)
-    return cell_count_ceiling(sample, lambda milp: milp.n**exponent)
-
-
 class BnbProblem(ConfigProblem):
     """Configuration problem over a finite pool of programs.
 
     The pool acts as the instance distribution: sampling is uniform with
-    replacement.  ``f_bound`` is the analytic ceiling ``bnb_cell_bound``.
+    replacement.
     """
 
     def run_with_cap(self, rho, instance: Milp, tau: int) -> CappedRunOutcome:
@@ -586,7 +565,13 @@ class BnbProblem(ConfigProblem):
         return bnb_partition(sample, tau)
 
     def f_bound(self, sample: PoolSample, tau: int) -> int:
-        return bnb_cell_bound(sample, tau)
+        """Analytic ceiling on the cell count: ``sum_j n_j^(2 (tau+1)) + 1``,
+        saturating at ``2**62``; monotone in the instance set and the cap."""
+        if tau < 0:
+            raise ValueError("tau must be nonnegative")
+        # n ** 62 already saturates for n >= 2, so larger exponents change
+        # nothing and would only build huge integers.
+        return cell_count_ceiling(sample, min(2 * (tau + 1), 62))
 
 
 def parse_milp(text: str, name: str = "") -> Milp:
@@ -594,7 +579,8 @@ def parse_milp(text: str, name: str = "") -> Milp:
 
     Line 1: ``n m``; line 2: ``n`` objective coefficients; then ``m`` lines
     of ``n`` row coefficients, a literal ``<=``, and the right-hand side.
-    Values are whitespace-separated decimals, parsed exactly.
+    Values are whitespace-separated decimals or ``p/q`` fractions, parsed
+    exactly.
     """
     lines = [line.strip() for line in text.splitlines() if line.strip()]
     if not lines:

@@ -44,6 +44,9 @@ __all__ = ["main", "entry", "UsageError", "RunConfig", "load_config"]
 log = logging.getLogger("frugal")
 
 _FAMILY_KEYS = {"a": "a", "b": "b", "L_mid": "loss_mid", "L_low": "loss_low", "L_high": "loss_high"}
+_CONFIG_KEYS = {"domain", "family", "instances_dir", "out"} | {
+    knob.name for knob in fields(LearnerConfig)
+}
 
 
 class UsageError(Exception):
@@ -90,6 +93,9 @@ def load_config(path: str | Path, seed_override=None, out_override=None) -> RunC
         raise UsageError(f"cannot read config {path}: {exc}") from exc
     if not isinstance(raw, dict):
         raise UsageError("config must be a JSON object")
+    unknown = sorted(raw.keys() - _CONFIG_KEYS)
+    if unknown:
+        raise UsageError(f"config has unknown key {unknown[0]!r}")
     domain = raw.get("domain")
     if domain not in ("synthetic", "bnb", "clustering"):
         raise UsageError("config 'domain' must be synthetic, bnb, or clustering")
@@ -99,6 +105,9 @@ def load_config(path: str | Path, seed_override=None, out_override=None) -> RunC
         spec = raw.get("family", {})
         if not isinstance(spec, dict):
             raise UsageError("config 'family' must be a JSON object")
+        unknown = sorted(spec.keys() - _FAMILY_KEYS.keys())
+        if unknown:
+            raise UsageError(f"config 'family' has unknown key {unknown[0]!r}")
         kwargs = {dest: spec[key] for key, dest in _FAMILY_KEYS.items() if key in spec}
         try:
             family = SyntheticFamily(**kwargs)
@@ -263,9 +272,9 @@ def cmd_select(args) -> int:
         isinstance(e, dict) and _is_json_number(e.get("rho")) for e in entries
     ):
         raise UsageError(f"subset {subset_path}: every parameter needs a numeric 'rho'")
-    terminal = subset.get("terminal_round", 0)
-    if not _is_json_number(terminal, integer=True):
-        raise UsageError(f"subset {subset_path}: 'terminal_round' must be an integer")
+    terminal = subset.get("terminal_round", 1)
+    if not (_is_json_number(terminal, integer=True) and terminal >= 1):
+        raise UsageError(f"subset {subset_path}: 'terminal_round' must be a positive integer")
     if not entries:
         log.error("subset %s is empty", subset_path)
         print("error: empty subset", file=sys.stderr)

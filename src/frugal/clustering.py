@@ -68,7 +68,6 @@ __all__ = [
     "best_pruning",
     "clustering_run_with_cap",
     "clustering_partition",
-    "clustering_cell_bound",
     "exact_kmedian_cost",
     "parse_instance",
     "format_instance",
@@ -226,14 +225,17 @@ class _LinkageRun:
 
         Every step before it has its crossings strictly right of the new
         point, so its winner and its contribution to the bound are what they
-        were; the tracker's bound is set to the one recorded after the last
-        reused step.  A first run recomputes from step 0.
+        were.  The drops from that step on are deleted, and the tracker's
+        bound is set to the one recorded after the last reused step: every
+        recorded drop lies below a sweep tracker's starting bound 1.  A first
+        run has no drops and recomputes from step 0.
         """
-        point = tracker.point
-        start = next((s for s, bound in self.drops if bound <= point), len(self.merges))
-        reused = [bound for s, bound in self.drops if s < start]
-        if reused:
-            tracker.bound = min(tracker.bound, reused[-1])
+        point, drops = tracker.point, self.drops
+        kept = next((i for i, (_, bound) in enumerate(drops) if bound <= point), len(drops))
+        start = drops[kept][0] if kept < len(drops) else len(self.merges)
+        del drops[kept:]
+        if drops:
+            tracker.bound = drops[-1][1]
         return start
 
     def advance(self, tracker: DecisionTracker, budget: int) -> None:
@@ -242,7 +244,6 @@ class _LinkageRun:
         start = self._resume_step(tracker)
         del self.merges[start:], self.roots[start + 1 :]
         del self.members[n + start :], self.tables[n + start :]
-        self.drops = [(s, bound) for s, bound in self.drops if s < start]
         # Roots stay ascending (a new id is the largest), so pairs come in tie-break order.
         roots = list(self.roots[start])
         lines = self.lines
@@ -441,13 +442,6 @@ def clustering_partition(sample: PoolSample, tau: int) -> list[PartitionCell]:
     return cells_from_refinement(refine_cells(partitions), counts)
 
 
-def clustering_cell_bound(sample: PoolSample, tau: int) -> int:
-    """Analytic ceiling on the cell count: ``sum_j n_j^8 + 1``, saturating at ``2**62``."""
-    if tau < 0:
-        raise ValueError("tau must be nonnegative")
-    return cell_count_ceiling(sample, lambda instance: instance.n**8)
-
-
 def exact_kmedian_cost(distances: Sequence[Sequence[Any]], k: int) -> Fraction:
     """Brute-force optimal k-median cost: best k centers, nearest-center
     assignment.  Any partition's medoid cost is at least this."""
@@ -464,10 +458,7 @@ def exact_kmedian_cost(distances: Sequence[Sequence[Any]], k: int) -> Fraction:
 
 
 class ClusteringProblem(ConfigProblem):
-    """Configuration problem over a finite pool of clustering instances.
-
-    ``f_bound`` is the analytic ceiling ``clustering_cell_bound``.
-    """
+    """Configuration problem over a finite pool of clustering instances."""
 
     def run_with_cap(self, rho, instance: ClusteringInstance, tau: int) -> CappedRunOutcome:
         return clustering_run_with_cap(rho, instance, tau)
@@ -476,7 +467,10 @@ class ClusteringProblem(ConfigProblem):
         return clustering_partition(sample, tau)
 
     def f_bound(self, sample: PoolSample, tau: int) -> int:
-        return clustering_cell_bound(sample, tau)
+        """Analytic ceiling on the cell count: ``sum_j n_j^8 + 1``, saturating at ``2**62``."""
+        if tau < 0:
+            raise ValueError("tau must be nonnegative")
+        return cell_count_ceiling(sample, 8)
 
 
 def parse_instance(text: str, name: str = "") -> ClusteringInstance:

@@ -293,7 +293,10 @@ def to_fraction(value: Any) -> Fraction:
     if isinstance(value, (int, np.integer)):
         return Fraction(int(value))
     if isinstance(value, str):
-        return Fraction(value)
+        try:
+            return Fraction(value)
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in {value!r}") from None
     if isinstance(value, (float, np.floating)):
         if not math.isfinite(value):
             raise ValueError(f"cannot interpret non-finite {float(value)!r} as an exact rational")
@@ -302,10 +305,12 @@ def to_fraction(value: Any) -> Fraction:
 
 
 def format_rational(value: Fraction) -> str:
-    """Instance-file text of a rational: an integer as is, anything else as a float."""
+    """Instance-file text of a rational that reads back exactly: an integer as
+    is, else its float text when that is exact, else ``p/q``."""
     if value.denominator == 1:
         return str(value.numerator)
-    return str(float(value))
+    text = str(float(value))
+    return text if Fraction(text) == value else str(value)
 
 
 def validate_cells_cover(cells: Sequence[PartitionCell], space: ParamSpace) -> None:

@@ -244,12 +244,12 @@ def cells_from_refinement(
     return out
 
 
-def cell_count_ceiling(sample: PoolSample, cells_of: Callable[[Any], int]) -> int:
-    """``min(1 + sum of cells_of(pool[u]) over the drawn indices u, 2**62)``.
+def cell_count_ceiling(sample: PoolSample, exponent: int) -> int:
+    """``min(1 + sum of pool[u].n ** exponent over the drawn indices u, 2**62)``.
 
     Repeated draws count once per occurrence.  The terms are positive, so
     the sum saturates exactly when a running total would.
     """
     counts = sample.counts.tolist()
-    total = 1 + sum(count * cells_of(item) for item, count in zip(sample.pool, counts) if count)
+    total = 1 + sum(count * item.n**exponent for item, count in zip(sample.pool, counts) if count)
     return min(total, F_BOUND_SATURATION)

@@ -8,11 +8,9 @@ from scipy.optimize import linprog
 
 from frugal import bnb
 from frugal.bnb import (
-    BnbNode,
     BnbProblem,
     LpSolveError,
     Milp,
-    bnb_cell_bound,
     bnb_partition,
     bnb_run,
     best_binary_solution,
@@ -218,44 +216,40 @@ class TestLpRelax:
 
 class TestScores:
     def test_hand_example(self, two_var):
-        root = BnbNode(0, 0, (), lp_relax(two_var))
-        assert scores(root, 0, two_var) == (Fraction(0), Fraction(3, 2))
-        assert scores(root, 1, two_var) == (Fraction(1, 2), Fraction(1, 2))
+        root = lp_relax(two_var)
+        assert scores(two_var, (), root, 0) == (Fraction(0), Fraction(3, 2))
+        assert scores(two_var, (), root, 1) == (Fraction(1, 2), Fraction(1, 2))
 
     def test_equal_children_collapse(self, two_var):
-        root = BnbNode(0, 0, (), lp_relax(two_var))
-        low, high = scores(root, 1, two_var)
+        low, high = scores(two_var, (), lp_relax(two_var), 1)
         assert low == high
 
     def test_both_children_infeasible_sentinel(self):
         # x0 = 0 and x0 = 1 both break the pinned equality-style pair.
         milp = Milp.from_lists([1, 1], [[1, 0], [-1, 0]], ["0.6", "-0.4"])
-        fixed = lp_relax(milp, {1: 0})
-        node = BnbNode(0, 0, ((1, 0),), fixed)
-        low, high = scores(node, 0, milp)
+        low, high = scores(milp, ((1, 0),), lp_relax(milp, {1: 0}), 0)
         assert low == high == Fraction(10**9)
 
     def test_fixed_variable_rejected(self, two_var):
-        node = BnbNode(0, 0, ((0, 1),), lp_relax(two_var, {0: 1}))
         with pytest.raises(ValueError):
-            scores(node, 0, two_var)
+            scores(two_var, ((0, 1),), lp_relax(two_var, {0: 1}), 0)
 
     def test_settled_child_solves_no_lp(self):
         settled_seen = 0
         for milp in random_pool(seed=19, count=20, num_vars=6, num_rows=3):
-            root = BnbNode(0, 0, (), lp_relax(milp))
-            for index, x in enumerate(root.relaxation.point):
+            root = lp_relax(milp)
+            for index, x in enumerate(root.point):
                 if x not in (0, 1):
                     continue
                 settled_seen += 1
                 before = set(milp._lp_cache)
-                low, _ = scores(root, index, milp)
+                low, _ = scores(milp, (), root, index)
                 assert low == 0
                 settled = ((index, int(x)),)
                 assert settled not in milp._lp_cache
                 assert set(milp._lp_cache) - before <= {((index, 1 - int(x)),)}
                 status, value, _ = fraction_lp_relax(milp, settled)
-                assert status == "optimal" and value == root.relaxation.objective
+                assert status == "optimal" and value == root.objective
         assert settled_seen > 0
 
 
@@ -455,14 +449,14 @@ class TestPartition:
 class TestFBound:
     def test_analytic_value(self):
         pool = [Milp.from_lists([1] * 6, [[1] * 6], [3]) for _ in range(10)]
-        assert bnb_cell_bound(whole_pool(pool), 3) == 10 * 6**8 + 1 == 16_796_161
+        assert BnbProblem(pool).f_bound(whole_pool(pool), 3) == 10 * 6**8 + 1 == 16_796_161
 
     def test_monotone_in_instances_and_cap(self):
         pool = random_pool(seed=47, count=4)
-        small = bnb_cell_bound(whole_pool(pool[:2]), 7)
-        everything = whole_pool(pool)
-        assert small <= bnb_cell_bound(everything, 7) <= bnb_cell_bound(everything, 15)
         problem = BnbProblem(pool)
+        small = problem.f_bound(whole_pool(pool[:2]), 7)
+        everything = whole_pool(pool)
+        assert small <= problem.f_bound(everything, 7) <= problem.f_bound(everything, 15)
         instances = problem.all_instances()
         head = sample_of(problem.pool, instances.uids[:2])
         problem.get_partition(head, 7)
@@ -473,7 +467,7 @@ class TestFBound:
         pool = random_pool(seed=53, count=3)
         for tau in (7, 15):
             cells = bnb_partition(whole_pool(pool), tau)
-            assert len(cells) <= bnb_cell_bound(whole_pool(pool), tau)
+            assert len(cells) <= BnbProblem(pool).f_bound(whole_pool(pool), tau)
 
 
 class TestPoolSample:
@@ -511,7 +505,24 @@ class TestPoolSample:
         assert len(cells) <= problem.f_bound(sample, 7) == per_draw(7)
 
 
+@st.composite
+def rational_milps(draw):
+    """A program of up to 4 variables and 3 rows with small rational data."""
+    n, m = draw(st.integers(1, 4)), draw(st.integers(0, 3))
+    value = st.fractions(min_value=-20, max_value=20, max_denominator=60)
+    objective = draw(st.lists(value, min_size=n, max_size=n))
+    rows = draw(st.lists(st.lists(value, min_size=n, max_size=n), min_size=m, max_size=m))
+    rhs = draw(st.lists(value, min_size=m, max_size=m))
+    return Milp(tuple(objective), tuple(map(tuple, rows)), tuple(rhs))
+
+
 class TestParser:
+    @settings(max_examples=80, deadline=None)
+    @given(rational_milps())
+    @example(Milp.from_lists([Fraction(1, 3)], [[Fraction(-4, 3)]], [Fraction(2, 7)]))
+    def test_format_reads_back_exactly(self, milp):
+        assert parse_milp(format_milp(milp)) == milp
+
     def test_round_trip(self):
         pool = random_pool(seed=59, count=5)
         for milp in pool:

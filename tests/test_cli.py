@@ -126,6 +126,20 @@ class TestLearnCommand:
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(
+        "raw, message",
+        [
+            ({"detla": 0.9}, "config has unknown key 'detla'"),
+            ({"family": {"L_lo": 20}}, "config 'family' has unknown key 'L_lo'"),
+        ],
+        ids=["top-level", "family"],
+    )
+    def test_unknown_key_exits_one(self, tmp_path, capsys, raw, message):
+        config = write_config(tmp_path, **raw)
+        assert main(["learn", "--config", str(config)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
         "raw, argv",
         [({"seed": -3}, []), ({}, ["--seed", "-1"])],
         ids=["config", "override"],
@@ -166,6 +180,12 @@ class TestPartitionCommand:
     def test_requires_tau(self, tmp_path):
         config = write_config(tmp_path)
         assert main(["partition", "--config", str(config)]) == 1
+
+    def test_zero_denominator_instance_exits_one(self, bnb_config, tmp_path, capsys):
+        (tmp_path / "milps" / "inst_0.milp").write_text("1 1\n1/0\n1 <= 1\n")
+        assert main(["partition", "--config", str(bnb_config), "--tau", "15"]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: bad instance file: zero denominator in '1/0'\n"
 
     def test_bnb_pool(self, bnb_config, tmp_path):
         assert main(["partition", "--config", str(bnb_config), "--tau", "15"]) == 0
@@ -226,9 +246,12 @@ class TestSelectCommand:
             ({"domain": "bnb", "parameters": [{"rho": 0.4}]}, "domain 'bnb'"),
             ({"terminal_round": [5], "parameters": [{"rho": 0.4}]}, "'terminal_round'"),
             ({"terminal_round": True, "parameters": [{"rho": 0.4}]}, "'terminal_round'"),
+            ({"terminal_round": 0, "parameters": [{"rho": 0.4}]}, "'terminal_round'"),
+            ({"terminal_round": -4, "parameters": [{"rho": 0.4}]}, "'terminal_round'"),
+            ({"terminal_round": -5, "parameters": [{"rho": 0.4}]}, "'terminal_round'"),
         ],
         ids=["entry-without-rho", "string-rho", "list-subset", "other-domain", "list-round",
-             "bool-round"],
+             "bool-round", "zero-round", "negative-round", "ceiling-below-one-round"],
     )
     def test_malformed_subset_exits_one(self, tmp_path, capsys, subset, message):
         config = write_config(tmp_path)

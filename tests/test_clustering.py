@@ -1,10 +1,11 @@
+import itertools
 import math
 import re
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from frugal.clustering import (
     _TRIANGLE_SLACK,
@@ -15,7 +16,6 @@ from frugal.clustering import (
     _extend_tables,
     best_pruning,
     capped_linkage_run,
-    clustering_cell_bound,
     clustering_partition,
     clustering_run_with_cap,
     exact_kmedian_cost,
@@ -316,7 +316,8 @@ class TestClusteringPartition:
         for inst in pool:
             cells = clustering_partition(whole_pool([inst]), inst.n - 1)
             assert len(cells) <= inst.n**8
-        assert clustering_cell_bound(whole_pool(pool), 5) == sum(i.n**8 for i in pool) + 1
+        bound = ClusteringProblem(pool).f_bound(whole_pool(pool), 5)
+        assert bound == sum(i.n**8 for i in pool) + 1
 
 
 def draw_tie_heavy_metric(data):
@@ -507,7 +508,28 @@ class TestPoolSample:
         check_pool_cells_against_gather(problem, sample, cells, tau)
 
 
+@st.composite
+def rational_metrics(draw):
+    """A metric with rational distances in ``[1, 2)``, which any such values
+    satisfy (``d(i, l) < 2 <= d(i, j) + d(j, l)``), and a rational theta."""
+    n = draw(st.integers(2, 5))
+    distance = st.fractions(min_value=1, max_value=Fraction(119, 60), max_denominator=60)
+    d = [[Fraction(0)] * n for _ in range(n)]
+    for i, j in itertools.combinations(range(n), 2):
+        d[i][j] = d[j][i] = draw(distance)
+    theta = draw(st.fractions(min_value=Fraction(1, 60), max_value=50, max_denominator=60))
+    return ClusteringInstance.from_lists(d, draw(st.integers(1, n)), theta)
+
+
 class TestInstanceFormat:
+    @settings(max_examples=80, deadline=None)
+    @given(rational_metrics())
+    @example(
+        ClusteringInstance.from_lists([[0, Fraction(4, 3)], [Fraction(4, 3), 0]], 1, Fraction(4, 3))
+    )
+    def test_format_reads_back_exactly(self, instance):
+        assert parse_instance(format_instance(instance)) == instance
+
     def test_round_trip(self):
         for inst in random_pool(seed=39, count=5):
             again = parse_instance(format_instance(inst))

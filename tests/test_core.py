@@ -136,8 +136,11 @@ class TestRationals:
         assert to_fraction(np.int64(7)) == 7
         assert to_fraction("2.5") == Fraction(5, 2)
         assert to_fraction(0.25) == Fraction(1, 4)
+        assert to_fraction("-4/3") == Fraction(-4, 3)
         with pytest.raises(TypeError):
             to_fraction(None)
+        with pytest.raises(ValueError, match="zero denominator in '1/0'"):
+            to_fraction("1/0")
 
     @pytest.mark.parametrize(
         "value", [math.inf, -math.inf, math.nan, np.float64(math.inf)],
@@ -151,7 +154,12 @@ class TestRationals:
         assert format_rational(Fraction(12)) == "12"
         assert format_rational(Fraction(-3)) == "-3"
         assert format_rational(Fraction(5, 2)) == "2.5"
-        assert format_rational(Fraction(1, 3)) == str(1 / 3)
+        # Float text only where it reads back exactly, else ``p/q``.
+        assert format_rational(Fraction(1, 3)) == "1/3"
+        assert format_rational(Fraction(-4, 3)) == "-4/3"
+        for k in range(-60, 61):
+            if k % 5:
+                assert format_rational(Fraction(k, 5)) == str(k / 5)
 
 
 class TestParamTypes:
