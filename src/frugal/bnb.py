@@ -271,7 +271,10 @@ def _solve_box_lp(
     is the phase-1 cost of row ``i``'s artificial, inversely proportional
     to that scale, so both phases follow the rational tableau's pivots.
     Returns None when infeasible, else ``(z, d, numerators)``: the optimum
-    is ``z / d`` and ``x[j] = numerators[j] / d``.
+    is ``z / d`` and ``x[j] = numerators[j] / d``.  An empty ``objective``
+    (no free column) is a valid input: the result is ``(0, 1, [])`` when
+    every ``rhs`` entry is nonnegative, else None, as phase 1 stops at once
+    below zero.
     """
     n = len(objective)
     m = len(rows) + n
@@ -359,22 +362,18 @@ def lp_relax(milp: Milp, fixings=None) -> LpSolution:
     free = [j for j in range(milp.n) if j not in fix]
     constant = sum(form.objective[j] * v for j, v in fixed)
     rhs = [b - sum(row[j] * v for j, v in fixed) for row, b in zip(form.rows, form.rhs)]
-    if free:
-        try:
-            result = _solve_box_lp(
-                [form.objective[j] for j in free],
-                [[row[j] for j in free] for row in form.rows],
-                rhs,
-                form.weights,
-            )
-        except LpSolveError as exc:
-            where = f"program {milp.name!r}" if milp.name else "unnamed program"
-            raise LpSolveError(
-                f"{exc} ({where}, fixings {fix})", program=milp.name, fixings=fixed
-            ) from None
-    else:
-        # Every variable is fixed: nothing is left to optimize.
-        result = (0, 1, []) if all(b >= 0 for b in rhs) else None
+    try:
+        result = _solve_box_lp(
+            [form.objective[j] for j in free],
+            [[row[j] for j in free] for row in form.rows],
+            rhs,
+            form.weights,
+        )
+    except LpSolveError as exc:
+        where = f"program {milp.name!r}" if milp.name else "unnamed program"
+        raise LpSolveError(
+            f"{exc} ({where}, fixings {fix})", program=milp.name, fixings=fixed
+        ) from None
     if result is None:
         solution = LpSolution("infeasible", None, None)
     else:

@@ -270,9 +270,9 @@ class _LinkageRun:
             roots.append(new_id)
             self.roots.append(tuple(roots))
 
-    def pruning_cost(self, merge_count: int) -> int | None:
+    def pruning_cost(self, merge_count: int) -> int:
         """Integer-form best pruning cost of the first ``merge_count`` merges
-        at ``instance.k`` clusters, or None when no selection exists."""
+        at ``instance.k`` clusters; at most ``k`` roots may remain."""
         k = self.instance.k
         built = len(self.tables) - self.size
         _extend_tables(
@@ -286,28 +286,19 @@ class _LinkageRun:
         return _covering_cost(self.tables, self.roots[merge_count], k)
 
 
-def capped_linkage_run(
-    instance: ClusteringInstance,
-    rho,
-    tau_merges: int,
-    tracker: DecisionTracker | None = None,
-) -> MergeForest:
-    """Perform exactly ``tau_merges`` greedy merges at the given weight.
+def capped_linkage_run(instance: ClusteringInstance, rho, tau_merges: int) -> MergeForest:
+    """Perform exactly ``tau_merges`` greedy merges at the weight ``rho``.
 
     Each step merges the root pair with the smallest linkage value; ties
-    break toward the pair that stays minimal just right of the tie, then
-    toward the lexicographically smallest (smaller id, larger id) pair.
-    Routing the argmin through a tracker records the invariance interval.
-    ``rho`` is read, and checked to lie in [0, 1], only when no tracker is
-    given; a given tracker's point is the weight.
+    break as ``DecisionTracker`` says, then toward the lexicographically
+    smallest (smaller id, larger id) pair.  ``rho`` is read and checked by
+    ``standalone_tracker``.  A sweep drives ``_LinkageRun`` directly.
     """
     n = instance.n
     if not 0 <= tau_merges <= n - 1:
         raise ValueError("tau_merges must lie in [0, n - 1]")
-    if tracker is None:
-        tracker = standalone_tracker(rho)
     run = _LinkageRun(instance)
-    run.advance(tracker, tau_merges)
+    run.advance(standalone_tracker(rho), tau_merges)
     return MergeForest(size=n, merges=tuple(run.merges))
 
 
@@ -363,16 +354,15 @@ def _extend_tables(
         tables.append(table)
 
 
-def _covering_cost(tables: Sequence[dict[int, int]], roots: Sequence[int], k: int) -> int | None:
+def _covering_cost(tables: Sequence[dict[int, int]], roots: Sequence[int], k: int) -> int:
     """Best cost of covering all points with exactly ``k`` clusters, the
-    roots' tables combined, or None when no selection of ``k`` exists (for
-    one, when more roots than ``k`` remain)."""
-    if len(roots) > k:
-        return None
+    roots' tables combined.  At most ``k`` roots may remain, and there are
+    at least ``k`` points; a node's table holds every count up to its size,
+    so some selection of ``k`` clusters always exists."""
     best: dict[int, int] = {0: 0}
     for root in roots:
         best = _combine(best, tables[root], k)
-    return best.get(k)
+    return best[k]
 
 
 def best_pruning(forest: MergeForest, k: int, instance: ClusteringInstance) -> PruningResult:
@@ -392,8 +382,7 @@ def best_pruning(forest: MergeForest, k: int, instance: ClusteringInstance) -> P
     scale, distances = instance.integer_form
     tables: list[dict[int, int]] = [{1: 0}] * forest.size
     _extend_tables(tables, forest.merges, forest.members, k, distances, {})
-    cost = _covering_cost(tables, forest.roots, k)
-    return PruningResult(cost=math.inf if cost is None else Fraction(cost, scale))
+    return PruningResult(cost=Fraction(_covering_cost(tables, forest.roots, k), scale))
 
 
 def _run_outcome(run: _LinkageRun, tau: int, tracker: DecisionTracker) -> CappedRunOutcome:
@@ -410,8 +399,7 @@ def _run_outcome(run: _LinkageRun, tau: int, tracker: DecisionTracker) -> Capped
     budget = min(tau, n - 1)
     run.advance(tracker, budget)
     for tau_prime in range(n - k, budget + 1):
-        cost = run.pruning_cost(tau_prime)
-        if cost is not None and cost <= run.threshold:
+        if run.pruning_cost(tau_prime) <= run.threshold:
             return CappedRunOutcome.finished(tau_prime)
     return CappedRunOutcome.truncated(tau)
 
@@ -512,16 +500,12 @@ def load_instance(path: str | Path) -> ClusteringInstance:
 
 
 def random_metric_instance(
-    rng: np.random.Generator,
-    num_points: int = 6,
-    k: int = 2,
-    slack: Any = Fraction(6, 5),
+    rng: np.random.Generator, num_points: int = 6, k: int = 2
 ) -> ClusteringInstance:
     """Random integer metric: distinct grid points under the L1 distance.
 
-    The admissibility threshold is the exhaustive optimal k-median cost
-    scaled by ``slack``, so every instance is solvable once enough merges
-    are allowed.
+    The admissibility threshold is 6/5 of the exhaustive optimal k-median
+    cost, so every instance is solvable once enough merges are allowed.
     """
     if not 2 <= num_points <= MAX_POINTS:
         raise ValueError("num_points out of range")
@@ -541,5 +525,5 @@ def random_metric_instance(
         ]
         for p in points
     ]
-    theta = exact_kmedian_cost(distances, k) * to_fraction(slack)
+    theta = exact_kmedian_cost(distances, k) * Fraction(6, 5)
     return ClusteringInstance.from_lists(distances, k, theta)

@@ -306,10 +306,14 @@ def to_fraction(value: Any) -> Fraction:
 
 def format_rational(value: Fraction) -> str:
     """Instance-file text of a rational that reads back exactly: an integer as
-    is, else its float text when that is exact, else ``p/q``."""
+    is, else its float text when that is exact, else ``p/q`` (also beyond
+    the float range)."""
     if value.denominator == 1:
         return str(value.numerator)
-    text = str(float(value))
+    try:
+        text = str(float(value))
+    except OverflowError:
+        return str(value)
     return text if Fraction(text) == value else str(value)
 
 

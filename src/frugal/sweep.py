@@ -18,12 +18,10 @@ expressions and stay exact.  The bound becomes a ``fractions.Fraction``
 only when it shrinks, so breakpoints are exact and cells never drift
 against a grid sweep.
 
-Selection ties break toward the candidate that stays the winner immediately
-to the right of the tie point (largest slope for argmax, smallest for
-argmin), then toward the earliest candidate in the supplied order.  This
-makes executions right-continuous in ``rho``, which is what lets every cell
-be half-open ``[lo, hi)`` with breakpoints owned by the cell on their right;
-the cell ending at 1 also holds 1 (see ``ParamCell``).
+Exact score ties break so that executions are right-continuous in ``rho``
+(see ``DecisionTracker``), which is what lets every cell be half-open
+``[lo, hi)`` with breakpoints owned by the cell on their right; the cell
+ending at 1 also holds 1 (see ``ParamCell``).
 
 A domain's sweep passes ``execute(tracker) -> CappedRunOutcome``: one run
 at ``tracker.point``, capped at the partition's cap, so its ``budget_used``
@@ -83,22 +81,20 @@ class DecisionTracker:
     bound is the same object.  With ``upper=None`` the tracker is
     untracked: it only selects, and ``bound`` stays None.
 
-    ``tie_rightward`` controls which side of an exact score tie the winner
-    comes from.  Interior points break toward the candidate that wins just
-    right of the point (cells are right-open, so a breakpoint behaves like
-    the cell it opens); the single exception is an evaluation exactly at the
-    space's top endpoint, which belongs to the topmost cell and must behave
-    like the limit from the left.
+    An exact score tie breaks toward the candidate that stays the winner just
+    right of ``point`` (largest slope for argmax, smallest for argmin), since
+    cells are right-open and a breakpoint behaves like the cell it opens.  At
+    ``point == 1``, which belongs to the topmost cell, it breaks toward the
+    winner just left instead.  Remaining ties go to the earliest candidate
+    in the supplied order.
     """
 
     __slots__ = ("point", "bound", "tie_rightward")
 
-    def __init__(
-        self, point: Fraction, upper: Fraction | None, tie_rightward: bool = True
-    ) -> None:
+    def __init__(self, point: Fraction, upper: Fraction | None) -> None:
         self.point = point
         self.bound = upper
-        self.tie_rightward = tie_rightward
+        self.tie_rightward = point != 1
 
     def argmax(self, candidates: Sequence[tuple[K, tuple]]) -> K:
         return self._select(candidates, 1)
@@ -139,12 +135,12 @@ def standalone_tracker(rho: Any) -> DecisionTracker:
 
     ``rho`` is read with ``to_fraction`` and must lie in [0, 1], else
     ``ValueError``; this is the one weight check of every standalone run.
-    No invariance bound is computed, and ties break rightward except at 1.
+    No invariance bound is computed.
     """
     point = to_fraction(rho)
     if not 0 <= point <= 1:
         raise ValueError("rho must lie in [0, 1]")
-    return DecisionTracker(point, None, tie_rightward=point != 1)
+    return DecisionTracker(point, None)
 
 
 def sweep_unit_interval(

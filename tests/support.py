@@ -25,7 +25,8 @@ from frugal.bnb import (
 )
 from frugal.clustering import (
     ClusteringInstance,
-    capped_linkage_run,
+    MergeForest,
+    _LinkageRun,
     exact_kmedian_cost,
     format_instance,
 )
@@ -146,8 +147,8 @@ class RecordingTracker(DecisionTracker):
 
     __slots__ = ("winners",)
 
-    def __init__(self, point, upper, tie_rightward=True):
-        super().__init__(point, upper, tie_rightward)
+    def __init__(self, point, upper):
+        super().__init__(point, upper)
         self.winners = []
 
     def argmax(self, candidates):
@@ -161,7 +162,7 @@ def branching_trace(milp, rho, cap):
     execution-invariance checks.  Node selection keys do not depend on the
     weight, so equal sequences mean equal search trees."""
     standalone = standalone_tracker(rho)
-    tracker = RecordingTracker(standalone.point, None, standalone.tie_rightward)
+    tracker = RecordingTracker(standalone.point, None)
     _run_capped(milp, min(cap, MAX_TREE_SIZE), tracker)
     return tuple(tracker.winners)
 
@@ -218,15 +219,23 @@ def enumerate_prunings(forest, k, instance):
     return best
 
 
+def tracked_linkage_run(instance, tracker, budget):
+    """``budget`` greedy merges at ``tracker.point`` by a fresh
+    ``_LinkageRun``, whose selections shrink ``tracker.bound``."""
+    run = _LinkageRun(instance)
+    run.advance(tracker, budget)
+    return MergeForest(size=instance.n, merges=tuple(run.merges))
+
+
 def reference_clustering_sweep(instance, tau):
     """The clustering sweep without resumption: ``(lo, hi, outcome)`` cells
-    from a fresh ``capped_linkage_run`` at each cell's left end, whose every
+    from a fresh ``tracked_linkage_run`` at each cell's left end, whose every
     prefix from budget 0 is scored by ``enumerate_prunings``.
     """
     budget = min(tau, instance.n - 1)
 
     def execute(tracker):
-        forest = capped_linkage_run(instance, None, budget, tracker)
+        forest = tracked_linkage_run(instance, tracker, budget)
         for b in range(budget + 1):
             if enumerate_prunings(forest.prefix(b), instance.k, instance) <= instance.theta:
                 return CappedRunOutcome.finished(b)
@@ -249,12 +258,10 @@ def reference_linkage_run(instance, rho, budget, bound=None):
     pairwise ``instance.distances`` of its two clusters' members, kept in a
     dict keyed by the sorted pair.  Each step's candidates are the pairs of
     ``itertools.combinations`` over the sorted roots, and ``fraction_select``
-    picks the argmin.  With ``bound=None`` the choice is the standalone one
-    (ties rightward except at 1); otherwise ties break rightward and the
-    returned bound is the first point right of ``rho`` where a choice flips.
+    picks the argmin.  With a ``bound`` the returned bound is the first
+    point right of ``rho`` where a choice flips.
     """
     rho = Fraction(rho)
-    tie_rightward = bound is not None or rho != 1
     distances = instance.distances
     members = {i: (i,) for i in range(instance.n)}
 
@@ -267,7 +274,7 @@ def reference_linkage_run(instance, rho, budget, bound=None):
     for step in range(budget):
         roots = sorted(members)
         candidates = [(pair, lines[pair]) for pair in itertools.combinations(roots, 2)]
-        (a, b), bound = fraction_select(rho, bound, tie_rightward, candidates, -1)
+        (a, b), bound = fraction_select(rho, bound, candidates, -1)
         new = instance.n + step
         members[new] = members.pop(a) + members.pop(b)
         for r in members:
@@ -654,14 +661,12 @@ def reference_bnb_run(milp, rho, cap, bound=None, lp_cache=None):
     Every node's candidates are rebuilt from ``fraction_lp_relax`` as
     ``Fraction`` score lines (an infeasible child scores
     ``INFEASIBLE_SCORE``), and every branching choice is made by
-    ``fraction_select``.  With ``bound=None`` the choice is the standalone
-    one (ties rightward except at 1); otherwise ties break rightward and the
-    returned bound is the first point right of ``rho`` where a choice flips.
+    ``fraction_select``.  With a ``bound`` the returned bound is the first
+    point right of ``rho`` where a choice flips.
     ``lp_cache`` may carry solved relaxations, keyed by sorted fixings,
     between runs on one program.
     """
     rho = Fraction(rho)
-    tie_rightward = bound is not None or rho != 1
     limit = min(cap, MAX_TREE_SIZE)
     cache = {} if lp_cache is None else lp_cache
 
@@ -707,7 +712,7 @@ def reference_bnb_run(milp, rho, cap, bound=None, lp_cache=None):
                 decreases.append(INFEASIBLE_SCORE if child_value is None else value - child_value)
             low, high = min(decreases), max(decreases)
             candidates.append((i, (high, low - high)))
-        chosen, bound = fraction_select(rho, bound, tie_rightward, candidates, 1)
+        chosen, bound = fraction_select(rho, bound, candidates, 1)
         decisions.append(chosen)
         for v in (0, 1):
             if size + 1 > limit:
@@ -728,15 +733,16 @@ def reference_bnb_run(milp, rho, cap, bound=None, lp_cache=None):
     return finish(True, size, incumbent, decisions, bound)
 
 
-def fraction_select(point, bound, tie_rightward, candidates, sense):
+def fraction_select(point, bound, candidates, sense):
     """``(winner key, new bound)`` of one tracker selection, by evaluating
     every line as a ``Fraction`` at the point and computing each crossing.
 
     ``sense`` is 1 for argmax and -1 for argmin; ``bound=None`` is an
-    untracked selection.
+    untracked selection.  Exact ties go to the winner just right of the
+    point, except at 1, where they go to the winner just left.
     """
     rho = Fraction(point)
-    side = 1 if tie_rightward else -1
+    side = 1 if rho != 1 else -1
 
     def value_at(score):
         intercept, slope = score

@@ -1,6 +1,7 @@
 import ast
 import importlib
 import pkgutil
+import re
 from pathlib import Path
 
 import pytest
@@ -50,3 +51,48 @@ def test_no_unused_module_imports(module):
                 imported[alias.asname or alias.name.split(".")[0]] = statement.lineno
     unused = sorted(set(imported) - _names_used(tree), key=imported.get)
     assert unused == [], f"{module.__name__} imports names it never uses: {unused}"
+
+
+def _private(name: str) -> bool:
+    return name.startswith("_") and not name.startswith("__")
+
+
+def _referenced_names() -> set[str]:
+    """Every name read, or attribute accessed, anywhere in ``src/frugal``."""
+    referenced = set()
+    for module in MODULES:
+        for node in ast.walk(ast.parse(Path(module.__file__).read_text())):
+            if isinstance(node, ast.Name):
+                referenced.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                referenced.add(node.attr)
+    return referenced
+
+
+@pytest.mark.parametrize("module", MODULES, ids=lambda module: module.__name__)
+def test_no_unreferenced_private_helpers(module):
+    # A definition is not a reference, so a private function, class or
+    # method that no code in the package names is dead.
+    defined = []
+    for statement in ast.parse(Path(module.__file__).read_text()).body:
+        if isinstance(statement, (ast.FunctionDef, ast.ClassDef)) and _private(statement.name):
+            defined.append(statement.name)
+        if isinstance(statement, ast.ClassDef):
+            defined.extend(
+                f"{statement.name}.{item.name}"
+                for item in statement.body
+                if isinstance(item, ast.FunctionDef) and _private(item.name)
+            )
+    referenced = _referenced_names()
+    dead = [name for name in defined if name.rpartition(".")[2] not in referenced]
+    assert dead == [], f"{module.__name__} defines private helpers nothing uses: {dead}"
+
+
+def test_readme_quick_tour_runs(capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    tour = re.search(r"## Library quick tour\n\n```python\n(.*?)```", readme, re.DOTALL)
+    exec(compile(tour.group(1), "README.md", "exec"), {})
+    terminal_round, parameters, chosen = capsys.readouterr().out.splitlines()
+    assert terminal_round == "8"
+    assert 0.4 in ast.literal_eval(parameters)
+    assert chosen == "0.4"

@@ -288,7 +288,7 @@ class TestBnbRun:
         for milp in random_pool(seed=29, count=12, num_vars=5, num_rows=3):
             for rho in grid:
                 def tracking():
-                    return RecordingTracker(rho, Fraction(2), tie_rightward=rho != 1)
+                    return RecordingTracker(rho, Fraction(2))
 
                 assert bnb_run(milp, rho, 63) == bnb._run_outcome(milp, 63, tracking())
                 tracker = tracking()
@@ -524,7 +524,9 @@ class TestParser:
         assert parse_milp(format_milp(milp)) == milp
 
     def test_round_trip(self):
+        huge = Fraction(10**400, 3)  # beyond the float range
         pool = random_pool(seed=59, count=5)
+        pool.append(Milp((huge, Fraction(1)), ((Fraction(1), -huge),), (huge,)))
         for milp in pool:
             again = parse_milp(format_milp(milp))
             assert again.objective == milp.objective

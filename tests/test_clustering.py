@@ -33,6 +33,7 @@ from support import (
     four_point_metric,
     reference_clustering_sweep,
     reference_linkage_run,
+    tracked_linkage_run,
     triangle_violation,
     whole_pool,
 )
@@ -93,8 +94,8 @@ class TestCappedLinkage:
         grid = [Fraction(i, 20) for i in range(21)]
         for instance in [four_point] + random_pool(seed=13, count=10):
             for rho in grid:
-                tracking = DecisionTracker(rho, Fraction(2), tie_rightward=rho != 1)
-                tracked = capped_linkage_run(instance, rho, instance.n - 1, tracking)
+                tracking = DecisionTracker(rho, Fraction(2))
+                tracked = tracked_linkage_run(instance, tracking, instance.n - 1)
                 assert capped_linkage_run(instance, rho, instance.n - 1) == tracked
 
     def test_budget_validation(self, four_point):
@@ -171,10 +172,10 @@ class TestBestPruning:
             _extend_tables(tables, forest.merges, forest.members, k, distances, {})
             for m in range(len(merges) + 1):
                 prefix = forest.prefix(m)
-                cost = _covering_cost(tables, prefix.roots, k)
-                got = math.inf if cost is None else Fraction(cost, scale)
-                assert got == best_pruning(prefix, k, inst).cost
-                assert got == enumerate_prunings(prefix, k, inst)
+                want = enumerate_prunings(prefix, k, inst)
+                assert best_pruning(prefix, k, inst).cost == want
+                if len(prefix.roots) <= k:
+                    assert Fraction(_covering_cost(tables, prefix.roots, k), scale) == want
 
     def test_members_follow_merges(self):
         for inst in random_pool(seed=8, count=10, max_points=8):
@@ -350,7 +351,7 @@ class TestLinkageOracle:
             want = reference_linkage_run(inst, left, budget, top)
             assert capped_linkage_run(inst, left, budget).merges == want.merges
             tracker = DecisionTracker(left, top)
-            assert capped_linkage_run(inst, left, budget, tracker).merges == want.merges
+            assert tracked_linkage_run(inst, tracker, budget).merges == want.merges
             assert tracker.bound == want.bound
             left = want.bound
         assert capped_linkage_run(inst, top, budget).merges == (

@@ -160,6 +160,10 @@ class TestRationals:
         for k in range(-60, 61):
             if k % 5:
                 assert format_rational(Fraction(k, 5)) == str(k / 5)
+        # Beyond the float range, and below its smallest subnormal.
+        assert format_rational(Fraction(10**400, 3)) == f"{10**400}/3"
+        assert format_rational(Fraction(-(10**400), 3)) == f"-{10**400}/3"
+        assert format_rational(Fraction(1, 3 * 10**400)) == f"1/{3 * 10**400}"
 
 
 class TestParamTypes:

@@ -77,9 +77,9 @@ class TestDecisionTracker:
         assert tracker.bound == Fraction(1, 4) and tracker.bound is not shrunk
 
     def test_tied_rival_never_moves_the_bound(self):
-        # Ties break leftward here, so the flat line wins and the steep one
+        # Ties break leftward at 1, so the flat line wins and the steep one
         # closes on it; they meet at the point itself, which is no crossing.
-        tracker = DecisionTracker(Fraction(1), Fraction(2), tie_rightward=False)
+        tracker = DecisionTracker(Fraction(1), Fraction(2))
         assert tracker.argmax([("flat", line(1, 0)), ("steep", line(0, 1))]) == "flat"
         assert tracker.bound == 2
 
@@ -88,6 +88,14 @@ class TestDecisionTracker:
         assert standalone_tracker(Fraction(1)).argmax(candidates) == "flat"
         mid = [("flat", line(1, 0)), ("steep", line("0.5", 1))]
         assert standalone_tracker(Fraction(1, 2)).argmax(mid) == "steep"
+        # Tracked trackers derive the same side from their point.
+        for point in (Fraction(0), Fraction(1, 2), Fraction(1)):
+            tied = [("flat", line(1, 0)), ("steep", line(1 - point, 1))]
+            rightward = point != 1
+            tracker = DecisionTracker(point, Fraction(2))
+            assert tracker.argmax(tied) == ("steep" if rightward else "flat")
+            assert tracker.argmin(tied) == ("flat" if rightward else "steep")
+            assert tracker.bound == 2
 
     def test_standalone_selects_like_a_tracking_tracker(self):
         # Small integer lines tie often, so both tie rules are exercised.
@@ -99,7 +107,7 @@ class TestDecisionTracker:
                 for key, (a, b) in enumerate(rng.integers(-2, 3, size=(4, 2)))
             ]
             standalone = standalone_tracker(rho)
-            tracking = DecisionTracker(rho, Fraction(2), tie_rightward=rho != 1)
+            tracking = DecisionTracker(rho, Fraction(2))
             assert standalone.argmax(candidates) == tracking.argmax(candidates)
             assert standalone.argmin(candidates) == tracking.argmin(candidates)
             assert standalone.bound is None
@@ -122,14 +130,13 @@ class TestDecisionTracker:
             candidates.append((size, candidates[data.draw(st.integers(0, size - 1))][1]))
         ends = st.sampled_from([Fraction(0), Fraction(1)])
         point = data.draw(st.one_of(ends, st.fractions(0, 1, max_denominator=12)))
-        tie_rightward = point != 1 or data.draw(st.booleans())
         above = st.fractions(point, 2, max_denominator=30).filter(lambda b: b > point)
         upper = data.draw(st.one_of(st.none(), above))
         sense = data.draw(st.sampled_from([1, -1]))
-        tracker = DecisionTracker(point, upper, tie_rightward=tie_rightward)
+        tracker = DecisionTracker(point, upper)
         select = tracker.argmax if sense == 1 else tracker.argmin
         winner = select(candidates)
-        want_winner, want_bound = fraction_select(point, upper, tie_rightward, candidates, sense)
+        want_winner, want_bound = fraction_select(point, upper, candidates, sense)
         assert winner == want_winner
         assert tracker.bound == want_bound
         assert type(tracker.bound) is type(want_bound)
