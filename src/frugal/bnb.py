@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from pathlib import Path
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -332,36 +332,31 @@ def _solve_box_lp(
     return z, d, numerators
 
 
-def _normalize_fixings(fixings: Mapping[int, int] | Iterable[tuple[int, int]] | None, n: int):
-    if fixings is None:
-        return ()
-    items = sorted(dict(fixings).items())
-    for index, value in items:
-        if not 0 <= index < n:
-            raise ValueError(f"fixed variable index {index} out of range")
-        if value not in (0, 1):
-            raise ValueError(f"fixed value must be binary, got {value}")
-    return tuple(items)
-
-
-def lp_relax(milp: Milp, fixings=None) -> LpSolution:
+def lp_relax(milp: Milp, fixings: tuple = ()) -> LpSolution:
     """Exact optimum of the LP relaxation with the given variables fixed.
 
-    Free variables range over ``[0, 1]``; results are memoized per instance
-    keyed by the fixing set, since branch-and-bound revisits the same
-    subproblems across parameters and caps.  Raises ``LpSolveError`` naming
-    the program and the fixing set if the simplex cannot finish.
+    ``fixings`` is the node's key: ``(index, value)`` pairs sorted by
+    distinct in-range index, each value 0 or 1.  Free variables range over
+    ``[0, 1]``; results are memoized per instance under that key, since
+    branch-and-bound revisits the same subproblems across parameters and
+    caps.  The memo stores checked keys only, so a key is checked
+    (``ValueError``) on a miss only.  Raises ``LpSolveError`` naming the
+    program and the fixings if the simplex cannot finish.
     """
-    fixed = _normalize_fixings(fixings, milp.n)
     cache = milp._lp_cache
-    hit = cache.get(fixed)
+    hit = cache.get(fixings)
     if hit is not None:
         return hit
+    indices = [index for index, _ in fixings]
+    if not all(a < b for a, b in zip([-1, *indices], [*indices, milp.n])):
+        raise ValueError(f"fixings need sorted, distinct, in-range indices, got {fixings}")
+    if any(value not in (0, 1) for _, value in fixings):
+        raise ValueError(f"fixed values must be binary, got {fixings}")
     form = milp._integer_form
-    fix = dict(fixed)
+    fix = dict(fixings)
     free = [j for j in range(milp.n) if j not in fix]
-    constant = sum(form.objective[j] * v for j, v in fixed)
-    rhs = [b - sum(row[j] * v for j, v in fixed) for row, b in zip(form.rows, form.rhs)]
+    constant = sum(form.objective[j] * v for j, v in fixings)
+    rhs = [b - sum(row[j] * v for j, v in fixings) for row, b in zip(form.rows, form.rhs)]
     try:
         result = _solve_box_lp(
             [form.objective[j] for j in free],
@@ -372,36 +367,35 @@ def lp_relax(milp: Milp, fixings=None) -> LpSolution:
     except LpSolveError as exc:
         where = f"program {milp.name!r}" if milp.name else "unnamed program"
         raise LpSolveError(
-            f"{exc} ({where}, fixings {fix})", program=milp.name, fixings=fixed
+            f"{exc} ({where}, fixings {fix})", program=milp.name, fixings=fixings
         ) from None
     if result is None:
         solution = LpSolution("infeasible", None, None)
     else:
         z, d, numerators = result
         point = [Fraction(0)] * milp.n
-        for j, v in fixed:
+        for j, v in fixings:
             point[j] = Fraction(v)
         for j, v in zip(free, numerators):
             point[j] = Fraction(v, d)
         value = Fraction(z + d * constant, d * form.objective_scale)
         solution = LpSolution("optimal", value, tuple(point))
-    cache[fixed] = solution
+    cache[fixings] = solution
     return solution
 
 
 def scores(
     milp: Milp, fixings: tuple, relaxation: LpSolution, index: int
 ) -> tuple[Fraction, Fraction]:
-    """Objective decreases of the children of a node, sorted ``fixings`` with
-    LP ``relaxation``, from branching on variable ``index``.
+    """Objective decreases of the children of a node, with ``lp_relax`` key
+    ``fixings`` and LP ``relaxation``, from branching on variable ``index``.
 
     Returns ``(smaller, larger)`` of the two decreases; an infeasible child
     contributes the finite sentinel ``INFEASIBLE_SCORE``.  A child that
     fixes the variable at its value in the node's optimum keeps that optimum
     feasible, so its decrease is 0 and no LP is solved for it.
     """
-    fix = dict(fixings)
-    if index in fix:
+    if index in dict(fixings):
         raise ValueError(f"variable {index} is already fixed at this node")
     if not relaxation.is_optimal:
         raise ValueError("scores need a node with an optimal relaxation")
@@ -412,7 +406,7 @@ def scores(
         if settled == value:
             decreases.append(Fraction(0))
             continue
-        child = lp_relax(milp, {**fix, index: value})
+        child = lp_relax(milp, _child_key(fixings, index, value))
         if child.is_optimal:
             decreases.append(parent_value - child.objective)
         else:
@@ -447,11 +441,16 @@ def _expansion(milp: Milp, fixings: tuple, relaxation: LpSolution) -> _Expansion
     return expansion
 
 
+def _child_key(fixings: tuple, index: int, value: int) -> tuple:
+    """The ``lp_relax`` key of the child that fixes ``index`` at ``value``."""
+    return tuple(sorted((*fixings, (index, value))))
+
+
 def _children(milp: Milp, fixings: tuple, index: int) -> tuple:
     """Both children of branching on ``index``, as ``_Expansion.children`` holds them."""
     out = []
     for value in (0, 1):
-        child_fixings = tuple(sorted((*fixings, (index, value))))
+        child_fixings = _child_key(fixings, index, value)
         child_lp = lp_relax(milp, child_fixings)
         out.append((child_fixings, child_lp, child_lp.is_integral()))
     return tuple(out)
@@ -476,7 +475,7 @@ def _run_capped(
     """
     if node_limit < 1:
         raise ValueError("node limit must be positive")
-    root_lp = lp_relax(milp, None)
+    root_lp = lp_relax(milp)
     if not root_lp.is_optimal:
         return True, 1, None
     if root_lp.is_integral():

@@ -288,6 +288,12 @@ def cmd_select(args) -> int:
     ceiling = args.ceiling
     if ceiling is None:
         ceiling = 2 ** (terminal + 4) if "terminal_round" in subset else DEFAULT_CAP_CEILING
+    # selected.json holds the ceiling as text; a limit of 0 (or none, before
+    # Python had it) writes ints of any length.
+    digits = getattr(sys, "get_int_max_str_digits", int)()
+    if digits and ceiling >= 10**digits:
+        raise UsageError(f"subset {subset_path}: 'terminal_round' {terminal} gives a cap ceiling "
+                         f"over Python's {digits}-digit limit for int text")
     rng = np.random.default_rng(cfg.learner.seed)
     estimates = estimate_capped_tail_means(
         problem, candidates, delta_prime, args.samples, rng, ceiling

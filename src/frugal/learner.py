@@ -19,7 +19,7 @@ from __future__ import annotations
 import bisect
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -29,7 +29,6 @@ from .stats import GammaInputs, _gamma_of_count, gamma_bound
 
 __all__ = [
     "LearnerConfig",
-    "LearnerState",
     "GoodRegion",
     "TraceRow",
     "OptimalSubsetResult",
@@ -134,15 +133,6 @@ class GoodRegion:
     z: float
 
 
-@dataclass
-class LearnerState:
-    """Mutable per-run state: the confidence bound and the admitted regions."""
-
-    round_index: int = 0
-    threshold: float = math.inf
-    regions: list[GoodRegion] = field(default_factory=list)
-
-
 @dataclass(frozen=True)
 class TraceRow:
     round_index: int
@@ -155,14 +145,14 @@ class TraceRow:
 
 @dataclass
 class OptimalSubsetResult:
-    """Output of a completed run: one parameter per admitted region."""
+    """Output of a completed run: one parameter per admitted region.  The
+    counters are sums over ``trace`` of ``samples`` and ``cells * samples``."""
 
     parameters: list[ParamPoint]
     regions: list[GoodRegion]
     trace: list[TraceRow]
     terminal_round: int
     threshold: float
-    config: LearnerConfig
     instance_draws: int
     loss_evaluations: int
 
@@ -238,62 +228,55 @@ def grow_sample(
         sample = problem.merge_samples(sample, batch)
 
 
-def process_round(state: LearnerState, cells: Sequence, cfg: LearnerConfig) -> int:
-    """Admit qualifying cells and tighten the confidence bound.
+def process_round(cells: Sequence, cfg: LearnerConfig, round_index: int) -> list[GoodRegion]:
+    """The regions that round ``round_index`` admits, in cell order.
 
     A cell qualifies when its solved fraction is at least ``1 - 3 delta / 8``.
     Its recorded cap is the loss of rank ``floor(b (1 - 3 delta / 8))``
     (1-based) among its ``b`` draws, and its estimate is the mean of the
     draws' losses re-capped there; both are read off the cell's distinct
-    losses and counts (``tail_capped_mean``).  Returns the number of cells
-    admitted.
+    losses and counts (``tail_capped_mean``).
     """
-    if not cells:
-        return 0
-    sample_count = int(cells[0].counts.sum())
-    rank = math.floor(sample_count * cfg.admission_threshold)
-    admitted = 0
+    admitted = []
     for cell in cells:
         if cell.z < cfg.admission_threshold:
             continue
+        rank = math.floor(int(cell.counts.sum()) * cfg.admission_threshold)
         tau_cell, estimate = tail_capped_mean(cell.losses, cell.counts, rank)
-        state.regions.append(
+        admitted.append(
             GoodRegion(
                 cell=cell.cell,
-                round_added=state.round_index,
+                round_added=round_index,
                 tau_cell=tau_cell,
                 capped_estimate=estimate,
                 z=cell.z,
             )
         )
-        admitted += 1
-        if estimate < state.threshold:
-            state.threshold = estimate
     return admitted
 
 
 def learn_subset(problem: ConfigProblem, cfg: LearnerConfig) -> OptimalSubsetResult:
     """Run the full doubling-cap loop and return the admitted-parameter set.
 
-    The stopping rule is checked at the start of every round: the run ends at
-    the first round index ``t`` with ``2^(t-3) * delta >= T``.  The trace has
-    one row per check, so its final row is the terminal round (with zero
-    samples, since that round never executes).
+    ``T``, the least estimate admitted so far (infinite before any), is
+    checked at the start of every round: the run ends at the first round
+    index ``t`` with ``2^(t-3) * delta >= T``.  The trace has one row per
+    check, so its final row is the terminal round (with zero samples, since
+    that round never executes).
     """
     rng = np.random.default_rng(cfg.seed)
-    state = LearnerState()
+    regions: list[GoodRegion] = []
+    threshold = math.inf
     trace: list[TraceRow] = []
-    draws = 0
-    loss_evaluations = 0
     round_index = 1
     while True:
-        if 2.0 ** (round_index - 3) * cfg.delta >= state.threshold:
+        if 2.0 ** (round_index - 3) * cfg.delta >= threshold:
             trace.append(
-                TraceRow(round_index, 2**round_index, 0, 0, 0, state.threshold)
+                TraceRow(round_index, 2**round_index, 0, 0, 0, threshold)
             )
             break
         if round_index > cfg.max_rounds:
-            if math.isinf(state.threshold):
+            if math.isinf(threshold):
                 raise NoRegionAdmittedError(
                     "no region ever admitted within the round limit; the "
                     "admission threshold appears unreachable for this problem"
@@ -301,30 +284,28 @@ def learn_subset(problem: ConfigProblem, cfg: LearnerConfig) -> OptimalSubsetRes
             raise RoundLimitError(
                 f"stopping rule not reached within {cfg.max_rounds} rounds"
             )
-        state.round_index = round_index
         cap = 2**round_index
         sample = grow_sample(problem, round_index, cfg, rng)
-        draws += len(sample)
         cells = problem.get_partition(sample, cap)
-        loss_evaluations += len(cells) * len(sample)
-        admitted = process_round(state, cells, cfg)
+        admitted = process_round(cells, cfg, round_index)
+        regions += admitted
+        threshold = min([threshold] + [region.capped_estimate for region in admitted])
         log.info("round %d cap %d: %d draws, %d distinct instances, %d cells, %d admitted, "
                  "T=%s", round_index, cap, len(sample), sample.uids.size, len(cells),
-                 admitted, state.threshold)
+                 len(admitted), threshold)
         trace.append(
-            TraceRow(round_index, cap, len(sample), len(cells), admitted, state.threshold)
+            TraceRow(round_index, cap, len(sample), len(cells), len(admitted), threshold)
         )
         round_index += 1
-    parameters = [ParamPoint(region.cell.representative()) for region in state.regions]
+    parameters = [ParamPoint(region.cell.representative()) for region in regions]
     return OptimalSubsetResult(
         parameters=parameters,
-        regions=state.regions,
+        regions=regions,
         trace=trace,
         terminal_round=round_index,
-        threshold=state.threshold,
-        config=cfg,
-        instance_draws=draws,
-        loss_evaluations=loss_evaluations,
+        threshold=threshold,
+        instance_draws=sum(row.samples for row in trace),
+        loss_evaluations=sum(row.cells * row.samples for row in trace),
     )
 
 

@@ -608,6 +608,18 @@ def doubling_loss(problem, rho, instance, ceiling):
         tau = min(2 * tau, ceiling)
 
 
+class ConstantSampleProblem(CountingPoolProblem):
+    """``CountingPoolProblem`` whose every sample draws the pool item ``u``
+    exactly ``counts[u]`` times, whatever the requested size."""
+
+    def __init__(self, losses, counts):
+        super().__init__(losses)
+        self.counts = np.asarray(counts, dtype=np.int64)
+
+    def sample_many(self, rng, count):
+        return PoolSample(self.pool, self.counts)
+
+
 class TwoBandProblem(ConfigProblem):
     """Deterministic two-band toy: loss `low_loss` below 0.5, `high_loss` above.
 

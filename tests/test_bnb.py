@@ -56,9 +56,10 @@ def random_pool(seed, count, num_vars=5, num_rows=3):
 
 
 def fixing_sets(variables):
-    """Every partial 0/1 assignment of the given variables, the empty one included."""
+    """Every partial 0/1 assignment of the given sorted variables, the empty
+    one included, as an ``lp_relax`` key."""
     for values in itertools.product((None, 0, 1), repeat=len(variables)):
-        yield {j: v for j, v in zip(variables, values) if v is not None}
+        yield tuple((j, v) for j, v in zip(variables, values) if v is not None)
 
 
 # Signed decimals with mixed denominators, so rows scale by different lcms.
@@ -113,12 +114,12 @@ class TestLpRelax:
         assert solution.point == (Fraction(1), Fraction(1, 2))
 
     def test_fixings_substituted(self, two_var):
-        solution = lp_relax(two_var, {1: 1})
+        solution = lp_relax(two_var, ((1, 1),))
         assert solution.objective == Fraction(2)  # x0 <= 0.5, so 2*0.5 + 1
         assert solution.point[1] == 1
 
     def test_infeasible_detected(self, two_var):
-        assert lp_relax(two_var, {0: 1, 1: 1}).status == "infeasible"
+        assert lp_relax(two_var, ((0, 1), (1, 1))).status == "infeasible"
 
     def test_negative_rhs_phase_one(self):
         milp = Milp.from_lists([1, 1], [[-1, 0], [1, 1]], ["-0.75", "1.2"])
@@ -188,14 +189,19 @@ class TestLpRelax:
             expected = fraction_lp_relax(milp, fixings)
             assert (solution.status, solution.objective, solution.point) == expected
         for fixings in reversed(distinct):
-            lp_relax(milp, list(fixings.items())[::-1])
+            assert lp_relax(milp, fixings) is milp._lp_cache[fixings]
+        assert len(milp._lp_cache) == len(distinct)
+        for fixings in distinct:
+            if len(fixings) > 1:
+                with pytest.raises(ValueError, match="sorted, distinct, in-range"):
+                    lp_relax(milp, fixings[::-1])
         assert len(milp._lp_cache) == len(distinct)
 
     def test_iteration_limit_names_program_and_fixings(self, monkeypatch, two_var):
         monkeypatch.setattr(bnb, "_SIMPLEX_ITERATION_LIMIT", 0)
         named = Milp.from_lists([2, 1, 1], [[1, 1, 1]], ["1.5"], name="tight.milp")
         with pytest.raises(LpSolveError, match="simplex iteration limit exceeded") as excinfo:
-            lp_relax(named, {2: 0})
+            lp_relax(named, ((2, 0),))
         message = str(excinfo.value)
         assert "program 'tight.milp'" in message and "fixings {2: 0}" in message
         assert excinfo.value.program == "tight.milp"
@@ -204,12 +210,22 @@ class TestLpRelax:
         with pytest.raises(LpSolveError, match=r"unnamed program, fixings \{\}"):
             lp_relax(two_var)
 
+    @pytest.mark.parametrize(
+        "fixings",
+        [((1, 0), (0, 1)), ((0, 1), (0, 0)), ((2, 0),), ((-1, 0),), ((0, 2),), ((1, 1), (0, -1))],
+        ids=["unsorted", "repeated", "index-past-end", "negative-index", "value-two", "both"],
+    )
+    def test_malformed_key_rejected_and_not_stored(self, two_var, fixings):
+        with pytest.raises(ValueError):
+            lp_relax(two_var, fixings)
+        assert two_var._lp_cache == {}
+
     def test_weak_duality_down_the_tree(self):
         for milp in random_pool(seed=17, count=20):
             parent = lp_relax(milp)
             for i in range(milp.n):
                 for value in (0, 1):
-                    child = lp_relax(milp, {i: value})
+                    child = lp_relax(milp, ((i, value),))
                     if child.is_optimal:
                         assert child.objective <= parent.objective
 
@@ -227,12 +243,12 @@ class TestScores:
     def test_both_children_infeasible_sentinel(self):
         # x0 = 0 and x0 = 1 both break the pinned equality-style pair.
         milp = Milp.from_lists([1, 1], [[1, 0], [-1, 0]], ["0.6", "-0.4"])
-        low, high = scores(milp, ((1, 0),), lp_relax(milp, {1: 0}), 0)
+        low, high = scores(milp, ((1, 0),), lp_relax(milp, ((1, 0),)), 0)
         assert low == high == Fraction(10**9)
 
     def test_fixed_variable_rejected(self, two_var):
         with pytest.raises(ValueError):
-            scores(two_var, ((0, 1),), lp_relax(two_var, {0: 1}), 0)
+            scores(two_var, ((0, 1),), lp_relax(two_var, ((0, 1),)), 0)
 
     def test_settled_child_solves_no_lp(self):
         settled_seen = 0

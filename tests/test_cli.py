@@ -1,14 +1,20 @@
 import json
 import math
+import sys
 from fractions import Fraction
 
 import pytest
 
-from frugal import bnb
+from frugal import bnb, cli
 from frugal.bnb import BnbProblem
 from frugal.cli import main
 from frugal.sweep import DegenerateCellError
 from support import write_bnb_config, write_clustering_config, write_config
+
+# Python versions before 3.11 (and 3.10.7) convert ints of any length to text.
+needs_int_digit_limit = pytest.mark.skipif(
+    not hasattr(sys, "set_int_max_str_digits"), reason="no int-to-text digit limit"
+)
 
 
 def read_rows(path):
@@ -42,6 +48,9 @@ class TestLearnCommand:
         report = json.loads((out / "report.json").read_text())
         assert report["counters"]["instance_draws"] == sum(
             int(r["samples"]) for r in rows
+        )
+        assert report["counters"]["loss_evaluations"] == sum(
+            int(r["cells"]) * int(r["samples"]) for r in rows
         )
         assert report["trace_rows"] == 8
 
@@ -283,6 +292,44 @@ class TestSelectCommand:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "non-finite" in err
         assert not (out / "selected.json").exists()
+
+    @needs_int_digit_limit
+    def test_unprintable_ceiling_exits_one_before_running(self, tmp_path, capsys, monkeypatch):
+        # 2**20004 has 6,022 digits, over the default limit of 4,300 for
+        # converting an int to text, so selected.json could not be written.
+        def no_runs(*args):
+            raise AssertionError("select ran instances")
+
+        monkeypatch.setattr(cli, "estimate_capped_tail_means", no_runs)
+        config = write_config(tmp_path)
+        out = tmp_path / "out"
+        out.mkdir()
+        subset = {"domain": "synthetic", "terminal_round": 20000, "parameters": [{"rho": 0.4}]}
+        (out / "subset.json").write_text(json.dumps(subset))
+        assert main(["select", "--config", str(config), "--samples", "50"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "'terminal_round' 20000" in err
+        assert not (out / "selected.json").exists()
+
+    @needs_int_digit_limit
+    def test_ceiling_digit_limit_boundary(self, tmp_path, capsys):
+        # Under a 640-digit limit, 2**2126 (640 digits) is the largest
+        # ceiling that can be written: terminal round 2122 runs, 2123 exits 1.
+        config = write_config(tmp_path)
+        out = tmp_path / "out"
+        out.mkdir()
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        try:
+            for terminal, code in ((2123, 1), (2122, 0)):
+                subset = {"terminal_round": terminal, "parameters": [{"rho": 0.4}]}
+                (out / "subset.json").write_text(json.dumps(subset))
+                assert main(["select", "--config", str(config), "--samples", "50"]) == code
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert "640-digit limit" in capsys.readouterr().err
+        selected = json.loads((out / "selected.json").read_text())
+        assert selected["cap_ceiling"] == 2**2126 and len(str(2**2126)) == 640
 
     def test_rerun_identical(self, tmp_path):
         config = write_config(tmp_path)

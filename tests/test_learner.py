@@ -16,9 +16,10 @@ from frugal.clustering import (
 )
 from frugal.core import ParamCell, ParamPoint
 from frugal.learner import (
+    _min_samples_for_target,
     LearnerConfig,
-    LearnerState,
     NoRegionAdmittedError,
+    RoundLimitError,
     SampleBudgetError,
     compute_eta,
     estimate_capped_tail_means,
@@ -29,11 +30,13 @@ from frugal.learner import (
     sample_losses,
     select_finite,
 )
+from frugal.stats import _gamma_of_count
 from frugal.synthetic import SyntheticFamily, SyntheticProblem
 from support import (
     ConstantLossProblem,
     CountingConstantLossProblem,
     CountingPoolProblem,
+    ConstantSampleProblem,
     TwoBandProblem,
     cell_from_losses,
     doubling_loss,
@@ -69,6 +72,8 @@ class TestEta:
             compute_eta(0.0)
         with pytest.raises(ValueError):
             LearnerConfig(epsilon=-1.0, delta=0.5, zeta=0.5)
+        with pytest.raises(ValueError, match="epsilon must be positive"):
+            LearnerConfig(epsilon=0.0, delta=0.5, zeta=0.5)
 
     @pytest.mark.parametrize("epsilon", [math.inf, math.nan])
     def test_config_rejects_non_finite_epsilon(self, epsilon):
@@ -78,6 +83,30 @@ class TestEta:
     def test_config_rejects_negative_seed(self):
         with pytest.raises(ValueError, match="seed must be nonnegative"):
             default_config(seed=-1)
+
+
+class TestConfigBoundaries:
+    @pytest.mark.parametrize("name", ["delta", "zeta"])
+    @pytest.mark.parametrize("value", [0.0, 1.0])
+    def test_rejects_levels_at_the_ends(self, name, value):
+        with pytest.raises(ValueError, match=rf"{name} must lie in \(0, 1\)"):
+            default_config(**{name: value})
+
+    def test_safety_limits_of_one_accepted(self):
+        cfg = default_config(max_rounds=1, max_samples_per_round=1)
+        assert (cfg.max_rounds, cfg.max_samples_per_round) == (1, 1)
+        for limits in ({"max_rounds": 0}, {"max_samples_per_round": 0}):
+            with pytest.raises(ValueError, match="safety limits must be positive"):
+                default_config(**limits)
+
+
+def test_min_samples_for_target_boundaries():
+    # A count whose bound equals the target meets it, also as the last
+    # count of the range; one count short of it, the range has no answer.
+    b0 = 500
+    target = _gamma_of_count(3, 8, 3, dimension=1, confidence=0.05)(b0)
+    for upper, expected in ((10**6, b0), (b0, b0), (b0 - 1, None)):
+        assert _min_samples_for_target(3, 8, 3, 0.05, target, lower=1, upper=upper) == expected
 
 
 class TestGrowSample:
@@ -126,29 +155,48 @@ def make_cell(losses, z):
 class TestProcessRound:
     def test_constant_vector_admitted(self):
         cfg = default_config(delta=0.25)
-        state = LearnerState(round_index=3)
         cells = [make_cell([8] * 64, z=1.0)]
-        admitted = process_round(state, cells, cfg)
-        assert admitted == 1
-        region = state.regions[0]
-        assert region.tau_cell == 8
+        [region] = process_round(cells, cfg, 3)
+        assert region.cell is cells[0].cell
+        assert (region.round_added, region.tau_cell, region.z) == (3, 8, 1.0)
         assert region.capped_estimate == 8.0
-        assert state.threshold == 8.0
 
     def test_low_z_rejected(self):
         cfg = default_config(delta=0.25)  # admission threshold 0.90625
-        state = LearnerState(round_index=1)
-        assert process_round(state, [make_cell([1] * 10, z=0.5)], cfg) == 0
-        assert state.regions == [] and math.isinf(state.threshold)
+        assert process_round([make_cell([1] * 10, z=0.5)], cfg, 1) == []
+
+    def test_no_cells_admit_nothing(self):
+        assert process_round([], default_config(), 1) == []
+
+    def test_admits_at_exact_threshold(self):
+        # delta 0.25 makes the threshold 29/32 exactly, so a 32-draw cell
+        # with 29 solved sits on it and the rule "at least" admits it.
+        cfg = default_config(delta=0.25)
+        assert cfg.admission_threshold == 29 / 32
+        [region] = process_round([make_cell([3] * 29 + [4] * 3, z=29 / 32)], cfg, 2)
+        assert region.tau_cell == 3
+        assert region.capped_estimate == 3.0
+
+    @pytest.mark.xfail(strict=True, reason="float admission threshold (ROADMAP item 8)")
+    def test_admits_at_exact_threshold_with_inexact_float(self):
+        # At delta 0.48, 1 - 3 delta / 8 is 0.82 = 41/50 exactly, but the
+        # float expression reads 0.8200000000000001 and rejects the cell.
+        cfg = default_config(delta=0.48)
+        assert len(process_round([make_cell([5] * 41 + [8] * 9, z=41 / 50)], cfg, 3)) == 1
+
+    def test_keeps_cell_order_and_skips_rejected(self):
+        cfg = default_config(delta=0.25)
+        cells = [make_cell([12] * 32, z=1.0), make_cell([1] * 32, z=0.5), make_cell([9] * 32, z=1.0)]
+        admitted = process_round(cells, cfg, 4)
+        assert [region.capped_estimate for region in admitted] == [12.0, 9.0]
+        assert [region.cell for region in admitted] == [cells[0].cell, cells[2].cell]
 
     def test_rank_indexing_example(self):
         # delta chosen so the rank lands at 90 of 100; hand sum 49.95
         # cross-checked by the brute loop below.
         cfg = default_config(delta=0.8 / 3.0)
-        state = LearnerState(round_index=7)
         losses = list(range(1, 101))
-        process_round(state, [make_cell(losses, z=1.0)], cfg)
-        region = state.regions[0]
+        [region] = process_round([make_cell(losses, z=1.0)], cfg, 7)
         assert region.tau_cell == 90
         brute = sum(min(m, 90) for m in losses) / 100
         assert brute == 49.95
@@ -156,17 +204,8 @@ class TestProcessRound:
 
     def test_quantile_index_guard(self):
         cfg = default_config(delta=0.999)
-        state = LearnerState(round_index=1)
         with pytest.raises(ValueError, match="quantile index"):
-            process_round(state, [make_cell([1], z=1.0)], cfg)
-
-    def test_threshold_keeps_minimum(self):
-        cfg = default_config(delta=0.25)
-        state = LearnerState(round_index=2)
-        process_round(state, [make_cell([12] * 32, z=1.0)], cfg)
-        process_round(state, [make_cell([9] * 32, z=1.0)], cfg)
-        process_round(state, [make_cell([20] * 32, z=1.0)], cfg)
-        assert state.threshold == 9.0
+            process_round([make_cell([1], z=1.0)], cfg, 1)
 
 
 class TestLearnSubset:
@@ -181,6 +220,28 @@ class TestLearnSubset:
         assert result.trace[-1].samples == 0
         assert len(result.trace) == 5
 
+    def test_round_limit_boundary(self):
+        # The constant problem stops at round 5, so four executed rounds
+        # are within a limit of 4 and a limit of 3 is passed.
+        result = learn_subset(ConstantLossProblem(loss=1), default_config(max_rounds=4))
+        assert result.terminal_round == 5
+        with pytest.raises(RoundLimitError, match="within 3 rounds"):
+            learn_subset(ConstantLossProblem(loss=1), default_config(max_rounds=3))
+
+    def test_threshold_is_least_admitted_estimate(self):
+        # Each trace row's T is the minimum estimate admitted up to its
+        # round, and the final T is the least estimate of any region.
+        for seed in (0, 3):
+            result = learn_subset(SyntheticProblem(SyntheticFamily()), default_config(seed=seed))
+            for row in result.trace:
+                admitted = [
+                    region.capped_estimate
+                    for region in result.regions
+                    if region.round_added <= row.round_index
+                ]
+                assert row.threshold == min(admitted, default=math.inf)
+            assert result.threshold == min(region.capped_estimate for region in result.regions)
+
     def test_synthetic_trajectory(self):
         result = learn_subset(SyntheticProblem(SyntheticFamily()), default_config())
         by_round = {row.round_index: row for row in result.trace}
@@ -193,7 +254,7 @@ class TestLearnSubset:
         result = learn_subset(SyntheticProblem(SyntheticFamily()), default_config(seed=3))
         thresholds = [row.threshold for row in result.trace]
         assert all(a >= b for a, b in zip(thresholds, thresholds[1:]))
-        cfg = result.config
+        cfg = default_config(seed=3)
         # Stopping rule: fires at the terminal round, not before.
         final_t = result.terminal_round
         assert 2.0 ** (final_t - 3) * cfg.delta >= result.threshold
@@ -405,6 +466,31 @@ class TestSelectFinite:
                 problem, [ParamPoint(0.5)], 0.9, 5, np.random.default_rng(0), 16
             )
 
+    def test_rank_one_accepted(self):
+        # Two samples at delta' 0.5 give rank floor(2 * 0.5) = 1.
+        estimates = estimate_capped_tail_means(
+            ConstantLossProblem(loss=3), [ParamPoint(0.5)], 0.5, 2, np.random.default_rng(0), 16
+        )
+        assert estimates == [3.0]
+
+    @pytest.mark.parametrize("delta_prime", [0.0, 1.0])
+    def test_delta_prime_at_the_ends_rejected(self, delta_prime):
+        with pytest.raises(ValueError, match="delta_prime must lie"):
+            estimate_capped_tail_means(
+                ConstantLossProblem(), [ParamPoint(0.5)], delta_prime, 10,
+                np.random.default_rng(0), 16,
+            )
+
+    @pytest.mark.xfail(strict=True, reason="float selector rank (ROADMAP item 8)")
+    def test_exact_selector_rank(self):
+        # floor(500 * (1 - 0.07)) is 465, but the float product reads
+        # 464.99999999999994.  Rank 465 caps at loss 2: (464 + 36 * 2) / 500.
+        problem = ConstantSampleProblem([1, 2], [464, 36])
+        estimates = estimate_capped_tail_means(
+            problem, [ParamPoint(0.5)], 0.07, 500, np.random.default_rng(0), 16
+        )
+        assert estimates == [pytest.approx(1.072)]
+
 
 
 CEILINGS = (1, 3, 12, 64, 2**15, 2**20)
@@ -480,6 +566,12 @@ class TestSampleLosses:
     def test_ceiling_validation(self):
         with pytest.raises(ValueError):
             sample_losses(ConstantLossProblem(), 0.5, 5, np.random.default_rng(0), 0)
+
+    def test_ceiling_of_one_accepted(self):
+        losses, counts = sample_losses(
+            ConstantLossProblem(loss=3), 0.5, 5, np.random.default_rng(0), 1
+        )
+        assert losses.tolist() == [1] and counts.tolist() == [5]
 
     @pytest.mark.parametrize("kind", ["bnb", "clustering", "synthetic"])
     @pytest.mark.parametrize("rho", [0.0, 0.3, 0.5, 1.0])

@@ -83,6 +83,15 @@ class TestDecisionTracker:
         assert tracker.argmax([("flat", line(1, 0)), ("steep", line(0, 1))]) == "flat"
         assert tracker.bound == 2
 
+    def test_crossing_at_the_bound_keeps_the_bound_object(self):
+        # The rival crosses exactly at the bound, which is no shrink, so the
+        # tracker keeps the very object: ``_LinkageRun.advance`` detects a
+        # drop by identity.
+        bound = Fraction(1, 2)
+        tracker = DecisionTracker(Fraction(0), bound)
+        assert tracker.argmax([("a", (1, 0)), ("b", (0, 2))]) == "a"
+        assert tracker.bound is bound
+
     def test_standalone_ties_rightward_except_at_top(self):
         candidates = [("flat", line(1, 0)), ("steep", line(0, 1))]
         assert standalone_tracker(Fraction(1)).argmax(candidates) == "flat"
