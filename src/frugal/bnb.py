@@ -43,7 +43,7 @@ from .core import (
     PartitionCell,
     PoolSample,
     format_rational,
-    to_fraction,
+    parse_rational_rows,
 )
 from .sweep import (
     DecisionTracker,
@@ -165,12 +165,8 @@ class Milp:
 
     @classmethod
     def from_lists(cls, objective, rows, rhs, name: str = "") -> "Milp":
-        return cls(
-            objective=tuple(to_fraction(v) for v in objective),
-            rows=tuple(tuple(to_fraction(v) for v in row) for row in rows),
-            rhs=tuple(to_fraction(v) for v in rhs),
-            name=name,
-        )
+        objective, *rows, rhs = parse_rational_rows([objective, *rows, rhs])
+        return cls(objective=objective, rows=tuple(rows), rhs=rhs, name=name)
 
 
 @dataclass(frozen=True)
@@ -578,7 +574,7 @@ def parse_milp(text: str, name: str = "") -> Milp:
     Line 1: ``n m``; line 2: ``n`` objective coefficients; then ``m`` lines
     of ``n`` row coefficients, a literal ``<=``, and the right-hand side.
     Values are whitespace-separated decimals or ``p/q`` fractions, parsed
-    exactly.
+    exactly, each distinct text once (``from_lists``).
     """
     lines = [line.strip() for line in text.splitlines() if line.strip()]
     if not lines:

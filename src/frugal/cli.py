@@ -89,7 +89,7 @@ def _config_number(raw: dict, key: str, integer: bool = False):
 def load_config(path: str | Path, seed_override=None, out_override=None) -> RunConfig:
     try:
         raw = json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:
         raise UsageError(f"cannot read config {path}: {exc}") from exc
     if not isinstance(raw, dict):
         raise UsageError("config must be a JSON object")
@@ -142,12 +142,17 @@ def build_problem(cfg: RunConfig) -> ConfigProblem:
     files = sorted(p for p in cfg.instances_dir.iterdir() if p.is_file())
     if not files:
         raise UsageError(f"no instance files in {cfg.instances_dir}")
-    try:
-        if cfg.domain == "bnb":
-            return BnbProblem([load_milp(p) for p in files])
-        return ClusteringProblem([load_instance(p) for p in files])
-    except ValueError as exc:
-        raise UsageError(f"bad instance file: {exc}") from exc
+    if cfg.domain == "bnb":
+        load, problem = load_milp, BnbProblem
+    else:
+        load, problem = load_instance, ClusteringProblem
+    pool = []
+    for path in files:
+        try:
+            pool.append(load(path))
+        except ValueError as exc:
+            raise UsageError(f"bad instance file {path.name}: {exc}") from exc
+    return problem(pool)
 
 
 def _fmt(value) -> str:
@@ -258,7 +263,7 @@ def cmd_select(args) -> int:
     subset_path = Path(args.subset) if args.subset else cfg.out / "subset.json"
     try:
         subset = json.loads(subset_path.read_text())
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:
         raise UsageError(f"cannot read subset {subset_path}: {exc}") from exc
     if not isinstance(subset, dict):
         raise UsageError(f"subset {subset_path} must be a JSON object")

@@ -46,6 +46,7 @@ from .core import (
     PartitionCell,
     PoolSample,
     format_rational,
+    parse_rational_rows,
     to_fraction,
 )
 from .sweep import (
@@ -82,7 +83,12 @@ _TRIANGLE_SLACK = Fraction(1, 10**9)
 @dataclass(frozen=True)
 class ClusteringInstance:
     """A metric over up to ``MAX_POINTS`` points, a target cluster count,
-    and the cost threshold below which a clustering is admissible."""
+    and the cost threshold below which a clustering is admissible.
+
+    Construction validates the matrix exactly, on ``integer_form``: square,
+    zero diagonal, nonnegative, symmetric, then the triangle inequality up
+    to a slack of ``1e-9``.  The first failed check raises ``ValueError``.
+    """
 
     distances: tuple[tuple[Fraction, ...], ...]
     k: int
@@ -95,7 +101,10 @@ class ClusteringInstance:
             raise ValueError("need at least two points")
         if n > MAX_POINTS:
             raise ValueError(f"at most {MAX_POINTS} points supported")
-        for i, row in enumerate(self.distances):
+        # Every check runs on the integer form: scaling by a positive lcm
+        # keeps each sign and each equality.
+        scale, d = self.integer_form
+        for i, row in enumerate(d):
             if len(row) != n:
                 raise ValueError("distance matrix must be square")
             if row[i] != 0:
@@ -103,13 +112,14 @@ class ClusteringInstance:
             for j, value in enumerate(row):
                 if value < 0:
                     raise ValueError("distances must be nonnegative")
-                if value != self.distances[j][i]:
+                if len(d[j]) <= i:  # a later row too short to mirror this one
+                    raise ValueError("distance matrix must be square")
+                if value != d[j][i]:
                     raise ValueError("distance matrix must be symmetric")
         # In integer form a violation d(i, l) - d(i, j) - d(j, l) is an
         # integer, so exceeding slack * scale means exceeding its floor.  The
         # inequality for (i, j, l) is the one for (l, j, i), so each j is
         # checked once per pair i < l.
-        scale, d = self.integer_form
         slack = scale * _TRIANGLE_SLACK.numerator // _TRIANGLE_SLACK.denominator
         for i, row_i in enumerate(d):
             for j, row_j in enumerate(d):
@@ -139,12 +149,8 @@ class ClusteringInstance:
 
     @classmethod
     def from_lists(cls, distances, k: int, theta, name: str = "") -> "ClusteringInstance":
-        return cls(
-            distances=tuple(tuple(to_fraction(v) for v in row) for row in distances),
-            k=int(k),
-            theta=to_fraction(theta),
-            name=name,
-        )
+        *distances, (theta,) = parse_rational_rows([*distances, [theta]])
+        return cls(distances=tuple(distances), k=int(k), theta=theta, name=name)
 
 
 @dataclass(frozen=True)
@@ -465,8 +471,10 @@ def parse_instance(text: str, name: str = "") -> ClusteringInstance:
     """Parse the plain-text metric format.
 
     Line 1: ``n k theta``; then ``n`` lines of ``n`` distances (the full
-    symmetric matrix).  Symmetry, the zero diagonal, and the triangle
-    inequality are all validated.
+    symmetric matrix).  Values are decimals or ``p/q`` fractions, parsed
+    exactly, each distinct text once (``from_lists``).  Symmetry,
+    the zero diagonal, and the triangle inequality are all validated, on
+    the exact values (see ``ClusteringInstance``).
     """
     lines = [line.strip() for line in text.splitlines() if line.strip()]
     if not lines:

@@ -35,6 +35,7 @@ __all__ = [
     "law_capped_mean",
     "tail_capped_mean",
     "to_fraction",
+    "parse_rational_rows",
     "format_rational",
     "validate_cells_cover",
 ]
@@ -302,6 +303,28 @@ def to_fraction(value: Any) -> Fraction:
             raise ValueError(f"cannot interpret non-finite {float(value)!r} as an exact rational")
         return Fraction(float(value))
     raise TypeError(f"cannot interpret {value!r} as an exact rational")
+
+
+def parse_rational_rows(rows: Iterable[Iterable[Any]]) -> list[tuple[Fraction, ...]]:
+    """``to_fraction`` of each value, row by row in reading order.
+
+    Each distinct value (a token text, say) is converted once per call, at
+    its first sighting, so the first bad value raises the same error as a
+    value-by-value read; later equal values share the one (immutable)
+    ``Fraction``.  Equal keys always convert to equal ``Fraction``s, since
+    ``to_fraction`` is exact.
+    """
+    memo: dict[Any, Fraction] = {}
+    parsed = []
+    for row in rows:
+        values = []
+        for value in row:
+            exact = memo.get(value)
+            if exact is None:
+                exact = memo[value] = to_fraction(value)
+            values.append(exact)
+        parsed.append(tuple(values))
+    return parsed
 
 
 def format_rational(value: Fraction) -> str:

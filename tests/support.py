@@ -15,6 +15,7 @@ from fractions import Fraction
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
+from hypothesis import strategies as st
 
 from frugal.bnb import (
     INFEASIBLE_SCORE,
@@ -36,6 +37,7 @@ from frugal.core import (
     ParamCell,
     PartitionCell,
     PoolSample,
+    format_rational,
 )
 from frugal.stats import GammaInputs
 from frugal.sweep import DecisionTracker, standalone_tracker, sweep_unit_interval
@@ -864,3 +866,37 @@ def check_partition_contract(problem, sample, cells, tau, rng, points_per_cell=2
                 )
                 solved_count += outcome.solved
             assert solved_count / len(instances) == cell.z
+
+
+UNREADABLE_TOKENS = ("1/0", "abc", "1/-2", "2.5.1")
+
+
+@st.composite
+def spelled(draw, value: Fraction) -> str:
+    """``value`` as one of several equal texts (``3``, ``3.0``, ``6/2``, ...)."""
+    p, q = value.numerator, value.denominator
+    texts = [str(value), f"{p}/{q}", f"{3 * p}/{3 * q}", format_rational(value)]
+    if q == 1:
+        texts.append(f"{p}.0")
+    if p == 0:
+        texts += ["-0", "0/7"]
+    return draw(st.sampled_from(texts))
+
+
+@st.composite
+def with_bad_tokens(draw, tokens: Sequence[str], invalid: Sequence[str] = ()) -> list[str]:
+    """``tokens``, or a copy with one or two of them swapped for a text that
+    does not parse or, from ``invalid``, one that fails validation."""
+    tokens = list(tokens)
+    for _ in range(draw(st.sampled_from([0, 0, 0, 1, 2]))):
+        index = draw(st.integers(0, len(tokens) - 1))
+        tokens[index] = draw(st.sampled_from(UNREADABLE_TOKENS + tuple(invalid)))
+    return tokens
+
+
+def outcome(build):
+    """``build()``, or the text of the ``ValueError`` it raises."""
+    try:
+        return build()
+    except ValueError as exc:
+        return f"ValueError: {exc}"

@@ -21,7 +21,7 @@ from frugal.bnb import (
     random_milp,
     scores,
 )
-from frugal.core import ParamSpace, PoolSample, validate_cells_cover
+from frugal.core import ParamSpace, PoolSample, to_fraction, validate_cells_cover
 from frugal.sweep import DegenerateCellError
 from support import (
     RecordingTracker,
@@ -31,9 +31,12 @@ from support import (
     check_pool_cells_against_gather,
     draw_indices,
     fraction_lp_relax,
+    outcome,
     reference_bnb_run,
     sample_of,
+    spelled,
     whole_pool,
+    with_bad_tokens,
 )
 
 
@@ -548,6 +551,27 @@ class TestParser:
             assert again.objective == milp.objective
             assert again.rows == milp.rows
             assert again.rhs == milp.rhs
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_parse_matches_token_by_token_reading(self, data):
+        # Values are spelled several equal ways, so texts repeat within a file.
+        n, m = data.draw(st.integers(1, 4)), data.draw(st.integers(0, 3))
+        value = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+        tokens = [data.draw(spelled(data.draw(value))) for _ in range(n + m * (n + 1))]
+        tokens = data.draw(with_bad_tokens(tokens))
+        objective = tokens[:n]
+        lines = [tokens[n + i * (n + 1):n + (i + 1) * (n + 1)] for i in range(m)]
+        rows, rhs = [line[:n] for line in lines], [line[n] for line in lines]
+        text = f"{n} {m}\n{' '.join(objective)}\n" + "".join(
+            f"{' '.join(row)} <= {b}\n" for row, b in zip(rows, rhs)
+        )
+        expected = outcome(lambda: Milp(
+            tuple(map(to_fraction, objective)),
+            tuple(tuple(map(to_fraction, row)) for row in rows),
+            tuple(map(to_fraction, rhs)),
+        ))
+        assert outcome(lambda: parse_milp(text)) == expected
 
     def test_decimal_coefficients(self):
         text = "2 1\n1.5 -0.25\n0.5 1 <= 0.75\n"

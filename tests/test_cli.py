@@ -86,6 +86,25 @@ class TestLearnCommand:
         assert main(["learn", "--config", str(bad)]) == 1
 
     @pytest.mark.parametrize(
+        "content",
+        [
+            pytest.param(
+                b'{"domain": "synthetic", "seed": ' + b"7" * 5000 + b"}", marks=needs_int_digit_limit
+            ),
+            b'\xff{"domain": "synthetic"}',
+        ],
+        ids=["5000-digit-seed", "non-utf8"],
+    )
+    def test_unreadable_config_names_file(self, tmp_path, capsys, content):
+        # json.loads raises a plain ValueError for an int over Python's
+        # 4,300-digit text limit, and read_text a UnicodeDecodeError for
+        # bytes that are not UTF-8: neither is a JSONDecodeError.
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(content)
+        assert main(["learn", "--config", str(bad)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: cannot read config {bad}: ")
+
+    @pytest.mark.parametrize(
         "raw",
         [
             {"domain": "synthetic", "epsilon": [1]},
@@ -194,7 +213,13 @@ class TestPartitionCommand:
         (tmp_path / "milps" / "inst_0.milp").write_text("1 1\n1/0\n1 <= 1\n")
         assert main(["partition", "--config", str(bnb_config), "--tau", "15"]) == 1
         err = capsys.readouterr().err
-        assert err == "error: bad instance file: zero denominator in '1/0'\n"
+        assert err == "error: bad instance file inst_0.milp: zero denominator in '1/0'\n"
+
+    def test_bad_metric_file_is_named(self, clustering_config, tmp_path, capsys):
+        (tmp_path / "metrics" / "skew.metric").write_text("2 1 1\n0 1\n2 0\n")
+        assert main(["partition", "--config", str(clustering_config), "--tau", "3"]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: bad instance file skew.metric: distance matrix must be symmetric\n"
 
     def test_bnb_pool(self, bnb_config, tmp_path):
         assert main(["partition", "--config", str(bnb_config), "--tau", "15"]) == 0
@@ -270,6 +295,17 @@ class TestSelectCommand:
         assert main(["select", "--config", str(config), "--samples", "50"]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err
+        assert not (out / "selected.json").exists()
+
+    @needs_int_digit_limit
+    def test_over_long_terminal_round_names_file(self, tmp_path, capsys):
+        config = write_config(tmp_path)
+        out = tmp_path / "out"
+        out.mkdir()
+        subset = out / "subset.json"
+        subset.write_text('{"terminal_round": %s, "parameters": [{"rho": 0.4}]}' % ("7" * 5000))
+        assert main(["select", "--config", str(config), "--samples", "50"]) == 1
+        assert capsys.readouterr().err.startswith(f"error: cannot read subset {subset}: ")
         assert not (out / "selected.json").exists()
 
     def test_out_of_range_rho_exits_one(self, clustering_config, tmp_path, capsys):

@@ -9,6 +9,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from frugal.clustering import (
     _TRIANGLE_SLACK,
+    MAX_POINTS,
     ClusteringInstance,
     ClusteringProblem,
     MergeForest,
@@ -24,18 +25,21 @@ from frugal.clustering import (
     parse_instance,
     random_metric_instance,
 )
-from frugal.core import ParamSpace, validate_cells_cover
+from frugal.core import ParamSpace, to_fraction, validate_cells_cover
 from frugal.sweep import DecisionTracker
 from support import (
     check_partition_contract,
     check_pool_cells_against_gather,
     enumerate_prunings,
     four_point_metric,
+    outcome,
     reference_clustering_sweep,
     reference_linkage_run,
+    spelled,
     tracked_linkage_run,
     triangle_violation,
     whole_pool,
+    with_bad_tokens,
 )
 
 
@@ -319,6 +323,10 @@ class TestClusteringPartition:
             assert len(cells) <= inst.n**8
         bound = ClusteringProblem(pool).f_bound(whole_pool(pool), 5)
         assert bound == sum(i.n**8 for i in pool) + 1
+        # The bound does not depend on the cap; 0 is the least allowed.
+        assert ClusteringProblem(pool).f_bound(whole_pool(pool), 0) == bound
+        with pytest.raises(ValueError, match="^tau must be nonnegative$"):
+            ClusteringProblem(pool).f_bound(whole_pool(pool), -1)
 
 
 def draw_tie_heavy_metric(data):
@@ -539,12 +547,69 @@ class TestInstanceFormat:
             assert again.theta == inst.theta
 
     def test_validation_errors(self):
-        with pytest.raises(ValueError):
-            parse_instance("2 1 1\n0 1\n2 0\n")  # asymmetric
-        with pytest.raises(ValueError):
-            parse_instance("2 1 1\n1 1\n1 0\n")  # nonzero diagonal
-        with pytest.raises(ValueError):
-            parse_instance("3 1 1\n0 1 9\n1 0 1\n9 1 0\n")  # triangle violation
+        with pytest.raises(ValueError, match="^distance matrix must be symmetric$"):
+            parse_instance("2 1 1\n0 1\n2 0\n")
+        with pytest.raises(ValueError, match="^diagonal distances must be zero$"):
+            parse_instance("2 1 1\n1 1\n1 0\n")
+        with pytest.raises(ValueError, match=re.escape("triangle inequality violated at (0, 1, 2)")):
+            parse_instance("3 1 1\n0 1 9\n1 0 1\n9 1 0\n")
+        with pytest.raises(ValueError, match="^distances must be nonnegative$"):
+            parse_instance("2 1 1\n0 -1\n-1 0\n")
+        one, zero = Fraction(1), Fraction(0)
+        with pytest.raises(ValueError, match="^distance matrix must be square$"):
+            ClusteringInstance(distances=((zero, one), (one,)), k=1, theta=one)
+        # A short row after a full one: caught before its mirror is read.
+        two, three = Fraction(2), Fraction(3)
+        with pytest.raises(ValueError, match="^distance matrix must be square$"):
+            ClusteringInstance(((zero, one, two), (one, zero, three), (two,)), 1, one)
+        # Mirrored entries spelled differently but equal in value.
+        instance = parse_instance("3 1 1\n0 1 1/2\n1.0 0 3/4\n0.5 0.75 0\n")
+        assert instance.distances[0][2] == instance.distances[2][0] == Fraction(1, 2)
+
+    @pytest.mark.parametrize(
+        "n, k, theta, message",
+        [
+            (2, 1, Fraction(1), None),
+            (1, 1, Fraction(1), "need at least two points"),
+            (MAX_POINTS, 1, Fraction(1), None),
+            (MAX_POINTS + 1, 1, Fraction(1), f"at most {MAX_POINTS} points supported"),
+            (3, 3, Fraction(1), None),
+            (3, 0, Fraction(1), re.escape("k must lie in [1, n]")),
+            (3, 4, Fraction(1), re.escape("k must lie in [1, n]")),
+            (3, 1, Fraction(1, 10**9), None),
+            (3, 1, Fraction(0), "theta must be positive"),
+        ],
+    )
+    def test_size_k_and_theta_boundaries(self, n, k, theta, message):
+        # Points on a line, at distance |i - j|.
+        distances = tuple(tuple(Fraction(abs(i - j)) for j in range(n)) for i in range(n))
+        if message is None:
+            ClusteringInstance(distances=distances, k=k, theta=theta)
+        else:
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                ClusteringInstance(distances=distances, k=k, theta=theta)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_parse_matches_token_by_token_reading(self, data):
+        # Values are spelled several equal ways, so texts repeat within a file
+        # and mirrored entries often differ in text but not in value.
+        n = data.draw(st.integers(2, 5))
+        distance = st.fractions(min_value=1, max_value=Fraction(15, 8), max_denominator=8)
+        rows = [[data.draw(spelled(Fraction(0)))] * n for _ in range(n)]
+        for i, j in itertools.combinations(range(n), 2):
+            value = data.draw(distance)
+            rows[i][j], rows[j][i] = data.draw(spelled(value)), data.draw(spelled(value))
+        k = data.draw(st.integers(1, n))
+        theta = data.draw(spelled(data.draw(distance)))
+        tokens = [*itertools.chain(*rows), theta]
+        *tokens, theta = data.draw(with_bad_tokens(tokens, invalid=("-1", "0", "7/3")))
+        rows = [tokens[i * n:(i + 1) * n] for i in range(n)]
+        text = f"{n} {k} {theta}\n" + "".join(" ".join(row) + "\n" for row in rows)
+        expected = outcome(lambda: ClusteringInstance(
+            tuple(tuple(map(to_fraction, row)) for row in rows), k, to_fraction(theta)
+        ))
+        assert outcome(lambda: parse_instance(text)) == expected
 
     @pytest.mark.parametrize(
         "left, right, excess, accepted",
@@ -614,6 +679,25 @@ class TestInstanceFormat:
             assert out == clustering_run_with_cap(0.5, inst, inst.n - 1)
             solved += out.solved
         assert solved >= 10  # most random metrics are solvable with slack
+
+    @pytest.mark.parametrize(
+        "num_points, k, message",
+        [
+            (2, 1, None),
+            (1, 1, "num_points out of range"),
+            (MAX_POINTS, MAX_POINTS - 1, None),
+            (MAX_POINTS + 1, 1, "num_points out of range"),
+            (4, 0, re.escape("k must lie in [1, num_points)")),
+            (4, 4, re.escape("k must lie in [1, num_points)")),
+        ],
+    )
+    def test_random_generator_argument_boundaries(self, num_points, k, message):
+        rng = np.random.default_rng(5)
+        if message is None:
+            assert random_metric_instance(rng, num_points, k).n == num_points
+        else:
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                random_metric_instance(rng, num_points, k)
 
 
 class TestBudgetMonotonicity:
