@@ -11,10 +11,10 @@ invariant; the partition here computes those cells exactly.
 All LP relaxations are solved exactly with a dense two-phase tableau
 simplex using Bland's rule.  The tableau holds Python integers over one
 common denominator (fraction-free Edmonds pivoting): each program's rows,
-right-hand sides and objective are scaled to integers once, and only the
-returned objective value and point become fractions.  So objective values,
-scores, and cell breakpoints are exact.  This is desk-scale machinery: at
-most 20 variables.
+right-hand sides and objective are scaled to integers once, by one lcm per
+program, so phase 1 keeps unit costs, and only the returned objective value
+and point become fractions.  So objective values, scores, and cell
+breakpoints are exact.  This is desk-scale machinery: at most 20 variables.
 
 Each program carries two memos, both excluded from its equality and hash.
 ``_lp_cache`` maps a sorted fixing set to its solved relaxation.
@@ -28,7 +28,6 @@ relaxation, so the node memo is never larger than the LP cache.
 from __future__ import annotations
 
 import heapq
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -43,6 +42,7 @@ from .core import (
     PartitionCell,
     PoolSample,
     format_rational,
+    integer_rows,
     parse_rational_rows,
 )
 from .sweep import (
@@ -97,21 +97,6 @@ class LpSolveError(RuntimeError):
         self.fixings = fixings
 
 
-class _IntegerForm(NamedTuple):
-    """A program's data in integers, as the LP relaxations use it.
-
-    Row ``i`` and its right-hand side are scaled by the lcm ``L_i`` of their
-    denominators, the objective by ``objective_scale``; ``weights[i]`` is
-    ``lcm(L) / L_i``, the phase-1 cost of row ``i``'s artificial variable.
-    """
-
-    objective: tuple[int, ...]
-    objective_scale: int
-    rows: tuple[tuple[int, ...], ...]
-    rhs: tuple[int, ...]
-    weights: tuple[int, ...]
-
-
 @dataclass(frozen=True)
 class Milp:
     """A maximization program over binary variables inside the unit box.
@@ -149,19 +134,12 @@ class Milp:
         return len(self.objective)
 
     @cached_property
-    def _integer_form(self) -> _IntegerForm:
-        # Built at the first LP rather than at construction, so loading a
-        # program costs nothing extra.
-        objective_scale, objective = _scaled(self.objective)
-        scales, rows, rhs = [], [], []
-        for row, b in zip(self.rows, self.rhs):
-            scale, scaled = _scaled(row + (b,))
-            scales.append(scale)
-            rows.append(scaled[:-1])
-            rhs.append(scaled[-1])
-        common = math.lcm(*scales)
-        weights = tuple(common // scale for scale in scales)
-        return _IntegerForm(objective, objective_scale, tuple(rows), tuple(rhs), weights)
+    def _integer_form(self) -> tuple[int, tuple[int, ...], tuple[tuple[int, ...], ...], tuple[int, ...]]:
+        """``(scale, objective, rows, rhs)``: the program times ``scale``, the
+        lcm of all its denominators, as ints.  Built at the first LP rather
+        than at construction, so loading a program costs nothing extra."""
+        scale, (objective, *rows, rhs) = integer_rows([self.objective, *self.rows, self.rhs])
+        return scale, objective, tuple(rows), rhs
 
     @classmethod
     def from_lists(cls, objective, rows, rhs, name: str = "") -> "Milp":
@@ -185,12 +163,6 @@ class LpSolution:
         if not self.is_optimal:
             return False
         return all(x == 0 or x == 1 for x in self.point)
-
-
-def _scaled(values: Sequence[Fraction]) -> tuple[int, tuple[int, ...]]:
-    """``(L, L * values)`` with ``L`` the lcm of the denominators."""
-    scale = math.lcm(*(v.denominator for v in values))
-    return scale, tuple(v.numerator * (scale // v.denominator) for v in values)
 
 
 def _pivot(tableau: list[list[int]], zrow: list[int] | None, row: int, col: int, d: int) -> int:
@@ -255,27 +227,23 @@ def _simplex_min(
 
 
 def _solve_box_lp(
-    objective: Sequence[int],
-    rows: Sequence[Sequence[int]],
-    rhs: Sequence[int],
-    weights: Sequence[int],
+    objective: Sequence[int], rows: Sequence[Sequence[int]], rhs: Sequence[int]
 ) -> tuple[int, int, list[int]] | None:
     """Maximize objective over ``rows @ x <= rhs`` and ``0 <= x <= 1`` in integers.
 
-    Each row's slack enters with coefficient 1, which rescales the slack
-    (and artificial) of a row that was scaled to integers; ``weights[i]``
-    is the phase-1 cost of row ``i``'s artificial, inversely proportional
-    to that scale, so both phases follow the rational tableau's pivots.
-    Returns None when infeasible, else ``(z, d, numerators)``: the optimum
-    is ``z / d`` and ``x[j] = numerators[j] / d``.  An empty ``objective``
-    (no free column) is a valid input: the result is ``(0, 1, [])`` when
-    every ``rhs`` entry is nonnegative, else None, as phase 1 stops at once
-    below zero.
+    The data is one program scaled by one lcm, so every row's slack (and
+    artificial) is the rational slack times that one positive scale, and
+    unit phase-1 costs make both phases follow the rational tableau's
+    pivots.  Returns None when infeasible, else ``(z, d, numerators)``: the
+    optimum is ``z / d`` and ``x[j] = numerators[j] / d``.  An empty
+    ``objective`` (no free column) is a valid input: the result is
+    ``(0, 1, [])`` when every ``rhs`` entry is nonnegative, else None, as
+    phase 1 stops at once below zero.
     """
     n = len(objective)
     m = len(rows) + n
-    negative = [i for i, b in enumerate(rhs) if b < 0]
-    ncols = n + m + len(negative)
+    negatives = sum(b < 0 for b in rhs)
+    ncols = n + m + negatives
     tableau: list[list[int]] = []
     basis: list[int] = []
     artificial = n + m
@@ -301,10 +269,8 @@ def _solve_box_lp(
         basis.append(n + len(rows) + j)
 
     d = 1
-    if negative:
-        phase1 = [0] * ncols
-        for k, i in enumerate(negative):
-            phase1[n + m + k] = weights[i]
+    if negatives:
+        phase1 = [0] * (n + m) + [1] * negatives
         d, z = _simplex_min(tableau, basis, phase1, ncols, d)
         if z < 0:
             return None
@@ -348,17 +314,14 @@ def lp_relax(milp: Milp, fixings: tuple = ()) -> LpSolution:
         raise ValueError(f"fixings need sorted, distinct, in-range indices, got {fixings}")
     if any(value not in (0, 1) for _, value in fixings):
         raise ValueError(f"fixed values must be binary, got {fixings}")
-    form = milp._integer_form
+    scale, objective, rows, rhs = milp._integer_form
     fix = dict(fixings)
     free = [j for j in range(milp.n) if j not in fix]
-    constant = sum(form.objective[j] * v for j, v in fixings)
-    rhs = [b - sum(row[j] * v for j, v in fixings) for row, b in zip(form.rows, form.rhs)]
+    constant = sum(objective[j] * v for j, v in fixings)
+    rhs = [b - sum(row[j] * v for j, v in fixings) for row, b in zip(rows, rhs)]
     try:
         result = _solve_box_lp(
-            [form.objective[j] for j in free],
-            [[row[j] for j in free] for row in form.rows],
-            rhs,
-            form.weights,
+            [objective[j] for j in free], [[row[j] for j in free] for row in rows], rhs
         )
     except LpSolveError as exc:
         where = f"program {milp.name!r}" if milp.name else "unnamed program"
@@ -374,7 +337,7 @@ def lp_relax(milp: Milp, fixings: tuple = ()) -> LpSolution:
             point[j] = Fraction(v)
         for j, v in zip(free, numerators):
             point[j] = Fraction(v, d)
-        value = Fraction(z + d * constant, d * form.objective_scale)
+        value = Fraction(z + d * constant, d * scale)
         solution = LpSolution("optimal", value, tuple(point))
     cache[fixings] = solution
     return solution
@@ -430,9 +393,8 @@ def _expansion(milp: Milp, fixings: tuple, relaxation: LpSolution) -> _Expansion
     if expansion is None:
         fix = dict(fixings)
         free = [i for i in range(milp.n) if i not in fix]
-        pairs = [scores(milp, fixings, relaxation, i) for i in free]
-        _, scaled = _scaled([v for pair in pairs for v in pair])
-        lines = [(i, (high, low - high)) for i, low, high in zip(free, scaled[::2], scaled[1::2])]
+        _, pairs = integer_rows([scores(milp, fixings, relaxation, i) for i in free])
+        lines = [(i, (high, low - high)) for i, (low, high) in zip(free, pairs)]
         expansion = milp._expansions[fixings] = _Expansion(lines, {})
     return expansion
 

@@ -277,6 +277,13 @@ def cmd_select(args) -> int:
         isinstance(e, dict) and _is_json_number(e.get("rho")) for e in entries
     ):
         raise UsageError(f"subset {subset_path}: every parameter needs a numeric 'rho'")
+    for index, entry in enumerate(entries):
+        rho = entry["rho"]
+        where = f"subset {subset_path}: parameter {index}"
+        if isinstance(rho, float) and not math.isfinite(rho):
+            raise UsageError(f"{where}: non-finite rho {rho}")
+        if not 0 <= rho <= 1:
+            raise UsageError(f"{where}: rho must lie in [0, 1], got {rho}")
     terminal = subset.get("terminal_round", 1)
     if not (_is_json_number(terminal, integer=True) and terminal >= 1):
         raise UsageError(f"subset {subset_path}: 'terminal_round' must be a positive integer")

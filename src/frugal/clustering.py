@@ -46,6 +46,7 @@ from .core import (
     PartitionCell,
     PoolSample,
     format_rational,
+    integer_rows,
     parse_rational_rows,
     to_fraction,
 )
@@ -141,11 +142,7 @@ class ClusteringInstance:
     def integer_form(self) -> tuple[int, tuple[tuple[int, ...], ...]]:
         """``(scale, d)``: the distances times ``scale``, the lcm of their
         denominators, as ints."""
-        scale = math.lcm(*(v.denominator for row in self.distances for v in row))
-        d = tuple(
-            tuple(v.numerator * (scale // v.denominator) for v in row) for row in self.distances
-        )
-        return scale, d
+        return integer_rows(self.distances)
 
     @classmethod
     def from_lists(cls, distances, k: int, theta, name: str = "") -> "ClusteringInstance":

@@ -36,6 +36,7 @@ __all__ = [
     "tail_capped_mean",
     "to_fraction",
     "parse_rational_rows",
+    "integer_rows",
     "format_rational",
     "validate_cells_cover",
 ]
@@ -325,6 +326,13 @@ def parse_rational_rows(rows: Iterable[Iterable[Any]]) -> list[tuple[Fraction, .
             values.append(exact)
         parsed.append(tuple(values))
     return parsed
+
+
+def integer_rows(rows: Sequence[Sequence[Fraction]]) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    """``(scale, rows times scale)`` as ints, ``scale`` the lcm of every
+    denominator in ``rows``; each row keeps its length."""
+    scale = math.lcm(*(v.denominator for row in rows for v in row))
+    return scale, tuple(tuple(v.numerator * (scale // v.denominator) for v in row) for row in rows)
 
 
 def format_rational(value: Fraction) -> str:

@@ -65,8 +65,10 @@ def fixing_sets(variables):
         yield tuple((j, v) for j, v in zip(variables, values) if v is not None)
 
 
-# Signed decimals with mixed denominators, so rows scale by different lcms.
+# Signed decimals with mixed denominators, so rows have different lcms.
 decimals = st.builds(Fraction, st.integers(-6, 6), st.sampled_from([1, 2, 4, 10]))
+# Decimals, or signed p/q with q coprime to 10 and to each other.
+rationals = decimals | st.builds(Fraction, st.integers(-6, 6), st.sampled_from([3, 7, 11]))
 
 
 @st.composite
@@ -74,9 +76,9 @@ def programs_and_free_sets(draw):
     n = draw(st.integers(1, 8))
     m = draw(st.integers(0, 4))
     milp = Milp.from_lists(
-        draw(st.lists(decimals, min_size=n, max_size=n)),
-        [draw(st.lists(decimals, min_size=n, max_size=n)) for _ in range(m)],
-        draw(st.lists(decimals, min_size=m, max_size=m)),
+        draw(st.lists(rationals, min_size=n, max_size=n)),
+        [draw(st.lists(rationals, min_size=n, max_size=n)) for _ in range(m)],
+        draw(st.lists(rationals, min_size=m, max_size=m)),
     )
     fixable = draw(st.lists(st.integers(0, n - 1), max_size=4, unique=True))
     return milp, sorted(fixable)
@@ -153,9 +155,13 @@ class TestLpRelax:
     @pytest.mark.parametrize(
         "objective, rows, rhs, point",
         [
-            # Zero objective: the point is where phase 1 stops, which
-            # depends on weighting the artificials of rows scaled by 10 and 2.
+            # Zero objective: the point is where phase 1 stops.  It follows
+            # the rational pivots only if both artificials, of rows whose own
+            # lcms are 10 and 2, share one scale under unit phase-1 costs.
             ([0, 0], [[-1, -1], [2, -1]], ["-1.1", "-0.5"], ("1/5", "9/10")),
+            # The same with coprime denominators 3 and 7: scaling each row by
+            # its own lcm under unit phase-1 costs stops at (1, 3/4) instead.
+            ([0, 0], [["1/3", "-4/3"], ["-2/7", "-4/7"]], ["-2/3", "-3/7"], ("1/3", "7/12")),
             # x0 >= 1 against its box leaves an artificial basic at zero;
             # the column it is pivoted out on decides which optimal vertex
             # phase 2 ends at.
@@ -314,6 +320,15 @@ class TestBnbRun:
                 bnb._run_capped(milp, 63, tracker)
                 assert branching_trace(milp, rho, 63) == tuple(tracker.winners)
 
+    def test_node_bounded_by_incumbent_is_pruned(self):
+        # At rho 1 the root branches on x0.  Child x0 = 0 has the fractional
+        # bound 11 and is queued before its sibling x0 = 1 makes 11 the
+        # incumbent, so popping it must prune it: 3 nodes, not 5.
+        milp = parse_milp("4 2\n6 3 5 9\n0 0 1 3 <= 2\n3 1 1 3 <= 4\n")
+        expected = reference_bnb_run(milp, 1, 63)
+        assert expected.outcome.budget_used == 3 and expected.incumbent == 11
+        assert bnb_run(milp, 1, 63) == expected.outcome
+
     def test_rho_validation(self, two_var):
         with pytest.raises(ValueError):
             bnb_run(two_var, 1.5, 10)
@@ -469,6 +484,9 @@ class TestFBound:
     def test_analytic_value(self):
         pool = [Milp.from_lists([1] * 6, [[1] * 6], [3]) for _ in range(10)]
         assert BnbProblem(pool).f_bound(whole_pool(pool), 3) == 10 * 6**8 + 1 == 16_796_161
+        assert BnbProblem(pool).f_bound(whole_pool(pool), 0) == 10 * 6**2 + 1
+        with pytest.raises(ValueError, match="tau must be nonnegative"):
+            BnbProblem(pool).f_bound(whole_pool(pool), -1)
 
     def test_monotone_in_instances_and_cap(self):
         pool = random_pool(seed=47, count=4)
@@ -584,6 +602,19 @@ class TestParser:
         text = f"{n} 0\n" + " ".join(["1"] * n) + "\n"
         with pytest.raises(ValueError):
             parse_milp(text)
+
+    def test_variable_count_boundaries(self):
+        widest = bnb.MAX_VARIABLES
+        assert parse_milp(f"{widest} 0\n" + " ".join(["1"] * widest) + "\n").n == widest
+        assert Milp.from_lists([1] * widest, [], []).n == widest
+        with pytest.raises(ValueError, match="at most 20 variables"):
+            Milp.from_lists([1] * (widest + 1), [], [])
+        rng = np.random.default_rng(0)
+        for num_vars in (1, widest):
+            assert random_milp(rng, num_vars, 2).n == num_vars
+        for num_vars in (0, widest + 1):
+            with pytest.raises(ValueError, match="num_vars out of range"):
+                random_milp(rng, num_vars, 2)
 
     def test_rejects_malformed(self):
         with pytest.raises(ValueError):

@@ -329,6 +329,26 @@ class TestSelectCommand:
         assert err.startswith("error: ") and "non-finite" in err
         assert not (out / "selected.json").exists()
 
+    @pytest.mark.parametrize("domain", ["synthetic", "bnb"])
+    @pytest.mark.parametrize(
+        "rho",
+        ["1.5", "NaN", "1e400", "1" + "0" * 400],
+        ids=["above-one", "nan", "overflow", "long-int"],
+    )
+    def test_bad_rho_names_subset_and_entry(self, tmp_path, capsys, domain, rho):
+        # The check runs before any instance, so every domain gives the same message.
+        config = write_config(tmp_path) if domain == "synthetic" else write_bnb_config(tmp_path)
+        out = tmp_path / ("out" if domain == "synthetic" else "bnb_out")
+        out.mkdir()
+        subset = out / "subset.json"
+        subset.write_text(
+            '{"domain": "%s", "terminal_round": 2, "parameters": [{"rho": 0.4}, {"rho": %s}]}'
+            % (domain, rho)
+        )
+        assert main(["select", "--config", str(config), "--samples", "5"]) == 1
+        assert capsys.readouterr().err.startswith(f"error: subset {subset}: parameter 1: ")
+        assert not (out / "selected.json").exists()
+
     @needs_int_digit_limit
     def test_unprintable_ceiling_exits_one_before_running(self, tmp_path, capsys, monkeypatch):
         # 2**20004 has 6,022 digits, over the default limit of 4,300 for

@@ -14,6 +14,7 @@ from frugal.core import (
     PartitionCell,
     PoolSample,
     format_rational,
+    integer_rows,
     law_capped_mean,
     tail_capped_mean,
     tail_quantile_exact,
@@ -149,6 +150,12 @@ class TestRationals:
     def test_to_fraction_rejects_non_finite(self, value):
         with pytest.raises(ValueError, match=f"non-finite {float(value)!r}"):
             to_fraction(value)
+
+    def test_integer_rows(self):
+        # One scale for all rows, the lcm 21 of 3 and 7; ragged rows keep their lengths.
+        rows = [(Fraction(1, 3), Fraction(-2)), (Fraction(5, 7),), ()]
+        assert integer_rows(rows) == (21, ((7, -42), (15,), ()))
+        assert integer_rows([]) == (1, ())
 
     def test_format_rational(self):
         assert format_rational(Fraction(12)) == "12"
