@@ -12,9 +12,10 @@ All LP relaxations are solved exactly with a dense two-phase tableau
 simplex using Bland's rule.  The tableau holds Python integers over one
 common denominator (fraction-free Edmonds pivoting): each program's rows,
 right-hand sides and objective are scaled to integers once, by one lcm per
-program, so phase 1 keeps unit costs, and only the returned objective value
-and point become fractions.  So objective values, scores, and cell
-breakpoints are exact.  This is desk-scale machinery: at most 20 variables.
+program, so phase 1 keeps unit costs.  A solution keeps the final
+numerators over their one denominator, and only the objective value becomes
+a fraction.  So objective values, scores, and cell breakpoints are exact.
+This is desk-scale machinery: at most 20 variables.
 
 Each program carries two memos, both excluded from its equality and hash.
 ``_lp_cache`` maps a sorted fixing set to its solved relaxation.
@@ -24,6 +25,15 @@ of every variable a run has branched on there.  A capped run at any
 parameter is then a walk over ints that reads both memos and solves only
 the LPs no earlier run needed.  Every expansion belongs to a cached
 relaxation, so the node memo is never larger than the LP cache.
+
+A key ``K`` missing from the LP cache is settled without a solve by any
+cached key that drops one of its fixings ``(j, v)``.  If that key's LP is
+infeasible, so is ``K``'s, whose feasible set is a subset.  If that key's
+optimum is certified unique and has ``x_j = v``, it is ``K``'s optimum too:
+``K``'s feasible set is the larger one's cut with ``x_j = v``, so the point
+is the only optimum there as well, and the vertex Bland's rule would reach.
+Both rules give the value a fresh solve would, so no tree or cell depends on
+the order in which keys were solved.
 """
 from __future__ import annotations
 
@@ -147,22 +157,57 @@ class Milp:
         return cls(objective=objective, rows=tuple(rows), rhs=rhs, name=name)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LpSolution:
-    """Optimum of an LP relaxation, or an infeasibility certificate."""
+    """Optimum of an LP relaxation, or an infeasibility certificate.
+
+    An optimum is kept as the solve left it: ``numerators`` over one
+    positive ``denominator`` d, one int per variable (a fixed variable as
+    its value times d), so integrality and settled-child tests run on ints;
+    ``point`` builds the ``Fraction`` coordinates on first read.  ``unique``
+    is set when the final tableau certifies the optimum as the only optimal
+    point: every nonbasic column has a strictly positive reduced cost.
+    ``lp_relax`` then hands this solution to each key that adds one fixing
+    the point satisfies, since a subset of the feasible set that still holds
+    the only optimum has it as its only optimum; an infeasible solution
+    serves each key that adds one fixing, since a subset of an empty set is
+    empty.  Such keys store the same object.  Equality and hashing go by
+    ``(status, objective, point)``, whatever the denominator or flag.
+    """
 
     status: str
     objective: Fraction | None
-    point: tuple[Fraction, ...] | None
+    numerators: tuple[int, ...] | None = None
+    denominator: int = 1
+    unique: bool = False
 
     @property
     def is_optimal(self) -> bool:
         return self.status == "optimal"
 
+    @cached_property
+    def point(self) -> tuple[Fraction, ...] | None:
+        if self.numerators is None:
+            return None
+        d = self.denominator
+        return tuple(Fraction(v, d) for v in self.numerators)
+
     def is_integral(self) -> bool:
         if not self.is_optimal:
             return False
-        return all(x == 0 or x == 1 for x in self.point)
+        d = self.denominator
+        return all(v == 0 or v == d for v in self.numerators)
+
+    def _value(self) -> tuple:
+        return self.status, self.objective, self.point
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, LpSolution):
+            return NotImplemented
+        return self._value() == other._value()
+
+    def __hash__(self) -> int:
+        return hash(self._value())
 
 
 def _pivot(tableau: list[list[int]], zrow: list[int] | None, row: int, col: int, d: int) -> int:
@@ -194,10 +239,11 @@ def _pivot(tableau: list[list[int]], zrow: list[int] | None, row: int, col: int,
 
 def _simplex_min(
     tableau: list[list[int]], basis: list[int], cost: Sequence[int], ncols: int, d: int
-) -> tuple[int, int]:
+) -> tuple[int, list[int]]:
     """Minimize cost over the integer tableau in place; Bland's rule.
 
-    Returns the final denominator ``d`` and ``z`` with minimum ``-z / d``.
+    Returns the final denominator ``d`` and the final cost row, ``d`` times
+    the rational reduced costs followed by ``z`` with minimum ``-z / d``.
     """
     zrow = [d * c for c in cost] + [0]
     for i, b in enumerate(basis):
@@ -207,7 +253,7 @@ def _simplex_min(
     for _ in range(_SIMPLEX_ITERATION_LIMIT):
         entering = next((j for j in range(ncols) if zrow[j] < 0), -1)
         if entering < 0:
-            return d, zrow[ncols]
+            return d, zrow
         # Ratio test by cross-multiplication; ties go to the lowest basic index.
         leaving = -1
         for i, row in enumerate(tableau):
@@ -228,17 +274,19 @@ def _simplex_min(
 
 def _solve_box_lp(
     objective: Sequence[int], rows: Sequence[Sequence[int]], rhs: Sequence[int]
-) -> tuple[int, int, list[int]] | None:
+) -> tuple[int, int, list[int], bool] | None:
     """Maximize objective over ``rows @ x <= rhs`` and ``0 <= x <= 1`` in integers.
 
     The data is one program scaled by one lcm, so every row's slack (and
     artificial) is the rational slack times that one positive scale, and
     unit phase-1 costs make both phases follow the rational tableau's
-    pivots.  Returns None when infeasible, else ``(z, d, numerators)``: the
-    optimum is ``z / d`` and ``x[j] = numerators[j] / d``.  An empty
-    ``objective`` (no free column) is a valid input: the result is
-    ``(0, 1, [])`` when every ``rhs`` entry is nonnegative, else None, as
-    phase 1 stops at once below zero.
+    pivots.  Returns None when infeasible, else ``(z, d, numerators,
+    unique)``: the optimum is ``z / d``, ``x[j] = numerators[j] / d``, and
+    ``unique`` tells whether every nonbasic column of the final tableau has
+    a strictly positive reduced cost, which makes that optimal point the
+    only one.  An empty ``objective`` (no free column) is a valid input:
+    the result is ``(0, 1, [], True)`` when every ``rhs`` entry is
+    nonnegative, else None, as phase 1 stops at once below zero.
     """
     n = len(objective)
     m = len(rows) + n
@@ -271,8 +319,8 @@ def _solve_box_lp(
     d = 1
     if negatives:
         phase1 = [0] * (n + m) + [1] * negatives
-        d, z = _simplex_min(tableau, basis, phase1, ncols, d)
-        if z < 0:
+        d, zrow = _simplex_min(tableau, basis, phase1, ncols, d)
+        if zrow[ncols] < 0:
             return None
         # Drive leftover artificials (all at zero) out of the basis.  Every
         # row has a nonzero structural or slack entry, because the slack
@@ -286,12 +334,14 @@ def _solve_box_lp(
         ncols = n + m
 
     phase2 = [-c for c in objective] + [0] * (ncols - n)
-    d, z = _simplex_min(tableau, basis, phase2, ncols, d)
+    d, zrow = _simplex_min(tableau, basis, phase2, ncols, d)
     numerators = [0] * n
     for i, b in enumerate(basis):
         if b < n:
             numerators[b] = tableau[i][-1]
-    return z, d, numerators
+    basic = set(basis)
+    unique = all(zrow[j] > 0 for j in range(ncols) if j not in basic)
+    return zrow[ncols], d, numerators, unique
 
 
 def lp_relax(milp: Milp, fixings: tuple = ()) -> LpSolution:
@@ -302,8 +352,13 @@ def lp_relax(milp: Milp, fixings: tuple = ()) -> LpSolution:
     ``[0, 1]``; results are memoized per instance under that key, since
     branch-and-bound revisits the same subproblems across parameters and
     caps.  The memo stores checked keys only, so a key is checked
-    (``ValueError``) on a miss only.  Raises ``LpSolveError`` naming the
-    program and the fixings if the simplex cannot finish.
+    (``ValueError``) on a miss only.  A checked miss first looks up each
+    key that drops one fixing ``(j, v)``: when that key's LP is infeasible,
+    or its optimum is certified unique with ``x_j = v``, its solution is
+    this key's too (the subset of an infeasible set is empty; a unique
+    optimum that survives the extra fixing stays the only optimum), and it
+    is stored and returned without a solve.  Raises ``LpSolveError``
+    naming the program and the fixings if the simplex cannot finish.
     """
     cache = milp._lp_cache
     hit = cache.get(fixings)
@@ -314,6 +369,14 @@ def lp_relax(milp: Milp, fixings: tuple = ()) -> LpSolution:
         raise ValueError(f"fixings need sorted, distinct, in-range indices, got {fixings}")
     if any(value not in (0, 1) for _, value in fixings):
         raise ValueError(f"fixed values must be binary, got {fixings}")
+    for i, (index, value) in enumerate(fixings):
+        parent = cache.get(fixings[:i] + fixings[i + 1:])
+        if parent is not None and (
+            not parent.is_optimal
+            or parent.unique and parent.numerators[index] == value * parent.denominator
+        ):
+            cache[fixings] = parent
+            return parent
     scale, objective, rows, rhs = milp._integer_form
     fix = dict(fixings)
     free = [j for j in range(milp.n) if j not in fix]
@@ -329,16 +392,16 @@ def lp_relax(milp: Milp, fixings: tuple = ()) -> LpSolution:
             f"{exc} ({where}, fixings {fix})", program=milp.name, fixings=fixings
         ) from None
     if result is None:
-        solution = LpSolution("infeasible", None, None)
+        solution = LpSolution("infeasible", None)
     else:
-        z, d, numerators = result
-        point = [Fraction(0)] * milp.n
+        z, d, free_numerators, unique = result
+        numerators = [0] * milp.n
         for j, v in fixings:
-            point[j] = Fraction(v)
-        for j, v in zip(free, numerators):
-            point[j] = Fraction(v, d)
+            numerators[j] = v * d
+        for j, v in zip(free, free_numerators):
+            numerators[j] = v
         value = Fraction(z + d * constant, d * scale)
-        solution = LpSolution("optimal", value, tuple(point))
+        solution = LpSolution("optimal", value, tuple(numerators), d, unique)
     cache[fixings] = solution
     return solution
 
@@ -359,10 +422,10 @@ def scores(
     if not relaxation.is_optimal:
         raise ValueError("scores need a node with an optimal relaxation")
     parent_value = relaxation.objective
-    settled = relaxation.point[index]
+    settled, d = relaxation.numerators[index], relaxation.denominator
     decreases = []
     for value in (0, 1):
-        if settled == value:
+        if settled == value * d:
             decreases.append(Fraction(0))
             continue
         child = lp_relax(milp, _child_key(fixings, index, value))
@@ -458,8 +521,6 @@ def _run_capped(
             if integral:
                 if incumbent is None or child_lp.objective > incumbent:
                     incumbent = child_lp.objective
-                continue
-            if incumbent is not None and child_lp.objective <= incumbent:
                 continue
             depth = len(child_fixings)
             heapq.heappush(frontier, (-child_lp.objective, -depth, child_id, child_fixings, child_lp))

@@ -9,6 +9,7 @@ from scipy.optimize import linprog
 from frugal import bnb
 from frugal.bnb import (
     BnbProblem,
+    LpSolution,
     LpSolveError,
     Milp,
     bnb_partition,
@@ -228,6 +229,60 @@ class TestLpRelax:
         with pytest.raises(ValueError):
             lp_relax(two_var, fixings)
         assert two_var._lp_cache == {}
+
+    def test_solution_equality_is_by_value(self):
+        half = LpSolution("optimal", Fraction(3, 2), (1, 2), 2, True)
+        same = LpSolution("optimal", Fraction(3, 2), (3, 6), 6, False)
+        assert half == same and hash(half) == hash(same)
+        assert same.point == (Fraction(1, 2), Fraction(1))
+        assert half != LpSolution("optimal", Fraction(3, 2), (2, 1), 2, True)
+        assert half != LpSolution("infeasible", None)
+        assert LpSolution("infeasible", None) == LpSolution("infeasible", None)
+
+    def test_tied_optimum_is_not_inherited(self):
+        # The root's optimum (1/5, 1, 1) ties with (3/5, 3/5, 1), so its
+        # tableau certifies no unique optimum and the child x2 = 1, which
+        # both points satisfy, must be solved to reach Bland's vertex.
+        milp = parse_milp("3 2\n2 2 3\n5 5 1 <= 7\n3 2 0 <= 3\n")
+        root = lp_relax(milp)
+        assert root.point == (Fraction(1, 5), Fraction(1), Fraction(1))
+        assert not root.unique
+        child = lp_relax(milp, ((2, 1),))
+        assert (child.status, child.objective, child.point) == fraction_lp_relax(milp, ((2, 1),))
+        assert child.point == (Fraction(3, 5), Fraction(3, 5), Fraction(1))
+        assert child.objective == root.objective
+
+    def test_unique_optimum_is_inherited(self, monkeypatch, two_var):
+        root = lp_relax(two_var)
+        assert root.unique and root.point == (Fraction(1), Fraction(1, 2))
+        monkeypatch.setattr(bnb, "_solve_box_lp", None)
+        assert lp_relax(two_var, ((0, 1),)) is root
+
+    def test_infeasible_key_settles_every_superset(self, monkeypatch):
+        milp = Milp.from_lists([1, 2, 3, 1], [[1, 1, 0, 0], [0, 1, 1, 1]], ["1.5", 2])
+        infeasible = lp_relax(milp, ((0, 1), (1, 1)))
+        assert infeasible.status == "infeasible"
+        solve = bnb._solve_box_lp
+        calls = []
+        monkeypatch.setattr(bnb, "_solve_box_lp", lambda *args: calls.append(args) or solve(*args))
+        for index, value in itertools.product((2, 3), (0, 1)):
+            key = bnb._child_key(((0, 1), (1, 1)), index, value)
+            assert lp_relax(milp, key) is infeasible
+            assert ("infeasible", None, None) == fraction_lp_relax(milp, key)
+        assert calls == []
+
+    @settings(max_examples=60, deadline=None)
+    @given(bnb_cases())
+    def test_cache_matches_fraction_tableau_after_partition(self, case):
+        milp, _ = case
+        try:
+            bnb_partition(whole_pool([milp]), 63)
+        except DegenerateCellError:
+            pass
+        assert milp._lp_cache
+        for fixings, solution in milp._lp_cache.items():
+            expected = fraction_lp_relax(milp, fixings)
+            assert (solution.status, solution.objective, solution.point) == expected
 
     def test_weak_duality_down_the_tree(self):
         for milp in random_pool(seed=17, count=20):

@@ -12,6 +12,7 @@ the run, since it means pytest itself could not do its work.
 
     python tools/mutants.py src/frugal/sweep.py tests/test_sweep.py
     python tools/mutants.py src/frugal/learner.py tests/test_learner.py
+    python tools/mutants.py src/frugal/bnb.py tests/test_bnb.py
 
 A pass runs the tests once per mutant and can take many minutes, so this is a tool to
 run by hand, not a CI step.  Only the standard library is used.
