@@ -8,14 +8,17 @@ decision is an argmax over scores affine in the mixture weight, the unit
 interval splits into finitely many cells on which the whole tree is
 invariant; the partition here computes those cells exactly.
 
-All LP relaxations are solved exactly with a dense two-phase tableau
-simplex using Bland's rule.  The tableau holds Python integers over one
-common denominator (fraction-free Edmonds pivoting): each program's rows,
-right-hand sides and objective are scaled to integers once, by one lcm per
-program, so phase 1 keeps unit costs.  A solution keeps the final
-numerators over their one denominator, and only the objective value becomes
-a fraction.  So objective values, scores, and cell breakpoints are exact.
-This is desk-scale machinery: at most 20 variables.
+All LP relaxations are solved exactly with a two-phase tableau simplex using
+Bland's rule.  The tableau holds Python integers over one common denominator
+(fraction-free Edmonds pivoting): each program's rows, right-hand sides and
+objective are scaled to integers once, by one lcm per program, so phase 1
+keeps unit costs.  It stores only the nonbasic columns, since a basic column
+is always the denominator times a unit vector: Bland's rule and the ratio
+test read the same entries as on the full tableau, so the pivots and the
+vertex reached are the same, while each pivot updates fewer columns.  A
+solution keeps the final numerators over their one denominator, and only the
+objective value becomes a fraction.  So objective values, scores, and cell
+breakpoints are exact.  This is desk-scale machinery: at most 20 variables.
 
 Each program carries two memos, both excluded from its equality and hash.
 ``_lp_cache`` maps a sorted fixing set to its solved relaxation.
@@ -54,6 +57,7 @@ from .core import (
     format_rational,
     integer_rows,
     parse_rational_rows,
+    require_rational,
 )
 from .sweep import (
     DecisionTracker,
@@ -138,6 +142,9 @@ class Milp:
         for row in self.rows:
             if len(row) != len(self.objective):
                 raise ValueError("row length must match the variable count")
+        require_rational("Milp", "objective", [self.objective])
+        require_rational("Milp", "rows", self.rows)
+        require_rational("Milp", "rhs", [self.rhs])
 
     @property
     def n(self) -> int:
@@ -210,50 +217,56 @@ class LpSolution:
         return hash(self._value())
 
 
-def _pivot(tableau: list[list[int]], zrow: list[int] | None, row: int, col: int, d: int) -> int:
-    """Edmonds pivot on an integer tableau with common denominator ``d``.
+def _exchange(
+    tableau: list[list[int]], zrow: list[int] | None, cols: list[int], basis: list[int],
+    row: int, k: int, d: int,
+) -> int:
+    """Edmonds pivot on ``row`` and stored column ``k``; returns the new ``d``.
 
     Every entry is ``d`` times the rational tableau's entry, with ``d`` the
-    absolute determinant of the basis, so each division below is exact.
-    Returns the new denominator.
+    absolute determinant of the basis, so each division below is exact.  The
+    leaving variable takes over column ``k``: its full-tableau column was
+    ``d`` times a unit vector, so it now holds ``s * d`` in ``row`` and
+    ``-s * f`` in each other row (and the cost row) whose entry in column
+    ``k`` was ``f``, with ``s = -1`` if the pivot row was negated.
     """
     pivot_row = tableau[row]
-    p = pivot_row[col]
+    p, s = pivot_row[k], 1
     if p < 0:
         # Negating the pivot row keeps the new denominator positive.
-        tableau[row] = pivot_row = [-v for v in pivot_row]
-        p = -p
-    for i, other in enumerate(tableau):
-        if i == row:
-            continue
-        f = other[col]
-        if f:
-            tableau[i] = [(p * v - f * w) // d for v, w in zip(other, pivot_row)]
-        elif p != d:
-            tableau[i] = [p * v // d for v in other]
-    if zrow is not None:
-        f = zrow[col]
-        zrow[:] = [(p * v - f * w) // d for v, w in zip(zrow, pivot_row)]
+        pivot_row, p, s = [-v for v in pivot_row], -p, -1
+    for i, line in enumerate(tableau if zrow is None else [*tableau, zrow]):
+        f = line[k]
+        if f and i != row:
+            line[:] = [(p * v - f * w) // d for v, w in zip(line, pivot_row)]
+            line[k] = -s * f
+        elif p != d and i != row:
+            line[:] = [p * v // d for v in line]
+    pivot_row[k] = s * d
+    tableau[row] = pivot_row
+    cols[k], basis[row] = basis[row], cols[k]
     return p
 
 
 def _simplex_min(
-    tableau: list[list[int]], basis: list[int], cost: Sequence[int], ncols: int, d: int
+    tableau: list[list[int]], cols: list[int], basis: list[int], cost: Sequence[int], d: int
 ) -> tuple[int, list[int]]:
-    """Minimize cost over the integer tableau in place; Bland's rule.
+    """Minimize cost (one entry per variable) over the tableau in place.
 
-    Returns the final denominator ``d`` and the final cost row, ``d`` times
-    the rational reduced costs followed by ``z`` with minimum ``-z / d``.
+    Bland's rule enters the stored column of lowest variable index with a
+    negative reduced cost.  Returns the final ``d`` and cost row: ``d`` times
+    the stored columns' reduced costs, then ``z`` with minimum ``-z / d``.
     """
-    zrow = [d * c for c in cost] + [0]
+    zrow = [d * cost[j] for j in cols] + [0]
     for i, b in enumerate(basis):
         cb = cost[b]
         if cb:
             zrow = [z - cb * v for z, v in zip(zrow, tableau[i])]
     for _ in range(_SIMPLEX_ITERATION_LIMIT):
-        entering = next((j for j in range(ncols) if zrow[j] < 0), -1)
-        if entering < 0:
+        negative = [(j, k) for k, j in enumerate(cols) if zrow[k] < 0]
+        if not negative:
             return d, zrow
+        _, entering = min(negative)
         # Ratio test by cross-multiplication; ties go to the lowest basic index.
         leaving = -1
         for i, row in enumerate(tableau):
@@ -267,8 +280,7 @@ def _simplex_min(
                     leaving, best_rhs, best_coef = i, row[-1], coef
         if leaving < 0:
             raise LpSolveError("unbounded LP despite box constraints")
-        d = _pivot(tableau, zrow, leaving, entering, d)
-        basis[leaving] = entering
+        d = _exchange(tableau, zrow, cols, basis, leaving, entering, d)
     raise LpSolveError("simplex iteration limit exceeded")
 
 
@@ -277,6 +289,12 @@ def _solve_box_lp(
 ) -> tuple[int, int, list[int], bool] | None:
     """Maximize objective over ``rows @ x <= rhs`` and ``0 <= x <= 1`` in integers.
 
+    The variables are the ``n`` structurals, one slack per row and box row,
+    and one artificial per negative right-hand side, whose row is negated
+    and starts with the artificial basic.  Only nonbasic columns are stored,
+    their variable indices in ``cols``: a basic column is always ``d`` times
+    a unit vector, so this loses nothing, and each pivot is the full
+    tableau's, as Bland's rule and the ratio test read the same entries.
     The data is one program scaled by one lcm, so every row's slack (and
     artificial) is the rational slack times that one positive scale, and
     unit phase-1 costs make both phases follow the rational tableau's
@@ -290,68 +308,57 @@ def _solve_box_lp(
     """
     n = len(objective)
     m = len(rows) + n
-    negatives = sum(b < 0 for b in rhs)
-    ncols = n + m + negatives
-    tableau: list[list[int]] = []
-    basis: list[int] = []
-    artificial = n + m
-    for i, (row, b) in enumerate(zip(rows, rhs)):
-        line = [0] * (ncols + 1)
-        if b < 0:
-            line[:n] = [-v for v in row]
-            line[n + i] = -1
-            line[artificial] = 1
-            line[-1] = -b
-            basis.append(artificial)
-            artificial += 1
-        else:
-            line[:n] = row
-            line[n + i] = 1
-            line[-1] = b
-            basis.append(n + i)
-        tableau.append(line)
+    negative = [i for i, b in enumerate(rhs) if b < 0]
+    zeros = [0] * len(negative)
+    tableau = [
+        [-v for v in row] + [-(r == i) for r in negative] + [-b] if b < 0 else [*row, *zeros, b]
+        for i, (row, b) in enumerate(zip(rows, rhs))
+    ]
     for j in range(n):
-        line = [0] * (ncols + 1)
-        line[j] = line[n + len(rows) + j] = line[-1] = 1
-        tableau.append(line)
-        basis.append(n + len(rows) + j)
+        tableau.append([0] * (n + len(negative)) + [1])
+        tableau[-1][j] = 1
+    # A negated row's slack starts nonbasic, with entry -1 in that row.
+    cols = [*range(n), *(n + i for i in negative)]
+    basis = [*range(n, n + m)]
+    for artificial, i in enumerate(negative, n + m):
+        basis[i] = artificial
 
     d = 1
-    if negatives:
-        phase1 = [0] * (n + m) + [1] * negatives
-        d, zrow = _simplex_min(tableau, basis, phase1, ncols, d)
-        if zrow[ncols] < 0:
+    if negative:
+        phase1 = [0] * (n + m) + [1] * len(negative)
+        d, zrow = _simplex_min(tableau, cols, basis, phase1, d)
+        if zrow[-1] < 0:
             return None
-        # Drive leftover artificials (all at zero) out of the basis.  Every
-        # row has a nonzero structural or slack entry, because the slack
-        # columns alone are invertible, so no row is redundant.
+        # Drive leftover artificials (all at zero) out of the basis, each on
+        # its lowest-index non-artificial column with a nonzero entry.  Every
+        # row has one, because the slack columns alone are invertible, so no
+        # row is redundant.  Then drop the artificial columns.
         for i, b in enumerate(basis):
             if b >= n + m:
-                pivot_col = next(j for j in range(n + m) if tableau[i][j])
-                d = _pivot(tableau, None, i, pivot_col, d)
-                basis[i] = pivot_col
-        tableau = [row[: n + m] + row[-1:] for row in tableau]
-        ncols = n + m
+                _, k = min((j, k) for k, j in enumerate(cols) if j < n + m and tableau[i][k])
+                d = _exchange(tableau, None, cols, basis, i, k, d)
+        keep = [k for k, j in enumerate(cols) if j < n + m]
+        tableau = [[row[k] for k in keep] + row[-1:] for row in tableau]
+        cols = [cols[k] for k in keep]
 
-    phase2 = [-c for c in objective] + [0] * (ncols - n)
-    d, zrow = _simplex_min(tableau, basis, phase2, ncols, d)
+    phase2 = [-c for c in objective] + [0] * m
+    d, zrow = _simplex_min(tableau, cols, basis, phase2, d)
     numerators = [0] * n
     for i, b in enumerate(basis):
         if b < n:
             numerators[b] = tableau[i][-1]
-    basic = set(basis)
-    unique = all(zrow[j] > 0 for j in range(ncols) if j not in basic)
-    return zrow[ncols], d, numerators, unique
+    return zrow[-1], d, numerators, all(z > 0 for z in zrow[:-1])
 
 
 def lp_relax(milp: Milp, fixings: tuple = ()) -> LpSolution:
     """Exact optimum of the LP relaxation with the given variables fixed.
 
     ``fixings`` is the node's key: ``(index, value)`` pairs sorted by
-    distinct in-range index, each value 0 or 1.  Free variables range over
-    ``[0, 1]``; results are memoized per instance under that key, since
-    branch-and-bound revisits the same subproblems across parameters and
-    caps.  The memo stores checked keys only, so a key is checked
+    distinct in-range index, each value the int 0 or 1 (not a float or a
+    ``Fraction``, which would alias an int key in the memo).  Free variables
+    range over ``[0, 1]``; results are memoized per instance under that key,
+    since branch-and-bound revisits the same subproblems across parameters
+    and caps.  The memo stores checked keys only, so a key is checked
     (``ValueError``) on a miss only.  A checked miss first looks up each
     key that drops one fixing ``(j, v)``: when that key's LP is infeasible,
     or its optimum is certified unique with ``x_j = v``, its solution is
@@ -364,10 +371,15 @@ def lp_relax(milp: Milp, fixings: tuple = ()) -> LpSolution:
     hit = cache.get(fixings)
     if hit is not None:
         return hit
-    indices = [index for index, _ in fixings]
-    if not all(a < b for a, b in zip([-1, *indices], [*indices, milp.n])):
-        raise ValueError(f"fixings need sorted, distinct, in-range indices, got {fixings}")
-    if any(value not in (0, 1) for _, value in fixings):
+    n, previous, binary, ones = milp.n, -1, True, []
+    for index, value in fixings:
+        if not previous < index < n:
+            raise ValueError(f"fixings need sorted, distinct, in-range indices, got {fixings}")
+        previous = index
+        if value == 1:
+            ones.append(index)
+        binary = binary and type(value) is int and value in (0, 1)
+    if not binary:
         raise ValueError(f"fixed values must be binary, got {fixings}")
     for i, (index, value) in enumerate(fixings):
         parent = cache.get(fixings[:i] + fixings[i + 1:])
@@ -378,10 +390,11 @@ def lp_relax(milp: Milp, fixings: tuple = ()) -> LpSolution:
             cache[fixings] = parent
             return parent
     scale, objective, rows, rhs = milp._integer_form
-    fix = dict(fixings)
-    free = [j for j in range(milp.n) if j not in fix]
-    constant = sum(objective[j] * v for j, v in fixings)
-    rhs = [b - sum(row[j] * v for j, v in fixings) for row, b in zip(rows, rhs)]
+    fixed = {index for index, _ in fixings}
+    free = [j for j in range(n) if j not in fixed]
+    constant = sum(objective[j] for j in ones)
+    if ones:
+        rhs = [b - sum(row[j] for j in ones) for row, b in zip(rows, rhs)]
     try:
         result = _solve_box_lp(
             [objective[j] for j in free], [[row[j] for j in free] for row in rows], rhs
@@ -389,15 +402,15 @@ def lp_relax(milp: Milp, fixings: tuple = ()) -> LpSolution:
     except LpSolveError as exc:
         where = f"program {milp.name!r}" if milp.name else "unnamed program"
         raise LpSolveError(
-            f"{exc} ({where}, fixings {fix})", program=milp.name, fixings=fixings
+            f"{exc} ({where}, fixings {dict(fixings)})", program=milp.name, fixings=fixings
         ) from None
     if result is None:
         solution = LpSolution("infeasible", None)
     else:
         z, d, free_numerators, unique = result
-        numerators = [0] * milp.n
-        for j, v in fixings:
-            numerators[j] = v * d
+        numerators = [0] * n
+        for j in ones:
+            numerators[j] = d
         for j, v in zip(free, free_numerators):
             numerators[j] = v
         value = Fraction(z + d * constant, d * scale)
@@ -415,8 +428,11 @@ def scores(
     Returns ``(smaller, larger)`` of the two decreases; an infeasible child
     contributes the finite sentinel ``INFEASIBLE_SCORE``.  A child that
     fixes the variable at its value in the node's optimum keeps that optimum
-    feasible, so its decrease is 0 and no LP is solved for it.
+    feasible, so its decrease is 0 and no LP is solved for it.  An ``index``
+    out of range or already fixed raises ``ValueError``.
     """
+    if not 0 <= index < milp.n:
+        raise ValueError(f"variable index {index} out of range for n = {milp.n}")
     if index in dict(fixings):
         raise ValueError(f"variable {index} is already fixed at this node")
     if not relaxation.is_optimal:

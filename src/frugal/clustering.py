@@ -48,6 +48,7 @@ from .core import (
     format_rational,
     integer_rows,
     parse_rational_rows,
+    require_rational,
     to_fraction,
 )
 from .sweep import (
@@ -102,6 +103,8 @@ class ClusteringInstance:
             raise ValueError("need at least two points")
         if n > MAX_POINTS:
             raise ValueError(f"at most {MAX_POINTS} points supported")
+        require_rational("ClusteringInstance", "distances", self.distances)
+        require_rational("ClusteringInstance", "theta", [[self.theta]])
         # Every check runs on the integer form: scaling by a positive lcm
         # keeps each sign and each equality.
         scale, d = self.integer_form

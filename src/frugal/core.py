@@ -15,6 +15,7 @@ constant behavior is one half-open interval ``[lo, hi)`` (``ParamCell``).
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -37,6 +38,7 @@ __all__ = [
     "to_fraction",
     "parse_rational_rows",
     "integer_rows",
+    "require_rational",
     "format_rational",
     "validate_cells_cover",
 ]
@@ -333,6 +335,20 @@ def integer_rows(rows: Sequence[Sequence[Fraction]]) -> tuple[int, tuple[tuple[i
     denominator in ``rows``; each row keeps its length."""
     scale = math.lcm(*(v.denominator for row in rows for v in row))
     return scale, tuple(tuple(v.numerator * (scale // v.denominator) for v in row) for row in rows)
+
+
+def require_rational(owner: str, field: str, rows: Sequence[Sequence[Any]]) -> None:
+    """Raise ``TypeError`` naming ``owner``'s ``field`` unless every entry of
+    ``rows`` is a ``numbers.Rational`` (an int, a numpy int or a
+    ``Fraction``): exact data has no float form, and ``owner.from_lists``
+    parses one exactly."""
+    if all(issubclass(kind, numbers.Rational) for kind in {type(v) for row in rows for v in row}):
+        return
+    bad = next(v for row in rows for v in row if not isinstance(v, numbers.Rational))
+    raise TypeError(
+        f"{owner} {field} must be rational (an int or a Fraction), got {bad!r}; "
+        f"{owner}.from_lists converts decimal text and floats exactly"
+    )
 
 
 def format_rational(value: Fraction) -> str:

@@ -484,7 +484,8 @@ def _fraction_pivot(tableau, zrow, row, col):
 
 
 def _fraction_simplex_min(tableau, basis, cost, ncols):
-    """Minimize cost over the tableau in place with Bland's rule."""
+    """Minimize cost over the tableau in place with Bland's rule; returns the
+    minimum and the final reduced costs of all ``ncols`` columns."""
     zrow = list(cost) + [Fraction(0)]
     for i, b in enumerate(basis):
         if cost[b]:
@@ -493,7 +494,7 @@ def _fraction_simplex_min(tableau, basis, cost, ncols):
     while True:
         entering = next((j for j in range(ncols) if zrow[j] < 0), -1)
         if entering < 0:
-            return -zrow[ncols]
+            return -zrow[ncols], zrow[:ncols]
         leaving = -1
         best_ratio = None
         for i, row in enumerate(tableau):
@@ -514,7 +515,11 @@ def _fraction_simplex_min(tableau, basis, cost, ncols):
 
 
 def _fraction_box_lp(objective, rows, rhs):
-    """Maximize objective over ``rows @ x <= rhs`` and ``0 <= x <= 1``."""
+    """Maximize objective over ``rows @ x <= rhs`` and ``0 <= x <= 1``.
+
+    Returns ``(status, value, point, unique)``, with ``unique`` set when
+    every nonbasic column of the final tableau has a positive reduced cost.
+    """
     n = len(objective)
     zero, one = Fraction(0), Fraction(1)
     all_rows = [list(row) for row in rows] + [
@@ -541,8 +546,8 @@ def _fraction_box_lp(objective, rows, rhs):
         phase1 = [zero] * ncols
         for col in art_col.values():
             phase1[col] = one
-        if _fraction_simplex_min(tableau, basis, phase1, ncols) > 0:
-            return "infeasible", None, None
+        if _fraction_simplex_min(tableau, basis, phase1, ncols)[0] > 0:
+            return "infeasible", None, None, False
         # Drive leftover artificials out of the basis, dropping redundant rows.
         keep = []
         for i in range(len(tableau)):
@@ -557,20 +562,31 @@ def _fraction_box_lp(objective, rows, rhs):
         basis = [basis[i] for i in keep]
         ncols = n + m
     phase2 = [-c for c in objective] + [zero] * (ncols - n)
-    value = -_fraction_simplex_min(tableau, basis, phase2, ncols)
+    minimum, reduced = _fraction_simplex_min(tableau, basis, phase2, ncols)
     point = [zero] * n
     for i, b in enumerate(basis):
         if b < n:
             point[b] = tableau[i][-1]
-    return "optimal", value, tuple(point)
+    unique = all(reduced[j] > 0 for j in range(ncols) if j not in basis)
+    return "optimal", -minimum, tuple(point), unique
 
 
 def fraction_lp_relax(milp, fixings=()):
-    """``(status, objective, point)`` of an LP relaxation on a ``Fraction`` tableau.
+    """``(status, objective, point)`` of an LP relaxation on a ``Fraction`` tableau."""
+    return fraction_lp_solution(milp, fixings)[:3]
 
-    The dense two-phase simplex with Bland's rule that ``lp_relax`` used
-    before it pivoted in integers; it follows the same basis sequence, so
-    the returned vertex, not just the optimal value, must agree.
+
+def fraction_lp_solution(milp, fixings=()):
+    """``(status, objective, point, unique)`` of an LP relaxation on a dense
+    ``Fraction`` tableau.
+
+    The two-phase simplex with Bland's rule over every column that
+    ``lp_relax`` used before it pivoted in integers; it follows the same
+    basis sequence, so the returned vertex, not just the optimal value, must
+    agree, and so must the certificate ``unique`` of a fresh solve: every
+    nonbasic column of the final tableau has a strictly positive reduced
+    cost.  A key that fixes every variable has one feasible point at most,
+    so its optimum is unique.
     """
     fix = dict(fixings)
     free = [j for j in range(milp.n) if j not in fix]
@@ -581,17 +597,17 @@ def fraction_lp_relax(milp, fixings=()):
     ]
     if not free:
         if all(b >= 0 for b in rhs):
-            return "optimal", constant, tuple(Fraction(fix[j]) for j in range(milp.n))
-        return "infeasible", None, None
-    status, value, reduced = _fraction_box_lp(
+            return "optimal", constant, tuple(Fraction(fix[j]) for j in range(milp.n)), True
+        return "infeasible", None, None, False
+    status, value, free_point, unique = _fraction_box_lp(
         [milp.objective[j] for j in free], [[row[j] for j in free] for row in milp.rows], rhs
     )
     if status != "optimal":
-        return "infeasible", None, None
+        return "infeasible", None, None, False
     point = [Fraction(fix.get(j, 0)) for j in range(milp.n)]
-    for j, v in zip(free, reduced):
+    for j, v in zip(free, free_point):
         point[j] = v
-    return "optimal", value + constant, tuple(point)
+    return "optimal", value + constant, tuple(point), unique
 
 
 def doubling_loss(problem, rho, instance, ceiling):

@@ -1,4 +1,5 @@
 import itertools
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
@@ -32,6 +33,7 @@ from support import (
     check_pool_cells_against_gather,
     draw_indices,
     fraction_lp_relax,
+    fraction_lp_solution,
     outcome,
     reference_bnb_run,
     sample_of,
@@ -105,6 +107,16 @@ def bnb_cases(draw):
 def cold_copy(milp):
     """The same program with empty memos."""
     return Milp(milp.objective, milp.rows, milp.rhs, milp.name)
+
+
+def check_unique_certificate(milp, fixings, solution, unique):
+    """A fresh solve of ``fixings`` certifies uniqueness exactly when the
+    ``Fraction`` tableau's final reduced costs do.  A cached ``solution``
+    may instead be inherited from a key with one fixing fewer, whose
+    certified optimum is also this key's only optimum, so it may carry a
+    certificate its own final tableau would not show, but never lacks one."""
+    assert lp_relax(cold_copy(milp), fixings).unique == unique
+    assert solution.unique or not unique
 
 
 class TestLpRelax:
@@ -186,8 +198,10 @@ class TestLpRelax:
         for milp in pool:
             for fixings in fixing_sets(range(milp.n)):
                 solution = lp_relax(milp, fixings)
-                expected = fraction_lp_relax(milp, fixings)
+                *expected, unique = fraction_lp_solution(milp, fixings)
+                expected = tuple(expected)
                 assert (solution.status, solution.objective, solution.point) == expected
+                check_unique_certificate(milp, fixings, solution, unique)
 
     @settings(max_examples=100, deadline=None)
     @given(programs_and_free_sets())
@@ -196,8 +210,10 @@ class TestLpRelax:
         distinct = list(fixing_sets(fixable))
         for fixings in distinct:
             solution = lp_relax(milp, fixings)
-            expected = fraction_lp_relax(milp, fixings)
+            *expected, unique = fraction_lp_solution(milp, fixings)
+            expected = tuple(expected)
             assert (solution.status, solution.objective, solution.point) == expected
+            check_unique_certificate(milp, fixings, solution, unique)
         for fixings in reversed(distinct):
             assert lp_relax(milp, fixings) is milp._lp_cache[fixings]
         assert len(milp._lp_cache) == len(distinct)
@@ -222,13 +238,50 @@ class TestLpRelax:
 
     @pytest.mark.parametrize(
         "fixings",
-        [((1, 0), (0, 1)), ((0, 1), (0, 0)), ((2, 0),), ((-1, 0),), ((0, 2),), ((1, 1), (0, -1))],
-        ids=["unsorted", "repeated", "index-past-end", "negative-index", "value-two", "both"],
+        [
+            ((1, 0), (0, 1)),
+            ((0, 1), (0, 0)),
+            ((2, 0),),
+            ((-1, 0),),
+            ((0, 2),),
+            ((1, 1), (0, -1)),
+            ((0, 1.0),),
+            ((0, Fraction(1)),),
+        ],
+        ids=[
+            "unsorted", "repeated", "index-past-end", "negative-index", "value-two", "both",
+            "float-one", "fraction-one",
+        ],
     )
     def test_malformed_key_rejected_and_not_stored(self, two_var, fixings):
         with pytest.raises(ValueError):
             lp_relax(two_var, fixings)
         assert two_var._lp_cache == {}
+
+    def test_index_checked_before_values(self, two_var):
+        with pytest.raises(ValueError, match="sorted, distinct, in-range"):
+            lp_relax(two_var, ((1, 2), (0, 0)))
+        with pytest.raises(ValueError, match="fixed values must be binary"):
+            lp_relax(two_var, ((0, 2), (1, 0)))
+        assert two_var._lp_cache == {}
+
+    @pytest.mark.parametrize("objective, unique", [([2, 0, 1], False), ([2, 1, 1], True)])
+    def test_unique_after_an_artificial_is_driven_out(self, monkeypatch, objective, unique):
+        # x0 >= 1 against its box leaves phase 1's artificial basic at zero,
+        # so it is pivoted out (no cost row) before phase 2.  The free x1 of
+        # zero weight ties the optimum in the first program.
+        milp = Milp.from_lists(objective, [[-1, 0, 0], [2, "1.5", -4], ["-0.5", -1, -2]], [-1, 1, -1])
+        exchange, driven_out = bnb._exchange, []
+
+        def counted(tableau, zrow, *rest):
+            driven_out.append(zrow is None)
+            return exchange(tableau, zrow, *rest)
+
+        monkeypatch.setattr(bnb, "_exchange", counted)
+        solution = lp_relax(milp)
+        assert any(driven_out)
+        assert solution.unique is unique
+        assert fraction_lp_solution(milp)[3] is unique
 
     def test_solution_equality_is_by_value(self):
         half = LpSolution("optimal", Fraction(3, 2), (1, 2), 2, True)
@@ -313,6 +366,13 @@ class TestScores:
     def test_fixed_variable_rejected(self, two_var):
         with pytest.raises(ValueError):
             scores(two_var, ((0, 1),), lp_relax(two_var, ((0, 1),)), 0)
+
+    @pytest.mark.parametrize("index", [-1, 2, 3])
+    def test_index_out_of_range_rejected(self, two_var, index):
+        root = lp_relax(two_var)
+        with pytest.raises(ValueError, match=f"variable index {index} out of range for n = 2"):
+            scores(two_var, (), root, index)
+        assert list(two_var._lp_cache) == [()]
 
     def test_settled_child_solves_no_lp(self):
         settled_seen = 0
@@ -657,6 +717,22 @@ class TestParser:
         text = f"{n} 0\n" + " ".join(["1"] * n) + "\n"
         with pytest.raises(ValueError):
             parse_milp(text)
+
+    @pytest.mark.parametrize(
+        "objective, rows, rhs, field",
+        [
+            ((0.5, 1), ((1, 1),), (1,), "Milp objective"),
+            ((1, 1), ((1, np.float64(1)),), (1,), "Milp rows"),
+            ((1, 1), ((1, 1),), (Decimal("1.5"),), "Milp rhs"),
+        ],
+    )
+    def test_non_rational_data_rejected(self, objective, rows, rhs, field):
+        with pytest.raises(TypeError, match=f"^{field} must be rational.*Milp.from_lists"):
+            Milp(objective, rows, rhs)
+
+    def test_numpy_ints_accepted(self):
+        milp = Milp((np.int64(2), 1), ((np.int32(1), 1),), (Fraction(3, 2),))
+        assert lp_relax(milp).point == (Fraction(1), Fraction(1, 2))
 
     def test_variable_count_boundaries(self):
         widest = bnb.MAX_VARIABLES

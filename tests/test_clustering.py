@@ -566,6 +566,15 @@ class TestInstanceFormat:
         instance = parse_instance("3 1 1\n0 1 1/2\n1.0 0 3/4\n0.5 0.75 0\n")
         assert instance.distances[0][2] == instance.distances[2][0] == Fraction(1, 2)
 
+    def test_non_rational_data_rejected(self):
+        one, zero = Fraction(1), Fraction(0)
+        with pytest.raises(TypeError, match="^ClusteringInstance theta must be rational.*from_lists"):
+            ClusteringInstance(((zero, one), (one, zero)), 1, 0.5)
+        with pytest.raises(TypeError, match="^ClusteringInstance distances must be rational.*from_lists"):
+            ClusteringInstance(((zero, 1.0), (1.0, zero)), 1, one)
+        instance = ClusteringInstance(((0, np.int64(2)), (np.int64(2), 0)), 1, 1)
+        assert instance.integer_form == (1, ((0, 2), (2, 0)))
+
     @pytest.mark.parametrize(
         "n, k, theta, message",
         [
