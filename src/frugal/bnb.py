@@ -16,8 +16,8 @@ keeps unit costs.  It stores only the nonbasic columns, since a basic column
 is always the denominator times a unit vector: Bland's rule and the ratio
 test read the same entries as on the full tableau, so the pivots and the
 vertex reached are the same, while each pivot updates fewer columns.  A
-solution keeps the final numerators over their one denominator, and only the
-objective value becomes a fraction.  So objective values, scores, and cell
+solution keeps its value and point as ints over one denominator, so scores
+and node order are int cross-products.  So objective values, scores, and cell
 breakpoints are exact.  This is desk-scale machinery: at most 20 variables.
 
 Each program carries two memos, both excluded from its equality and hash.
@@ -41,9 +41,10 @@ the order in which keys were solved.
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, cmp_to_key
 from pathlib import Path
 from typing import NamedTuple, Sequence
 
@@ -93,7 +94,7 @@ MAX_TREE_SIZE = 2**15
 # Finite stand-in for the objective decrease of an infeasible child; keeps
 # score mixtures affine.  A node with both children infeasible is fathomed
 # before its score can matter.
-INFEASIBLE_SCORE = Fraction(10**9)
+INFEASIBLE_SCORE = 10**9
 
 _SIMPLEX_ITERATION_LIMIT = 100_000
 
@@ -168,29 +169,34 @@ class Milp:
 class LpSolution:
     """Optimum of an LP relaxation, or an infeasibility certificate.
 
-    An optimum is kept as the solve left it: ``numerators`` over one
-    positive ``denominator`` d, one int per variable (a fixed variable as
-    its value times d), so integrality and settled-child tests run on ints;
-    ``point`` builds the ``Fraction`` coordinates on first read.  ``unique``
-    is set when the final tableau certifies the optimum as the only optimal
-    point: every nonbasic column has a strictly positive reduced cost.
-    ``lp_relax`` then hands this solution to each key that adds one fixing
-    the point satisfies, since a subset of the feasible set that still holds
-    the only optimum has it as its only optimum; an infeasible solution
-    serves each key that adds one fixing, since a subset of an empty set is
-    empty.  Such keys store the same object.  Equality and hashing go by
-    ``(status, objective, point)``, whatever the denominator or flag.
+    An optimum is kept as the solve left it, in ints over one positive
+    denominator d: the objective is ``value / (d * scale)`` (``scale`` the
+    program's lcm), ``numerators`` one per variable (a fixed variable as its
+    value times d); ``objective`` and ``point`` are built on first read.
+    ``unique`` is set when the final tableau certifies the optimum as the
+    only optimal point: every nonbasic column has a strictly positive
+    reduced cost.  ``lp_relax`` then hands this solution to each key that
+    adds one fixing the point satisfies, since a subset of the feasible set
+    that still holds the only optimum has it as its only optimum; an
+    infeasible solution serves each key that adds one fixing, since a
+    subset of an empty set is empty.  Such keys store the same object.
+    Equality and hashing go by ``(status, objective, point)`` alone.
     """
 
     status: str
-    objective: Fraction | None
+    value: int | None = None
     numerators: tuple[int, ...] | None = None
     denominator: int = 1
     unique: bool = False
+    scale: int = 1
 
     @property
     def is_optimal(self) -> bool:
         return self.status == "optimal"
+
+    @cached_property
+    def objective(self) -> Fraction | None:
+        return None if self.value is None else Fraction(self.value, self.denominator * self.scale)
 
     @cached_property
     def point(self) -> tuple[Fraction, ...] | None:
@@ -215,6 +221,15 @@ class LpSolution:
 
     def __hash__(self) -> int:
         return hash(self._value())
+
+
+def _above(a: LpSolution, b: LpSolution) -> bool:
+    """Whether optimum ``a`` of a program has a larger objective than ``b``."""
+    return a.value * b.denominator > b.value * a.denominator
+
+
+# Optima of one program by decreasing objective: the sign of b's less a's.
+_frontier_key = cmp_to_key(lambda a, b: b.value * a.denominator - a.value * b.denominator)
 
 
 def _exchange(
@@ -413,19 +428,19 @@ def lp_relax(milp: Milp, fixings: tuple = ()) -> LpSolution:
             numerators[j] = d
         for j, v in zip(free, free_numerators):
             numerators[j] = v
-        value = Fraction(z + d * constant, d * scale)
-        solution = LpSolution("optimal", value, tuple(numerators), d, unique)
+        solution = LpSolution("optimal", z + d * constant, tuple(numerators), d, unique, scale)
     cache[fixings] = solution
     return solution
 
 
 def scores(
     milp: Milp, fixings: tuple, relaxation: LpSolution, index: int
-) -> tuple[Fraction, Fraction]:
+) -> tuple[int, int, int]:
     """Objective decreases of the children of a node, with ``lp_relax`` key
     ``fixings`` and LP ``relaxation``, from branching on variable ``index``.
 
-    Returns ``(smaller, larger)`` of the two decreases; an infeasible child
+    Returns ``(smaller, larger, denominator)``, the two decreases as ints in
+    lowest terms over one positive denominator; an infeasible child
     contributes the finite sentinel ``INFEASIBLE_SCORE``.  A child that
     fixes the variable at its value in the node's optimum keeps that optimum
     feasible, so its decrease is 0 and no LP is solved for it.  An ``index``
@@ -437,27 +452,28 @@ def scores(
         raise ValueError(f"variable {index} is already fixed at this node")
     if not relaxation.is_optimal:
         raise ValueError("scores need a node with an optimal relaxation")
-    parent_value = relaxation.objective
-    settled, d = relaxation.numerators[index], relaxation.denominator
+    parent, d = relaxation.value, relaxation.denominator
     decreases = []
     for value in (0, 1):
-        if settled == value * d:
-            decreases.append(Fraction(0))
+        if relaxation.numerators[index] == value * d:
+            decreases.append((0, 1))
             continue
         child = lp_relax(milp, _child_key(fixings, index, value))
-        if child.is_optimal:
-            decreases.append(parent_value - child.objective)
-        else:
-            decreases.append(INFEASIBLE_SCORE)
-    return min(decreases), max(decreases)
+        decreases.append(
+            (parent * child.denominator - child.value * d, d * child.denominator * relaxation.scale)
+            if child.is_optimal else (INFEASIBLE_SCORE, 1)
+        )
+    (a, b), (e, f) = decreases
+    g = math.gcd(a * f, e * b, b * f)
+    return (*sorted((a * f // g, e * b // g)), b * f // g)
 
 
 class _Expansion(NamedTuple):
     """A branched node as every run sees it.
 
     ``lines`` are the ``(variable, (intercept, slope))`` candidates of the
-    branching argmax, each line ``high + (low - high) * rho`` scaled by one
-    positive common factor to ints, which changes no winner, tie or
+    branching argmax, each line ``high + (low - high) * rho`` times the lcm
+    of the ``scores`` denominators, which changes no winner, tie or
     crossing.  ``children`` maps each variable a run has branched on to its
     two children ``(fixings, relaxation, integral)``, for values 0 and 1.
     """
@@ -472,8 +488,10 @@ def _expansion(milp: Milp, fixings: tuple, relaxation: LpSolution) -> _Expansion
     if expansion is None:
         fix = dict(fixings)
         free = [i for i in range(milp.n) if i not in fix]
-        _, pairs = integer_rows([scores(milp, fixings, relaxation, i) for i in free])
-        lines = [(i, (high, low - high)) for i, (low, high) in zip(free, pairs)]
+        triples = [scores(milp, fixings, relaxation, i) for i in free]
+        common = math.lcm(*(den for _, _, den in triples))
+        scaled = [(common // den, low, high) for low, high, den in triples]
+        lines = [(i, (f * high, f * (low - high))) for i, (f, low, high) in zip(free, scaled)]
         expansion = milp._expansions[fixings] = _Expansion(lines, {})
     return expansion
 
@@ -495,16 +513,16 @@ def _children(milp: Milp, fixings: tuple, index: int) -> tuple:
 
 def _run_capped(
     milp: Milp, node_limit: int, tracker: DecisionTracker
-) -> tuple[bool, int, Fraction | None]:
+) -> tuple[bool, int, LpSolution | None]:
     """Best-first branch-and-bound capped at ``node_limit`` tree nodes.
 
     Returns ``(completed, tree_size, incumbent)``: whether the search
-    finished within the limit, the nodes it built, and the best integral
-    objective value found (None when there is none).  A frontier entry is
-    ``(-objective, -depth, id, fixings, relaxation)`` with depth
-    ``len(fixings)`` and id the node's creation index, so node selection
-    pops the largest relaxation value (ties: deeper node, then lower id).
-    These keys never depend on the mixture weight, so the only
+    finished within the limit, the nodes it built, and the solution of the
+    best integral node found (None when there is none).  A frontier entry is
+    ``(_frontier_key(relaxation), -depth, id, fixings, relaxation)`` with
+    depth ``len(fixings)`` and id the node's creation index, so node
+    selection pops the largest relaxation value (ties: deeper node, then
+    lower id).  These keys never depend on the mixture weight, so the only
     parameter-sensitive decisions are the branching argmaxes routed through
     the tracker.  Each node's score lines and children come from the
     program's node memo, so a node that an earlier run expanded costs one
@@ -516,12 +534,12 @@ def _run_capped(
     if not root_lp.is_optimal:
         return True, 1, None
     if root_lp.is_integral():
-        return True, 1, root_lp.objective
+        return True, 1, root_lp
     size, incumbent = 1, None
-    frontier = [(-root_lp.objective, 0, 0, (), root_lp)]
+    frontier = [(_frontier_key(root_lp), 0, 0, (), root_lp)]
     while frontier:
         _, _, _, fixings, relaxation = heapq.heappop(frontier)
-        if incumbent is not None and relaxation.objective <= incumbent:
+        if incumbent is not None and not _above(relaxation, incumbent):
             continue
         expansion = _expansion(milp, fixings, relaxation)
         chosen = tracker.argmax(expansion.lines)
@@ -535,11 +553,11 @@ def _run_capped(
             if not child_lp.is_optimal:
                 continue
             if integral:
-                if incumbent is None or child_lp.objective > incumbent:
-                    incumbent = child_lp.objective
+                if incumbent is None or _above(child_lp, incumbent):
+                    incumbent = child_lp
                 continue
-            depth = len(child_fixings)
-            heapq.heappush(frontier, (-child_lp.objective, -depth, child_id, child_fixings, child_lp))
+            entry = (_frontier_key(child_lp), -len(child_fixings), child_id, child_fixings, child_lp)
+            heapq.heappush(frontier, entry)
     return True, size, incumbent
 
 
@@ -562,7 +580,7 @@ def bnb_run(milp: Milp, rho, cap: int) -> CappedRunOutcome:
 def best_binary_solution(milp: Milp, rho, cap: int = MAX_TREE_SIZE):
     """Incumbent value of a capped run (None when infeasible or cap exceeded)."""
     completed, _, incumbent = _run_capped(milp, min(cap, MAX_TREE_SIZE), standalone_tracker(rho))
-    return incumbent if completed else None
+    return incumbent.objective if completed and incumbent is not None else None
 
 
 def bnb_partition(sample: PoolSample, tau: int) -> list[PartitionCell]:

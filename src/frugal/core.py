@@ -331,10 +331,12 @@ def parse_rational_rows(rows: Iterable[Iterable[Any]]) -> list[tuple[Fraction, .
 
 
 def integer_rows(rows: Sequence[Sequence[Fraction]]) -> tuple[int, tuple[tuple[int, ...], ...]]:
-    """``(scale, rows times scale)`` as ints, ``scale`` the lcm of every
-    denominator in ``rows``; each row keeps its length."""
+    """``(scale, rows times scale)`` as Python ints (never numpy ints), ``scale``
+    the lcm of every denominator in ``rows``; each row keeps its length."""
     scale = math.lcm(*(v.denominator for row in rows for v in row))
-    return scale, tuple(tuple(v.numerator * (scale // v.denominator) for v in row) for row in rows)
+    return scale, tuple(
+        tuple(int(v.numerator) * (scale // int(v.denominator)) for v in row) for row in rows
+    )
 
 
 def require_rational(owner: str, field: str, rows: Sequence[Sequence[Any]]) -> None:

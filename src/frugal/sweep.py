@@ -16,7 +16,7 @@ values at ``rho = p/q`` scaled by ``q``, then one testing crossings by
 cross-multiplication.  ``Fraction`` coefficients go through the same
 expressions and stay exact.  The bound becomes a ``fractions.Fraction``
 only when it shrinks, so breakpoints are exact and cells never drift
-against a grid sweep.
+against a grid sweep; the width test and ``refine_cells`` read their ints.
 
 Exact score ties break so that executions are right-continuous in ``rho``
 (see ``DecisionTracker``), which is what lets every cell be half-open
@@ -153,13 +153,14 @@ def sweep_unit_interval(
     both domains the run's ``CappedRunOutcome``.
     """
     cells: list[tuple[Fraction, Fraction, T]] = []
-    cursor = Fraction(0)
+    cursor, cn, cd = Fraction(0), 0, 1
     top = Fraction(1)
-    while cursor < top:
+    while cn < cd:  # (cn, cd) and (rn, rd): the cursor's and the bound's ints
         tracker = DecisionTracker(cursor, top)
         payload = execute(tracker)
         right = tracker.bound
-        if right - cursor < MIN_CELL_WIDTH:
+        rn, rd = right.numerator, right.denominator
+        if (rn * cd - cn * rd) * MIN_CELL_WIDTH.denominator < MIN_CELL_WIDTH.numerator * rd * cd:
             raise DegenerateCellError(
                 f"degenerate breakpoint cluster: breakpoint {right} lies within "
                 f"{MIN_CELL_WIDTH} of the cell's left end {cursor}",
@@ -167,7 +168,7 @@ def sweep_unit_interval(
                 bound=right,
             )
         cells.append((cursor, right, payload))
-        cursor = right
+        cursor, cn, cd = right, rn, rd
     return cells
 
 
@@ -202,22 +203,31 @@ def sweep_distinct(
 def refine_cells(
     per_instance: Sequence[Sequence[tuple[Fraction, Fraction, T]]],
 ) -> list[tuple[Fraction, Fraction, list[T]]]:
-    """Common refinement of per-instance right-open partitions of [0, 1]."""
+    """Common refinement of per-instance right-open partitions of [0, 1].
+
+    One partition is its own refinement.  Otherwise each cell fills the refined
+    cells between its ends' int ranks among the sorted distinct breakpoints;
+    each instance's cells must chain from the least one to 1 (``ValueError``)."""
     if not per_instance:
         raise ValueError("need at least one instance partition")
+    if len(per_instance) == 1:
+        return [(lo, hi, [payload]) for lo, hi, payload in per_instance[0]]
     breakpoints = sorted({lo for cells in per_instance for lo, _, _ in cells} | {Fraction(1)})
-    cursors = [0] * len(per_instance)
-    refined: list[tuple[Fraction, Fraction, list[T]]] = []
-    for lo, hi in zip(breakpoints[:-1], breakpoints[1:]):
-        payloads = []
-        for idx, cells in enumerate(per_instance):
-            while cells[cursors[idx]][1] <= lo:
-                cursors[idx] += 1
-            cell_lo, cell_hi, payload = cells[cursors[idx]]
-            assert cell_lo <= lo and hi <= cell_hi
-            payloads.append(payload)
-        refined.append((lo, hi, payloads))
-    return refined
+    rank = {(b.numerator, b.denominator): r for r, b in enumerate(breakpoints)}
+    slots: list[list[T]] = [[] for _ in breakpoints[1:]]
+    for number, cells in enumerate(per_instance):
+        at = 0
+        for lo, hi, payload in cells:
+            end = rank.get((hi.numerator, hi.denominator), -1)
+            if rank[lo.numerator, lo.denominator] != at or end <= at:
+                at = -1
+                break
+            for slot in slots[at:end]:
+                slot.append(payload)
+            at = end
+        if at != len(slots):
+            raise ValueError(f"cells of instance {number} do not chain from {breakpoints[0]} to 1")
+    return list(zip(breakpoints, breakpoints[1:], slots))
 
 
 def cells_from_refinement(

@@ -1,4 +1,6 @@
 import itertools
+import math
+import warnings
 from decimal import Decimal
 from fractions import Fraction
 
@@ -9,6 +11,7 @@ from scipy.optimize import linprog
 
 from frugal import bnb
 from frugal.bnb import (
+    INFEASIBLE_SCORE,
     BnbProblem,
     LpSolution,
     LpSolveError,
@@ -23,7 +26,7 @@ from frugal.bnb import (
     random_milp,
     scores,
 )
-from frugal.core import ParamSpace, PoolSample, to_fraction, validate_cells_cover
+from frugal.core import ParamSpace, PoolSample, integer_rows, to_fraction, validate_cells_cover
 from frugal.sweep import DegenerateCellError
 from support import (
     RecordingTracker,
@@ -284,11 +287,13 @@ class TestLpRelax:
         assert fraction_lp_solution(milp)[3] is unique
 
     def test_solution_equality_is_by_value(self):
-        half = LpSolution("optimal", Fraction(3, 2), (1, 2), 2, True)
-        same = LpSolution("optimal", Fraction(3, 2), (3, 6), 6, False)
+        # The objective is value / (denominator * scale): 3/2 in both.
+        half = LpSolution("optimal", 3, (1, 2), 2, True)
+        same = LpSolution("optimal", 18, (3, 6), 6, False, 2)
         assert half == same and hash(half) == hash(same)
+        assert half.objective == same.objective == Fraction(3, 2)
         assert same.point == (Fraction(1, 2), Fraction(1))
-        assert half != LpSolution("optimal", Fraction(3, 2), (2, 1), 2, True)
+        assert half != LpSolution("optimal", 3, (2, 1), 2, True)
         assert half != LpSolution("infeasible", None)
         assert LpSolution("infeasible", None) == LpSolution("infeasible", None)
 
@@ -347,20 +352,29 @@ class TestLpRelax:
                         assert child.objective <= parent.objective
 
 
+def rational_scores(milp, fixings, relaxation, index):
+    """``scores``' two decreases as ``Fraction``s, read through its denominator,
+    which must be positive with the three ints in lowest terms."""
+    low, high, denominator = scores(milp, fixings, relaxation, index)
+    assert all(type(v) is int for v in (low, high, denominator))
+    assert denominator > 0 and math.gcd(low, high, denominator) == 1 and low <= high
+    return Fraction(low, denominator), Fraction(high, denominator)
+
+
 class TestScores:
     def test_hand_example(self, two_var):
         root = lp_relax(two_var)
-        assert scores(two_var, (), root, 0) == (Fraction(0), Fraction(3, 2))
-        assert scores(two_var, (), root, 1) == (Fraction(1, 2), Fraction(1, 2))
+        assert rational_scores(two_var, (), root, 0) == (Fraction(0), Fraction(3, 2))
+        assert rational_scores(two_var, (), root, 1) == (Fraction(1, 2), Fraction(1, 2))
 
     def test_equal_children_collapse(self, two_var):
-        low, high = scores(two_var, (), lp_relax(two_var), 1)
+        low, high = rational_scores(two_var, (), lp_relax(two_var), 1)
         assert low == high
 
     def test_both_children_infeasible_sentinel(self):
         # x0 = 0 and x0 = 1 both break the pinned equality-style pair.
         milp = Milp.from_lists([1, 1], [[1, 0], [-1, 0]], ["0.6", "-0.4"])
-        low, high = scores(milp, ((1, 0),), lp_relax(milp, ((1, 0),)), 0)
+        low, high = rational_scores(milp, ((1, 0),), lp_relax(milp, ((1, 0),)), 0)
         assert low == high == Fraction(10**9)
 
     def test_fixed_variable_rejected(self, two_var):
@@ -383,7 +397,7 @@ class TestScores:
                     continue
                 settled_seen += 1
                 before = set(milp._lp_cache)
-                low, _ = scores(milp, (), root, index)
+                low, _ = rational_scores(milp, (), root, index)
                 assert low == 0
                 settled = ((index, int(x)),)
                 assert settled not in milp._lp_cache
@@ -391,6 +405,49 @@ class TestScores:
                 status, value, _ = fraction_lp_relax(milp, settled)
                 assert status == "optimal" and value == root.objective
         assert settled_seen > 0
+
+    def test_expansion_lines_are_a_positive_multiple_of_fraction_lines(self):
+        # Signed decimal data makes children infeasible (sentinel scores);
+        # knapsack-like data settles children at the node's optimum.
+        rng = np.random.default_rng(61)
+        pool = random_pool(seed=61, count=12, num_vars=5, num_rows=3)
+        for _ in range(16):
+            n, m = int(rng.integers(2, 6)), int(rng.integers(1, 4))
+            signed = lambda size: [Fraction(int(v), 4) for v in rng.integers(-8, 9, size=size)]
+            pool.append(Milp.from_lists(signed(n), [signed(n) for _ in range(m)], signed(m)))
+        infeasible = settled = 0
+        for milp in pool:
+            for fixings in fixing_sets(range(min(milp.n - 1, 2))):
+                relaxation = lp_relax(milp, fixings)
+                if not relaxation.is_optimal:
+                    continue
+                _, value, point = fraction_lp_relax(milp, fixings)
+                free = [i for i in range(milp.n) if i not in dict(fixings)]
+                pairs = []
+                for i in free:
+                    decreases = []
+                    for v in (0, 1):
+                        child_status, child_value, _ = fraction_lp_relax(
+                            milp, tuple(sorted((*fixings, (i, v))))
+                        )
+                        feasible = child_status == "optimal"
+                        infeasible += not feasible
+                        settled += point[i] == v
+                        decreases.append(value - child_value if feasible else INFEASIBLE_SCORE)
+                    pairs.append((min(decreases), max(decreases)))
+                _, scaled = integer_rows(pairs)
+                expected = [v for low, high in scaled for v in (high, low - high)]
+                lines = bnb._expansion(milp, fixings, relaxation).lines
+                assert [i for i, _ in lines] == free
+                actual = [v for _, line in lines for v in line]
+                assert all(type(v) is int for v in actual)
+                ref = next((k for k, v in enumerate(expected) if v), None)
+                if ref is None:
+                    assert not any(actual)
+                    continue
+                factor = Fraction(actual[ref], expected[ref])
+                assert factor > 0 and actual == [factor * v for v in expected]
+        assert infeasible > 0 and settled > 0
 
 
 class TestBnbRun:
@@ -732,7 +789,29 @@ class TestParser:
 
     def test_numpy_ints_accepted(self):
         milp = Milp((np.int64(2), 1), ((np.int32(1), 1),), (Fraction(3, 2),))
-        assert lp_relax(milp).point == (Fraction(1), Fraction(1, 2))
+        solution = lp_relax(milp)
+        assert solution.point == (Fraction(1), Fraction(1, 2))
+        # The exact arithmetic sees Python ints only.
+        assert all(type(v) is int for v in solution.numerators)
+        assert type(solution.denominator) is int and type(solution.value) is int
+
+    def test_numpy_ints_near_int64_limits_solve_like_python_ints(self):
+        # Edmonds products of entries near 3e9 leave the int64 range.
+        objective = (3_000_000_019, 2_999_999_993, 3_000_000_007)
+        rows = ((2_999_999_999, 3_000_000_001, 2_999_999_987), (3_000_000_011, -2_999_999_981, 1))
+        rhs = (4_000_000_003, 2_000_000_017)
+        numpy_milp = Milp(
+            tuple(map(np.int64, objective)),
+            tuple(tuple(map(np.int64, row)) for row in rows),
+            tuple(map(np.int64, rhs)),
+        )
+        python_milp = Milp(objective, rows, rhs)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for fixings in fixing_sets(range(3)):
+                assert lp_relax(numpy_milp, fixings) == lp_relax(python_milp, fixings)
+            for rho in (Fraction(0), Fraction(1, 2), Fraction(1)):
+                assert bnb_run(numpy_milp, rho, 63) == bnb_run(python_milp, rho, 63)
 
     def test_variable_count_boundaries(self):
         widest = bnb.MAX_VARIABLES

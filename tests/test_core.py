@@ -208,6 +208,21 @@ class TestParamTypes:
             CappedRunOutcome(budget_used=-1, solved=False)
         assert CappedRunOutcome.finished(5).capped_loss(3) == 3
 
+    def test_outcome_budget_zero_is_the_boundary(self):
+        for solved in (True, False):
+            assert CappedRunOutcome(budget_used=0, solved=solved).budget_used == 0
+            with pytest.raises(ValueError, match="budget_used must be nonnegative"):
+                CappedRunOutcome(budget_used=-1, solved=solved)
+
+    @pytest.mark.parametrize("z", [0.0, 1.0])
+    def test_cell_z_accepted_at_the_ends(self, z):
+        assert PartitionCell(ParamCell(0.0, 1.0), z, [1], [1]).z == z
+
+    @pytest.mark.parametrize("z", [math.nextafter(0.0, -1.0), math.nextafter(1.0, 2.0)])
+    def test_cell_z_rejected_just_outside(self, z):
+        with pytest.raises(ValueError, match=r"z must lie in \[0, 1\]"):
+            PartitionCell(ParamCell(0.0, 1.0), z, [1], [1])
+
     def test_coverage_validator(self):
         cells = [
             PartitionCell(

@@ -88,6 +88,13 @@ class TestGammaBound:
         with pytest.raises(ValueError):
             make_inputs(confidence=1.0)
 
+    @pytest.mark.parametrize("confidence", [0.0, 1.0])
+    def test_confidence_rejected_at_the_ends(self, confidence):
+        with pytest.raises(ValueError, match=r"confidence must lie in \(0, 1\)"):
+            make_inputs(confidence=confidence)
+        inside = math.nextafter(confidence, 0.5)
+        assert make_inputs(confidence=inside).confidence == inside
+
 
 ROUNDS = st.integers(1, 40)
 CAPS = st.integers(1, 2**60)

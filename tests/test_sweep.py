@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from frugal.sweep import (
+    MIN_CELL_WIDTH,
     DecisionTracker,
     DegenerateCellError,
     refine_cells,
@@ -183,6 +184,35 @@ class TestSweep:
         assert excinfo.value.left == 0
         assert excinfo.value.bound == eps
 
+    @pytest.mark.parametrize(
+        "hair", [pytest.param(0, id="exact"), pytest.param(Fraction(1, 10**30), id="closer")]
+    )
+    def test_min_cell_width_is_the_boundary(self, hair):
+        # A first cell [0, 1/3) puts the cursor off zero, then the next
+        # breakpoint lies MIN_CELL_WIDTH (less a hair) right of it.
+        left = Fraction(1, 3)
+        right = left + MIN_CELL_WIDTH - hair
+
+        def execute(tracker):
+            if tracker.point == 0:
+                tracker.bound = left
+            elif tracker.point == left:
+                tracker.bound = right
+            return tracker.point
+
+        if not hair:
+            assert sweep_unit_interval(execute) == [
+                (0, left, 0), (left, right, left), (right, 1, right)
+            ]
+            return
+        with pytest.raises(DegenerateCellError) as excinfo:
+            sweep_unit_interval(execute)
+        assert str(excinfo.value) == (
+            f"degenerate breakpoint cluster: breakpoint {right} lies within "
+            f"1/1000000000000 of the cell's left end 1/3"
+        )
+        assert excinfo.value.left == left and excinfo.value.bound == right
+
     def test_degenerate_cell_names_instance_and_cap(self):
         pool = [SimpleNamespace(name=""), SimpleNamespace(name="b.milp")]
         sample = sample_of(pool, [1, 0, 1])
@@ -220,3 +250,49 @@ class TestSweep:
             ["L", "y"],
             ["R", "y"],
         ]
+
+    def test_one_partition_is_its_own_refinement(self):
+        cells = [(Fraction(0), Fraction(2, 7), "a"), (Fraction(2, 7), Fraction(1), "b")]
+        assert refine_cells([cells]) == [(lo, hi, [payload]) for lo, hi, payload in cells]
+
+    @pytest.mark.parametrize(
+        "broken",
+        [
+            [(Fraction(0), Fraction(1, 2), "gap"), (Fraction(2, 3), Fraction(1), "y")],
+            [(Fraction(0), Fraction(2, 3), "overlap"), (Fraction(1, 2), Fraction(1), "y")],
+            [(Fraction(0), Fraction(1, 2), "short")],
+            [(Fraction(1, 4), Fraction(1), "late")],
+            [(Fraction(0), Fraction(1), "x"), (Fraction(1), Fraction(3, 2), "past")],
+            [(Fraction(0), Fraction(1, 2), "x"), (Fraction(1, 2), Fraction(1, 2), "empty"),
+             (Fraction(1, 2), Fraction(1), "y")],
+        ],
+    )
+    def test_refinement_rejects_cells_that_do_not_chain(self, broken):
+        whole = [(Fraction(0), Fraction(1, 4), "a"), (Fraction(1, 4), Fraction(1), "b")]
+        with pytest.raises(ValueError, match="cells of instance 1 do not chain from 0 to 1"):
+            refine_cells([whole, broken])
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_refinement_matches_fraction_reference(self, data):
+        # Small denominators make instances share breakpoints.
+        point = st.fractions(min_value=0, max_value=1, max_denominator=12)
+        partitions = []
+        for number in range(data.draw(st.integers(1, 5))):
+            inner = data.draw(st.sets(point.filter(lambda x: 0 < x < 1), max_size=6))
+            ends = [Fraction(0), *sorted(inner), Fraction(1)]
+            partitions.append(
+                [(lo, hi, (number, k)) for k, (lo, hi) in enumerate(zip(ends, ends[1:]))]
+            )
+        assert refine_cells(partitions) == fraction_refinement(partitions)
+
+
+def fraction_refinement(partitions):
+    """The common refinement by plain ``Fraction`` comparisons: every span
+    between consecutive distinct left ends (and 1), with the payload of the
+    cell of each partition that holds the span's left end."""
+    ends = sorted({lo for cells in partitions for lo, _, _ in cells} | {Fraction(1)})
+    return [
+        (lo, hi, [next(p for a, b, p in cells if a <= lo < b) for cells in partitions])
+        for lo, hi in zip(ends, ends[1:])
+    ]
