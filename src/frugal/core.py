@@ -147,10 +147,11 @@ class PoolSample:
         """The pool indices drawn at least once, ascending."""
         return np.flatnonzero(self.counts)
 
-    def distinct(self) -> tuple[np.ndarray, np.ndarray]:
-        """The pool indices drawn at least once, ascending, and their counts."""
+    def distinct(self) -> tuple[list[int], list[int]]:
+        """The pool indices drawn at least once, ascending, and their counts, as
+        two lists of Python ints: where a sample's counts leave numpy."""
         uids = self.uids
-        return uids, self.counts[uids]
+        return uids.tolist(), self.counts[uids].tolist()
 
 
 @dataclass(eq=False)
@@ -159,25 +160,24 @@ class PartitionCell:
 
     The partition's instance sequence is held as a multiset: ``losses[j]``
     is the capped loss in the cell of the ``j``-th distinct instance and
-    ``counts[j]`` its multiplicity.  ``z`` is the exact fraction of draws
-    solved within the cap.
+    ``counts[j]`` its multiplicity, both int sequences kept as given.  ``z``
+    is the exact fraction of draws solved within the cap.
     """
 
     cell: ParamCell
     z: float
-    losses: np.ndarray
-    counts: np.ndarray
+    losses: Sequence[int]
+    counts: Sequence[int]
 
     def __post_init__(self) -> None:
-        self.losses = np.asarray(self.losses, dtype=np.int64)
-        self.counts = np.asarray(self.counts, dtype=np.int64)
         if not 0.0 <= self.z <= 1.0:
             raise ValueError("z must lie in [0, 1]")
 
     @cached_property
-    def capped_losses(self) -> np.ndarray:
+    def capped_losses(self) -> list[int]:
         """The capped loss of each draw, grouped by distinct instance."""
-        return np.repeat(self.losses, self.counts)
+        return [loss for loss, count in zip(self.losses, self.counts, strict=True)
+                for _ in range(count)]
 
 
 class ConfigProblem:
@@ -277,17 +277,19 @@ def tail_capped_mean(losses, counts, rank: int) -> tuple[int, float]:
     """The ``rank``-th smallest (1-based) of the multiset holding each
     ``losses[j]`` ``counts[j]`` times, and that multiset's mean capped there.
 
-    The mean is one Python-int sum and one division; while the sum stays
-    below 2**53 it equals the float64 mean of the expanded vector bit for bit.
+    Entries are read as Python ints (numpy arrays too, so nothing overflows),
+    and the mean is one int sum and one division: while the sum stays below
+    2**53 it equals the float64 mean of the expanded vector bit for bit.
     """
-    losses, counts = np.asarray(losses, dtype=np.int64), np.asarray(counts, dtype=np.int64)
-    total = int(counts.sum())
+    total = sum(map(int, counts))
     if not 1 <= rank <= total:
         raise ValueError(f"quantile index {rank} outside [1, {total}]: sample too small")
-    order = np.argsort(losses)
-    cutoff = int(losses[order[np.searchsorted(np.cumsum(counts[order]), rank)]])
-    capped = np.minimum(losses, cutoff).tolist()
-    return cutoff, sum(loss * count for loss, count in zip(capped, counts.tolist())) / total
+    below = seen = 0  # the sum and the count of the draws before the cutoff's pair
+    for cutoff, count in sorted(zip(map(int, losses), map(int, counts), strict=True)):
+        if seen + count >= rank:
+            break
+        below, seen = below + cutoff * count, seen + count
+    return cutoff, (below + cutoff * (total - seen)) / total
 
 
 def to_fraction(value: Any) -> Fraction:

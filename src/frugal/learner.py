@@ -241,7 +241,7 @@ def process_round(cells: Sequence, cfg: LearnerConfig, round_index: int) -> list
     for cell in cells:
         if cell.z < cfg.admission_threshold:
             continue
-        rank = math.floor(int(cell.counts.sum()) * cfg.admission_threshold)
+        rank = math.floor(sum(cell.counts) * cfg.admission_threshold)
         tau_cell, estimate = tail_capped_mean(cell.losses, cell.counts, rank)
         admitted.append(
             GoodRegion(
@@ -321,19 +321,18 @@ def measure_loss(problem, rho, instance, ceiling: int) -> int:
 
 def sample_losses(
     problem: ConfigProblem, rho, n_samples: int, rng: np.random.Generator, ceiling: int
-) -> tuple[np.ndarray, np.ndarray]:
+) -> tuple[list[int], list[int]]:
     """Losses at ``rho`` of ``n_samples`` fresh draws, each measured up to the ceiling.
 
-    The draws come from one ``sample_many``.  Returns ``(losses, counts)``:
-    the loss of each distinct drawn pool instance, in ascending pool order
-    and measured once, and how often it was drawn.
+    The draws come from one ``sample_many``.  Returns ``(losses, counts)``,
+    two lists of Python ints: the loss of each distinct drawn pool instance,
+    in ascending pool order and measured once, and how often it was drawn.
     """
     if ceiling < 1:
         raise ValueError("the cap ceiling must be positive")
     sample = problem.sample_many(rng, n_samples)
     uids, counts = sample.distinct()
-    losses = [measure_loss(problem, rho, sample.pool[uid], ceiling) for uid in uids.tolist()]
-    return np.array(losses, dtype=np.int64), counts
+    return [measure_loss(problem, rho, sample.pool[uid], ceiling) for uid in uids], counts
 
 
 def estimate_capped_tail_means(

@@ -32,8 +32,6 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Any, Callable, Sequence, TypeVar
 
-import numpy as np
-
 from .core import CappedRunOutcome, ParamCell, PartitionCell, PoolSample, to_fraction
 
 __all__ = [
@@ -176,18 +174,18 @@ def sweep_distinct(
     sweep_one: Callable[[Any], list[tuple[Fraction, Fraction, T]]],
     sample: PoolSample,
     tau: int,
-) -> tuple[list[list[tuple[Fraction, Fraction, T]]], np.ndarray]:
+) -> tuple[list[list[tuple[Fraction, Fraction, T]]], list[int]]:
     """Sweep each distinct instance of a sample once, as ``(partitions, counts)``.
 
     ``partitions[j]`` is the sweep of the ``j``-th distinct pool index in
-    ascending order, and ``counts[j]`` how often the sample drew it.  A
-    degenerate cell names its instance and the cap.
+    ascending order, and the int ``counts[j]`` how often the sample drew it.
+    A degenerate cell names its instance and the cap.
     """
     uids, counts = sample.distinct()
-    if uids.size == 0:
+    if not uids:
         raise ValueError("need at least one instance")
     partitions = []
-    for uid in uids.tolist():
+    for uid in uids:
         instance = sample.pool[uid]
         try:
             partitions.append(sweep_one(instance))
@@ -232,20 +230,20 @@ def refine_cells(
 
 def cells_from_refinement(
     refined: Sequence[tuple[Fraction, Fraction, list[CappedRunOutcome]]],
-    counts: np.ndarray,
+    counts: list[int],
 ) -> list[PartitionCell]:
     """Build partition cells from refined run outcomes.
 
     The refinement holds one outcome per distinct instance and ``counts``
-    (see ``sweep_distinct``) their multiplicities.  Every run was capped at
-    the partition's cap, so its ``budget_used`` is its capped loss.
+    (see ``sweep_distinct``) their int multiplicities, which every cell shares.
+    Every run was capped at the partition's cap, so its ``budget_used`` is
+    its capped loss, and each cell's losses are a list of those ints.
     """
-    weights = counts.tolist()
-    total = sum(weights)
+    total = sum(counts)
     out = []
     for lo, hi, outcomes in refined:
         losses = [outcome.budget_used for outcome in outcomes]
-        solved = sum(weight for outcome, weight in zip(outcomes, weights) if outcome.solved)
+        solved = sum(count for outcome, count in zip(outcomes, counts) if outcome.solved)
         out.append(PartitionCell(ParamCell(lo, hi), solved / total, losses, counts))
     return out
 
@@ -256,6 +254,6 @@ def cell_count_ceiling(sample: PoolSample, exponent: int) -> int:
     Repeated draws count once per occurrence.  The terms are positive, so
     the sum saturates exactly when a running total would.
     """
-    counts = sample.counts.tolist()
-    total = 1 + sum(count * item.n**exponent for item, count in zip(sample.pool, counts) if count)
+    uids, counts = sample.distinct()
+    total = 1 + sum(count * sample.pool[uid].n**exponent for uid, count in zip(uids, counts))
     return min(total, F_BOUND_SATURATION)

@@ -111,8 +111,8 @@ def check_pool_cells_against_gather(problem, sample, cells, tau):
         outcomes = [problem.run_with_cap(lo, instance, tau) for instance in problem.pool]
         per_pool = np.array([o.capped_loss(tau) for o in outcomes], dtype=np.int64)
         solved = np.array([o.solved for o in outcomes], dtype=np.bool_)
-        assert cell.capped_losses.tolist() == per_pool[draws].tolist()
-        assert int(cell.counts.sum()) == len(sample)
+        assert cell.capped_losses == per_pool[draws].tolist()
+        assert sum(cell.counts) == len(sample)
         assert cell.z == int(np.count_nonzero(solved[draws])) / len(sample)
 
 

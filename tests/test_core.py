@@ -52,6 +52,21 @@ class TestTailQuantile:
             tail_quantile_exact([(1, 0.4)], 0.5)
         with pytest.raises(ValueError):
             tail_quantile_exact([(1, 0.5), (2, 0.5)], 1.5)
+        with pytest.raises(ValueError, match="probabilities must be positive"):
+            tail_quantile_exact([(1, 0.5), (2, 0.5), (3, 0.0)], 0.5)
+
+    @pytest.mark.parametrize("delta", [0.0, 1.0])
+    def test_delta_rejected_at_the_ends(self, delta):
+        with pytest.raises(ValueError, match=r"delta must lie in \(0, 1\)"):
+            tail_quantile_exact([(1, 0.5), (2, 0.5)], delta)
+
+    def test_tail_exactly_delta_reaches(self):
+        assert tail_quantile_exact([(1, 0.5), (2, 0.5)], 0.5) == 2
+
+    def test_capped_mean_at_cap_zero(self):
+        assert law_capped_mean([(3, 0.5), (5, 0.5)], 0) == 0.0
+        with pytest.raises(ValueError, match="cap must be nonnegative"):
+            law_capped_mean([(3, 0.5), (5, 0.5)], -1)
 
     @given(
         st.lists(
@@ -89,6 +104,11 @@ class TestTailCappedMean:
     def test_empty_rejected(self):
         with pytest.raises(ValueError, match="quantile index"):
             tail_capped_mean([], [], 1)
+
+    @pytest.mark.parametrize("losses, counts", [([1, 2], [1]), ([1], [1, 1])])
+    def test_lengths_must_match(self, losses, counts):
+        with pytest.raises(ValueError):
+            tail_capped_mean(losses, counts, 1)
 
     def test_counts_weight_the_rank_and_mean(self):
         # Expanded: 2, 2, 2, 5, 9, 9 (the zero-count 7 is absent).
@@ -129,6 +149,16 @@ class TestTailCappedMean:
             assert tail_capped_mean(losses, counts, rank) == sorted_tail_capped_mean(
                 expanded, rank
             )
+        # The selector's ceiling 2**(T + 4) at 40 rounds is 2**44: with 2**21
+        # draws the products pass 2**63, so int64 arithmetic would wrap.
+        losses = np.array([2**44, 5, 2**44 - 1], dtype=np.int64)
+        counts = np.array([2**21, 3, 2**21], dtype=np.int64)
+        assert int(losses[0]) * int(counts[0]) > 2**63
+        total = 2**22 + 3
+        for rank in (3, 4, 2**21 + 3, 2**21 + 4, total):
+            cutoff = 5 if rank <= 3 else 2**44 - 1 if rank <= 2**21 + 3 else 2**44
+            capped = sum(min(int(v), cutoff) * int(c) for v, c in zip(losses, counts))
+            assert tail_capped_mean(losses, counts, rank) == (cutoff, capped / total)
 
 
 class TestRationals:
@@ -250,7 +280,8 @@ class TestPoolSample:
         assert len(sample) == 6
         assert sample.uids.tolist() == [1, 3, 4]
         uids, counts = sample.distinct()
-        assert uids.tolist() == [1, 3, 4] and counts.tolist() == [3, 1, 2]
+        assert uids == [1, 3, 4] and counts == [3, 1, 2]
+        assert {type(v) for v in uids + counts} == {int}
 
     @pytest.mark.parametrize("counts", [[1, 2], [1, 2, 3, 4], [[1, 2, 3]]])
     def test_one_count_per_pool_item(self, counts):
@@ -290,4 +321,6 @@ class TestPoolSample:
 
     def test_capped_losses_repeat_by_count(self):
         cell = PartitionCell(ParamCell(0, 1), 1.0, losses=[5, 2, 9], counts=[2, 0, 1])
-        assert cell.capped_losses.tolist() == [5, 5, 9]
+        assert cell.capped_losses == [5, 5, 9]
+        with pytest.raises(ValueError):
+            PartitionCell(ParamCell(0, 1), 1.0, losses=[5, 2], counts=[2]).capped_losses

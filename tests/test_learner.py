@@ -552,15 +552,15 @@ class TestSampleLosses:
         losses, counts = sample_losses(problem, 0.4, 300, np.random.default_rng(9), 64)
         drawn = problem.sample_many(np.random.default_rng(9), 300)
         expected = [doubling_loss(problem, 0.4, problem.pool[u], 64) for u in drawn.uids]
-        assert losses.dtype == np.int64
-        assert losses.tolist() == expected
-        assert counts.tolist() == drawn.counts[drawn.uids].tolist()
+        assert {type(v) for v in losses + counts} == {int}
+        assert losses == expected
+        assert counts == drawn.counts[drawn.uids].tolist()
 
     def test_one_run_for_repeated_draws(self):
         # Forty draws of a one-instance pool measure that instance once.
         problem = CountingConstantLossProblem(loss=5)
         losses, counts = sample_losses(problem, 0.5, 40, np.random.default_rng(0), 4)
-        assert losses.tolist() == [4] and counts.tolist() == [40]
+        assert losses == [4] and counts == [40]
         assert problem.runs == 1
 
     def test_ceiling_validation(self):
@@ -571,7 +571,7 @@ class TestSampleLosses:
         losses, counts = sample_losses(
             ConstantLossProblem(loss=3), 0.5, 5, np.random.default_rng(0), 1
         )
-        assert losses.tolist() == [1] and counts.tolist() == [5]
+        assert losses == [1] and counts == [5]
 
     @pytest.mark.parametrize("kind", ["bnb", "clustering", "synthetic"])
     @pytest.mark.parametrize("rho", [0.0, 0.3, 0.5, 1.0])
@@ -589,7 +589,7 @@ class TestSampleLosses:
         batched, looped = np.random.default_rng(4), np.random.default_rng(4)
         losses, counts = sample_losses(problem, rho, 120, batched, ceiling)
         expected = per_draw_sample_losses(problem, rho, 120, looped, ceiling)
-        assert losses.dtype == np.int64 and int(counts.sum()) == 120
+        assert {type(v) for v in losses + counts} == {int} and sum(counts) == 120
         assert np.repeat(losses, counts).tolist() == expected.tolist()
         assert batched.bit_generator.state == looped.bit_generator.state
 

@@ -160,11 +160,11 @@ class TestPartition:
         batch = SyntheticProblem(family).sample_many(np.random.default_rng(tau), 3000)
         cells = synthetic_partition(family, batch, tau)
         for cell, (capped, z) in zip(cells, per_draw_synthetic_cells(family, batch, tau)):
-            assert cell.capped_losses.dtype == np.int64
-            assert cell.capped_losses.tolist() == capped.tolist()
+            assert {type(v) for v in cell.capped_losses} == {int}
+            assert cell.capped_losses == capped.tolist()
             assert cell.z == z
-            assert cell.counts.tolist() == batch.counts.tolist()
-            assert int(cell.counts.sum()) == len(batch)
+            assert cell.counts == batch.counts.tolist()
+            assert sum(cell.counts) == len(batch)
 
     def test_budget_monotonicity(self, family):
         problem = SyntheticProblem(family)
@@ -201,4 +201,4 @@ class TestExactOpt:
             # Bernoulli mixture: spread (tail - mid) / 2 per draw.
             spread = max(family.loss_low, family.loss_high) / 2
             tolerance = 3 * spread / math.sqrt(len(batch))
-            assert abs(cell.capped_losses.mean() - expected) <= tolerance
+            assert abs(np.mean(cell.capped_losses) - expected) <= tolerance

@@ -11,8 +11,17 @@ so two checkouts' outputs can be compared with ``cmp``:
     PYTHONPATH=../parent/src python tools/partition_dump.py bnb 1 > before.txt
     cmp before.txt after.txt
 
-``--count`` limits the dump to the pool's first items.  Only ``frugal`` and
-the standard library are used.
+``--count`` limits the dump to the pool's first items.  Only ``frugal``,
+numpy and the standard library are used.
+
+``tools/partition_dump.sha256`` holds the digests of both pools' seed-1
+dumps, and CI checks them with ``sha256sum -c`` (numpy pinned, since the
+pools are drawn with its generator).  After a change that alters cells or
+errors on purpose, regenerate it from the repository root:
+
+    PYTHONPATH=src python tools/partition_dump.py bnb 1 > partition_dump_bnb_1.txt
+    PYTHONPATH=src python tools/partition_dump.py clustering 1 > partition_dump_clustering_1.txt
+    sha256sum partition_dump_bnb_1.txt partition_dump_clustering_1.txt > tools/partition_dump.sha256
 """
 from __future__ import annotations
 
@@ -49,7 +58,7 @@ def dump(domain: str, seed: int, count: int | None, out) -> None:
             out.write(f"error {type(exc).__name__}: {exc}\n")
             continue
         for cell in cells:
-            losses = " ".join(map(str, cell.losses.tolist()))
+            losses = " ".join(map(str, cell.losses))
             out.write(f"{cell.cell.lo} {cell.cell.hi} {cell.z!r} {losses}\n")
 
 
