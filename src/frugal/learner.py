@@ -16,7 +16,6 @@ tail ``delta / 2``).
 """
 from __future__ import annotations
 
-import bisect
 import logging
 import math
 from dataclasses import dataclass
@@ -25,7 +24,7 @@ from typing import Sequence
 import numpy as np
 
 from .core import ConfigProblem, ParamCell, ParamPoint, PoolSample, tail_capped_mean
-from .stats import GammaInputs, _gamma_of_count, gamma_bound
+from .stats import GammaInputs, _count_at_accuracy, _gamma_of_count, gamma_bound
 
 __all__ = [
     "LearnerConfig",
@@ -169,13 +168,33 @@ def _min_samples_for_target(
     """Smallest sample count in [lower, upper] meeting the accuracy target.
 
     Assumes the region count stays at ``f_value``; the bound is strictly
-    decreasing in the sample count, so whether a count meets the target is
-    monotone and a bisection over the range finds the first that does.
-    Returns None when even ``upper`` misses the target.
+    decreasing in the sample count, so the counts that meet the target are
+    all those from the first one on.  Returns None when the range is empty
+    or even ``upper`` misses the target.  Otherwise the real root of
+    ``gamma(b) = target`` (``_count_at_accuracy``, from ``lower``, which must
+    be positive) estimates the first count, and probes of the float bound
+    itself settle it, so the result is the count a bisection of the range
+    returns.  The probes close in on the answer from the largest count known
+    to miss and the smallest known to meet: up to three steps from the
+    estimate, then a bisection of what is left.  The estimate is usually
+    right, and the call then makes three probes, one at ``upper``.  A poor
+    estimate costs at most four probes more than a bisection of the range:
+    the one at ``upper`` and the three steps.
     """
     gamma = _gamma_of_count(round_index, cap, f_value, dimension=1, confidence=zeta)
-    offset = bisect.bisect_left(range(lower, upper + 1), True, key=lambda b: gamma(b) <= target)
-    return lower + offset if lower + offset <= upper else None
+    if lower > upper or not gamma(upper) <= target:
+        return None
+    miss, meet = lower - 1, upper
+    guess = math.ceil(_count_at_accuracy(round_index, cap, f_value, 1, zeta, target, lower))
+    steps = 0
+    while meet - miss > 1:
+        b = min(max(guess, miss + 1), meet - 1) if steps < 3 else (miss + meet) // 2
+        if gamma(b) <= target:
+            meet, guess = b, b - 1
+        else:
+            miss, guess = b, b + 1
+        steps += 1
+    return meet
 
 
 def grow_sample(
@@ -290,9 +309,10 @@ def learn_subset(problem: ConfigProblem, cfg: LearnerConfig) -> OptimalSubsetRes
         admitted = process_round(cells, cfg, round_index)
         regions += admitted
         threshold = min([threshold] + [region.capped_estimate for region in admitted])
-        log.info("round %d cap %d: %d draws, %d distinct instances, %d cells, %d admitted, "
-                 "T=%s", round_index, cap, len(sample), sample.uids.size, len(cells),
-                 len(admitted), threshold)
+        if log.isEnabledFor(logging.INFO):
+            log.info("round %d cap %d: %d draws, %d distinct instances, %d cells, %d admitted, "
+                     "T=%s", round_index, cap, len(sample), sample.uids.size, len(cells),
+                     len(admitted), threshold)
         trace.append(
             TraceRow(round_index, cap, len(sample), len(cells), len(admitted), threshold)
         )

@@ -4,8 +4,10 @@ The learner keeps drawing instances until the sample-accuracy bound below
 drops under its per-round accuracy target.  The bound combines a
 finite-class complexity term (via the number of behavior regions the capped
 problem admits) with a union-bound term over rounds, sample sizes and caps.
-Sizing a round bisects one float function of the sample count.  The bound
-and its target ``eta * delta`` are floats that only size samples.
+Sizing a round solves the bound's equation for the sample count in the
+reals, then settles the integer count by probing one float function of the
+count.  The bound and its target ``eta * delta`` are floats that only size
+samples.
 """
 from __future__ import annotations
 
@@ -53,6 +55,29 @@ def _gamma_of_count(round_index, cap, f_value, dimension, confidence) -> Callabl
         return math.sqrt(two_d_ln_f / b) + 2.0 * math.sqrt(2.0 * log_union / b)
 
     return gamma
+
+
+def _count_at_accuracy(round_index, cap, f_value, dimension, confidence, target, start) -> float:
+    """The real sample count at which the bound equals ``target``, or ``start``
+    when that count lies below ``start`` (which must be at least 1).
+
+    ``gamma(b) = target`` rearranges to the fixed point
+    ``b = ((sqrt(2 d ln f) + 2 sqrt(2 (c + 2 ln b))) / target)^2`` with
+    ``c = ln 8 + 2 (ln tau + ln t) - ln zeta``.  The right side rises only
+    logarithmically in ``b``, so iterating it from ``start`` climbs
+    monotonically to the root; the loop stops once a step moves the count by
+    less than one draw.  The result is an estimate: its float terms need not
+    match ``gamma_bound``'s association.
+    """
+    sqrt_complexity = math.sqrt(2.0 * dimension * math.log(f_value))
+    c = _LN8 + 2.0 * (math.log(cap) + math.log(round_index)) - math.log(confidence)
+    b = start
+    while True:
+        sqrt_b = (sqrt_complexity + 2.0 * math.sqrt(2.0 * (c + 2.0 * math.log(b)))) / target
+        next_b = max(sqrt_b * sqrt_b, start)
+        if next_b - b < 1.0:
+            return next_b
+        b = next_b
 
 
 def gamma_bound(inputs: GammaInputs) -> float:

@@ -1,0 +1,67 @@
+"""The canonical learner dump of ``tools/learn_dump.py``, on its first seeds."""
+import importlib.util
+import io
+from fractions import Fraction
+from pathlib import Path
+
+from frugal import learner
+from frugal.learner import RoundLimitError
+
+_SPEC = importlib.util.spec_from_file_location(
+    "learn_dump", Path(__file__).resolve().parents[1] / "tools" / "learn_dump.py"
+)
+learn_dump = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(learn_dump)
+
+
+def dumped(domain, seeds):
+    """The dump of the first ``seeds`` seeds of ``domain``, as lines."""
+    texts = learn_dump.bnb_texts() if domain == "bnb" else []
+    out = io.StringIO()
+    for seed in range(seeds):
+        learn_dump.dump_seed(domain, seed, texts, out)
+    return out.getvalue().splitlines()
+
+
+def seeds(lines):
+    """``{seed: lines after its header}``."""
+    grouped = {}
+    for line in lines:
+        if line.startswith("seed "):
+            current = grouped.setdefault(int(line.split()[1]), [])
+        else:
+            current.append(line)
+    return grouped
+
+
+def test_synthetic_runs_end_at_their_terminal_round():
+    grouped = seeds(dumped("synthetic", 2))
+    assert sorted(grouped) == [0, 1]
+    for lines in grouped.values():
+        trace = [line.split() for line in lines if line.startswith("trace ")]
+        assert [int(row[1]) for row in trace] == list(range(1, len(trace) + 1))
+        assert trace[-1][3:6] == ["0", "0", "0"]
+        regions = [line.split() for line in lines if line.startswith("region ")]
+        assert len(regions) == sum(int(row[5]) for row in trace)
+        assert not any(line.startswith(("estimates", "chosen")) for line in lines)
+
+
+def test_bnb_choice_is_a_learned_representative():
+    for lines in seeds(dumped("bnb", 2)).values():
+        regions = [line.split() for line in lines if line.startswith("region ")]
+        representatives = {(Fraction(lo) + Fraction(hi)) / 2 for _, lo, hi, *_ in regions}
+        (estimates,) = [line.split()[1:] for line in lines if line.startswith("estimates ")]
+        assert len(estimates) == len(regions)
+        assert Fraction(lines[-1].removeprefix("chosen ")) in representatives
+
+
+def test_typed_error_is_dumped_with_its_message(monkeypatch):
+    def fail(problem, cfg):
+        raise RoundLimitError(f"seed {cfg.seed} stopped")
+
+    monkeypatch.setattr(learner, "learn_subset", fail)
+    assert dumped("bnb", 1) == ["seed 0", "error RoundLimitError: seed 0 stopped"]
+
+
+def test_dump_is_deterministic():
+    assert dumped("bnb", 2) == dumped("bnb", 2)

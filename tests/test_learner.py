@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from frugal import bnb
+from frugal import bnb, learner
 from frugal.bnb import BnbProblem, random_milp
 from frugal.clustering import (
     ClusteringInstance,
@@ -38,6 +38,7 @@ from support import (
     CountingPoolProblem,
     ConstantSampleProblem,
     TwoBandProblem,
+    bisect_min_samples,
     cell_from_losses,
     doubling_loss,
     draw_one,
@@ -109,6 +110,96 @@ def test_min_samples_for_target_boundaries():
         assert _min_samples_for_target(3, 8, 3, 0.05, target, lower=1, upper=upper) == expected
 
 
+def record_probes(monkeypatch):
+    """Patch the learner's ``_gamma_of_count`` so that every sizing call
+    records the counts it probes: one list per call, in probe order."""
+    calls = []
+    real = learner._gamma_of_count
+
+    def counting(*args, **kwargs):
+        gamma, probes = real(*args, **kwargs), []
+        calls.append(probes)
+
+        def probe(b):
+            probes.append(b)
+            return gamma(b)
+
+        return probe
+
+    monkeypatch.setattr(learner, "_gamma_of_count", counting)
+    return calls
+
+
+class TestSizingProbes:
+    """The root of the bound settles each round's size in a few probes."""
+
+    def test_at_most_four_probes_on_the_benchmark_learns(self, monkeypatch):
+        # The learn-synthetic and learn-bnb inputs, at their settings; a
+        # bisection over [lower, 2 * 10**6] makes about 21 probes a call.
+        calls = record_probes(monkeypatch)
+        for seed in range(50):
+            learn_subset(SyntheticProblem(SyntheticFamily()), default_config(seed=seed))
+        synthetic_calls = len(calls)
+        for seed in range(20):
+            rng = np.random.default_rng(3)
+            problem = BnbProblem([random_milp(rng, 3, 2) for _ in range(8)])
+            learn_subset(problem, default_config(delta=0.9, seed=seed))
+        assert synthetic_calls == 350 and len(calls) > synthetic_calls
+        assert max(map(len, calls)) <= 4
+
+    @given(st.integers(1, 40), st.integers(1, 2**60), st.integers(1, 2**62),
+           st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+           st.floats(1e-6, 10.0), st.integers(1, 10**6), st.integers(0, 2**40))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_the_bisection_on_wide_ranges(self, round_index, cap, f_value, zeta,
+                                                   target, lower, span):
+        upper = min(lower + span, 2**40)
+        with pytest.MonkeyPatch.context() as patch:
+            calls = record_probes(patch)
+            found = _min_samples_for_target(round_index, cap, f_value, zeta, target, lower, upper)
+        assert found == bisect_min_samples(round_index, cap, f_value, zeta, target, lower, upper)
+        assert len(calls[0]) <= 4
+
+    def test_one_count_range(self, monkeypatch):
+        # lower == upper: the probe at upper decides alone.
+        calls = record_probes(monkeypatch)
+        gamma = _gamma_of_count(3, 8, 3, dimension=1, confidence=0.05)
+        for b in (1, 2, 500):
+            target = gamma(b)
+            assert _min_samples_for_target(3, 8, 3, 0.05, target, b, b) == b
+            assert _min_samples_for_target(3, 8, 3, 0.05, math.nextafter(target, 0), b, b) is None
+        assert [len(probes) for probes in calls] == [1] * 6
+
+    def test_empty_range_probes_nothing(self, monkeypatch):
+        calls = record_probes(monkeypatch)
+        assert _min_samples_for_target(3, 8, 3, 0.05, 10.0, lower=5, upper=4) is None
+        assert calls == [[]]
+
+    @pytest.mark.parametrize("estimate, steps, miss, meet", [
+        (1, [1, 2, 3], 3, 2**20),
+        (990, [990, 991, 992], 992, 2**20),
+        (10**5, [10**5, 10**5 - 1, 10**5 - 2], 0, 10**5 - 2),
+    ])
+    def test_three_steps_from_the_estimate_then_a_bisection(self, monkeypatch, estimate,
+                                                            steps, miss, meet):
+        # A poor estimate costs three steps toward the answer, then the
+        # bracket they leave (last miss, first meet) is bisected.
+        target = _gamma_of_count(3, 8, 3, dimension=1, confidence=0.05)(1000)
+        calls = record_probes(monkeypatch)
+        monkeypatch.setattr(learner, "_count_at_accuracy", lambda *args: float(estimate))
+        assert _min_samples_for_target(3, 8, 3, 0.05, target, 1, 2**20) == 1000
+        (probes,) = calls
+        assert probes[:5] == [2**20] + steps + [(miss + meet) // 2]
+        assert len(probes) <= (2**20).bit_length() + 4
+
+    def test_exact_estimate_takes_three_probes(self, monkeypatch):
+        b0 = 1000
+        target = _gamma_of_count(3, 8, 3, dimension=1, confidence=0.05)(b0)
+        calls = record_probes(monkeypatch)
+        assert _min_samples_for_target(3, 8, 3, 0.05, target, 1, 2**20) == b0
+        assert calls == [[2**20, b0, b0 - 1]]
+
+
 class TestGrowSample:
     def test_at_least_one_sample(self):
         problem = ConstantLossProblem()
@@ -127,6 +218,16 @@ class TestGrowSample:
                 round_index, 2**round_index, 3, 1, cfg.zeta, cfg.eta * cfg.delta
             )
             assert len(sample) == expected
+
+    def test_stops_at_a_count_whose_bound_equals_the_target(self):
+        # eta * delta is exactly the bound at 200,000 draws (round 2, cap 4,
+        # one region), and a count whose bound equals the target meets it.
+        b0 = 200_000
+        gamma = _gamma_of_count(2, 4, 1, dimension=1, confidence=0.05)(b0)
+        cfg = default_config(delta=gamma / compute_eta(15.0))
+        assert cfg.eta * cfg.delta == gamma
+        sample = grow_sample(ConstantLossProblem(), 2, cfg, np.random.default_rng(0))
+        assert len(sample) == b0
 
     def test_halving_target_quadruples_sample(self):
         cfg = default_config()
