@@ -16,9 +16,11 @@ from __future__ import annotations
 
 import math
 import numbers
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import compress
 from typing import Any, Iterable, Sequence
 
 import numpy as np
@@ -123,35 +125,41 @@ class CappedRunOutcome:
 class PoolSample:
     """A sample drawn from a finite pool, held as one draw count per pool item.
 
-    ``counts[u]`` is how often the sample drew ``pool[u]``.  Everything the
-    learner reads of a sample is a function of that multiset, so the order
-    of the draws is not kept.  ``counts`` is a read-only copy and the size
-    is summed once here, so ``len`` is O(1) and cannot go stale.
+    ``counts[u]`` is how often the sample drew ``pool[u]``, a tuple of
+    Python ints.  Everything the learner reads of a sample is a function of
+    that multiset, so the order of the draws is not kept.  The size is
+    summed once here, so ``len`` is O(1) and cannot go stale.
     """
 
     __slots__ = ("pool", "counts", "_size")
 
-    def __init__(self, pool: Sequence[Any], counts: np.ndarray) -> None:
+    def __init__(self, pool: Sequence[Any], counts: Iterable[int]) -> None:
         self.pool = pool
-        self.counts = np.array(counts, dtype=np.int64)
-        if self.counts.shape != (len(pool),):
-            raise ValueError(f"need one count per pool item, got shape {self.counts.shape}")
-        self.counts.setflags(write=False)
-        self._size = int(self.counts.sum())
+        counts = tuple(counts)
+        if len(counts) != len(pool):
+            raise ValueError(f"need one count per pool item, got {len(counts)} for {len(pool)}")
+        try:
+            self.counts = tuple(map(operator.index, counts))
+            valid = min(self.counts, default=0) >= 0
+        except TypeError:
+            valid = False
+        if not valid:
+            u = next(u for u, count in enumerate(counts)
+                     if not isinstance(count, numbers.Integral) or count < 0)
+            raise ValueError(f"count {counts[u]!r} of pool index {u} is not a nonnegative int")
+        self._size = sum(self.counts)
 
     def __len__(self) -> int:
         return self._size
 
     @property
-    def uids(self) -> np.ndarray:
+    def uids(self) -> list[int]:
         """The pool indices drawn at least once, ascending."""
-        return np.flatnonzero(self.counts)
+        return list(compress(range(len(self.counts)), self.counts))
 
     def distinct(self) -> tuple[list[int], list[int]]:
-        """The pool indices drawn at least once, ascending, and their counts, as
-        two lists of Python ints: where a sample's counts leave numpy."""
-        uids = self.uids
-        return uids.tolist(), self.counts[uids].tolist()
+        """The pool indices drawn at least once, ascending, and their counts."""
+        return self.uids, [count for count in self.counts if count]
 
 
 @dataclass(eq=False)
@@ -210,13 +218,13 @@ class ConfigProblem:
 
     def sample_many(self, rng: np.random.Generator, count: int) -> PoolSample:
         n = len(self.pool)
-        return PoolSample(self.pool, rng.multinomial(count, np.full(n, 1.0 / n)))
+        return PoolSample(self.pool, rng.multinomial(count, np.full(n, 1.0 / n)).tolist())
 
     def merge_samples(self, first: PoolSample, second: PoolSample) -> PoolSample:
-        return PoolSample(self.pool, first.counts + second.counts)
+        return PoolSample(self.pool, map(operator.add, first.counts, second.counts))
 
     def all_instances(self) -> PoolSample:
-        return PoolSample(self.pool, np.ones(len(self.pool), dtype=np.int64))
+        return PoolSample(self.pool, [1] * len(self.pool))
 
     def run_with_cap(self, rho: Any, instance: Any, tau: int) -> CappedRunOutcome:
         raise NotImplementedError

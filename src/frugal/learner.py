@@ -311,7 +311,7 @@ def learn_subset(problem: ConfigProblem, cfg: LearnerConfig) -> OptimalSubsetRes
         threshold = min([threshold] + [region.capped_estimate for region in admitted])
         if log.isEnabledFor(logging.INFO):
             log.info("round %d cap %d: %d draws, %d distinct instances, %d cells, %d admitted, "
-                     "T=%s", round_index, cap, len(sample), sample.uids.size, len(cells),
+                     "T=%s", round_index, cap, len(sample), len(sample.uids), len(cells),
                      len(admitted), threshold)
         trace.append(
             TraceRow(round_index, cap, len(sample), len(cells), len(admitted), threshold)

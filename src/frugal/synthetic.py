@@ -133,25 +133,24 @@ def synthetic_partition(
     runs up to the smallest float above ``a``: membership of every
     representable parameter then matches the closed-left / open-middle /
     closed-right region law used by ``synthetic_run_with_cap``.  A cell holds
-    the capped loss of every pool instance at its left end, counted as often
-    as the instance was drawn.
+    the capped loss at its left end of every drawn instance, with its count.
     """
     if tau < 1:
         raise ValueError("tau must be a positive integer")
-    counts = instances.counts.tolist()
-    count = sum(counts)
-    if count == 0:
+    uids, counts = instances.distinct()
+    if not uids:
         raise ValueError("need at least one instance")
+    drawn = [instances.pool[uid] for uid in uids]
     just_above_a = math.nextafter(family.a, 1.0)
     band = ((0.0, just_above_a), (just_above_a, family.b), (family.b, 1.0))
     cells = []
     for lo, hi in band:
-        raw = [_instance_loss(family, lo, instance) for instance in instances.pool]
+        raw = [_instance_loss(family, lo, instance) for instance in drawn]
         solved = sum(n for loss, n in zip(raw, counts) if loss <= tau)
         cells.append(
             PartitionCell(
                 cell=ParamCell(lo, hi),
-                z=solved / count,
+                z=solved / len(instances),
                 losses=[min(loss, tau) for loss in raw],
                 counts=counts,
             )

@@ -689,11 +689,11 @@ class TestPoolSample:
     def test_counts_cover_the_pool(self, problem_and_sample):
         problem, sample = problem_and_sample
         assert isinstance(sample, PoolSample)
-        assert sample.counts.shape == (len(problem.pool),)
-        assert int(sample.counts.sum()) == len(sample) == 2000
-        assert sample.uids.tolist() == [u for u in range(7) if sample.counts[u] > 0]
+        assert len(sample.counts) == len(problem.pool)
+        assert sum(sample.counts) == len(sample) == 2000
+        assert sample.uids == [u for u in range(7) if sample.counts[u] > 0]
         uids, counts = sample.distinct()
-        assert counts == sample.counts[uids].tolist() and min(counts) > 0
+        assert counts == [sample.counts[u] for u in uids] and min(counts) > 0
 
     @pytest.mark.parametrize("tau", [3, 15])
     def test_cells_match_per_draw_gather(self, problem_and_sample, tau):
@@ -833,6 +833,27 @@ class TestParser:
             parse_milp("2 1\n1\n1 1 <= 1.5\n")  # wrong objective arity
         with pytest.raises(ValueError):
             parse_milp("")
+
+    @pytest.mark.parametrize("text, message", [
+        ("2 1 0\n1 1\n1 1 <= 1\n", "^first line must be 'n m'$"),
+        ("0 0\n", "^need at least one variable$"),
+        ("1 -1\n1\n", "^row count must be nonnegative$"),
+        ("1 1\n2\n", "^expected 3 nonblank lines, found 2$"),
+        ("1 0\n2\n1 <= 1\n", "^expected 2 nonblank lines, found 3$"),
+    ], ids=["header", "no-variables", "negative-rows", "missing-row", "extra-row"])
+    def test_rejects_bad_counts(self, text, message):
+        with pytest.raises(ValueError, match=message):
+            parse_milp(text)
+
+    @pytest.mark.parametrize("objective, rows, rhs, message", [
+        ((), (), (), "^need at least one variable$"),
+        ((1,), ((1,),), (), "^one right-hand side per row required$"),
+        ((1,), (), (1,), "^one right-hand side per row required$"),
+        ((1, 1), ((1, 1), (1,)), (1, 1), "^row length must match the variable count$"),
+    ], ids=["empty-objective", "missing-rhs", "extra-rhs", "short-row"])
+    def test_milp_shape_rejected(self, objective, rows, rhs, message):
+        with pytest.raises(ValueError, match=message):
+            Milp(objective, rows, rhs)
 
     def test_load_from_file(self, tmp_path):
         path = tmp_path / "inst.milp"

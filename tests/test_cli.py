@@ -205,6 +205,12 @@ class TestPartitionCommand:
         assert err.startswith("error: simplex iteration limit exceeded (program 'inst_0.milp'")
         assert "Traceback" not in err
 
+    def test_zero_samples_usage_error(self, tmp_path, capsys):
+        config = write_config(tmp_path)
+        assert main(["partition", "--config", str(config), "--tau", "8", "--samples", "0"]) == 1
+        assert capsys.readouterr().err == "error: --samples must be positive\n"
+        assert not (tmp_path / "out").exists()
+
     def test_requires_tau(self, tmp_path):
         config = write_config(tmp_path)
         assert main(["partition", "--config", str(config)]) == 1
@@ -266,6 +272,15 @@ class TestSelectCommand:
         out.mkdir()
         (out / "subset.json").write_text(json.dumps({"parameters": []}))
         assert main(["select", "--config", str(config)]) == 2
+
+    def test_zero_samples_usage_error(self, tmp_path, capsys):
+        config = write_config(tmp_path)
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "subset.json").write_text(json.dumps({"parameters": [{"rho": 0.4}]}))
+        assert main(["select", "--config", str(config), "--samples", "0"]) == 1
+        assert capsys.readouterr().err == "error: --samples must be positive\n"
+        assert not (out / "selected.json").exists()
 
     def test_missing_subset_exits_one(self, tmp_path):
         config = write_config(tmp_path)
@@ -438,6 +453,37 @@ class TestEvaluateCommand:
 class TestUsage:
     def test_unknown_command_exits_one(self):
         assert main(["frobnicate"]) == 1
+
+    @pytest.mark.parametrize("config, message", [
+        ([], "config must be a JSON object"),
+        ({"domain": "bnb"}, "domain bnb needs 'instances_dir'"),
+        ({"domain": "clustering", "instances_dir": "missing"}, "is not a directory"),
+    ], ids=["not-an-object", "no-instances-dir", "instances-dir-missing"])
+    def test_bad_config_exits_one(self, tmp_path, capsys, config, message):
+        if isinstance(config, dict) and "instances_dir" in config:
+            config["instances_dir"] = str(tmp_path / config["instances_dir"])
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        with pytest.raises(cli.UsageError, match=message):
+            cli.load_config(path)
+        assert main(["partition", "--config", str(path), "--tau", "8"]) == 1
+        assert message in capsys.readouterr().err
+
+    def test_instances_dir_that_is_a_file_exits_one(self, tmp_path, capsys):
+        (tmp_path / "pool.milp").write_text("1 0\n1\n")
+        config = write_config(tmp_path, domain="bnb", instances_dir=str(tmp_path / "pool.milp"))
+        assert main(["partition", "--config", str(config), "--tau", "8"]) == 1
+        assert "is not a directory" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("domain", ["bnb", "clustering"])
+    def test_empty_instance_dir_exits_one(self, tmp_path, capsys, domain):
+        (tmp_path / "pool").mkdir()
+        config = write_config(tmp_path, domain=domain, instances_dir=str(tmp_path / "pool"))
+        cfg = cli.load_config(config)
+        with pytest.raises(cli.UsageError, match="^no instance files in "):
+            cli.build_problem(cfg)
+        assert main(["partition", "--config", str(config), "--tau", "8"]) == 1
+        assert capsys.readouterr().err.startswith("error: no instance files in ")
 
     def test_missing_config_flag_exits_one(self):
         assert main(["learn"]) == 1

@@ -546,6 +546,18 @@ class TestInstanceFormat:
             assert again.k == inst.k
             assert again.theta == inst.theta
 
+    @pytest.mark.parametrize("text, message", [
+        ("", "^empty instance file$"),
+        (" \n\n", "^empty instance file$"),
+        ("2 1\n0 1\n1 0\n", "^first line must be 'n k theta'$"),
+        ("2 1 1\n0 1\n", "^expected 3 nonblank lines, found 2$"),
+        ("2 1 1\n0 1\n1 0\n1 1\n", "^expected 3 nonblank lines, found 4$"),
+        ("2 1 1\n0 1\n1\n", "^each matrix line must carry 2 distances$"),
+    ], ids=["empty", "blank", "header", "missing-line", "extra-line", "short-row"])
+    def test_malformed_file_rejected(self, text, message):
+        with pytest.raises(ValueError, match=message):
+            parse_instance(text)
+
     def test_validation_errors(self):
         with pytest.raises(ValueError, match="^distance matrix must be symmetric$"):
             parse_instance("2 1 1\n0 1\n2 0\n")

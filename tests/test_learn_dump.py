@@ -16,7 +16,7 @@ _SPEC.loader.exec_module(learn_dump)
 
 def dumped(domain, seeds):
     """The dump of the first ``seeds`` seeds of ``domain``, as lines."""
-    texts = learn_dump.bnb_texts() if domain == "bnb" else []
+    texts = learn_dump.pool_texts(domain)
     out = io.StringIO()
     for seed in range(seeds):
         learn_dump.dump_seed(domain, seed, texts, out)
@@ -34,8 +34,8 @@ def seeds(lines):
     return grouped
 
 
-def test_synthetic_runs_end_at_their_terminal_round():
-    grouped = seeds(dumped("synthetic", 2))
+def check_runs_end_at_their_terminal_round(domain):
+    grouped = seeds(dumped(domain, 2))
     assert sorted(grouped) == [0, 1]
     for lines in grouped.values():
         trace = [line.split() for line in lines if line.startswith("trace ")]
@@ -44,6 +44,14 @@ def test_synthetic_runs_end_at_their_terminal_round():
         regions = [line.split() for line in lines if line.startswith("region ")]
         assert len(regions) == sum(int(row[5]) for row in trace)
         assert not any(line.startswith(("estimates", "chosen")) for line in lines)
+
+
+def test_synthetic_runs_end_at_their_terminal_round():
+    check_runs_end_at_their_terminal_round("synthetic")
+
+
+def test_clustering_runs_end_at_their_terminal_round():
+    check_runs_end_at_their_terminal_round("clustering")
 
 
 def test_bnb_choice_is_a_learned_representative():
@@ -61,6 +69,12 @@ def test_typed_error_is_dumped_with_its_message(monkeypatch):
 
     monkeypatch.setattr(learner, "learn_subset", fail)
     assert dumped("bnb", 1) == ["seed 0", "error RoundLimitError: seed 0 stopped"]
+
+
+def test_clustering_pool_is_eight_parsed_metrics():
+    texts = learn_dump.clustering_texts()
+    assert len(texts) == 8 and len(set(texts)) == 8
+    assert all(text.startswith("8 2 ") for text in texts)
 
 
 def test_dump_is_deterministic():

@@ -655,7 +655,7 @@ class TestSampleLosses:
         expected = [doubling_loss(problem, 0.4, problem.pool[u], 64) for u in drawn.uids]
         assert {type(v) for v in losses + counts} == {int}
         assert losses == expected
-        assert counts == drawn.counts[drawn.uids].tolist()
+        assert counts == [drawn.counts[u] for u in drawn.uids]
 
     def test_one_run_for_repeated_draws(self):
         # Forty draws of a one-instance pool measure that instance once.
@@ -711,7 +711,7 @@ class TestSampleLosses:
         draws = np.random.default_rng(2)
         expected = []
         for candidate in candidates:
-            uids = problem.sample_many(draws, 30).uids.tolist()
+            uids = problem.sample_many(draws, 30).uids
             assert len(uids) < 30
             expected.extend((candidate.scalar, id(problem.pool[uid])) for uid in uids)
         assert problem.runs == expected

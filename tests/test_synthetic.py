@@ -17,6 +17,7 @@ from support import (
     draw_indices,
     draw_one,
     per_draw_synthetic_cells,
+    sample_of,
 )
 
 
@@ -36,6 +37,16 @@ class TestFamily:
             SyntheticFamily(a=0.4, b=0.55)
         with pytest.raises(ValueError):
             SyntheticFamily(loss_mid=8, loss_low=8, loss_high=256)
+
+    @pytest.mark.parametrize("a, b", [(1.0 / 3.0, 0.45), (0.4, 0.4), (0.35, 0.5)])
+    def test_breakpoints_on_a_bound_rejected(self, a, b):
+        with pytest.raises(ValueError, match="breakpoints"):
+            SyntheticFamily(a=a, b=b)
+
+    @pytest.mark.parametrize("mid, low, high", [(0, 16, 256), (8, 8, 256), (8, 16, 16)])
+    def test_losses_on_a_bound_rejected(self, mid, low, high):
+        with pytest.raises(ValueError, match="losses must satisfy"):
+            SyntheticFamily(loss_mid=mid, loss_low=low, loss_high=high)
 
     @pytest.mark.parametrize("loss", [8.5, True, "8"])
     def test_non_integer_loss_rejected(self, loss):
@@ -92,10 +103,10 @@ class TestSampling:
         problem = SyntheticProblem(family)
         n, k = 10**6, len(problem.pool)
         batch = problem.sample_many(np.random.default_rng(seed), n)
-        assert batch.counts.shape == (k,) and batch.counts.dtype == np.int64
-        assert int(batch.counts.sum()) == len(batch) == n
+        assert len(batch.counts) == k and {type(v) for v in batch.counts} == {int}
+        assert sum(batch.counts) == len(batch) == n
         sigma = math.sqrt(n * (1 / k) * (1 - 1 / k))
-        assert np.all(np.abs(batch.counts - n / k) <= 5 * sigma)
+        assert np.all(np.abs(np.array(batch.counts) - n / k) <= 5 * sigma)
 
     def test_instances_frozen(self, family):
         rng = np.random.default_rng(1)
@@ -108,16 +119,16 @@ class TestSampling:
         problem = SyntheticProblem(family)
         a = problem.sample_many(np.random.default_rng(1), 64)
         b = problem.sample_many(np.random.default_rng(2), 64)
-        assert not np.array_equal(a.counts, b.counts)
+        assert a.counts != b.counts
 
     def test_merging_adds_the_counts(self, family):
         problem = SyntheticProblem(family)
         rng = np.random.default_rng(6)
         first, second = problem.sample_many(rng, 500), problem.sample_many(rng, 37)
         merged = problem.merge_samples(first, second)
-        assert merged.counts.tolist() == (first.counts + second.counts).tolist()
+        assert merged.counts == tuple(a + b for a, b in zip(first.counts, second.counts))
         assert len(merged) == 537
-        assert merged.uids.tolist() == [u for u in range(4) if merged.counts[u] > 0]
+        assert merged.uids == [u for u in range(4) if merged.counts[u] > 0]
 
 
 class TestPartition:
@@ -156,21 +167,31 @@ class TestPartition:
     @pytest.mark.parametrize("tau", [1, 2, 3, 8, 15, 16, 17, 100, 255, 256])
     def test_cells_match_per_draw_vectors(self, family, tau):
         # The per-draw vectors are the per-instance oracle's capped losses
-        # repeated by the draw counts, in pool order.
+        # repeated by the draw counts, in pool order; a cell holds the drawn
+        # instances only.
         batch = SyntheticProblem(family).sample_many(np.random.default_rng(tau), 3000)
         cells = synthetic_partition(family, batch, tau)
         for cell, (capped, z) in zip(cells, per_draw_synthetic_cells(family, batch, tau)):
             assert {type(v) for v in cell.capped_losses} == {int}
             assert cell.capped_losses == capped.tolist()
             assert cell.z == z
-            assert cell.counts == batch.counts.tolist()
+            assert cell.counts == batch.distinct()[1]
             assert sum(cell.counts) == len(batch)
+
+    def test_cells_hold_drawn_instances_only(self, family):
+        # Pool items 0 and 2 are never drawn, so no cell lists them.
+        batch = sample_of(SyntheticProblem(family).pool, [3, 1, 3])
+        cells = synthetic_partition(family, batch, 64)
+        for cell, (capped, z) in zip(cells, per_draw_synthetic_cells(family, batch, 64)):
+            assert cell.counts == [1, 2]
+            assert cell.capped_losses == capped.tolist() and cell.z == z
+        assert [cell.losses for cell in cells] == [[16, 16], [8, 8], [8, 64]]
 
     def test_budget_monotonicity(self, family):
         problem = SyntheticProblem(family)
         rng = np.random.default_rng(12)
         batch = problem.sample_many(rng, 20)
-        for uid in batch.uids.tolist():
+        for uid in batch.uids:
             for tau in (7, 8, 15, 16, 255, 256):
                 now = problem.run_with_cap(0.2, problem.pool[uid], tau)
                 nxt = problem.run_with_cap(0.2, problem.pool[uid], tau + 1)
@@ -185,6 +206,13 @@ class TestExactOpt:
         assert summary.t_delta_by_region == {"low": 16, "mid": 8, "high": 256}
         assert summary.capped_mean_by_region["low"] == pytest.approx(12.0)
         assert summary.capped_mean_by_region["high"] == pytest.approx(132.0)
+
+    @pytest.mark.parametrize("delta", [0.0, 1.0])
+    def test_delta_on_a_bound_rejected(self, family, delta):
+        # Rejected up front, not by the quantile of delta / 4.
+        with pytest.raises(ValueError, match="delta") as excinfo:
+            synthetic_exact_opt(family, delta)
+        assert excinfo.traceback[-1].name == "synthetic_exact_opt"
 
     def test_opt_constant_in_delta(self, family):
         for delta in (0.05, 0.25, 0.9):

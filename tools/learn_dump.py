@@ -1,6 +1,6 @@
 """Canonical text dump of seeded learner runs on the benchmark's learn inputs.
 
-Runs ``learn_subset`` on one of two fixed inputs, once per learner seed,
+Runs ``learn_subset`` on one of three fixed inputs, once per learner seed,
 and prints what each run returns, so two checkouts' outputs can be compared
 with ``cmp``:
 
@@ -12,6 +12,10 @@ with ``cmp``:
   Each seed then reduces the learned set with ``select_finite`` as that
   workload does (delta' = delta / 2, 50 samples, ceiling 2^(T+4), selector
   generator seeded with the learner seed).
+- ``clustering``: eight metrics ``random_metric_instance(default_rng(2), 8, 2)``
+  written and parsed as instance files, at epsilon 15, delta 0.5, zeta
+  0.05, seeds 0-19.  Its cell-count bound never saturates, so every round
+  merges several samples.
 
 For each seed the dump prints the trace rows, then each admitted region's
 ``lo hi round_added tau_cell repr(capped_estimate) repr(z)``, and for
@@ -25,14 +29,16 @@ printed as its class and message.
 
 Only ``frugal``, numpy and the standard library are used.
 
-``tools/learn_dump.sha256`` holds the digests of both dumps, and CI checks
+``tools/learn_dump.sha256`` holds the digests of the three dumps, and CI checks
 them with ``sha256sum -c`` (numpy pinned, since every draw comes from its
 generator).  After a change that alters learned sets on purpose, regenerate
 it from the repository root:
 
     PYTHONPATH=src python tools/learn_dump.py synthetic > learn_dump_synthetic.txt
     PYTHONPATH=src python tools/learn_dump.py bnb > learn_dump_bnb.txt
-    sha256sum learn_dump_synthetic.txt learn_dump_bnb.txt > tools/learn_dump.sha256
+    PYTHONPATH=src python tools/learn_dump.py clustering > learn_dump_clustering.txt
+    sha256sum learn_dump_synthetic.txt learn_dump_bnb.txt learn_dump_clustering.txt \
+        > tools/learn_dump.sha256
 """
 from __future__ import annotations
 
@@ -42,7 +48,7 @@ import sys
 
 import numpy as np
 
-from frugal import bnb, learner
+from frugal import bnb, clustering, learner
 from frugal.bnb import LpSolveError
 from frugal.learner import LearnerConfig, LearnerError
 from frugal.sweep import DegenerateCellError
@@ -50,8 +56,9 @@ from frugal.synthetic import SyntheticFamily, SyntheticProblem
 
 EPSILON, ZETA = 15.0, 0.05
 # domain: (delta, seed count)
-SETS = {"synthetic": (0.25, 50), "bnb": (0.9, 20)}
+SETS = {"synthetic": (0.25, 50), "bnb": (0.9, 20), "clustering": (0.5, 20)}
 BNB_POOL_SEED, BNB_PROGRAMS, BNB_VARIABLES, BNB_ROWS = 3, 8, 3, 2
+CLUSTERING_POOL_SEED, CLUSTERING_METRICS, CLUSTERING_POINTS, CLUSTERING_K = 2, 8, 8, 2
 SELECT_SAMPLES = 50
 
 
@@ -63,14 +70,34 @@ def bnb_texts() -> list[str]:
     ]
 
 
+def clustering_texts() -> list[str]:
+    rng = np.random.default_rng(CLUSTERING_POOL_SEED)
+    return [
+        clustering.format_instance(
+            clustering.random_metric_instance(rng, CLUSTERING_POINTS, CLUSTERING_K)
+        )
+        for _ in range(CLUSTERING_METRICS)
+    ]
+
+
+def pool_texts(domain: str) -> list[str]:
+    """The instance files of ``domain``'s pool, empty for ``synthetic``."""
+    return {"bnb": bnb_texts, "clustering": clustering_texts}.get(domain, list)()
+
+
 def dump_seed(domain: str, seed: int, texts: list[str], out) -> None:
     delta = SETS[domain][0]
     cfg = LearnerConfig(epsilon=EPSILON, delta=delta, zeta=ZETA, seed=seed)
     if domain == "synthetic":
         problem = SyntheticProblem(SyntheticFamily())
-    else:
+    elif domain == "bnb":
         problem = bnb.BnbProblem(
             [bnb.parse_milp(text, name=f"instance_{i:05d}.txt") for i, text in enumerate(texts)]
+        )
+    else:
+        problem = clustering.ClusteringProblem(
+            [clustering.parse_instance(text, name=f"instance_{i:05d}.txt")
+             for i, text in enumerate(texts)]
         )
     out.write(f"seed {seed}\n")
     try:
@@ -102,7 +129,7 @@ def dump_seed(domain: str, seed: int, texts: list[str], out) -> None:
 
 
 def dump(domain: str, out) -> None:
-    texts = bnb_texts() if domain == "bnb" else []
+    texts = pool_texts(domain)
     for seed in range(SETS[domain][1]):
         dump_seed(domain, seed, texts, out)
 
