@@ -13,9 +13,13 @@ Bland's rule.  The tableau holds Python integers over one common denominator
 (fraction-free Edmonds pivoting): each program's rows, right-hand sides and
 objective are scaled to integers once, by one lcm per program, so phase 1
 keeps unit costs.  It stores only the nonbasic columns, since a basic column
-is always the denominator times a unit vector: Bland's rule and the ratio
-test read the same entries as on the full tableau, so the pivots and the
-vertex reached are the same, while each pivot updates fewer columns.  A
+is always the denominator times a unit vector, and only the constraint rows,
+since each box row ``x_j + u_j = 1`` is implied (upper bounding): it is
+trivial while one of ``x_j`` and ``u_j`` is nonbasic, and otherwise the
+complement of the row of the other one.  Bland's rule and the ratio test
+read the same entries as on the full tableau, so the pivots and the vertex
+reached are the same, while each pivot updates fewer rows and columns, and a
+pivot on a trivial box row is a bound flip without a division.  A
 solution keeps its value and point as ints over one denominator, so scores
 and node order are int cross-products.  So objective values, scores, and cell
 breakpoints are exact.  This is desk-scale machinery: at most 20 variables.
@@ -236,14 +240,16 @@ def _exchange(
     tableau: list[list[int]], zrow: list[int] | None, cols: list[int], basis: list[int],
     row: int, k: int, d: int,
 ) -> int:
-    """Edmonds pivot on ``row`` and stored column ``k``; returns the new ``d``.
+    """Edmonds pivot on stored ``row`` and stored column ``k``; returns the new ``d``.
 
     Every entry is ``d`` times the rational tableau's entry, with ``d`` the
     absolute determinant of the basis, so each division below is exact.  The
     leaving variable takes over column ``k``: its full-tableau column was
     ``d`` times a unit vector, so it now holds ``s * d`` in ``row`` and
     ``-s * f`` in each other row (and the cost row) whose entry in column
-    ``k`` was ``f``, with ``s = -1`` if the pivot row was negated.
+    ``k`` was ``f``, with ``s = -1`` if the pivot row was negated.  The box
+    rows that ``_simplex_min`` leaves implicit are read off the stored rows
+    and ``d``, so updating the stored rows updates them too.
     """
     pivot_row = tableau[row]
     p, s = pivot_row[k], 1
@@ -264,37 +270,69 @@ def _exchange(
 
 
 def _simplex_min(
-    tableau: list[list[int]], cols: list[int], basis: list[int], cost: Sequence[int], d: int
+    tableau: list[list[int]], cols: list[int], basis: list[int], cost: Sequence[int], d: int,
+    partner: Sequence[int],
 ) -> tuple[int, list[int]]:
     """Minimize cost (one entry per variable) over the tableau in place.
 
-    Bland's rule enters the stored column of lowest variable index with a
-    negative reduced cost.  Returns the final ``d`` and cost row: ``d`` times
-    the stored columns' reduced costs, then ``z`` with minimum ``-z / d``.
+    ``partner`` pairs each structural ``x_j`` with its box slack ``u_j = 1 -
+    x_j`` (-1 for the other variables).  One of a pair is always basic, and
+    its box row is implied: trivial (``d`` in its partner's column, right
+    side ``d``) while the partner is nonbasic, else the complement of the
+    partner's stored row (entries negated, right side ``d - rhs``).  Bland's
+    rule enters the stored column of lowest variable index with a negative
+    reduced cost; the ratio test reads the implied rows too, least ratio by
+    cross-multiplication, ties to the lowest basic index.  A complement
+    leaves by taking its stored row's place, and the entering variable's
+    own bound (ratio 1) is a bound flip: a pivot with ``p = d`` that moves
+    column ``k`` into each right side and divides nothing.  So every pivot
+    and entry is the explicit tableau's.  Returns the final ``d`` and cost
+    row: ``d`` times the stored columns' reduced costs, then ``z`` with
+    minimum ``-z / d``.
     """
-    zrow = [d * cost[j] for j in cols] + [0]
+    zrow = [0] * (len(cols) + 1)
+    for k, j in enumerate(cols):
+        q = partner[j]
+        cq = cost[q] if q >= 0 else 0
+        zrow[k] = d * (cost[j] - cq)
+        zrow[-1] -= d * cq
     for i, b in enumerate(basis):
-        cb = cost[b]
+        q = partner[b]
+        cq = cost[q] if q >= 0 else 0
+        cb = cost[b] - cq
         if cb:
             zrow = [z - cb * v for z, v in zip(zrow, tableau[i])]
+        zrow[-1] -= d * cq
     for _ in range(_SIMPLEX_ITERATION_LIMIT):
         negative = [(j, k) for k, j in enumerate(cols) if zrow[k] < 0]
         if not negative:
             return d, zrow
-        _, entering = min(negative)
-        # Ratio test by cross-multiplication; ties go to the lowest basic index.
-        leaving = -1
+        j, entering = min(negative)
+        # The entering variable's own bound first: ratio 1 at its partner.
+        leaving, best_rhs, best_coef, best_index = -1, 1, 1, partner[j]
         for i, row in enumerate(tableau):
             coef = row[entering]
             if coef > 0:
-                if leaving < 0:
-                    leaving, best_rhs, best_coef = i, row[-1], coef
-                    continue
-                here, best = row[-1] * best_coef, best_rhs * coef
-                if here < best or (here == best and basis[i] < basis[leaving]):
-                    leaving, best_rhs, best_coef = i, row[-1], coef
-        if leaving < 0:
+                rhs, index = row[-1], basis[i]
+            elif coef < 0 and partner[basis[i]] >= 0:
+                coef, rhs, index = -coef, d - row[-1], partner[basis[i]]
+            else:
+                continue
+            here, best = rhs * best_coef, best_rhs * coef
+            if best_index < 0 or here < best or (here == best and index < best_index):
+                leaving, best_rhs, best_coef, best_index = i, rhs, coef, index
+        if best_index < 0:
             raise LpSolveError("unbounded LP despite box constraints")
+        if leaving < 0:
+            for line in (*tableau, zrow):
+                line[-1] -= line[entering]
+                line[entering] = -line[entering]
+            cols[entering] = best_index
+            continue
+        if basis[leaving] != best_index:
+            complement = tableau[leaving] = [-v for v in tableau[leaving]]
+            complement[-1] += d
+            basis[leaving] = best_index
         d = _exchange(tableau, zrow, cols, basis, leaving, entering, d)
     raise LpSolveError("simplex iteration limit exceeded")
 
@@ -304,44 +342,45 @@ def _solve_box_lp(
 ) -> tuple[int, int, list[int], bool] | None:
     """Maximize objective over ``rows @ x <= rhs`` and ``0 <= x <= 1`` in integers.
 
-    The variables are the ``n`` structurals, one slack per row and box row,
-    and one artificial per negative right-hand side, whose row is negated
-    and starts with the artificial basic.  Only nonbasic columns are stored,
-    their variable indices in ``cols``: a basic column is always ``d`` times
-    a unit vector, so this loses nothing, and each pivot is the full
-    tableau's, as Bland's rule and the ratio test read the same entries.
-    The data is one program scaled by one lcm, so every row's slack (and
-    artificial) is the rational slack times that one positive scale, and
-    unit phase-1 costs make both phases follow the rational tableau's
-    pivots.  Returns None when infeasible, else ``(z, d, numerators,
-    unique)``: the optimum is ``z / d``, ``x[j] = numerators[j] / d``, and
-    ``unique`` tells whether every nonbasic column of the final tableau has
-    a strictly positive reduced cost, which makes that optimal point the
-    only one.  An empty ``objective`` (no free column) is a valid input:
-    the result is ``(0, 1, [], True)`` when every ``rhs`` entry is
+    The variables are the ``n`` structurals, one slack per row and box
+    bound, and one artificial per negative right-hand side, whose row is
+    negated and starts with the artificial basic.  Only the constraint rows
+    and the nonbasic columns are stored, the columns' variable indices in
+    ``cols``: a basic column is always ``d`` times a unit vector, and each
+    box row ``x_j + u_j = 1`` is implied (see ``_simplex_min``).  Adding a
+    box row's basic variable to a basis adds a unit column, so the explicit
+    basis has the stored one's determinant up to sign, and as Bland's rule
+    and the ratio test read the same entries, each pivot is the explicit
+    tableau's.  The data is one program scaled by one lcm, so every row's
+    slack (and artificial) is the rational slack times that one positive
+    scale, and unit phase-1 costs make both phases follow the rational
+    tableau's pivots.  Returns None when infeasible, else ``(z, d,
+    numerators, unique)``: the optimum is ``z / d``, ``x[j] = numerators[j]
+    / d``, and ``unique`` tells whether every nonbasic column of the final
+    tableau has a strictly positive reduced cost, which makes that optimal
+    point the only one.  An empty ``objective`` (no free column) is a valid
+    input: the result is ``(0, 1, [], True)`` when every ``rhs`` entry is
     nonnegative, else None, as phase 1 stops at once below zero.
     """
-    n = len(objective)
-    m = len(rows) + n
+    n, r = len(objective), len(rows)
+    m = r + n
     negative = [i for i, b in enumerate(rhs) if b < 0]
     zeros = [0] * len(negative)
     tableau = [
         [-v for v in row] + [-(r == i) for r in negative] + [-b] if b < 0 else [*row, *zeros, b]
         for i, (row, b) in enumerate(zip(rows, rhs))
     ]
-    for j in range(n):
-        tableau.append([0] * (n + len(negative)) + [1])
-        tableau[-1][j] = 1
     # A negated row's slack starts nonbasic, with entry -1 in that row.
     cols = [*range(n), *(n + i for i in negative)]
-    basis = [*range(n, n + m)]
+    basis = [*range(n, n + r)]
     for artificial, i in enumerate(negative, n + m):
         basis[i] = artificial
+    partner = [*range(n + r, n + m), *[-1] * r, *range(n), *[-1] * len(negative)]
 
     d = 1
     if negative:
         phase1 = [0] * (n + m) + [1] * len(negative)
-        d, zrow = _simplex_min(tableau, cols, basis, phase1, d)
+        d, zrow = _simplex_min(tableau, cols, basis, phase1, d, partner)
         if zrow[-1] < 0:
             return None
         # Drive leftover artificials (all at zero) out of the basis, each on
@@ -357,11 +396,16 @@ def _solve_box_lp(
         cols = [cols[k] for k in keep]
 
     phase2 = [-c for c in objective] + [0] * m
-    d, zrow = _simplex_min(tableau, cols, basis, phase2, d)
-    numerators = [0] * n
+    d, zrow = _simplex_min(tableau, cols, basis, phase2, d, partner)
+    # A structural is 0 when nonbasic, d when its box slack is nonbasic, and
+    # otherwise read off its own stored row or its box slack's.
+    nonbasic = set(cols)
+    numerators = [0 if j in nonbasic else d for j in range(n)]
     for i, b in enumerate(basis):
         if b < n:
             numerators[b] = tableau[i][-1]
+        elif b >= n + r:
+            numerators[b - n - r] = d - tableau[i][-1]
     return zrow[-1], d, numerators, all(z > 0 for z in zrow[:-1])
 
 
@@ -682,6 +726,8 @@ def random_milp(rng: np.random.Generator, num_vars: int = 5, num_rows: int = 3) 
     """
     if not 1 <= num_vars <= MAX_VARIABLES:
         raise ValueError("num_vars out of range")
+    if num_rows < 0:
+        raise ValueError("num_rows must be nonnegative")
     objective = rng.integers(1, 10, size=num_vars)
     rows = []
     rhs = []

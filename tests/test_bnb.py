@@ -286,6 +286,68 @@ class TestLpRelax:
         assert solution.unique is unique
         assert fraction_lp_solution(milp)[3] is unique
 
+    # Variables are numbered x_0..x_{n-1}, then one slack per row, then the
+    # box slacks u_j = 1 - x_j.  Each case lists the (leaving, entering)
+    # pair of every Edmonds exchange; a pivot missing from the list is a
+    # bound flip, and a box slack that leaves without ever having been
+    # basic in a stored row left through the complement of its partner's.
+    @pytest.mark.parametrize(
+        "objective, rows, rhs, exchanges, point",
+        [
+            # flip: x0 enters and stops at its own bound before the row
+            # (ratio 1 against 3/2), with no exchange; x1 then takes the row.
+            ([2, 1], [[1, 1]], ["1.5"], [(2, 1)], (1, "1/2")),
+            # complement: x0 = 1/2 + x1 - s0 is basic when x1 enters, and x0
+            # reaches 1 (u0 = 3 leaves) at x1 = 1/2, before x1's own bound;
+            # then s0 enters and u1 = 4 leaves through x1's complement.
+            ([1, 1], [[1, -1]], ["1/2"], [(2, 0), (3, 1), (4, 2)], (1, 1)),
+            # tie, stored row wins: x0 enters at ratio 0 both in s0's row and
+            # in the complement of x1's row (u1 = 5); s0 = 2 is lower.
+            ([0, 1], [[1, 0], [-1, 1]], [0, 1], [(3, 1), (2, 0)], (0, 1)),
+            # tie, complement wins: x2 enters at ratio 1/2 both in s1's row
+            # (index 4) and in the complement of u0's row, whose basic x0 is
+            # lower, so x0 leaves.  x0 first flipped to 1 and u0 = 5 entered.
+            (
+                [1, 2, 2], [[2, 2, 2], [-2, 3, 0]], [3, 3],
+                [(3, 1), (6, 5), (0, 2)], (0, 1, "1/2"),
+            ),
+        ],
+        ids=["flip", "complement", "tie-stored", "tie-complement"],
+    )
+    def test_each_kind_of_leaving_row(self, monkeypatch, objective, rows, rhs, exchanges, point):
+        exchange, seen = bnb._exchange, []
+
+        def recorded(tableau, zrow, cols, basis, row, k, d):
+            seen.append((basis[row], cols[k]))
+            return exchange(tableau, zrow, cols, basis, row, k, d)
+
+        monkeypatch.setattr(bnb, "_exchange", recorded)
+        milp = Milp.from_lists(objective, rows, rhs)
+        solution = lp_relax(milp)
+        assert seen == exchanges
+        assert solution.point == tuple(Fraction(x) for x in point)
+        *expected, unique = fraction_lp_solution(milp)
+        assert (solution.status, solution.objective, solution.point) == tuple(expected)
+        assert solution.unique is unique
+
+    @pytest.mark.parametrize("fixings, status", [
+        (((0, 1), (1, 0)), "optimal"),
+        (((0, 1), (1, 1)), "infeasible"),
+        (((0, 0), (1, 0)), "optimal"),
+    ])
+    def test_no_free_column(self, monkeypatch, fixings, status):
+        milp = Milp.from_lists([3, 2], [[1, 1], [-1, 0]], ["1.5", 0])
+        solve, calls = bnb._solve_box_lp, []
+        monkeypatch.setattr(bnb, "_solve_box_lp", lambda *args: calls.append(args) or solve(*args))
+        solution = lp_relax(milp, fixings)
+        assert calls and calls[0][0] == []
+        *expected, unique = fraction_lp_solution(milp, fixings)
+        assert (solution.status, solution.objective, solution.point) == tuple(expected)
+        assert solution.status == status
+        assert not solution.is_optimal or solution.unique is unique
+        assert solve([], [[], []], [1, 0]) == (0, 1, [], True)
+        assert solve([], [[], []], [1, -1]) is None
+
     def test_solution_equality_is_by_value(self):
         # The objective is value / (denominator * scale): 3/2 in both.
         half = LpSolution("optimal", 3, (1, 2), 2, True)
@@ -825,6 +887,13 @@ class TestParser:
         for num_vars in (0, widest + 1):
             with pytest.raises(ValueError, match="num_vars out of range"):
                 random_milp(rng, num_vars, 2)
+
+    def test_row_count_boundaries(self):
+        rng = np.random.default_rng(0)
+        empty = random_milp(rng, 5, 0)
+        assert empty.n == 5 and empty.rows == () and empty.rhs == ()
+        with pytest.raises(ValueError, match="^num_rows must be nonnegative$"):
+            random_milp(rng, 5, -1)
 
     def test_rejects_malformed(self):
         with pytest.raises(ValueError):

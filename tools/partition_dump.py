@@ -1,4 +1,4 @@
-"""Canonical text dump of the exact partitions of a seeded benchmark pool.
+r"""Canonical text dump of the exact partitions of a seeded benchmark pool.
 
 Builds the pool of ``perfbench``'s ``partition-bnb`` (600 programs of 5
 variables and 4 rows, cap 63) or ``partition-clustering`` (300 metrics of 12
@@ -14,14 +14,17 @@ so two checkouts' outputs can be compared with ``cmp``:
 ``--count`` limits the dump to the pool's first items.  Only ``frugal``,
 numpy and the standard library are used.
 
-``tools/partition_dump.sha256`` holds the digests of both pools' seed-1
-dumps, and CI checks them with ``sha256sum -c`` (numpy pinned, since the
-pools are drawn with its generator).  After a change that alters cells or
-errors on purpose, regenerate it from the repository root:
+``tools/partition_dump.sha256`` holds the digests of the ``bnb`` dumps of
+seeds 1 and 2 and the ``clustering`` dump of seed 1, and CI checks them with
+``sha256sum -c`` (numpy pinned, since the pools are drawn with its
+generator).  After a change that alters cells or errors on purpose,
+regenerate it from the repository root:
 
     PYTHONPATH=src python tools/partition_dump.py bnb 1 > partition_dump_bnb_1.txt
+    PYTHONPATH=src python tools/partition_dump.py bnb 2 > partition_dump_bnb_2.txt
     PYTHONPATH=src python tools/partition_dump.py clustering 1 > partition_dump_clustering_1.txt
-    sha256sum partition_dump_bnb_1.txt partition_dump_clustering_1.txt > tools/partition_dump.sha256
+    sha256sum partition_dump_bnb_1.txt partition_dump_bnb_2.txt \
+        partition_dump_clustering_1.txt > tools/partition_dump.sha256
 """
 from __future__ import annotations
 
