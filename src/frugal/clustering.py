@@ -4,10 +4,11 @@ The merge value of two clusters interpolates between their closest and
 farthest pairwise distances: weight 1 recovers single linkage, weight 0
 complete linkage.  A run performs at most a budgeted number of greedy
 merges, then a dynamic program finds the cost of the best pruning of the
-resulting forest under the k-median objective (cluster cost is the best
-medoid among the cluster's own members).  A run counts as solved at the
-smallest merge budget whose best pruning cost reaches the instance's
-admissibility threshold.
+resulting forest under the k-median objective.  A cluster costs its best
+medoid among its own members, the least of its column sums (its total
+distance to each point) over them; a merge's column sums are its two
+children's added entry by entry.  A run counts as solved at the smallest
+merge budget whose best pruning cost reaches the admissibility threshold.
 
 Merge values are affine in the mixture weight, so merge sequences are
 piecewise constant over the unit interval; the partition here computes the
@@ -23,20 +24,21 @@ first decision whose running bound equals ``c'``.  That is exact: every
 earlier decision has all its crossings strictly right of ``c'``, so at
 ``c'`` it picks the same pair and contributes the same crossings, and the
 resumed run starts from the saved roots with the bound recorded after the
-last reused decision.  A node's pruning table depends only on its subtree,
-so each is built once, when a prefix cost first needs it, and serves every
-later merge budget and resumed run; per budget only the combination across
-the roots is recomputed.
+last reused decision.  A node's column sums and pruning table depend only
+on its subtree, so each is built once, when a prefix cost first needs it,
+and serves every later merge budget and resumed run; per budget only the
+combination across the roots is recomputed.
 """
 from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
 from pathlib import Path
-from typing import Any, Sequence
+from typing import Any, Collection, Sequence
 
 import numpy as np
 
@@ -190,21 +192,21 @@ class _LinkageRun:
     The run keeps the linkage line of every pair of node ids in a table
     indexed by node id, the live roots after each merge count, every merge
     decision that lowered the tracker's running bound (with the bound it
-    left), each node's member set, each node's pruning table once a prefix
-    cost needed it, and cluster costs by member set.  A run at a point
-    ``c'`` right of the previous run's point restarts at the first decision
-    whose running bound is at most ``c'``; every step before it is reused,
-    and so is the pruning table of every node those steps created.  In a
+    left), each node's member tuple, and each node's column sums and pruning
+    table once a prefix cost needed them.  A run at a point ``c'`` right of
+    the previous run's point restarts at the first decision whose running
+    bound is at most ``c'``; every step before it is reused, and so are the
+    column sums and pruning table of every node those steps created.  In a
     sweep ``c'`` is the previous run's final bound, so that decision is the
-    first whose bound equals ``c'``.  Successive ``advance`` calls must come
-    from one sweep, left to right, at one budget.
+    last recorded one.  Successive ``advance`` calls must come from one
+    sweep, left to right, at one budget.
     """
 
     def __init__(self, instance: ClusteringInstance) -> None:
         n = instance.n
         self.instance = instance
         self.size = n
-        scale, self.distances = instance.integer_form
+        scale, distances = instance.integer_form
         theta = instance.theta
         # Pruning costs are integer-form ints, so cost <= theta * scale is
         # cost <= floor(theta * scale).
@@ -215,29 +217,33 @@ class _LinkageRun:
         # every line by one positive factor leaves the argmin and its
         # crossings unchanged.  ``lines[i][j] == lines[j][i]``; a resumed step
         # rewrites the node ids it recreates, so no live pair reads a stale line.
+        zeros, pad = [0] * n, [None] * (n - 1)
         self.lines: list[list[tuple[int, int] | None]] = [
-            [(d, 0) for d in row] + [None] * (n - 1) for row in self.distances
+            [*zip(row, zeros), *pad] for row in distances
         ] + [[None] * (2 * n - 1) for _ in range(n - 1)]
         self.merges: list[tuple[int, int, int]] = []
         # (s, bound) for each merge decision s that lowered the running bound.
         self.drops: list[tuple[int, Fraction]] = []
         self.roots: list[tuple[int, ...]] = [tuple(range(n))]  # roots[m]: after m merges
-        self.members: list[frozenset[int]] = [frozenset((i,)) for i in range(n)]
+        self.members: list[tuple[int, ...]] = [(i,) for i in range(n)]
+        self.sums: list[Sequence[int]] = list(distances)
         self.tables: list[dict[int, int]] = [{1: 0}] * n
-        self.cluster_costs: dict[frozenset[int], int] = {}
 
     def _resume_step(self, tracker: DecisionTracker) -> int:
         """First merge step the run at the tracker's point must recompute.
 
         Every step before it has its crossings strictly right of the new
         point, so its winner and its contribution to the bound are what they
-        were.  The drops from that step on are deleted, and the tracker's
-        bound is set to the one recorded after the last reused step: every
-        recorded drop lies below a sweep tracker's starting bound 1.  A first
-        run has no drops and recomputes from step 0.
+        were.  The recorded bounds strictly fall, so the drops from that step
+        on are a suffix, scanned from the right.  They are deleted, and the
+        tracker's bound is set to the one recorded after the last reused step:
+        every recorded drop lies below a sweep tracker's starting bound 1.  A
+        first run has no drops and recomputes from step 0.
         """
         point, drops = tracker.point, self.drops
-        kept = next((i for i, (_, bound) in enumerate(drops) if bound <= point), len(drops))
+        kept = len(drops)
+        while kept and drops[kept - 1][1] <= point:
+            kept -= 1
         start = drops[kept][0] if kept < len(drops) else len(self.merges)
         del drops[kept:]
         if drops:
@@ -249,7 +255,7 @@ class _LinkageRun:
         n = self.size
         start = self._resume_step(tracker)
         del self.merges[start:], self.roots[start + 1 :]
-        del self.members[n + start :], self.tables[n + start :]
+        del self.members[n + start :], self.sums[n + start :], self.tables[n + start :]
         # Roots stay ascending (a new id is the largest), so pairs come in tie-break order.
         roots = list(self.roots[start])
         lines = self.lines
@@ -262,7 +268,7 @@ class _LinkageRun:
                 self.drops.append((step, tracker.bound))
             new_id = n + step
             self.merges.append((a, b, new_id))
-            self.members.append(self.members[a] | self.members[b])
+            self.members.append(self.members[a] + self.members[b])
             roots.remove(a)
             roots.remove(b)
             row_a, row_b, row_new = lines[a], lines[b], lines[new_id]
@@ -281,14 +287,7 @@ class _LinkageRun:
         at ``instance.k`` clusters; at most ``k`` roots may remain."""
         k = self.instance.k
         built = len(self.tables) - self.size
-        _extend_tables(
-            self.tables,
-            self.merges[built:merge_count],
-            self.members,
-            k,
-            self.distances,
-            self.cluster_costs,
-        )
+        _extend_tables(self.tables, self.sums, self.merges[built:merge_count], self.members, k)
         return _covering_cost(self.tables, self.roots[merge_count], k)
 
 
@@ -315,10 +314,6 @@ class PruningResult:
     cost: Any  # Fraction, or math.inf when no selection of size k exists
 
 
-def _cluster_cost(members: frozenset[int], distances: tuple[tuple[int, ...], ...]) -> int:
-    return min(sum(distances[p][c] for p in members) for c in members)
-
-
 def _combine(left: dict[int, int], right: dict[int, int], k: int) -> dict[int, int]:
     """Best cost per cluster count, at most ``k``, of covering two disjoint
     point sets that each have a table of best costs per count."""
@@ -335,28 +330,26 @@ def _combine(left: dict[int, int], right: dict[int, int], k: int) -> dict[int, i
 
 def _extend_tables(
     tables: list[dict[int, int]],
+    sums: list[Sequence[int]],
     merges: Sequence[tuple[int, int, int]],
-    members: Sequence[frozenset[int]],
+    members: Sequence[Collection[int]],
     k: int,
-    distances: tuple[tuple[int, ...], ...],
-    cluster_costs: dict[frozenset[int], int],
 ) -> None:
-    """Append the pruning table of each merge's node, in merge order.
+    """Append the column sums and pruning table of each merge's node, in order.
 
-    A node's table maps each achievable cluster count up to ``k`` to the best
-    cost of covering its points with clusters from its subtree: the node
-    itself as one cluster, or its two children's tables combined.  It depends
-    only on the subtree, so one table serves every forest prefix holding the
-    node.  ``merges`` must create node ids ``len(tables)``, ``len(tables) +
-    1``, ...; ``cluster_costs`` memoizes cluster costs by member set.
+    A node's column sums total its points' distances to each point, and its
+    cluster cost is the least of them over its own members.  Its table maps
+    each achievable cluster count up to ``k`` to the best cost of covering
+    its points with clusters from its subtree: the node itself as one
+    cluster, or its two children's tables combined.  Both depend only on the
+    subtree, so they serve every forest prefix holding the node.  ``merges``
+    must create node ids ``len(tables)``, ``len(tables) + 1``, ...
     """
     for left, right, node in merges:
-        cluster = members[node]
-        cost = cluster_costs.get(cluster)
-        if cost is None:
-            cost = cluster_costs[cluster] = _cluster_cost(cluster, distances)
+        column = [*map(operator.add, sums[left], sums[right])]
+        sums.append(column)
         table = _combine(tables[left], tables[right], k)
-        table[1] = cost
+        table[1] = min(map(column.__getitem__, members[node]))
         tables.append(table)
 
 
@@ -379,15 +372,18 @@ def best_pruning(forest: MergeForest, k: int, instance: ClusteringInstance) -> P
     cost of covering all points.  The tables hold integer-form costs; the
     result is rescaled to a Fraction.  When more roots than k exist no
     selection of k clusters covers the points and the cost is the infinity
-    sentinel.
+    sentinel.  A forest over other than the instance's points raises
+    ``ValueError``.
     """
+    if forest.size != instance.n:
+        raise ValueError(f"forest of {forest.size} points for an instance of {instance.n}")
     if not 1 <= k <= forest.size:
         raise ValueError("k must lie in [1, n]")
     if len(forest.roots) > k:
         return PruningResult(cost=math.inf)
     scale, distances = instance.integer_form
     tables: list[dict[int, int]] = [{1: 0}] * forest.size
-    _extend_tables(tables, forest.merges, forest.members, k, distances, {})
+    _extend_tables(tables, list(distances), forest.merges, forest.members, k)
     return PruningResult(cost=Fraction(_covering_cost(tables, forest.roots, k), scale))
 
 

@@ -15,6 +15,7 @@ from frugal.clustering import (
     MergeForest,
     _covering_cost,
     _extend_tables,
+    _LinkageRun,
     best_pruning,
     capped_linkage_run,
     clustering_partition,
@@ -140,6 +141,15 @@ class TestBestPruning:
         with pytest.raises(ValueError):
             best_pruning(forest, 5, four_point)
 
+    def test_forest_size_must_match_instance(self):
+        # A smaller forest would score only its own points, and a larger one
+        # read distance rows the metric does not have.
+        inst = random_metric_instance(np.random.default_rng(0), 4, 2)
+        for size, merges in ((3, ((0, 1, 3),)), (5, ((0, 1, 5), (2, 3, 6), (4, 5, 7)))):
+            forest = MergeForest(size, merges)
+            with pytest.raises(ValueError, match=f"^forest of {size} points for an instance of 4$"):
+                best_pruning(forest, 2, inst)
+
     def test_matches_enumeration_on_random_instances(self):
         # Every n <= 8 fixture, every budget, every k: the tables stop at k
         # clusters, so k = n and k just above the root count are covered.
@@ -173,7 +183,7 @@ class TestBestPruning:
         forest = MergeForest(size=n, merges=tuple(merges))
         for k in range(1, n + 1):
             tables = [{1: 0}] * n
-            _extend_tables(tables, forest.merges, forest.members, k, distances, {})
+            _extend_tables(tables, list(distances), forest.merges, forest.members, k)
             for m in range(len(merges) + 1):
                 prefix = forest.prefix(m)
                 want = enumerate_prunings(prefix, k, inst)
@@ -402,6 +412,40 @@ class TestResumedSweep:
         theta = exact_kmedian_cost(matrix, k) * slack + Fraction(1, 10)
         inst = ClusteringInstance.from_lists(matrix, k, theta)
         assert_sweep_matches_reference(inst, data.draw(st.integers(0, n)))
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_resumed_runs_at_arbitrary_points(self, data):
+        # One run advanced left to right over points that repeat, stop inside
+        # a cell, land on the previous run's bound or jump past it; at each
+        # it must agree with a fresh run there, bound and pruning costs too.
+        matrix = draw_tie_heavy_metric(data)
+        n = len(matrix)
+        k = data.draw(st.integers(1, n))
+        inst = ClusteringInstance.from_lists(matrix, k, 1)
+        scale = inst.integer_form[0]
+        # From n - k merges on, a prefix of at most k roots has a cost to check.
+        budget = data.draw(st.integers(n - k, n - 1))
+        run, point, bound = _LinkageRun(inst), Fraction(0), Fraction(1)
+        for _ in range(data.draw(st.integers(1, 8))):
+            step = data.draw(st.sampled_from(["repeat", "bound", "inside", "beyond"]))
+            share = data.draw(st.fractions(0, 1, max_denominator=7))
+            if step == "bound":
+                point = bound
+            elif step == "inside":
+                point += (bound - point) * share
+            elif step == "beyond":
+                point += (1 - point) * share
+            fresh = DecisionTracker(point, Fraction(1))
+            forest = tracked_linkage_run(inst, fresh, budget)
+            tracker = DecisionTracker(point, Fraction(1))
+            run.advance(tracker, budget)
+            assert tuple(run.merges) == forest.merges
+            assert tracker.bound == fresh.bound
+            bound = tracker.bound
+            for m in data.draw(st.permutations(range(n - k, budget + 1))):
+                want = best_pruning(forest.prefix(m), k, inst).cost
+                assert run.pruning_cost(m) == want * scale
 
     def test_resumes_at_the_flipping_merge(self, four_point, monkeypatch):
         # At rho = 2/5 the second merge flips; the first is reused, so the

@@ -1,12 +1,18 @@
 """The canonical partition dump of ``tools/partition_dump.py``, on a few pool items."""
+import hashlib
 import importlib.util
 import io
 from fractions import Fraction
 from pathlib import Path
 
-_SPEC = importlib.util.spec_from_file_location(
-    "partition_dump", Path(__file__).resolve().parents[1] / "tools" / "partition_dump.py"
-)
+import numpy as np
+import pytest
+
+TOOLS = Path(__file__).resolve().parents[1] / "tools"
+# The numpy that CI installs; the pools behind the digests are drawn with its generator.
+CI_NUMPY = "2.4.6"
+
+_SPEC = importlib.util.spec_from_file_location("partition_dump", TOOLS / "partition_dump.py")
 partition_dump = importlib.util.module_from_spec(_SPEC)
 _SPEC.loader.exec_module(partition_dump)
 
@@ -50,3 +56,19 @@ def test_typed_error_is_dumped_with_its_message():
 
 def test_dump_is_deterministic():
     assert dumped("clustering", 2, 3) == dumped("clustering", 2, 3)
+
+
+@pytest.mark.skipif(
+    np.__version__ != CI_NUMPY, reason=f"the digests are of pools drawn by numpy {CI_NUMPY}"
+)
+def test_clustering_dump_matches_its_digest():
+    # The whole seed-1 clustering dump against the digest CI checks with
+    # ``sha256sum -c``, so any change of clustering output fails here too.
+    out = io.StringIO()
+    partition_dump.dump("clustering", 1, None, out)
+    digests = {
+        name: digest
+        for digest, name in map(str.split, (TOOLS / "partition_dump.sha256").read_text().splitlines())
+    }
+    got = hashlib.sha256(out.getvalue().encode()).hexdigest()
+    assert got == digests["partition_dump_clustering_1.txt"]
