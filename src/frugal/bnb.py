@@ -39,8 +39,11 @@ infeasible, so is ``K``'s, whose feasible set is a subset.  If that key's
 optimum is certified unique and has ``x_j = v``, it is ``K``'s optimum too:
 ``K``'s feasible set is the larger one's cut with ``x_j = v``, so the point
 is the only optimum there as well, and the vertex Bland's rule would reach.
-Both rules give the value a fresh solve would, so no tree or cell depends on
-the order in which keys were solved.
+A key no cached key settles is infeasible without a solve when a row's right
+side, less its entries fixed at 1, is below the sum of its negative free
+entries, the row's least activity over the box.  All three rules give the
+value a fresh solve would, so no tree or cell depends on the order in which
+keys were solved.
 """
 from __future__ import annotations
 
@@ -256,13 +259,18 @@ def _exchange(
     if p < 0:
         # Negating the pivot row keeps the new denominator positive.
         pivot_row, p, s = [-v for v in pivot_row], -p, -1
-    for i, line in enumerate(tableau if zrow is None else [*tableau, zrow]):
+    for i, line in enumerate(tableau):
         f = line[k]
         if f and i != row:
             line[:] = [(p * v - f * w) // d for v, w in zip(line, pivot_row)]
             line[k] = -s * f
         elif p != d and i != row:
             line[:] = [p * v // d for v in line]
+    if zrow is not None:
+        # The entering reduced cost, never 0; the update holds for 0 as well.
+        f = zrow[k]
+        zrow[:] = [(p * v - f * w) // d for v, w in zip(zrow, pivot_row)]
+        zrow[k] = -s * f
     pivot_row[k] = s * d
     tableau[row] = pivot_row
     cols[k], basis[row] = basis[row], cols[k]
@@ -304,10 +312,12 @@ def _simplex_min(
             zrow = [z - cb * v for z, v in zip(zrow, tableau[i])]
         zrow[-1] -= d * cq
     for _ in range(_SIMPLEX_ITERATION_LIMIT):
-        negative = [(j, k) for k, j in enumerate(cols) if zrow[k] < 0]
-        if not negative:
+        j, entering = len(partner), -1
+        for k, (index, z) in enumerate(zip(cols, zrow)):
+            if z < 0 and index < j:
+                j, entering = index, k
+        if entering < 0:
             return d, zrow
-        j, entering = min(negative)
         # The entering variable's own bound first: ratio 1 at its partner.
         leaving, best_rhs, best_coef, best_index = -1, 1, 1, partner[j]
         for i, row in enumerate(tableau):
@@ -324,9 +334,11 @@ def _simplex_min(
         if best_index < 0:
             raise LpSolveError("unbounded LP despite box constraints")
         if leaving < 0:
-            for line in (*tableau, zrow):
+            for line in tableau:
                 line[-1] -= line[entering]
                 line[entering] = -line[entering]
+            zrow[-1] -= zrow[entering]
+            zrow[entering] = -zrow[entering]
             cols[entering] = best_index
             continue
         if basis[leaving] != best_index:
@@ -399,14 +411,16 @@ def _solve_box_lp(
     d, zrow = _simplex_min(tableau, cols, basis, phase2, d, partner)
     # A structural is 0 when nonbasic, d when its box slack is nonbasic, and
     # otherwise read off its own stored row or its box slack's.
-    nonbasic = set(cols)
-    numerators = [0 if j in nonbasic else d for j in range(n)]
+    numerators = [d] * n
+    for j in cols:
+        if j < n:
+            numerators[j] = 0
     for i, b in enumerate(basis):
         if b < n:
             numerators[b] = tableau[i][-1]
         elif b >= n + r:
             numerators[b - n - r] = d - tableau[i][-1]
-    return zrow[-1], d, numerators, all(z > 0 for z in zrow[:-1])
+    return zrow[-1], d, numerators, min(zrow[:-1], default=1) > 0
 
 
 def lp_relax(milp: Milp, fixings: tuple = ()) -> LpSolution:
@@ -423,11 +437,17 @@ def lp_relax(milp: Milp, fixings: tuple = ()) -> LpSolution:
     or its optimum is certified unique with ``x_j = v``, its solution is
     this key's too (the subset of an infeasible set is empty; a unique
     optimum that survives the extra fixing stays the only optimum), and it
-    is stored and returned without a solve.  Raises ``LpSolveError``
-    naming the program and the fixings if the simplex cannot finish.
+    is stored and returned without a solve.  So is an infeasible solution
+    when one row alone proves the key infeasible (see the module
+    docstring).  Raises ``TypeError`` for an unhashable key, and
+    ``LpSolveError`` naming the program and the fixings if the simplex
+    cannot finish.
     """
     cache = milp._lp_cache
-    hit = cache.get(fixings)
+    try:
+        hit = cache.get(fixings)
+    except TypeError:
+        raise TypeError(f"fixings must be a tuple of (index, value) pairs, got {fixings!r}") from None
     if hit is not None:
         return hit
     n, previous, binary, ones = milp.n, -1, True, []
@@ -443,36 +463,44 @@ def lp_relax(milp: Milp, fixings: tuple = ()) -> LpSolution:
     for i, (index, value) in enumerate(fixings):
         parent = cache.get(fixings[:i] + fixings[i + 1:])
         if parent is not None and (
-            not parent.is_optimal
+            parent.status != "optimal"
             or parent.unique and parent.numerators[index] == value * parent.denominator
         ):
             cache[fixings] = parent
             return parent
     scale, objective, rows, rhs = milp._integer_form
-    fixed = {index for index, _ in fixings}
-    free = [j for j in range(n) if j not in fixed]
-    constant = sum(objective[j] for j in ones)
-    if ones:
-        rhs = [b - sum(row[j] for j in ones) for row, b in zip(rows, rhs)]
+    free = [*range(n)]
+    for index, _ in reversed(fixings):
+        del free[index]
+    free_rows, free_rhs = [], []
+    for row, b in zip(rows, rhs):
+        coefficients = [row[j] for j in free]
+        for j in ones:
+            b -= row[j]
+        # Each free x lies in [0, 1], so the row's least activity is the sum
+        # of its negative free entries; no point meets a right side below it.
+        if b < 0 and b < sum(min(v, 0) for v in coefficients):
+            solution = cache[fixings] = LpSolution("infeasible")
+            return solution
+        free_rows.append(coefficients)
+        free_rhs.append(b)
     try:
-        result = _solve_box_lp(
-            [objective[j] for j in free], [[row[j] for j in free] for row in rows], rhs
-        )
+        result = _solve_box_lp([objective[j] for j in free], free_rows, free_rhs)
     except LpSolveError as exc:
         where = f"program {milp.name!r}" if milp.name else "unnamed program"
         raise LpSolveError(
             f"{exc} ({where}, fixings {dict(fixings)})", program=milp.name, fixings=fixings
         ) from None
     if result is None:
-        solution = LpSolution("infeasible", None)
+        solution = LpSolution("infeasible")
     else:
-        z, d, free_numerators, unique = result
-        numerators = [0] * n
+        z, d, numerators, unique = result
+        # Ascending inserts put each fixed value at its own index.
+        for index, value in fixings:
+            numerators.insert(index, value * d)
         for j in ones:
-            numerators[j] = d
-        for j, v in zip(free, free_numerators):
-            numerators[j] = v
-        solution = LpSolution("optimal", z + d * constant, tuple(numerators), d, unique, scale)
+            z += d * objective[j]
+        solution = LpSolution("optimal", z, tuple(numerators), d, unique, scale)
     cache[fixings] = solution
     return solution
 
@@ -492,9 +520,9 @@ def scores(
     """
     if not 0 <= index < milp.n:
         raise ValueError(f"variable index {index} out of range for n = {milp.n}")
-    if index in dict(fixings):
+    if (index, 0) in fixings or (index, 1) in fixings:
         raise ValueError(f"variable {index} is already fixed at this node")
-    if not relaxation.is_optimal:
+    if relaxation.status != "optimal":
         raise ValueError("scores need a node with an optimal relaxation")
     parent, d = relaxation.value, relaxation.denominator
     decreases = []
@@ -505,7 +533,7 @@ def scores(
         child = lp_relax(milp, _child_key(fixings, index, value))
         decreases.append(
             (parent * child.denominator - child.value * d, d * child.denominator * relaxation.scale)
-            if child.is_optimal else (INFEASIBLE_SCORE, 1)
+            if child.status == "optimal" else (INFEASIBLE_SCORE, 1)
         )
     (a, b), (e, f) = decreases
     g = math.gcd(a * f, e * b, b * f)

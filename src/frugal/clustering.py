@@ -161,11 +161,19 @@ class MergeForest:
 
     Node ids 0..n-1 are the points; merge ``s`` (0-based) creates node
     ``n + s``.  ``members[i]`` is the point set of node ``i``; ``roots`` are
-    the nodes no merge has consumed, ascending.
+    the nodes no merge has consumed, ascending.  A merge that does not join
+    two distinct roots into node ``n + s`` raises ``ValueError``.
     """
 
     size: int
     merges: tuple[tuple[int, int, int], ...]
+
+    def __post_init__(self) -> None:
+        roots = set(range(self.size))
+        for s, (a, b, node) in enumerate(self.merges):
+            if a == b or not {a, b} <= roots or node != self.size + s:
+                raise ValueError(f"merge {s} {(a, b, node)} must join two distinct roots into node {self.size + s}")
+            roots = roots - {a, b} | {node}
 
     @cached_property
     def members(self) -> tuple[frozenset[int], ...]:

@@ -3,6 +3,7 @@ import math
 import warnings
 from decimal import Decimal
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -107,6 +108,17 @@ def bnb_cases(draw):
     return milp, draw(st.integers(1, 63))
 
 
+@st.composite
+def rational_milps(draw):
+    """A program of up to 4 variables and 3 rows with small rational data."""
+    n, m = draw(st.integers(1, 4)), draw(st.integers(0, 3))
+    value = st.fractions(min_value=-20, max_value=20, max_denominator=60)
+    objective = draw(st.lists(value, min_size=n, max_size=n))
+    rows = draw(st.lists(st.lists(value, min_size=n, max_size=n), min_size=m, max_size=m))
+    rhs = draw(st.lists(value, min_size=m, max_size=m))
+    return Milp(tuple(objective), tuple(map(tuple, rows)), tuple(rhs))
+
+
 def cold_copy(milp):
     """The same program with empty memos."""
     return Milp(milp.objective, milp.rows, milp.rhs, milp.name)
@@ -187,6 +199,9 @@ class TestLpRelax:
                 [-1, 1, -1],
                 (1, 0, 1),
             ),
+            # Phase 1 ends with x0's box slack basic in a stored row, so
+            # phase 2 prices that row against x0's cost.
+            ([3, 0], [[1, -2], [2, -3]], [-1, -1], (1, 1)),
         ],
     )
     def test_vertex_follows_rational_pivots(self, objective, rows, rhs, point):
@@ -340,13 +355,61 @@ class TestLpRelax:
         solve, calls = bnb._solve_box_lp, []
         monkeypatch.setattr(bnb, "_solve_box_lp", lambda *args: calls.append(args) or solve(*args))
         solution = lp_relax(milp, fixings)
-        assert calls and calls[0][0] == []
+        # With no free column the row check is the solver's own rule (a
+        # negative right side is infeasible), so only a feasible key reaches it.
+        assert [args[0] for args in calls] == ([[]] if status == "optimal" else [])
         *expected, unique = fraction_lp_solution(milp, fixings)
         assert (solution.status, solution.objective, solution.point) == tuple(expected)
         assert solution.status == status
         assert not solution.is_optimal or solution.unique is unique
         assert solve([], [[], []], [1, 0]) == (0, 1, [], True)
         assert solve([], [[], []], [1, -1]) is None
+
+    @pytest.mark.parametrize("fixings", [[(0, 1)], [], ((0, 1), [1, 0])], ids=["list", "empty-list", "list-pair"])
+    def test_unhashable_key_rejected(self, two_var, fixings):
+        lp_relax(two_var, ((0, 1),))
+        with pytest.raises(TypeError, match=r"^fixings must be a tuple of \(index, value\) pairs, got "):
+            lp_relax(two_var, fixings)
+        assert list(two_var._lp_cache) == [((0, 1),)]
+
+    def test_row_settled_key_solves_no_lp(self, monkeypatch):
+        # x0 = x1 = 1 leaves x2 <= -1/2 in the first row, below its least
+        # activity 0.  The second row's x2 >= 1/2 is met by x2 = 1, so that
+        # row alone is left to the solver.
+        milp = Milp.from_lists([1, 1, 1], [[1, 1, 1], [1, 1, -1]], ["1.5", "1.5"])
+        key = ((0, 1), (1, 1))
+        monkeypatch.setattr(bnb, "_solve_box_lp", None)
+        solution = lp_relax(milp, key)
+        assert solution.status == "infeasible" and milp._lp_cache == {key: solution}
+        assert fraction_lp_relax(milp, key) == ("infeasible", None, None)
+        monkeypatch.undo()
+        second_row = Milp.from_lists([1, 1, 1], [[1, 1, -1]], ["1.5"])
+        assert lp_relax(second_row, key).point == (1, 1, 1)
+
+    def test_infeasibility_no_row_proves_reaches_phase_one(self, monkeypatch):
+        # x0 + x1 <= 1 and x0 + x1 >= 3/2: each row alone is feasible.
+        milp = Milp.from_lists([1, 1], [[1, 1], [-1, -1]], [1, "-1.5"])
+        solve, results = bnb._solve_box_lp, []
+        monkeypatch.setattr(bnb, "_solve_box_lp", lambda *args: results.append(solve(*args)) or results[-1])
+        assert lp_relax(milp).status == "infeasible"
+        assert results == [None]
+        assert fraction_lp_relax(milp) == ("infeasible", None, None)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.one_of(bnb_cases().map(lambda case: case[0]), rational_milps()), st.data())
+    def test_row_settled_keys_are_infeasible(self, milp, data):
+        # Each key is solved cold, so no cached parent settles it: a key
+        # stored without a call to the solver was settled by the row check.
+        fixable = data.draw(st.lists(st.integers(0, milp.n - 1), max_size=4, unique=True))
+        solve = bnb._solve_box_lp
+        for fixings in fixing_sets(sorted(fixable)):
+            calls = []
+            with mock.patch.object(bnb, "_solve_box_lp", lambda *args: calls.append(args) or solve(*args)):
+                solution = lp_relax(cold_copy(milp), fixings)
+            expected = fraction_lp_relax(milp, fixings)
+            assert (solution.status, solution.objective, solution.point) == expected
+            if not calls:
+                assert expected == ("infeasible", None, None)
 
     def test_solution_equality_is_by_value(self):
         # The objective is value / (denominator * scale): 3/2 in both.
@@ -774,17 +837,6 @@ class TestPoolSample:
         assert problem.f_bound(sample, 40) == per_draw(40) == 2**62
         cells = problem.get_partition(sample, 7)
         assert len(cells) <= problem.f_bound(sample, 7) == per_draw(7)
-
-
-@st.composite
-def rational_milps(draw):
-    """A program of up to 4 variables and 3 rows with small rational data."""
-    n, m = draw(st.integers(1, 4)), draw(st.integers(0, 3))
-    value = st.fractions(min_value=-20, max_value=20, max_denominator=60)
-    objective = draw(st.lists(value, min_size=n, max_size=n))
-    rows = draw(st.lists(st.lists(value, min_size=n, max_size=n), min_size=m, max_size=m))
-    rhs = draw(st.lists(value, min_size=m, max_size=m))
-    return Milp(tuple(objective), tuple(map(tuple, rows)), tuple(rhs))
 
 
 class TestParser:

@@ -150,6 +150,23 @@ class TestBestPruning:
             with pytest.raises(ValueError, match=f"^forest of {size} points for an instance of 4$"):
                 best_pruning(forest, 2, inst)
 
+    def test_forest_merges_must_join_distinct_roots(self):
+        # Merging point 0 twice would price it in two clusters, and a first
+        # merge into node 7 would leave node 4 a root.
+        inst = random_metric_instance(np.random.default_rng(0), 4, 3)
+        with pytest.raises(ValueError, match=r"^merge 1 \(0, 2, 5\) must join two distinct roots into node 5$"):
+            best_pruning(MergeForest(4, ((0, 1, 4), (0, 2, 5))), 3, inst)
+        for merges, bad in (
+            (((0, 1, 7),), "merge 0 (0, 1, 7)"),
+            (((2, 2, 4),), "merge 0 (2, 2, 4)"),
+            (((0, 5, 4),), "merge 0 (0, 5, 4)"),
+            (((0, 1, 4), (4, 1, 5)), "merge 1 (4, 1, 5)"),
+        ):
+            with pytest.raises(ValueError, match=f"^{re.escape(bad)} must join two distinct roots"):
+                MergeForest(4, merges)
+        forest = MergeForest(4, ((0, 1, 4), (4, 2, 5)))
+        assert forest.roots == (3, 5) and forest.prefix(1).roots == (2, 3, 4)
+
     def test_matches_enumeration_on_random_instances(self):
         # Every n <= 8 fixture, every budget, every k: the tables stop at k
         # clusters, so k = n and k just above the root count are covered.

@@ -15,15 +15,16 @@ so two checkouts' outputs can be compared with ``cmp``:
 numpy and the standard library are used.
 
 ``tools/partition_dump.sha256`` holds the digests of the ``bnb`` dumps of
-seeds 1 and 2 and the ``clustering`` dump of seed 1, and CI checks them with
+seeds 1, 2 and 3 and the ``clustering`` dump of seed 1, and CI checks them with
 ``sha256sum -c`` (numpy pinned, since the pools are drawn with its
 generator).  After a change that alters cells or errors on purpose,
 regenerate it from the repository root:
 
     PYTHONPATH=src python tools/partition_dump.py bnb 1 > partition_dump_bnb_1.txt
     PYTHONPATH=src python tools/partition_dump.py bnb 2 > partition_dump_bnb_2.txt
+    PYTHONPATH=src python tools/partition_dump.py bnb 3 > partition_dump_bnb_3.txt
     PYTHONPATH=src python tools/partition_dump.py clustering 1 > partition_dump_clustering_1.txt
-    sha256sum partition_dump_bnb_1.txt partition_dump_bnb_2.txt \
+    sha256sum partition_dump_bnb_1.txt partition_dump_bnb_2.txt partition_dump_bnb_3.txt \
         partition_dump_clustering_1.txt > tools/partition_dump.sha256
 """
 from __future__ import annotations
