@@ -33,6 +33,7 @@ __all__ = [
     "PoolSample",
     "PartitionCell",
     "ConfigProblem",
+    "MAX_DRAWS",
     "DegenerateDistributionError",
     "tail_quantile_exact",
     "law_capped_mean",
@@ -186,6 +187,10 @@ class PartitionCell:
         """The capped loss of each draw, grouped by distinct instance."""
         return [loss for loss, count in zip(self.losses, self.counts, strict=True)
                 for _ in range(count)]
+
+
+# The most draws one ``sample_many`` call makes: numpy's multinomial count is an int64.
+MAX_DRAWS = 2**63 - 1
 
 
 class ConfigProblem:

@@ -23,7 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import ConfigProblem, ParamCell, ParamPoint, PoolSample, tail_capped_mean
+from .core import MAX_DRAWS, ConfigProblem, ParamCell, ParamPoint, PoolSample, tail_capped_mean
 from .stats import GammaInputs, _count_at_accuracy, _gamma_of_count, gamma_bound
 
 __all__ = [
@@ -58,10 +58,10 @@ class LearnerError(RuntimeError):
 
 
 class SampleBudgetError(LearnerError):
-    """Sample growth hit the per-round safety limit before reaching its target.
+    """A round's accuracy target needs more draws than one ``sample_many`` makes.
 
-    Names the round, its cap, the region count and the last accuracy
-    ``last_gamma``, which signals a target (eta * delta) too small for the limit.
+    Names the round, its cap, the region count, the target (eta * delta) and the
+    draw limit; ``last_gamma`` is the accuracy at that limit, above the target.
     """
 
     def __init__(self, message: str, last_gamma: float) -> None:
@@ -86,12 +86,12 @@ def compute_eta(epsilon: float) -> float:
 
 @dataclass(frozen=True)
 class LearnerConfig:
-    """Accuracy/confidence knobs plus safety limits.
+    """Accuracy/confidence knobs plus the round safety limit.
 
-    ``epsilon`` must be positive and finite so the accuracy coefficient is
-    nonzero and every output number is valid JSON; ``delta`` is the tail
-    level and ``zeta`` the failure probability budget.  ``seed`` seeds
-    numpy's generator, so it must be nonnegative.
+    ``epsilon`` must be finite so every output number is valid JSON, and
+    above about 5.6e-16 so the accuracy coefficient is nonzero in floats;
+    ``delta`` is the tail level and ``zeta`` the failure probability budget.
+    ``seed`` seeds numpy's generator, so it must be nonnegative.
     """
 
     epsilon: float
@@ -99,18 +99,18 @@ class LearnerConfig:
     zeta: float
     seed: int = 0
     max_rounds: int = 40
-    max_samples_per_round: int = 2_000_000
 
     def __post_init__(self) -> None:
-        if not 0 < self.epsilon < math.inf:
-            raise ValueError("epsilon must be positive and finite")
+        if not (0 < self.epsilon < math.inf and self.eta > 0.0):
+            raise ValueError("epsilon must be positive and finite with a nonzero accuracy "
+                             f"coefficient, got {self.epsilon!r}")
         for name in ("delta", "zeta"):
             if not 0.0 < getattr(self, name) < 1.0:
                 raise ValueError(f"{name} must lie in (0, 1)")
         if self.seed < 0:
             raise ValueError(f"seed must be nonnegative, got {self.seed}")
-        if self.max_rounds < 1 or self.max_samples_per_round < 1:
-            raise ValueError("safety limits must be positive")
+        if self.max_rounds < 1:
+            raise ValueError("max_rounds must be positive")
 
     @property
     def eta(self) -> float:
@@ -203,7 +203,7 @@ def grow_sample(
     cfg: LearnerConfig,
     rng: np.random.Generator,
 ) -> PoolSample:
-    """Draw instances until the sample-accuracy bound reaches ``eta * delta``.
+    """Draw instances until the sample-accuracy bound reaches ``eta * delta``, up to ``MAX_DRAWS``.
 
     Semantically the growth loop adds one instance at a time, recomputing the
     region count and the bound after every draw, and stops at the first
@@ -226,25 +226,19 @@ def grow_sample(
         gamma = gamma_bound(GammaInputs(round_index, len(sample), cap, f_value, confidence=cfg.zeta))
         if gamma <= target:
             return sample
-        if len(sample) >= cfg.max_samples_per_round:
+        needed = _min_samples_for_target(
+            round_index, cap, f_value, cfg.zeta, target, lower=len(sample) + 1, upper=MAX_DRAWS
+        )
+        if needed is None:
+            # The region count only grows, so no larger sample meets the target either.
+            at_limit = GammaInputs(round_index, MAX_DRAWS, cap, f_value, confidence=cfg.zeta)
+            gamma = gamma_bound(at_limit)
             raise SampleBudgetError(
-                f"round {round_index} (cap {cap}, f_value {f_value}): accuracy "
-                f"{gamma:.6g} still above target {target:.6g} at the per-round "
-                f"sample limit {cfg.max_samples_per_round}",
+                f"round {round_index} (cap {cap}, f_value {f_value}): accuracy {gamma:.6g} "
+                f"still above target {target:.6g} at the draw limit {MAX_DRAWS}",
                 last_gamma=gamma,
             )
-        needed = _min_samples_for_target(
-            round_index,
-            cap,
-            f_value,
-            cfg.zeta,
-            target,
-            lower=len(sample) + 1,
-            upper=cfg.max_samples_per_round,
-        )
-        grow_to = needed if needed is not None else cfg.max_samples_per_round
-        batch = problem.sample_many(rng, grow_to - len(sample))
-        sample = problem.merge_samples(sample, batch)
+        sample = problem.merge_samples(sample, problem.sample_many(rng, needed - len(sample)))
 
 
 def process_round(cells: Sequence, cfg: LearnerConfig, round_index: int) -> list[GoodRegion]:

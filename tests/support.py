@@ -12,6 +12,7 @@ import itertools
 import json
 import math
 from fractions import Fraction
+from pathlib import Path
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -916,3 +917,14 @@ def outcome(build):
         return build()
     except ValueError as exc:
         return f"ValueError: {exc}"
+
+
+# The numpy that CI installs; the pools and draws behind the dump digests come from its generator.
+CI_NUMPY = "2.4.6"
+TOOLS = Path(__file__).resolve().parents[1] / "tools"
+
+
+def dump_digests(listing: str) -> dict[str, str]:
+    """``{file name: sha256}`` read from the ``sha256sum`` listing ``tools/<listing>``."""
+    lines = (TOOLS / listing).read_text().splitlines()
+    return {name: digest for digest, name in map(str.split, lines)}

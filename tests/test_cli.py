@@ -1,7 +1,9 @@
 import json
 import math
 import sys
+from dataclasses import asdict
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -114,7 +116,7 @@ class TestLearnCommand:
             {"domain": "synthetic", "seed": 1.7},
             {"domain": "synthetic", "max_rounds": True},
             {"domain": "synthetic", "epsilon": True},
-            {"domain": "synthetic", "max_samples_per_round": 2.5},
+            {"domain": "synthetic", "max_rounds": 2.5},
             {"domain": "synthetic", "delta": "0.5"},
             {"domain": "synthetic", "family": {"L_mid": 8.5}},
         ],
@@ -126,7 +128,7 @@ class TestLearnCommand:
             "seed-float",
             "max-rounds-bool",
             "epsilon-bool",
-            "samples-float",
+            "max-rounds-float",
             "delta-string",
             "family-float-loss",
         ],
@@ -158,8 +160,9 @@ class TestLearnCommand:
         [
             ({"detla": 0.9}, "config has unknown key 'detla'"),
             ({"family": {"L_lo": 20}}, "config 'family' has unknown key 'L_lo'"),
+            ({"max_samples_per_round": 2000000}, "config has unknown key 'max_samples_per_round'"),
         ],
-        ids=["top-level", "family"],
+        ids=["top-level", "family", "removed-sample-limit"],
     )
     def test_unknown_key_exits_one(self, tmp_path, capsys, raw, message):
         config = write_config(tmp_path, **raw)
@@ -178,9 +181,28 @@ class TestLearnCommand:
         assert "seed must be nonnegative" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
-    def test_learner_failure_exits_two(self, tmp_path):
-        config = write_config(tmp_path, max_samples_per_round=50)
+    def test_epsilon_whose_coefficient_underflows_exits_one(self, tmp_path, capsys):
+        config = write_config(tmp_path, epsilon=1e-17)
+        assert main(["learn", "--config", str(config)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: bad config value: epsilon ") and "1e-17" in err
+        assert not (tmp_path / "out").exists()
+
+    def test_learner_failure_exits_two(self, tmp_path, capsys):
+        # Round 1's cap 2 is below every synthetic loss, so nothing is admitted.
+        config = write_config(tmp_path, max_rounds=1)
         assert main(["learn", "--config", str(config)]) == 2
+        assert "no region ever admitted" in capsys.readouterr().err
+
+    def test_readme_config_example_loads(self, tmp_path):
+        # README's one JSON block is the full config; every learner knob is in it.
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        (block,) = [part.split("```")[0] for part in readme.split("```json\n")[1:]]
+        config = tmp_path / "config.json"
+        config.write_text(block)
+        example, loaded = json.loads(block), cli.load_config(config)
+        assert (loaded.domain, loaded.out) == (example["domain"], Path(example["out"]))
+        assert asdict(loaded.learner) == {knob: example[knob] for knob in asdict(loaded.learner)}
 
 
 class TestPartitionCommand:

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from frugal.core import (
+    MAX_DRAWS,
     CappedRunOutcome,
     ConfigProblem,
     DegenerateDistributionError,
@@ -297,6 +298,14 @@ class TestPoolSample:
         assert {type(v) for v in first.counts + second.counts} == {int}
         merged = problem.merge_samples(first, problem.all_instances())
         assert merged.counts == tuple(count + 1 for count in first.counts)
+
+    def test_draw_limit_is_one_multinomial(self):
+        # numpy's multinomial count is an int64: the limit draws, one more does not.
+        problem = ConfigProblem("abc")
+        rng = np.random.default_rng(0)
+        assert len(problem.sample_many(rng, MAX_DRAWS)) == MAX_DRAWS
+        with pytest.raises(OverflowError):
+            problem.sample_many(rng, MAX_DRAWS + 1)
 
     def test_size_is_fixed_and_counts_read_only(self):
         problem = ConfigProblem("abcd")

@@ -1,15 +1,17 @@
-"""The canonical learner dump of ``tools/learn_dump.py``, on its first seeds."""
+"""The canonical learner dump of ``tools/learn_dump.py``, on its first seeds and in full."""
+import hashlib
 import importlib.util
 import io
 from fractions import Fraction
-from pathlib import Path
+
+import numpy as np
+import pytest
 
 from frugal import learner
 from frugal.learner import RoundLimitError
+from support import CI_NUMPY, TOOLS, dump_digests
 
-_SPEC = importlib.util.spec_from_file_location(
-    "learn_dump", Path(__file__).resolve().parents[1] / "tools" / "learn_dump.py"
-)
+_SPEC = importlib.util.spec_from_file_location("learn_dump", TOOLS / "learn_dump.py")
 learn_dump = importlib.util.module_from_spec(_SPEC)
 _SPEC.loader.exec_module(learn_dump)
 
@@ -79,3 +81,16 @@ def test_clustering_pool_is_eight_parsed_metrics():
 
 def test_dump_is_deterministic():
     assert dumped("bnb", 2) == dumped("bnb", 2)
+
+
+@pytest.mark.skipif(
+    np.__version__ != CI_NUMPY, reason=f"the digests are of runs drawn by numpy {CI_NUMPY}"
+)
+@pytest.mark.parametrize("domain", sorted(learn_dump.SETS))
+def test_dump_matches_its_digest(domain):
+    # The whole dump against the digest CI checks with ``sha256sum -c``, so a
+    # moved round size or learned set fails here too.
+    out = io.StringIO()
+    learn_dump.dump(domain, out)
+    got = hashlib.sha256(out.getvalue().encode()).hexdigest()
+    assert got == dump_digests("learn_dump.sha256")[f"learn_dump_{domain}.txt"]

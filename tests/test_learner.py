@@ -14,7 +14,7 @@ from frugal.clustering import (
     exact_kmedian_cost,
     random_metric_instance,
 )
-from frugal.core import ParamCell, ParamPoint
+from frugal.core import MAX_DRAWS, ParamCell, ParamPoint
 from frugal.learner import (
     _min_samples_for_target,
     LearnerConfig,
@@ -81,6 +81,12 @@ class TestEta:
         with pytest.raises(ValueError, match="epsilon must be positive and finite"):
             default_config(epsilon=epsilon)
 
+    def test_config_rejects_epsilon_whose_coefficient_underflows(self):
+        # 1 + 1e-17 is 1.0 in floats, so the accuracy coefficient is 0.
+        assert compute_eta(1e-17) == 0.0
+        with pytest.raises(ValueError, match=r"epsilon .* nonzero accuracy coefficient, got 1e-17"):
+            default_config(epsilon=1e-17)
+
     def test_config_rejects_negative_seed(self):
         with pytest.raises(ValueError, match="seed must be nonnegative"):
             default_config(seed=-1)
@@ -94,11 +100,9 @@ class TestConfigBoundaries:
             default_config(**{name: value})
 
     def test_safety_limits_of_one_accepted(self):
-        cfg = default_config(max_rounds=1, max_samples_per_round=1)
-        assert (cfg.max_rounds, cfg.max_samples_per_round) == (1, 1)
-        for limits in ({"max_rounds": 0}, {"max_samples_per_round": 0}):
-            with pytest.raises(ValueError, match="safety limits must be positive"):
-                default_config(**limits)
+        assert default_config(max_rounds=1).max_rounds == 1
+        with pytest.raises(ValueError, match="max_rounds must be positive"):
+            default_config(max_rounds=0)
 
 
 def test_min_samples_for_target_boundaries():
@@ -237,15 +241,59 @@ class TestGrowSample:
         assert 3.5 <= b_half / b_full <= 4.5
 
     def test_budget_error_carries_gamma(self):
+        # A target of about 3e-9 needs more draws than one multinomial makes.
         problem = SyntheticProblem(SyntheticFamily())
-        cfg = default_config(max_samples_per_round=100)
+        cfg = default_config(epsilon=1e-4, delta=1e-3)
+        target = cfg.eta * cfg.delta
         with pytest.raises(SampleBudgetError) as excinfo:
-            grow_sample(problem, 3, cfg, np.random.default_rng(0))
+            grow_sample(problem, 1, cfg, np.random.default_rng(0))
         gamma = excinfo.value.last_gamma
-        assert gamma > cfg.eta * cfg.delta
+        assert gamma > target
         message = str(excinfo.value)
-        for field in ("round 3", "cap 8", "f_value 3", f"accuracy {gamma:.6g}", "limit 100"):
+        for field in ("round 1", "cap 2", "f_value 3", f"accuracy {gamma:.6g}",
+                      f"target {target:.6g}", f"limit {MAX_DRAWS}"):
             assert field in message
+
+
+def bnb_pool_problem():
+    """The learn-bnb pool: eight programs ``random_milp(default_rng(3), 3, 2)``."""
+    rng = np.random.default_rng(3)
+    return BnbProblem([random_milp(rng, 3, 2) for _ in range(8)])
+
+
+def clustering_pool_problem(pool_seed):
+    rng = np.random.default_rng(pool_seed)
+    return ClusteringProblem([random_metric_instance(rng, 8, 2) for _ in range(8)])
+
+
+SMALL_DELTA_PROBLEMS = {
+    "synthetic": lambda: SyntheticProblem(SyntheticFamily()),
+    "bnb": bnb_pool_problem,
+    "clustering": lambda: clustering_pool_problem(1),
+}
+
+
+class TestSmallDelta:
+    """Rounds draw what their accuracy target asks, tens of millions at small delta."""
+
+    @pytest.mark.parametrize("delta", [0.1, 0.05])
+    @pytest.mark.parametrize("domain", sorted(SMALL_DELTA_PROBLEMS))
+    def test_learn_finishes(self, domain, delta):
+        result = learn_subset(SMALL_DELTA_PROBLEMS[domain](), default_config(delta=delta))
+        assert result.parameters
+        assert 9 <= result.terminal_round <= 11
+        assert max(row.samples for row in result.trace) > 2_000_000
+
+    @pytest.mark.parametrize("delta", [0.1, 0.05])
+    def test_unreachable_admission_is_no_region(self, delta):
+        # The best cell of default_rng(2)'s pool, at the last round's cap,
+        # solves 7 of the 8 metrics: below 1 - 3 delta / 8 at both deltas.
+        problem = clustering_pool_problem(2)
+        cells = problem.get_partition(problem.all_instances(), 2**40)
+        best = max(cell.z for cell in cells)
+        assert best == 7 / 8 < default_config(delta=delta).admission_threshold
+        with pytest.raises(NoRegionAdmittedError):
+            learn_subset(problem, default_config(delta=delta))
 
 
 def make_cell(losses, z):

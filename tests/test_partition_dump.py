@@ -3,14 +3,11 @@ import hashlib
 import importlib.util
 import io
 from fractions import Fraction
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-TOOLS = Path(__file__).resolve().parents[1] / "tools"
-# The numpy that CI installs; the pools behind the digests are drawn with its generator.
-CI_NUMPY = "2.4.6"
+from support import CI_NUMPY, TOOLS, dump_digests
 
 _SPEC = importlib.util.spec_from_file_location("partition_dump", TOOLS / "partition_dump.py")
 partition_dump = importlib.util.module_from_spec(_SPEC)
@@ -66,9 +63,5 @@ def test_clustering_dump_matches_its_digest():
     # ``sha256sum -c``, so any change of clustering output fails here too.
     out = io.StringIO()
     partition_dump.dump("clustering", 1, None, out)
-    digests = {
-        name: digest
-        for digest, name in map(str.split, (TOOLS / "partition_dump.sha256").read_text().splitlines())
-    }
     got = hashlib.sha256(out.getvalue().encode()).hexdigest()
-    assert got == digests["partition_dump_clustering_1.txt"]
+    assert got == dump_digests("partition_dump.sha256")["partition_dump_clustering_1.txt"]

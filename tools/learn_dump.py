@@ -31,7 +31,7 @@ Only ``frugal``, numpy and the standard library are used.
 
 ``tools/learn_dump.sha256`` holds the digests of the three dumps, and CI checks
 them with ``sha256sum -c`` (numpy pinned, since every draw comes from its
-generator).  After a change that alters learned sets on purpose, regenerate
+generator); ``tests/test_learn_dump.py`` checks them in-process under that numpy.  After a change that alters learned sets on purpose, regenerate
 it from the repository root:
 
     PYTHONPATH=src python tools/learn_dump.py synthetic > learn_dump_synthetic.txt
