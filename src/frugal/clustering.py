@@ -26,13 +26,21 @@ earlier decision has all its crossings strictly right of ``c'``, so at
 resumed run starts from the saved roots with the bound recorded after the
 last reused decision.  A node's column sums and pruning table depend only
 on its subtree, so each is built once, when a prefix cost first needs it,
-and serves every later merge budget and resumed run; per budget only the
-combination across the roots is recomputed.
+and serves every later merge budget and resumed run.
+
+Two exact facts leave most prefixes without tables.  A prefix with exactly
+``k`` roots has one exact-k pruning, its roots, so its cost is their cluster
+costs summed and only column sums are built.  For ``k >= 2`` the last
+merge's lone root is never one of ``k`` clusters, so budget ``n - 1`` costs
+what ``n - 2`` costs and is not priced.  Tables are built, and only the
+roots' combination is recomputed per budget, for prefixes with fewer than
+``k`` roots; at ``k = 2`` there are none.
 """
 from __future__ import annotations
 
 import itertools
 import math
+import numbers
 import operator
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -91,7 +99,8 @@ class ClusteringInstance:
 
     Construction validates the matrix exactly, on ``integer_form``: square,
     zero diagonal, nonnegative, symmetric, then the triangle inequality up
-    to a slack of ``1e-9``.  The first failed check raises ``ValueError``.
+    to a slack of ``1e-9``.  The first failed check raises ``ValueError``;
+    a ``k`` that is not an integer, or is a bool, raises ``TypeError``.
     """
 
     distances: tuple[tuple[Fraction, ...], ...]
@@ -134,6 +143,8 @@ class ClusteringInstance:
                 for l in range(i + 1, n):
                     if l != j and row_i[l] > row_i[j] + row_j[l] + slack:
                         raise ValueError(f"triangle inequality violated at ({i}, {j}, {l})")
+        if isinstance(self.k, bool) or not isinstance(self.k, numbers.Integral):
+            raise TypeError(f"k must be an integer, got {self.k!r}")
         if not 1 <= self.k <= n:
             raise ValueError("k must lie in [1, n]")
         if self.theta <= 0:
@@ -152,7 +163,7 @@ class ClusteringInstance:
     @classmethod
     def from_lists(cls, distances, k: int, theta, name: str = "") -> "ClusteringInstance":
         *distances, (theta,) = parse_rational_rows([*distances, [theta]])
-        return cls(distances=tuple(distances), k=int(k), theta=theta, name=name)
+        return cls(distances=tuple(distances), k=k, theta=theta, name=name)
 
 
 @dataclass(frozen=True)
@@ -201,13 +212,14 @@ class _LinkageRun:
     indexed by node id, the live roots after each merge count, every merge
     decision that lowered the tracker's running bound (with the bound it
     left), each node's member tuple, and each node's column sums and pruning
-    table once a prefix cost needed them.  A run at a point ``c'`` right of
-    the previous run's point restarts at the first decision whose running
-    bound is at most ``c'``; every step before it is reused, and so are the
-    column sums and pruning table of every node those steps created.  In a
-    sweep ``c'`` is the previous run's final bound, so that decision is the
-    last recorded one.  Successive ``advance`` calls must come from one
-    sweep, left to right, at one budget.
+    table once a prefix cost needed them (the sums may run ahead of the
+    tables).  A run at a point ``c'`` right of the previous run's point
+    restarts at the first decision whose running bound is at most ``c'``;
+    every step before it is reused, and so are the column sums and pruning
+    table of every node those steps created.  In a sweep ``c'`` is the
+    previous run's final bound, so that decision is the last recorded one.
+    Successive ``advance`` calls must come from one sweep, left to right, at
+    one budget.
     """
 
     def __init__(self, instance: ClusteringInstance) -> None:
@@ -292,11 +304,23 @@ class _LinkageRun:
 
     def pruning_cost(self, merge_count: int) -> int:
         """Integer-form best pruning cost of the first ``merge_count`` merges
-        at ``instance.k`` clusters; at most ``k`` roots may remain."""
-        k = self.instance.k
-        built = len(self.tables) - self.size
-        _extend_tables(self.tables, self.sums, self.merges[built:merge_count], self.members, k)
-        return _covering_cost(self.tables, self.roots[merge_count], k)
+        at ``instance.k`` clusters; at most ``k`` roots may remain.
+
+        A prefix with exactly ``k`` roots has one exact-k pruning, its roots,
+        so it costs the sum of their cluster costs (each root's ``table[1]``)
+        and only the column sums are extended.  With fewer roots the nodes'
+        pruning tables are built, with their column sums, and combined.
+        """
+        k, n, sums = self.instance.k, self.size, self.sums
+        roots = self.roots[merge_count]
+        if len(roots) == k:
+            for left, right, _ in self.merges[len(sums) - n : merge_count]:
+                sums.append([*map(operator.add, sums[left], sums[right])])
+            return sum(min(map(sums[root].__getitem__, self.members[root])) for root in roots)
+        built = len(self.tables) - n
+        del sums[n + built :]  # ``_extend_tables`` appends each node's sums with its table
+        _extend_tables(self.tables, sums, self.merges[built:merge_count], self.members, k)
+        return _covering_cost(self.tables, roots, k)
 
 
 def capped_linkage_run(instance: ClusteringInstance, rho, tau_merges: int) -> MergeForest:
@@ -404,11 +428,15 @@ def _run_outcome(run: _LinkageRun, tau: int, tracker: DecisionTracker) -> Capped
     ``m`` merges has ``n - m`` roots, which no selection of ``k`` clusters
     covers while ``m < n - k``, so the search starts at budget ``n - k``.
     Budgets are capped at ``n - 1`` merges; a cap beyond that cannot help.
+    For ``k >= 2`` the search ends at ``n - 2``: the last merge's lone root is
+    never one of ``k`` clusters, so its ``table[k]`` is its two children's
+    tables combined, which is the ``n - 2`` covering, and budget ``n - 1``
+    costs what ``n - 2`` costs.
     """
     n, k = run.size, run.instance.k
     budget = min(tau, n - 1)
     run.advance(tracker, budget)
-    for tau_prime in range(n - k, budget + 1):
+    for tau_prime in range(n - k, min(budget, n - 2 if k >= 2 else n - 1) + 1):
         if run.pruning_cost(tau_prime) <= run.threshold:
             return CappedRunOutcome.finished(tau_prime)
     return CappedRunOutcome.truncated(tau)

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
+from frugal import clustering
 from frugal.clustering import (
     _TRIANGLE_SLACK,
     MAX_POINTS,
@@ -179,6 +180,11 @@ class TestBestPruning:
                         got = best_pruning(forest, k, inst).cost
                         want = enumerate_prunings(forest, k, inst)
                         assert got == want
+                # For k >= 2 the last merge's lone root is never a cluster,
+                # so the whole tree prices as its two subtrees do.
+                last, before = full.prefix(inst.n - 1), full.prefix(inst.n - 2)
+                for k in range(2, inst.n + 1):
+                    assert best_pruning(last, k, inst) == best_pruning(before, k, inst)
 
     @settings(max_examples=40, deadline=None)
     @given(st.data())
@@ -440,7 +446,7 @@ class TestResumedSweep:
         n = len(matrix)
         k = data.draw(st.integers(1, n))
         inst = ClusteringInstance.from_lists(matrix, k, 1)
-        scale = inst.integer_form[0]
+        scale, distances = inst.integer_form
         # From n - k merges on, a prefix of at most k roots has a cost to check.
         budget = data.draw(st.integers(n - k, n - 1))
         run, point, bound = _LinkageRun(inst), Fraction(0), Fraction(1)
@@ -463,6 +469,24 @@ class TestResumedSweep:
             for m in data.draw(st.permutations(range(n - k, budget + 1))):
                 want = best_pruning(forest.prefix(m), k, inst).cost
                 assert run.pruning_cost(m) == want * scale
+            # Column sums are kept for the run's nodes only, each its
+            # members' distance rows added, whichever path priced them.
+            assert len(run.sums) <= n + budget
+            for node, column in enumerate(run.sums):
+                members = forest.members[node]
+                assert list(column) == [sum(distances[p][c] for p in members) for c in range(n)]
+
+    def test_k_root_prefixes_need_no_tables(self, monkeypatch):
+        # At k = 2 a prefix of n - 2 merges has exactly its two roots as its
+        # pruning and budget n - 1 is never priced, so no table is combined.
+        combined = []
+        combine = clustering._combine
+        monkeypatch.setattr(clustering, "_combine", lambda *a: combined.append(a) or combine(*a))
+        pool = [random_metric_instance(np.random.default_rng(seed), 8, 2) for seed in range(10)]
+        for tau in (6, 7):
+            cells = clustering_partition(whole_pool(pool), tau)
+            assert any(loss == 6 for cell in cells for loss in cell.losses)
+        assert combined == []
 
     def test_resumes_at_the_flipping_merge(self, four_point, monkeypatch):
         # At rho = 2/5 the second merge flips; the first is reused, so the
@@ -660,16 +684,26 @@ class TestInstanceFormat:
             (3, 4, Fraction(1), re.escape("k must lie in [1, n]")),
             (3, 1, Fraction(1, 10**9), None),
             (3, 1, Fraction(0), "theta must be positive"),
+            # A k that is not an integer is a TypeError naming it.
+            (3, 1.5, Fraction(1), (TypeError, re.escape("k must be an integer, got 1.5"))),
+            (3, 2.7, Fraction(1), (TypeError, re.escape("k must be an integer, got 2.7"))),
+            (3, 2.0, Fraction(1), (TypeError, re.escape("k must be an integer, got 2.0"))),
+            (3, True, Fraction(1), (TypeError, "k must be an integer, got True")),
+            (3, "2", Fraction(1), (TypeError, "k must be an integer, got '2'")),
+            (3, np.int64(2), Fraction(1), None),
         ],
     )
     def test_size_k_and_theta_boundaries(self, n, k, theta, message):
-        # Points on a line, at distance |i - j|.
+        # Points on a line, at distance |i - j|; the constructor and
+        # ``from_lists`` check the same.
         distances = tuple(tuple(Fraction(abs(i - j)) for j in range(n)) for i in range(n))
-        if message is None:
-            ClusteringInstance(distances=distances, k=k, theta=theta)
-        else:
-            with pytest.raises(ValueError, match=f"^{message}$"):
-                ClusteringInstance(distances=distances, k=k, theta=theta)
+        error, message = message if isinstance(message, tuple) else (ValueError, message)
+        for build in (ClusteringInstance, ClusteringInstance.from_lists):
+            if message is None:
+                assert build(distances, k, theta).k == k
+            else:
+                with pytest.raises(error, match=f"^{message}$"):
+                    build(distances, k, theta)
 
     @settings(max_examples=150, deadline=None)
     @given(st.data())

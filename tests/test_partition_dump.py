@@ -58,10 +58,13 @@ def test_dump_is_deterministic():
 @pytest.mark.skipif(
     np.__version__ != CI_NUMPY, reason=f"the digests are of pools drawn by numpy {CI_NUMPY}"
 )
-def test_clustering_dump_matches_its_digest():
-    # The whole seed-1 clustering dump against the digest CI checks with
+@pytest.mark.parametrize("pool", ["clustering", "clustering-k3"])
+def test_clustering_dump_matches_its_digest(pool):
+    # A whole seed-1 clustering dump against the digest CI checks with
     # ``sha256sum -c``, so any change of clustering output fails here too.
+    # The k = 2 pool prices every cell without pruning tables; the k = 3 pool
+    # also builds and combines them.
     out = io.StringIO()
-    partition_dump.dump("clustering", 1, None, out)
+    partition_dump.dump(pool, 1, None, out)
     got = hashlib.sha256(out.getvalue().encode()).hexdigest()
-    assert got == dump_digests("partition_dump.sha256")["partition_dump_clustering_1.txt"]
+    assert got == dump_digests("partition_dump.sha256")[f"partition_dump_{pool}_1.txt"]
