@@ -692,9 +692,7 @@ class BnbProblem(ConfigProblem):
         saturating at ``2**62``; monotone in the instance set and the cap."""
         if tau < 0:
             raise ValueError("tau must be nonnegative")
-        # n ** 62 already saturates for n >= 2, so larger exponents change
-        # nothing and would only build huge integers.
-        return cell_count_ceiling(sample, min(2 * (tau + 1), 62))
+        return cell_count_ceiling(sample, 2 * (tau + 1))
 
 
 def parse_milp(text: str, name: str = "") -> Milp:

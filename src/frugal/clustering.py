@@ -32,15 +32,15 @@ Two exact facts leave most prefixes without tables.  A prefix with exactly
 ``k`` roots has one exact-k pruning, its roots, so its cost is their cluster
 costs summed and only column sums are built.  For ``k >= 2`` the last
 merge's lone root is never one of ``k`` clusters, so budget ``n - 1`` costs
-what ``n - 2`` costs and is not priced.  Tables are built, and only the
-roots' combination is recomputed per budget, for prefixes with fewer than
-``k`` roots; at ``k = 2`` there are none.
+what ``n - 2`` costs: the run stops at ``n - 2`` merges and never makes the
+last one.  Tables are built, and only the roots' combination is recomputed
+per budget, for prefixes with fewer than ``k`` roots; at ``k = 2`` there
+are none.
 """
 from __future__ import annotations
 
 import itertools
 import math
-import numbers
 import operator
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -58,6 +58,7 @@ from .core import (
     format_rational,
     integer_rows,
     parse_rational_rows,
+    require_integer,
     require_rational,
     to_fraction,
 )
@@ -143,8 +144,7 @@ class ClusteringInstance:
                 for l in range(i + 1, n):
                     if l != j and row_i[l] > row_i[j] + row_j[l] + slack:
                         raise ValueError(f"triangle inequality violated at ({i}, {j}, {l})")
-        if isinstance(self.k, bool) or not isinstance(self.k, numbers.Integral):
-            raise TypeError(f"k must be an integer, got {self.k!r}")
+        require_integer("k", self.k)
         if not 1 <= self.k <= n:
             raise ValueError("k must lie in [1, n]")
         if self.theta <= 0:
@@ -212,14 +212,15 @@ class _LinkageRun:
     indexed by node id, the live roots after each merge count, every merge
     decision that lowered the tracker's running bound (with the bound it
     left), each node's member tuple, and each node's column sums and pruning
-    table once a prefix cost needed them (the sums may run ahead of the
-    tables).  A run at a point ``c'`` right of the previous run's point
-    restarts at the first decision whose running bound is at most ``c'``;
-    every step before it is reused, and so are the column sums and pruning
-    table of every node those steps created.  In a sweep ``c'`` is the
-    previous run's final bound, so that decision is the last recorded one.
-    Successive ``advance`` calls must come from one sweep, left to right, at
-    one budget.
+    table once a prefix cost needed them.  A run at a point ``c'`` right of
+    the previous run's point restarts at the first decision whose running
+    bound is at most ``c'``; every step before it is reused, and so are the
+    column sums and pruning table of every node those steps created.  In a
+    sweep ``c'`` is the previous run's final bound, so that decision is the
+    last recorded one, and the budget is the last one ``_run_outcome``
+    prices, which for ``k >= 2`` stops short of the last merge; ``advance``
+    accepts any budget up to ``n - 1``.  Successive ``advance`` calls must
+    come from one sweep, left to right, at one budget.
     """
 
     def __init__(self, instance: ClusteringInstance) -> None:
@@ -306,21 +307,19 @@ class _LinkageRun:
         """Integer-form best pruning cost of the first ``merge_count`` merges
         at ``instance.k`` clusters; at most ``k`` roots may remain.
 
-        A prefix with exactly ``k`` roots has one exact-k pruning, its roots,
-        so it costs the sum of their cluster costs (each root's ``table[1]``)
-        and only the column sums are extended.  With fewer roots the nodes'
-        pruning tables are built, with their column sums, and combined.
+        The column sums are extended to the prefix first.  A prefix with
+        exactly ``k`` roots has one exact-k pruning, its roots, so it costs
+        the sum of their cluster costs (each root's ``table[1]``).  With
+        fewer roots the nodes' pruning tables are built and combined.
         """
         k, n, sums = self.instance.k, self.size, self.sums
+        _extend_sums(sums, self.merges[len(sums) - n : merge_count])
         roots = self.roots[merge_count]
         if len(roots) == k:
-            for left, right, _ in self.merges[len(sums) - n : merge_count]:
-                sums.append([*map(operator.add, sums[left], sums[right])])
             return sum(min(map(sums[root].__getitem__, self.members[root])) for root in roots)
-        built = len(self.tables) - n
-        del sums[n + built :]  # ``_extend_tables`` appends each node's sums with its table
-        _extend_tables(self.tables, sums, self.merges[built:merge_count], self.members, k)
-        return _covering_cost(self.tables, roots, k)
+        tables = self.tables
+        _extend_tables(tables, sums, self.merges[len(tables) - n : merge_count], self.members, k)
+        return _covering_cost(tables, roots, k)
 
 
 def capped_linkage_run(instance: ClusteringInstance, rho, tau_merges: int) -> MergeForest:
@@ -360,28 +359,33 @@ def _combine(left: dict[int, int], right: dict[int, int], k: int) -> dict[int, i
     return table
 
 
+def _extend_sums(sums: list[Sequence[int]], merges: Sequence[tuple[int, int, int]]) -> None:
+    """Append the column sums of each merge's node, its children's added entry
+    by entry.  ``merges`` must create node ids ``len(sums)``, ``len(sums) + 1``, ..."""
+    for left, right, _ in merges:
+        sums.append([*map(operator.add, sums[left], sums[right])])
+
+
 def _extend_tables(
     tables: list[dict[int, int]],
-    sums: list[Sequence[int]],
+    sums: Sequence[Sequence[int]],
     merges: Sequence[tuple[int, int, int]],
     members: Sequence[Collection[int]],
     k: int,
 ) -> None:
-    """Append the column sums and pruning table of each merge's node, in order.
+    """Append the pruning table of each merge's node, in order.
 
-    A node's column sums total its points' distances to each point, and its
-    cluster cost is the least of them over its own members.  Its table maps
-    each achievable cluster count up to ``k`` to the best cost of covering
-    its points with clusters from its subtree: the node itself as one
-    cluster, or its two children's tables combined.  Both depend only on the
-    subtree, so they serve every forest prefix holding the node.  ``merges``
-    must create node ids ``len(tables)``, ``len(tables) + 1``, ...
+    A node's cluster cost is the least of its column sums (``sums[node]``,
+    which must already be built) over its own members.  Its table maps each
+    achievable cluster count up to ``k`` to the best cost of covering its
+    points with clusters from its subtree: the node itself as one cluster,
+    or its two children's tables combined.  It depends only on the subtree,
+    so it serves every forest prefix holding the node.  ``merges`` must
+    create node ids ``len(tables)``, ``len(tables) + 1``, ...
     """
     for left, right, node in merges:
-        column = [*map(operator.add, sums[left], sums[right])]
-        sums.append(column)
         table = _combine(tables[left], tables[right], k)
-        table[1] = min(map(column.__getitem__, members[node]))
+        table[1] = min(map(sums[node].__getitem__, members[node]))
         tables.append(table)
 
 
@@ -414,29 +418,30 @@ def best_pruning(forest: MergeForest, k: int, instance: ClusteringInstance) -> P
     if len(forest.roots) > k:
         return PruningResult(cost=math.inf)
     scale, distances = instance.integer_form
+    sums: list[Sequence[int]] = list(distances)
+    _extend_sums(sums, forest.merges)
     tables: list[dict[int, int]] = [{1: 0}] * forest.size
-    _extend_tables(tables, list(distances), forest.merges, forest.members, k)
+    _extend_tables(tables, sums, forest.merges, forest.members, k)
     return PruningResult(cost=Fraction(_covering_cost(tables, forest.roots, k), scale))
 
 
 def _run_outcome(run: _LinkageRun, tau: int, tracker: DecisionTracker) -> CappedRunOutcome:
     """Smallest merge budget whose best pruning is admissible, if within cap.
 
-    The run is at the tracker's point.  The best pruning cost is
+    The run is brought to the tracker's point.  The best pruning cost is
     non-increasing in the merge budget (later forests contain every earlier
     node), so the first admissible budget is the exact loss.  A prefix of
     ``m`` merges has ``n - m`` roots, which no selection of ``k`` clusters
     covers while ``m < n - k``, so the search starts at budget ``n - k``.
-    Budgets are capped at ``n - 1`` merges; a cap beyond that cannot help.
-    For ``k >= 2`` the search ends at ``n - 2``: the last merge's lone root is
-    never one of ``k`` clusters, so its ``table[k]`` is its two children's
-    tables combined, which is the ``n - 2`` covering, and budget ``n - 1``
-    costs what ``n - 2`` costs.
+    It ends at the cap or at the last budget that prices anew: ``n - 1``
+    for ``k = 1``, else ``n - 2``, since the last merge's lone root is never
+    one of ``k >= 2`` clusters.  The run advances only that far, so for
+    ``k >= 2`` the merge joining the last two roots is never made.
     """
     n, k = run.size, run.instance.k
-    budget = min(tau, n - 1)
+    budget = min(tau, n - min(k, 2))
     run.advance(tracker, budget)
-    for tau_prime in range(n - k, min(budget, n - 2 if k >= 2 else n - 1) + 1):
+    for tau_prime in range(n - k, budget + 1):
         if run.pruning_cost(tau_prime) <= run.threshold:
             return CappedRunOutcome.finished(tau_prime)
     return CappedRunOutcome.truncated(tau)

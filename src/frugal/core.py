@@ -42,6 +42,7 @@ __all__ = [
     "parse_rational_rows",
     "integer_rows",
     "require_rational",
+    "require_integer",
     "format_rational",
     "validate_cells_cover",
 ]
@@ -366,6 +367,13 @@ def require_rational(owner: str, field: str, rows: Sequence[Sequence[Any]]) -> N
         f"{owner} {field} must be rational (an int or a Fraction), got {bad!r}; "
         f"{owner}.from_lists converts decimal text and floats exactly"
     )
+
+
+def require_integer(field: str, value: Any) -> None:
+    """Raise ``TypeError`` naming ``field`` unless ``value`` is an integer (an
+    int or a numpy int); a bool is rejected, though Python counts it one."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise TypeError(f"{field} must be an integer, got {value!r}")
 
 
 def format_rational(value: Fraction) -> str:

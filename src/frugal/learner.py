@@ -23,8 +23,16 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import MAX_DRAWS, ConfigProblem, ParamCell, ParamPoint, PoolSample, tail_capped_mean
-from .stats import GammaInputs, _count_at_accuracy, _gamma_of_count, gamma_bound
+from .core import (
+    MAX_DRAWS,
+    ConfigProblem,
+    ParamCell,
+    ParamPoint,
+    PoolSample,
+    require_integer,
+    tail_capped_mean,
+)
+from .stats import GammaInputs, gamma_bound, min_samples_for_target
 
 __all__ = [
     "LearnerConfig",
@@ -91,7 +99,9 @@ class LearnerConfig:
     ``epsilon`` must be finite so every output number is valid JSON, and
     above about 5.6e-16 so the accuracy coefficient is nonzero in floats;
     ``delta`` is the tail level and ``zeta`` the failure probability budget.
-    ``seed`` seeds numpy's generator, so it must be nonnegative.
+    ``seed`` seeds numpy's generator, so it must be nonnegative.  A ``seed``
+    or ``max_rounds`` that is not an integer, or is a bool, raises
+    ``TypeError``.
     """
 
     epsilon: float
@@ -107,8 +117,10 @@ class LearnerConfig:
         for name in ("delta", "zeta"):
             if not 0.0 < getattr(self, name) < 1.0:
                 raise ValueError(f"{name} must lie in (0, 1)")
+        require_integer("seed", self.seed)
         if self.seed < 0:
             raise ValueError(f"seed must be nonnegative, got {self.seed}")
+        require_integer("max_rounds", self.max_rounds)
         if self.max_rounds < 1:
             raise ValueError("max_rounds must be positive")
 
@@ -156,47 +168,6 @@ class OptimalSubsetResult:
     loss_evaluations: int
 
 
-def _min_samples_for_target(
-    round_index: int,
-    cap: int,
-    f_value: int,
-    zeta: float,
-    target: float,
-    lower: int,
-    upper: int,
-) -> int | None:
-    """Smallest sample count in [lower, upper] meeting the accuracy target.
-
-    Assumes the region count stays at ``f_value``; the bound is strictly
-    decreasing in the sample count, so the counts that meet the target are
-    all those from the first one on.  Returns None when the range is empty
-    or even ``upper`` misses the target.  Otherwise the real root of
-    ``gamma(b) = target`` (``_count_at_accuracy``, from ``lower``, which must
-    be positive) estimates the first count, and probes of the float bound
-    itself settle it, so the result is the count a bisection of the range
-    returns.  The probes close in on the answer from the largest count known
-    to miss and the smallest known to meet: up to three steps from the
-    estimate, then a bisection of what is left.  The estimate is usually
-    right, and the call then makes three probes, one at ``upper``.  A poor
-    estimate costs at most four probes more than a bisection of the range:
-    the one at ``upper`` and the three steps.
-    """
-    gamma = _gamma_of_count(round_index, cap, f_value, dimension=1, confidence=zeta)
-    if lower > upper or not gamma(upper) <= target:
-        return None
-    miss, meet = lower - 1, upper
-    guess = math.ceil(_count_at_accuracy(round_index, cap, f_value, 1, zeta, target, lower))
-    steps = 0
-    while meet - miss > 1:
-        b = min(max(guess, miss + 1), meet - 1) if steps < 3 else (miss + meet) // 2
-        if gamma(b) <= target:
-            meet, guess = b, b - 1
-        else:
-            miss, guess = b, b + 1
-        steps += 1
-    return meet
-
-
 def grow_sample(
     problem: ConfigProblem,
     round_index: int,
@@ -226,7 +197,7 @@ def grow_sample(
         gamma = gamma_bound(GammaInputs(round_index, len(sample), cap, f_value, confidence=cfg.zeta))
         if gamma <= target:
             return sample
-        needed = _min_samples_for_target(
+        needed = min_samples_for_target(
             round_index, cap, f_value, cfg.zeta, target, lower=len(sample) + 1, upper=MAX_DRAWS
         )
         if needed is None:

@@ -252,8 +252,10 @@ def cell_count_ceiling(sample: PoolSample, exponent: int) -> int:
     """``min(1 + sum of pool[u].n ** exponent over the drawn indices u, 2**62)``.
 
     Repeated draws count once per occurrence.  The terms are positive, so
-    the sum saturates exactly when a running total would.
+    the sum saturates exactly when a running total would.  The exponent is
+    clamped at 62, exactly: ``1 ** e`` is 1, and ``n ** 62`` saturates for ``n >= 2``.
     """
+    exponent = min(exponent, 62)
     uids, counts = sample.distinct()
     total = 1 + sum(count * sample.pool[uid].n**exponent for uid, count in zip(uids, counts))
     return min(total, F_BOUND_SATURATION)

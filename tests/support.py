@@ -349,21 +349,20 @@ def mc_rademacher(
     return float((signs @ matrix.T).max(axis=1).mean()) / length
 
 
-def gamma_reference(round_index, sample_count, cap, f_value, dimension, confidence):
+def gamma_reference(round_index, sample_count, cap, f_value, confidence):
     """Independently coded accuracy bound: single-log form on exact integers."""
     b = sample_count
     product = 8 * (cap * b * round_index) ** 2
-    return math.sqrt(2.0 * dimension * math.log(f_value) / b) + 2.0 * math.sqrt(
+    return math.sqrt(2.0 * math.log(f_value) / b) + 2.0 * math.sqrt(
         (2.0 / b) * math.log(product / confidence)
     )
 
 
-def min_samples_oracle(round_index, cap, f_value, dimension, confidence, target,
-                       upper=50_000_000):
+def min_samples_oracle(round_index, cap, f_value, confidence, target, upper=50_000_000):
     """Doubling-then-bisection solve of the growth stopping inequality."""
 
     def gamma(b):
-        return gamma_reference(round_index, b, cap, f_value, dimension, confidence)
+        return gamma_reference(round_index, b, cap, f_value, confidence)
 
     lo, hi = 1, 1
     while gamma(hi) > target:
@@ -386,7 +385,7 @@ def expanded_gamma_bound(inputs: GammaInputs) -> float:
     """The accuracy bound as one expression over the validated inputs, in the
     association ``gamma_bound`` must reproduce bit for bit."""
     b = inputs.sample_count
-    complexity = math.sqrt(2.0 * inputs.dimension * math.log(inputs.f_value) / b)
+    complexity = math.sqrt(2.0 * math.log(inputs.f_value) / b)
     log_union = (
         _LN8
         + 2.0 * (math.log(inputs.cap) + math.log(b) + math.log(inputs.round_index))

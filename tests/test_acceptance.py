@@ -151,7 +151,7 @@ def test_criterion_4_sample_growth_scaling(synthetic_runs):
             if row.samples == 0:
                 continue
             oracle = min_samples_oracle(
-                row.round_index, row.cap, 3, 1, ZETA, eta_delta
+                row.round_index, row.cap, 3, ZETA, eta_delta
             )
             if row.samples != oracle:
                 exact = False
@@ -285,24 +285,23 @@ def test_criterion_7_concentration_suite():
             sample_count=int(rng.integers(1, 10**7)),
             cap=int(rng.integers(1, 2**18)),
             f_value=int(rng.integers(1, 10**8)),
-            dimension=int(rng.integers(1, 4)),
             confidence=float(rng.uniform(0.001, 0.999)),
         )
         reference = gamma_reference(
             inputs.round_index, inputs.sample_count, inputs.cap,
-            inputs.f_value, inputs.dimension, inputs.confidence,
+            inputs.f_value, inputs.confidence,
         )
         if abs(gamma_bound(inputs) - reference) > 1e-12 * max(1.0, reference):
             agree = False
 
     base = GammaInputs(round_index=4, sample_count=50_000, cap=16, f_value=7,
-                       dimension=1, confidence=0.05)
+                       confidence=0.05)
     value = gamma_bound(base)
     monotone = (
-        gamma_bound(GammaInputs(4, 50_000, 16, 70, 1, 0.05)) >= value
-        and gamma_bound(GammaInputs(4, 50_000, 160, 7, 1, 0.05)) >= value
-        and gamma_bound(GammaInputs(40, 50_000, 16, 7, 1, 0.05)) >= value
-        and gamma_bound(GammaInputs(4, 50_000, 16, 7, 1, 0.005)) >= value
+        gamma_bound(GammaInputs(4, 50_000, 16, 70, 0.05)) >= value
+        and gamma_bound(GammaInputs(4, 50_000, 160, 7, 0.05)) >= value
+        and gamma_bound(GammaInputs(40, 50_000, 16, 7, 0.05)) >= value
+        and gamma_bound(GammaInputs(4, 50_000, 16, 7, 0.005)) >= value
     )
     ok = dominated and agree and monotone
     report(7, "concentration suite: Rademacher domination and bound agreement", ok,

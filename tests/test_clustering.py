@@ -204,9 +204,12 @@ class TestBestPruning:
             roots.append(node)
             merges.append((a, b, node))
         forest = MergeForest(size=n, merges=tuple(merges))
+        # Every node's column sums, its members' distance rows added.
+        sums = [[sum(distances[p][c] for p in members) for c in range(n)]
+                for members in forest.members]
         for k in range(1, n + 1):
             tables = [{1: 0}] * n
-            _extend_tables(tables, list(distances), forest.merges, forest.members, k)
+            _extend_tables(tables, sums, forest.merges, forest.members, k)
             for m in range(len(merges) + 1):
                 prefix = forest.prefix(m)
                 want = enumerate_prunings(prefix, k, inst)
@@ -478,7 +481,7 @@ class TestResumedSweep:
 
     def test_k_root_prefixes_need_no_tables(self, monkeypatch):
         # At k = 2 a prefix of n - 2 merges has exactly its two roots as its
-        # pruning and budget n - 1 is never priced, so no table is combined.
+        # pruning and the run never makes merge n - 1, so no table is combined.
         combined = []
         combine = clustering._combine
         monkeypatch.setattr(clustering, "_combine", lambda *a: combined.append(a) or combine(*a))
@@ -490,7 +493,8 @@ class TestResumedSweep:
 
     def test_resumes_at_the_flipping_merge(self, four_point, monkeypatch):
         # At rho = 2/5 the second merge flips; the first is reused, so the
-        # two cells take 3 + 2 merge decisions instead of 3 + 3.
+        # two cells take 2 + 1 merge decisions instead of 2 + 2.  At k = 2
+        # the third merge, which joins the last two roots, is never made.
         selects = []
         argmin = DecisionTracker.argmin
         monkeypatch.setattr(
@@ -498,7 +502,21 @@ class TestResumedSweep:
         )
         cells = clustering_partition(whole_pool([four_point]), 3)
         assert [c.cell.lo for c in cells] == [0, Fraction(2, 5)]
-        assert selects == [0, 0, 0, Fraction(2, 5), Fraction(2, 5)]
+        assert selects == [0, 0, Fraction(2, 5)]
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_no_decision_without_a_choice(self, monkeypatch, k):
+        # The merge joining the last two roots is priced by no budget at
+        # k >= 2, so the sweep never asks the tracker to pick among one pair;
+        # the cap reaches n - 2, so its last choice is among three roots' pairs.
+        sizes = []
+        argmin = DecisionTracker.argmin
+        monkeypatch.setattr(
+            DecisionTracker, "argmin", lambda self, c: sizes.append(len(c)) or argmin(self, c)
+        )
+        pool = [random_metric_instance(np.random.default_rng(seed), 7, k) for seed in range(8)]
+        clustering_partition(whole_pool(pool), 6)
+        assert min(sizes) == 3
 
 
 class TestFractionalMetrics:

@@ -1,12 +1,13 @@
 import logging
 import math
+import sys
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from frugal import bnb, learner
+from frugal import bnb, stats
 from frugal.bnb import BnbProblem, random_milp
 from frugal.clustering import (
     ClusteringInstance,
@@ -16,7 +17,6 @@ from frugal.clustering import (
 )
 from frugal.core import MAX_DRAWS, ParamCell, ParamPoint
 from frugal.learner import (
-    _min_samples_for_target,
     LearnerConfig,
     NoRegionAdmittedError,
     RoundLimitError,
@@ -30,7 +30,7 @@ from frugal.learner import (
     sample_losses,
     select_finite,
 )
-from frugal.stats import _gamma_of_count
+from frugal.stats import _gamma_of_count, min_samples_for_target
 from frugal.synthetic import SyntheticFamily, SyntheticProblem
 from support import (
     ConstantLossProblem,
@@ -104,23 +104,38 @@ class TestConfigBoundaries:
         with pytest.raises(ValueError, match="max_rounds must be positive"):
             default_config(max_rounds=0)
 
+    @pytest.mark.parametrize("name", ["seed", "max_rounds"])
+    @pytest.mark.parametrize("value", [1.5, 2.0, True, False, "3"])
+    def test_integer_fields_reject_non_integers(self, name, value):
+        with pytest.raises(TypeError, match=rf"^{name} must be an integer, got {value!r}$"):
+            default_config(**{name: value})
+
+    def test_numpy_int_fields_accepted(self):
+        cfg = default_config(seed=np.int64(7), max_rounds=np.int32(40))
+        assert learn_subset(SyntheticProblem(SyntheticFamily()), cfg) == learn_subset(
+            SyntheticProblem(SyntheticFamily()), default_config(seed=7, max_rounds=40)
+        )
+
 
 def test_min_samples_for_target_boundaries():
     # A count whose bound equals the target meets it, also as the last
     # count of the range; one count short of it, the range has no answer.
     b0 = 500
-    target = _gamma_of_count(3, 8, 3, dimension=1, confidence=0.05)(b0)
+    target = _gamma_of_count(3, 8, 3, confidence=0.05)(b0)
     for upper, expected in ((10**6, b0), (b0, b0), (b0 - 1, None)):
-        assert _min_samples_for_target(3, 8, 3, 0.05, target, lower=1, upper=upper) == expected
+        assert min_samples_for_target(3, 8, 3, 0.05, target, lower=1, upper=upper) == expected
 
 
 def record_probes(monkeypatch):
-    """Patch the learner's ``_gamma_of_count`` so that every sizing call
-    records the counts it probes: one list per call, in probe order."""
+    """Patch ``stats._gamma_of_count`` so that every sizing call records the
+    counts it probes: one list per call, in probe order.  ``gamma_bound``
+    builds the same function for one evaluation, which is not a sizing call."""
     calls = []
-    real = learner._gamma_of_count
+    real = stats._gamma_of_count
 
     def counting(*args, **kwargs):
+        if sys._getframe(1).f_code is not stats.min_samples_for_target.__code__:
+            return real(*args, **kwargs)
         gamma, probes = real(*args, **kwargs), []
         calls.append(probes)
 
@@ -130,7 +145,7 @@ def record_probes(monkeypatch):
 
         return probe
 
-    monkeypatch.setattr(learner, "_gamma_of_count", counting)
+    monkeypatch.setattr(stats, "_gamma_of_count", counting)
     return calls
 
 
@@ -160,23 +175,23 @@ class TestSizingProbes:
         upper = min(lower + span, 2**40)
         with pytest.MonkeyPatch.context() as patch:
             calls = record_probes(patch)
-            found = _min_samples_for_target(round_index, cap, f_value, zeta, target, lower, upper)
+            found = min_samples_for_target(round_index, cap, f_value, zeta, target, lower, upper)
         assert found == bisect_min_samples(round_index, cap, f_value, zeta, target, lower, upper)
         assert len(calls[0]) <= 4
 
     def test_one_count_range(self, monkeypatch):
         # lower == upper: the probe at upper decides alone.
         calls = record_probes(monkeypatch)
-        gamma = _gamma_of_count(3, 8, 3, dimension=1, confidence=0.05)
+        gamma = _gamma_of_count(3, 8, 3, confidence=0.05)
         for b in (1, 2, 500):
             target = gamma(b)
-            assert _min_samples_for_target(3, 8, 3, 0.05, target, b, b) == b
-            assert _min_samples_for_target(3, 8, 3, 0.05, math.nextafter(target, 0), b, b) is None
+            assert min_samples_for_target(3, 8, 3, 0.05, target, b, b) == b
+            assert min_samples_for_target(3, 8, 3, 0.05, math.nextafter(target, 0), b, b) is None
         assert [len(probes) for probes in calls] == [1] * 6
 
     def test_empty_range_probes_nothing(self, monkeypatch):
         calls = record_probes(monkeypatch)
-        assert _min_samples_for_target(3, 8, 3, 0.05, 10.0, lower=5, upper=4) is None
+        assert min_samples_for_target(3, 8, 3, 0.05, 10.0, lower=5, upper=4) is None
         assert calls == [[]]
 
     @pytest.mark.parametrize("estimate, steps, miss, meet", [
@@ -188,19 +203,19 @@ class TestSizingProbes:
                                                             steps, miss, meet):
         # A poor estimate costs three steps toward the answer, then the
         # bracket they leave (last miss, first meet) is bisected.
-        target = _gamma_of_count(3, 8, 3, dimension=1, confidence=0.05)(1000)
+        target = _gamma_of_count(3, 8, 3, confidence=0.05)(1000)
         calls = record_probes(monkeypatch)
-        monkeypatch.setattr(learner, "_count_at_accuracy", lambda *args: float(estimate))
-        assert _min_samples_for_target(3, 8, 3, 0.05, target, 1, 2**20) == 1000
+        monkeypatch.setattr(stats, "_count_at_accuracy", lambda *args: float(estimate))
+        assert min_samples_for_target(3, 8, 3, 0.05, target, 1, 2**20) == 1000
         (probes,) = calls
         assert probes[:5] == [2**20] + steps + [(miss + meet) // 2]
         assert len(probes) <= (2**20).bit_length() + 4
 
     def test_exact_estimate_takes_three_probes(self, monkeypatch):
         b0 = 1000
-        target = _gamma_of_count(3, 8, 3, dimension=1, confidence=0.05)(b0)
+        target = _gamma_of_count(3, 8, 3, confidence=0.05)(b0)
         calls = record_probes(monkeypatch)
-        assert _min_samples_for_target(3, 8, 3, 0.05, target, 1, 2**20) == b0
+        assert min_samples_for_target(3, 8, 3, 0.05, target, 1, 2**20) == b0
         assert calls == [[2**20, b0, b0 - 1]]
 
 
@@ -219,7 +234,7 @@ class TestGrowSample:
         for round_index in (1, 3, 5):
             sample = grow_sample(problem, round_index, cfg, np.random.default_rng(1))
             expected = min_samples_oracle(
-                round_index, 2**round_index, 3, 1, cfg.zeta, cfg.eta * cfg.delta
+                round_index, 2**round_index, 3, cfg.zeta, cfg.eta * cfg.delta
             )
             assert len(sample) == expected
 
@@ -227,7 +242,7 @@ class TestGrowSample:
         # eta * delta is exactly the bound at 200,000 draws (round 2, cap 4,
         # one region), and a count whose bound equals the target meets it.
         b0 = 200_000
-        gamma = _gamma_of_count(2, 4, 1, dimension=1, confidence=0.05)(b0)
+        gamma = _gamma_of_count(2, 4, 1, confidence=0.05)(b0)
         cfg = default_config(delta=gamma / compute_eta(15.0))
         assert cfg.eta * cfg.delta == gamma
         sample = grow_sample(ConstantLossProblem(), 2, cfg, np.random.default_rng(0))
@@ -236,8 +251,8 @@ class TestGrowSample:
     def test_halving_target_quadruples_sample(self):
         cfg = default_config()
         target = cfg.eta * cfg.delta
-        b_full = min_samples_oracle(3, 8, 3, 1, cfg.zeta, target)
-        b_half = min_samples_oracle(3, 8, 3, 1, cfg.zeta, target / 2)
+        b_full = min_samples_oracle(3, 8, 3, cfg.zeta, target)
+        b_half = min_samples_oracle(3, 8, 3, cfg.zeta, target / 2)
         assert 3.5 <= b_half / b_full <= 4.5
 
     def test_budget_error_carries_gamma(self):

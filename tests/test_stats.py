@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from frugal.learner import _min_samples_for_target
-from frugal.stats import GammaInputs, _gamma_of_count, gamma_bound
+from frugal.stats import GammaInputs, _gamma_of_count, gamma_bound, min_samples_for_target
 from support import (
     bisect_min_samples,
     expanded_gamma_bound,
@@ -16,8 +15,7 @@ from support import (
 
 
 def make_inputs(**overrides):
-    base = dict(round_index=3, sample_count=100_000, cap=8, f_value=3,
-                dimension=1, confidence=0.05)
+    base = dict(round_index=3, sample_count=100_000, cap=8, f_value=3, confidence=0.05)
     base.update(overrides)
     return GammaInputs(**base)
 
@@ -34,12 +32,12 @@ class TestGammaBound:
         assert gamma_bound(inputs) == pytest.approx(expected, rel=1e-12)
 
     def test_reference_point_value(self):
-        # Frozen evaluation at (t=3, b=1e5, tau=8, f=3, d=1, zeta=0.05).
+        # Frozen evaluation at (t=3, b=1e5, tau=8, f=3, zeta=0.05).
         inputs = make_inputs()
         value = gamma_bound(inputs)
         assert value > 0
         assert value == pytest.approx(
-            gamma_reference(3, 100_000, 8, 3, 1, 0.05), abs=1e-12
+            gamma_reference(3, 100_000, 8, 3, 0.05), abs=1e-12
         )
 
     def test_decreasing_in_sample_count(self):
@@ -56,12 +54,11 @@ class TestGammaBound:
                 sample_count=int(rng.integers(1, 10**7)),
                 cap=int(rng.integers(1, 2**20)),
                 f_value=int(rng.integers(1, 10**9)),
-                dimension=int(rng.integers(1, 4)),
                 confidence=float(rng.uniform(0.001, 0.999)),
             )
             expected = gamma_reference(
                 inputs.round_index, inputs.sample_count, inputs.cap,
-                inputs.f_value, inputs.dimension, inputs.confidence,
+                inputs.f_value, inputs.confidence,
             )
             assert gamma_bound(inputs) == pytest.approx(expected, abs=1e-12, rel=1e-12)
 
@@ -88,6 +85,17 @@ class TestGammaBound:
         with pytest.raises(ValueError):
             make_inputs(confidence=1.0)
 
+    @pytest.mark.parametrize("name", ["round_index", "sample_count", "cap", "f_value"])
+    @pytest.mark.parametrize("value", [1.5, 3.0, True, "3"])
+    def test_integer_fields_reject_non_integers(self, name, value):
+        with pytest.raises(TypeError, match=rf"^{name} must be an integer, got {value!r}$"):
+            make_inputs(**{name: value})
+
+    @pytest.mark.parametrize("name", ["round_index", "sample_count", "cap", "f_value"])
+    def test_integer_fields_accept_numpy_ints(self, name):
+        inputs = make_inputs(**{name: np.int64(5)})
+        assert gamma_bound(inputs) == gamma_bound(make_inputs(**{name: 5}))
+
     @pytest.mark.parametrize("confidence", [0.0, 1.0])
     def test_confidence_rejected_at_the_ends(self, confidence):
         with pytest.raises(ValueError, match=r"confidence must lie in \(0, 1\)"):
@@ -107,12 +115,11 @@ class TestSizingFunction:
     """The sizing function of the sample count is the bound itself, float for
     float, so bisecting it returns the counts the validated bound gives."""
 
-    @given(ROUNDS, CAPS, F_VALUES, st.integers(1, 4), CONFIDENCES, COUNTS)
+    @given(ROUNDS, CAPS, F_VALUES, CONFIDENCES, COUNTS)
     @settings(max_examples=300, deadline=None)
-    def test_equals_the_bound_exactly(self, round_index, cap, f_value, dimension,
-                                      confidence, b):
-        inputs = GammaInputs(round_index, b, cap, f_value, dimension, confidence)
-        value = _gamma_of_count(round_index, cap, f_value, dimension, confidence)(b)
+    def test_equals_the_bound_exactly(self, round_index, cap, f_value, confidence, b):
+        inputs = GammaInputs(round_index, b, cap, f_value, confidence)
+        value = _gamma_of_count(round_index, cap, f_value, confidence)(b)
         assert value == gamma_bound(inputs)
         assert value == expanded_gamma_bound(inputs)
 
@@ -128,7 +135,7 @@ class TestSizingFunction:
                                                  confidence=zeta))
         target = exact if nudge == 0.0 else math.nextafter(exact, nudge)
         expected = bisect_min_samples(round_index, cap, f_value, zeta, target, lower, upper)
-        assert _min_samples_for_target(
+        assert min_samples_for_target(
             round_index, cap, f_value, zeta, target, lower, upper
         ) == expected
 
