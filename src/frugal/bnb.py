@@ -65,6 +65,7 @@ from .core import (
     format_rational,
     integer_rows,
     parse_rational_rows,
+    require_integer,
     require_rational,
 )
 from .sweep import (
@@ -649,12 +650,6 @@ def bnb_run(milp: Milp, rho, cap: int) -> CappedRunOutcome:
     return _run_outcome(milp, cap, standalone_tracker(rho))
 
 
-def best_binary_solution(milp: Milp, rho, cap: int = MAX_TREE_SIZE):
-    """Incumbent value of a capped run (None when infeasible or cap exceeded)."""
-    completed, _, incumbent = _run_capped(milp, min(cap, MAX_TREE_SIZE), standalone_tracker(rho))
-    return incumbent.objective if completed and incumbent is not None else None
-
-
 def bnb_partition(sample: PoolSample, tau: int) -> list[PartitionCell]:
     """Exact partition of [0, 1] into tree-invariance cells at the given cap.
 
@@ -750,6 +745,8 @@ def random_milp(rng: np.random.Generator, num_vars: int = 5, num_rows: int = 3) 
     The origin is always feasible, right-hand sides sit strictly inside the
     row sums so root relaxations are typically fractional.
     """
+    require_integer("num_vars", num_vars)
+    require_integer("num_rows", num_rows)
     if not 1 <= num_vars <= MAX_VARIABLES:
         raise ValueError("num_vars out of range")
     if num_rows < 0:

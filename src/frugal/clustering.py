@@ -60,7 +60,6 @@ from .core import (
     parse_rational_rows,
     require_integer,
     require_rational,
-    to_fraction,
 )
 from .sweep import (
     DecisionTracker,
@@ -479,13 +478,12 @@ def exact_kmedian_cost(distances: Sequence[Sequence[Any]], k: int) -> Fraction:
     n = len(distances)
     if not 1 <= k <= n:
         raise ValueError("k must lie in [1, n]")
-    best = None
-    points = range(n)
-    for centers in itertools.combinations(points, k):
-        cost = sum(min(to_fraction(distances[p][c]) for c in centers) for p in points)
-        if best is None or cost < best:
-            best = cost
-    return best
+    scale, rows = integer_rows(parse_rational_rows(distances))
+    best = min(
+        sum(min(map(row.__getitem__, centers)) for row in rows)
+        for centers in itertools.combinations(range(n), k)
+    )
+    return Fraction(best, scale)
 
 
 class ClusteringProblem(ConfigProblem):
@@ -552,6 +550,8 @@ def random_metric_instance(
     The admissibility threshold is 6/5 of the exhaustive optimal k-median
     cost, so every instance is solvable once enough merges are allowed.
     """
+    require_integer("num_points", num_points)
+    require_integer("k", k)
     if not 2 <= num_points <= MAX_POINTS:
         raise ValueError("num_points out of range")
     if not 1 <= k < num_points:

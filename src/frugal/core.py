@@ -88,9 +88,6 @@ class ParamCell:
         reads it; read ``lo`` and ``hi`` instead."""
         return ((self.lo, self.hi),)
 
-    def contains(self, x: Any) -> bool:
-        return self.lo <= x < self.hi or x == self.hi == ParamSpace.upper
-
     def representative(self) -> Any:
         """Deterministic interior point: the midpoint, exact for rational ends."""
         return (self.lo + self.hi) / 2

@@ -88,12 +88,6 @@ class SyntheticFamily:
             return ((self.loss_mid, 0.5), (self.loss_high, 0.5))
         raise ValueError(f"unknown region {region!r}")
 
-    def tail_quantile(self, rho: float, delta: float) -> int:
-        return tail_quantile_exact(self.loss_law(self.region(rho)), delta)
-
-    def capped_mean(self, rho: float, cap: int) -> float:
-        return law_capped_mean(self.loss_law(self.region(rho)), cap)
-
 
 @dataclass(frozen=True)
 class SyntheticInstance:

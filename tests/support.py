@@ -36,9 +36,13 @@ from frugal.core import (
     CappedRunOutcome,
     ConfigProblem,
     ParamCell,
+    ParamSpace,
     PartitionCell,
     PoolSample,
     format_rational,
+    law_capped_mean,
+    tail_quantile_exact,
+    to_fraction,
 )
 from frugal.stats import GammaInputs
 from frugal.sweep import DecisionTracker, standalone_tracker, sweep_unit_interval
@@ -62,6 +66,12 @@ def draw_indices(sample):
 def draw_one(problem, rng):
     """One instance drawn from the problem's pool."""
     return problem.pool[int(problem.sample_many(rng, 1).uids[0])]
+
+
+def cell_contains(cell, x):
+    """Whether the ``ParamCell`` ``cell`` owns ``x``: ``lo <= x < hi``, or
+    ``x == hi`` when ``hi`` is the space's upper bound 1."""
+    return cell.lo <= x < cell.hi or x == cell.hi == ParamSpace.upper
 
 
 def cell_from_losses(cell, z, losses):
@@ -145,6 +155,18 @@ def brute_tail_quantile(law, delta):
     return best
 
 
+def tail_quantile(family, rho, delta):
+    """The exact ``delta``-tail quantile of the ``SyntheticFamily`` loss law
+    at ``rho``."""
+    return tail_quantile_exact(family.loss_law(family.region(rho)), delta)
+
+
+def capped_mean(family, rho, cap):
+    """The exact mean of the ``SyntheticFamily`` loss law at ``rho``, capped
+    at ``cap``."""
+    return law_capped_mean(family.loss_law(family.region(rho)), cap)
+
+
 class RecordingTracker(DecisionTracker):
     """A tracker that records each ``argmax`` winner in ``winners``."""
 
@@ -170,6 +192,13 @@ def branching_trace(milp, rho, cap):
     return tuple(tracker.winners)
 
 
+def best_binary_solution(milp, rho, cap=MAX_TREE_SIZE):
+    """Incumbent value of a capped standalone ``bnb`` run (None when the
+    program is infeasible or the cap is exceeded)."""
+    completed, _, incumbent = _run_capped(milp, min(cap, MAX_TREE_SIZE), standalone_tracker(rho))
+    return incumbent.objective if completed and incumbent is not None else None
+
+
 def brute_binary_optimum(milp):
     """Best feasible binary objective by enumerating all assignments."""
     best = None
@@ -184,6 +213,17 @@ def brute_binary_optimum(milp):
         if best is None or value > best:
             best = value
     return best
+
+
+def reference_kmedian_cost(distances, k):
+    """Optimal k-median cost over every choice of ``k`` centers, each entry
+    read as its own ``Fraction`` (``exact_kmedian_cost`` sums the integer
+    form instead)."""
+    points = range(len(distances))
+    return min(
+        sum(min(to_fraction(distances[p][c]) for c in centers) for p in points)
+        for centers in itertools.combinations(points, k)
+    )
 
 
 def enumerate_prunings(forest, k, instance):
@@ -870,7 +910,7 @@ def check_partition_contract(problem, sample, cells, tau, rng, points_per_cell=2
         lo, hi = cell.cell.lo, cell.cell.hi
         width = float(hi) - float(lo)
         points = [float(lo) + width * float(u) for u in rng.random(points_per_cell)]
-        points = [p for p in points if cell.cell.contains(p)] or [
+        points = [p for p in points if cell_contains(cell.cell, p)] or [
             float(cell.cell.representative())
         ]
         for rho in points:

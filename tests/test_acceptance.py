@@ -20,7 +20,6 @@ import pytest
 from frugal.bnb import (
     bnb_partition,
     bnb_run,
-    best_binary_solution,
     random_milp,
 )
 from frugal.clustering import (
@@ -36,13 +35,17 @@ from frugal.stats import GammaInputs, gamma_bound
 from frugal.synthetic import SyntheticFamily, SyntheticProblem
 from frugal.cli import main as cli_main
 from support import (
+    best_binary_solution,
     brute_binary_optimum,
+    capped_mean,
+    cell_contains,
     enumerate_prunings,
     four_point_metric,
     gamma_reference,
     massart_bound,
     mc_rademacher,
     min_samples_oracle,
+    tail_quantile,
     whole_pool,
 )
 
@@ -99,8 +102,8 @@ def test_criterion_2_tail_sandwich(synthetic_runs):
             lo, hi = float(lo), float(hi)
             probes = [lo + (hi - lo) * float(u) for u in rng.random(10)]
             for rho in probes:
-                lower = FAMILY.tail_quantile(rho, DELTA / 2)
-                upper = FAMILY.tail_quantile(rho, DELTA / 4)
+                lower = tail_quantile(FAMILY, rho, DELTA / 2)
+                upper = tail_quantile(FAMILY, rho, DELTA / 4)
                 if not lower <= region.tau_cell <= upper:
                     seed_ok = False
         good += seed_ok
@@ -117,7 +120,7 @@ def test_criterion_3_subset_optimality(synthetic_runs):
     good_selected = 0
     for seed, result in runs:
         means = [
-            FAMILY.capped_mean(p.scalar, FAMILY.tail_quantile(p.scalar, DELTA / 2))
+            capped_mean(FAMILY, p.scalar, tail_quantile(FAMILY, p.scalar, DELTA / 2))
             for p in result.parameters
         ]
         good_subset += min(means) <= target_subset
@@ -131,8 +134,8 @@ def test_criterion_3_subset_optimality(synthetic_runs):
             rng=np.random.default_rng(1000 + seed),
             cap_ceiling=2 ** (result.terminal_round + 4),
         )
-        selected_mean = FAMILY.capped_mean(
-            chosen.scalar, FAMILY.tail_quantile(chosen.scalar, DELTA)
+        selected_mean = capped_mean(
+            FAMILY, chosen.scalar, tail_quantile(FAMILY, chosen.scalar, DELTA)
         )
         good_selected += selected_mean <= target_selected
     ok = good_subset >= 19 and good_selected >= 18
@@ -243,7 +246,7 @@ def test_criterion_6_clustering_fixtures():
     cell_list = clustering_partition(whole_pool(pool), tau)
     for i in range(1001):
         rho = Fraction(i, 1000)
-        cell = next(c for c in cell_list if c.cell.contains(rho))
+        cell = next(c for c in cell_list if cell_contains(c.cell, rho))
         lo = cell.cell.lo
         for inst in pool:
             budget = min(tau, inst.n - 1)

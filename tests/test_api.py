@@ -3,6 +3,7 @@ import importlib
 import pkgutil
 import re
 from pathlib import Path
+from typing import Callable, Iterable
 
 import pytest
 
@@ -57,11 +58,11 @@ def _private(name: str) -> bool:
     return name.startswith("_") and not name.startswith("__")
 
 
-def _referenced_names() -> set[str]:
-    """Every name read, or attribute accessed, anywhere in ``src/frugal``."""
+def _referenced_names(paths: Iterable[Path]) -> set[str]:
+    """Every name read, or attribute accessed, in the files ``paths``."""
     referenced = set()
-    for module in MODULES:
-        for node in ast.walk(ast.parse(Path(module.__file__).read_text())):
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, ast.Name):
                 referenced.add(node.id)
             elif isinstance(node, ast.Attribute):
@@ -69,23 +70,49 @@ def _referenced_names() -> set[str]:
     return referenced
 
 
-@pytest.mark.parametrize("module", MODULES, ids=lambda module: module.__name__)
-def test_no_unreferenced_private_helpers(module):
-    # A definition is not a reference, so a private function, class or
-    # method that no code in the package names is dead.
+def _definitions(module, keep: Callable[[str], bool]) -> list[str]:
+    """The module-level functions and classes of ``module``, and their
+    methods as ``Class.method``, whose own names ``keep`` accepts."""
     defined = []
     for statement in ast.parse(Path(module.__file__).read_text()).body:
-        if isinstance(statement, (ast.FunctionDef, ast.ClassDef)) and _private(statement.name):
+        if isinstance(statement, (ast.FunctionDef, ast.ClassDef)) and keep(statement.name):
             defined.append(statement.name)
         if isinstance(statement, ast.ClassDef):
             defined.extend(
                 f"{statement.name}.{item.name}"
                 for item in statement.body
-                if isinstance(item, ast.FunctionDef) and _private(item.name)
+                if isinstance(item, ast.FunctionDef) and keep(item.name)
             )
-    referenced = _referenced_names()
-    dead = [name for name in defined if name.rpartition(".")[2] not in referenced]
+    return defined
+
+
+@pytest.mark.parametrize("module", MODULES, ids=lambda module: module.__name__)
+def test_no_unreferenced_private_helpers(module):
+    # A definition is not a reference, so a private function, class or
+    # method that no code in the package names is dead.
+    referenced = _referenced_names(Path(m.__file__) for m in MODULES)
+    dead = [
+        name for name in _definitions(module, _private)
+        if name.rpartition(".")[2] not in referenced
+    ]
     assert dead == [], f"{module.__name__} defines private helpers nothing uses: {dead}"
+
+
+def test_every_public_name_has_a_non_test_caller():
+    # The package keeps only what the CLI, the learner, the benchmark or the
+    # tools call; a check's own oracle lives in tests/support.py.  An
+    # ``__all__`` entry is a string, not a read, so it does not count.
+    root = Path(__file__).resolve().parents[1]
+    referenced = _referenced_names(
+        path for folder in ("src", "perfbench", "tools") for path in (root / folder).rglob("*.py")
+    )
+    unused = [
+        f"{module.__name__}.{name}"
+        for module in MODULES
+        for name in _definitions(module, lambda name: not name.startswith("_"))
+        if name.rpartition(".")[2] not in referenced
+    ]
+    assert unused == [], f"public names that only tests read: {unused}"
 
 
 def test_readme_quick_tour_runs(capsys):

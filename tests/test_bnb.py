@@ -19,7 +19,6 @@ from frugal.bnb import (
     Milp,
     bnb_partition,
     bnb_run,
-    best_binary_solution,
     format_milp,
     load_milp,
     lp_relax,
@@ -31,8 +30,10 @@ from frugal.core import ParamSpace, PoolSample, integer_rows, to_fraction, valid
 from frugal.sweep import DegenerateCellError
 from support import (
     RecordingTracker,
+    best_binary_solution,
     branching_trace,
     brute_binary_optimum,
+    cell_contains,
     check_partition_contract,
     check_pool_cells_against_gather,
     draw_indices,
@@ -735,7 +736,7 @@ class TestPartition:
             validate_cells_cover(cells, ParamSpace())
             for rho in np.linspace(0.0, 1.0, 101):
                 cell_index = next(
-                    i for i, c in enumerate(cells) if c.cell.contains(float(rho))
+                    i for i, c in enumerate(cells) if cell_contains(c.cell, float(rho))
                 )
                 for j, milp in enumerate(pool):
                     out = bnb_run(milp, float(rho), tau)
@@ -757,7 +758,7 @@ class TestPartition:
             for milp in pool:
                 reference = branching_trace(milp, float(lo), tau)
                 for rho in probes:
-                    if not cell.cell.contains(rho):
+                    if not cell_contains(cell.cell, rho):
                         continue
                     assert branching_trace(milp, rho, tau) == reference
 
@@ -939,6 +940,11 @@ class TestParser:
         for num_vars in (0, widest + 1):
             with pytest.raises(ValueError, match="num_vars out of range"):
                 random_milp(rng, num_vars, 2)
+        # A size that is not an integer is a TypeError naming it.
+        assert random_milp(rng, np.int64(3), 2).n == 3
+        for num_vars in (6.5, 2.5, True, 3.0):
+            with pytest.raises(TypeError, match=f"^num_vars must be an integer, got {num_vars}$"):
+                random_milp(rng, num_vars, 2)
 
     def test_row_count_boundaries(self):
         rng = np.random.default_rng(0)
@@ -946,6 +952,10 @@ class TestParser:
         assert empty.n == 5 and empty.rows == () and empty.rhs == ()
         with pytest.raises(ValueError, match="^num_rows must be nonnegative$"):
             random_milp(rng, 5, -1)
+        assert len(random_milp(rng, 5, np.int64(2)).rows) == 2
+        for num_rows in (6.5, 2.5, True, 3.0):
+            with pytest.raises(TypeError, match=f"^num_rows must be an integer, got {num_rows}$"):
+                random_milp(rng, 5, num_rows)
 
     def test_rejects_malformed(self):
         with pytest.raises(ValueError):

@@ -5,6 +5,7 @@ from dataclasses import asdict
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from frugal import bnb, cli
@@ -512,6 +513,17 @@ class TestUsage:
 
 
 class TestExtras:
+    def test_csv_cells_are_plain_text(self, tmp_path):
+        # A float is written by its repr and a numpy float like a float, not
+        # as ``np.float64(0.5)``; other values by ``str``.
+        path = tmp_path / "rows.csv"
+        rows = [
+            [np.float64(0.5), 0.35000000000000003, math.inf],
+            [1e-20, np.int64(3), Fraction(1, 3)],
+        ]
+        cli._write_csv(path, ["a", "b", "c"], rows)
+        assert path.read_bytes() == b"a,b,c\r\n0.5,0.35000000000000003,inf\r\n1e-20,3,1/3\r\n"
+
     def test_integral_root_corpus_single_row(self, tmp_path):
         inst_dir = tmp_path / "trivial"
         inst_dir.mkdir()

@@ -30,12 +30,14 @@ from frugal.clustering import (
 from frugal.core import ParamSpace, to_fraction, validate_cells_cover
 from frugal.sweep import DecisionTracker
 from support import (
+    cell_contains,
     check_partition_contract,
     check_pool_cells_against_gather,
     enumerate_prunings,
     four_point_metric,
     outcome,
     reference_clustering_sweep,
+    reference_kmedian_cost,
     reference_linkage_run,
     spelled,
     tracked_linkage_run,
@@ -323,7 +325,7 @@ class TestClusteringPartition:
         tau = 5
         cells = clustering_partition(whole_pool(pool), tau)
         for rho in np.linspace(0.0, 1.0, 101):
-            cell = next(c for c in cells if c.cell.contains(float(rho)))
+            cell = next(c for c in cells if cell_contains(c.cell, float(rho)))
             for j, inst in enumerate(pool):
                 out = clustering_run_with_cap(float(rho), inst, tau)
                 assert out.capped_loss(tau) == int(cell.capped_losses[j])
@@ -340,7 +342,7 @@ class TestClusteringPartition:
                 budget = min(tau, inst.n - 1)
                 reference = capped_linkage_run(inst, lo, budget).merges
                 for rho in probes:
-                    if cell.cell.contains(rho):
+                    if cell_contains(cell.cell, rho):
                         assert capped_linkage_run(inst, rho, budget).merges == reference
 
     def test_partition_contract(self):
@@ -541,6 +543,30 @@ class TestFractionalMetrics:
             for p in points
         ]
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_kmedian_cost_matches_fraction_per_entry_sum(self, data):
+        # Entries come as Fractions, floats and decimal or p/q texts (a float
+        # is read exactly, so an inexact one is its own rational).
+        matrix = [
+            [
+                data.draw(st.sampled_from([value, float(value)]) | spelled(value))
+                for value in row
+            ]
+            for row in self.draw_metric(data)
+        ]
+        k = data.draw(st.integers(1, 3))
+        cost = exact_kmedian_cost(matrix, k)
+        assert type(cost) is Fraction and cost == reference_kmedian_cost(matrix, k)
+
+    @pytest.mark.parametrize("bad", ["1/0", "abc", math.nan, None])
+    def test_kmedian_cost_rejects_what_a_read_rejects(self, bad):
+        matrix = [[0, bad], [1, 0]]
+        with pytest.raises((ValueError, TypeError)) as expected:
+            reference_kmedian_cost(matrix, 1)
+        with pytest.raises(expected.type, match=f"^{re.escape(str(expected.value))}$"):
+            exact_kmedian_cost(matrix, 1)
+
     @settings(max_examples=12, deadline=None)
     @given(st.data())
     def test_partition_matches_runs(self, data):
@@ -568,7 +594,7 @@ class TestFractionalMetrics:
                 assert loss == int(cell.capped_losses[0])
         for i in range(1001):
             rho = Fraction(i, 1000)
-            cell = next(c for c in cells if c.cell.contains(rho))
+            cell = next(c for c in cells if cell_contains(c.cell, rho))
             loss = clustering_run_with_cap(rho, inst, tau).capped_loss(tau)
             assert loss == int(cell.capped_losses[0])
 
@@ -823,14 +849,25 @@ class TestInstanceFormat:
             (MAX_POINTS + 1, 1, "num_points out of range"),
             (4, 0, re.escape("k must lie in [1, num_points)")),
             (4, 4, re.escape("k must lie in [1, num_points)")),
+            # A size that is not an integer is a TypeError naming it.
+            (6.5, 2, (TypeError, "num_points must be an integer, got 6.5")),
+            (2.5, 1, (TypeError, "num_points must be an integer, got 2.5")),
+            (3.0, 2, (TypeError, "num_points must be an integer, got 3.0")),
+            (True, 1, (TypeError, "num_points must be an integer, got True")),
+            (8, 6.5, (TypeError, "k must be an integer, got 6.5")),
+            (6, 2.5, (TypeError, "k must be an integer, got 2.5")),
+            (6, 3.0, (TypeError, "k must be an integer, got 3.0")),
+            (6, True, (TypeError, "k must be an integer, got True")),
+            (np.int64(6), np.int64(2), None),
         ],
     )
     def test_random_generator_argument_boundaries(self, num_points, k, message):
         rng = np.random.default_rng(5)
+        error, message = message if isinstance(message, tuple) else (ValueError, message)
         if message is None:
             assert random_metric_instance(rng, num_points, k).n == num_points
         else:
-            with pytest.raises(ValueError, match=f"^{message}$"):
+            with pytest.raises(error, match=f"^{message}$"):
                 random_metric_instance(rng, num_points, k)
 
 
