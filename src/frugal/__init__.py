@@ -14,8 +14,6 @@ from .core import (
     ParamPoint,
     ParamSpace,
     PartitionCell,
-    law_capped_mean,
-    tail_quantile_exact,
 )
 from .learner import (
     LearnerConfig,
@@ -36,8 +34,6 @@ __all__ = [
     "ParamPoint",
     "ParamSpace",
     "PartitionCell",
-    "law_capped_mean",
-    "tail_quantile_exact",
     "LearnerConfig",
     "OptimalSubsetResult",
     "compute_eta",

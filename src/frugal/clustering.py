@@ -476,6 +476,7 @@ def exact_kmedian_cost(distances: Sequence[Sequence[Any]], k: int) -> Fraction:
     """Brute-force optimal k-median cost: best k centers, nearest-center
     assignment.  Any partition's medoid cost is at least this."""
     n = len(distances)
+    require_integer("k", k)
     if not 1 <= k <= n:
         raise ValueError("k must lie in [1, n]")
     scale, rows = integer_rows(parse_rational_rows(distances))

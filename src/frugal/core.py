@@ -34,9 +34,6 @@ __all__ = [
     "PartitionCell",
     "ConfigProblem",
     "MAX_DRAWS",
-    "DegenerateDistributionError",
-    "tail_quantile_exact",
-    "law_capped_mean",
     "tail_capped_mean",
     "to_fraction",
     "parse_rational_rows",
@@ -46,10 +43,6 @@ __all__ = [
     "format_rational",
     "validate_cells_cover",
 ]
-
-
-class DegenerateDistributionError(ValueError):
-    """Raised for loss laws on which a tail quantile is not defined."""
 
 
 class ParamSpace:
@@ -237,51 +230,6 @@ class ConfigProblem:
 
     def f_bound(self, sample: PoolSample, tau: int) -> int:
         raise NotImplementedError
-
-
-def _normalize_law(law: Iterable[tuple[Any, Any]]) -> list[tuple[int, float]]:
-    pairs = [(int(v), float(p)) for v, p in law]
-    if not pairs:
-        raise DegenerateDistributionError("degenerate distribution: empty loss law")
-    total = 0.0
-    for value, prob in pairs:
-        if value < 0:
-            raise ValueError(f"loss values must be nonnegative, got {value}")
-        if prob <= 0.0:
-            raise ValueError(f"probabilities must be positive, got {prob}")
-        total += prob
-    if abs(total - 1.0) > 1e-9:
-        raise ValueError(f"probabilities must sum to 1, got {total}")
-    return pairs
-
-
-def tail_quantile_exact(law: Iterable[tuple[Any, Any]], delta: float) -> int:
-    """Largest integer budget whose tail probability still reaches ``delta``.
-
-    For a finite loss law this is ``max { tau : Pr[loss >= tau] >= delta }``.
-    Used as an exact oracle on distributions with known laws; laws with
-    unbounded support are rejected by construction (the law must be finite).
-    """
-    if not 0.0 < delta < 1.0:
-        raise ValueError("delta must lie in (0, 1)")
-    pairs = _normalize_law(law)
-    best = None
-    for value in sorted({v for v, _ in pairs}):
-        tail = sum(p for v, p in pairs if v >= value)
-        if tail >= delta:
-            best = value
-    # The smallest support value has tail probability 1 > delta, so a
-    # quantile always exists for a valid law.
-    assert best is not None
-    return best
-
-
-def law_capped_mean(law: Iterable[tuple[Any, Any]], cap: int) -> float:
-    """Expected capped loss ``E[min{loss, cap}]`` of a finite loss law."""
-    if cap < 0:
-        raise ValueError("cap must be nonnegative")
-    pairs = _normalize_law(law)
-    return sum(p * min(v, cap) for v, p in pairs)
 
 
 def tail_capped_mean(losses, counts, rank: int) -> tuple[int, float]:

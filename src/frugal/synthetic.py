@@ -4,11 +4,14 @@ The parameter space splits into three regions with known laws: a middle
 band where the loss is a small constant with probability one, and two outer
 regions where the loss is that constant or a much larger value with equal
 probability, each driven by an independent coin frozen into the instance at
-sampling time.  The region count is 3 for every instance set and cap, all
-quantiles and capped means are available in closed form, and the optimal
-capped expectation is the middle band's constant.  This family is the
-quantitative substrate of the acceptance suite: the expensive combinatorial
-domains are exercised for exactness, this one for end-to-end guarantees.
+sampling time.  The region count is 3 for every instance set and cap.  Below
+tail level 1/2 a region's tail quantile is its heavy loss, and the loss capped
+there has mean ``(loss_mid + heavy) / 2``, so the optimal capped expectation
+is the middle band's constant (``synthetic_exact_opt``).  The general
+finite-law oracle that checks this closed form lives in ``tests/support.py``.
+This family is the quantitative substrate of the acceptance suite: the
+expensive combinatorial domains are exercised for exactness, this one for
+end-to-end guarantees.
 
 The default tail losses 16 and 256 stand in for tree sizes that grow
 exponentially with instance size in the motivating worst-case construction;
@@ -27,8 +30,6 @@ from .core import (
     ParamCell,
     PartitionCell,
     PoolSample,
-    law_capped_mean,
-    tail_quantile_exact,
 )
 
 __all__ = [
@@ -36,14 +37,10 @@ __all__ = [
     "SyntheticInstance",
     "SyntheticProblem",
     "SyntheticOptSummary",
-    "REGIONS",
     "synthetic_run_with_cap",
     "synthetic_partition",
     "synthetic_exact_opt",
 ]
-
-REGIONS = ("low", "mid", "high")
-
 
 @dataclass(frozen=True)
 class SyntheticFamily:
@@ -77,16 +74,6 @@ class SyntheticFamily:
         if rho < self.b:
             return "mid"
         return "high"
-
-    def loss_law(self, region: str) -> tuple[tuple[int, float], ...]:
-        """Exact loss law of any parameter in the region."""
-        if region == "low":
-            return ((self.loss_mid, 0.5), (self.loss_low, 0.5))
-        if region == "mid":
-            return ((self.loss_mid, 1.0),)
-        if region == "high":
-            return ((self.loss_mid, 0.5), (self.loss_high, 0.5))
-        raise ValueError(f"unknown region {region!r}")
 
 
 @dataclass(frozen=True)
@@ -164,18 +151,17 @@ class SyntheticOptSummary:
 def synthetic_exact_opt(family: SyntheticFamily, delta: float) -> SyntheticOptSummary:
     """Exact optimum of the quarter-tail capped expectation over the space.
 
-    Computes, per region, the quarter-tail quantile and the expectation of
-    the loss capped there; the optimum is their minimum, attained on the
-    middle band where the loss is constant.
+    Each region's loss is ``loss_mid`` or its heavy loss with probability 1/2
+    each (the middle band's heavy loss is ``loss_mid`` itself).  The tail
+    level ``delta / 4`` lies below 1/2, so the region's quarter-tail quantile
+    is its heavy loss, and the loss capped there has mean
+    ``0.5 * loss_mid + 0.5 * heavy``.  The optimum is their minimum, attained
+    on the middle band where the loss is constant.
     """
     if not 0.0 < delta < 1.0:
         raise ValueError("delta must lie in (0, 1)")
-    tails = {}
-    means = {}
-    for region in REGIONS:
-        law = family.loss_law(region)
-        tails[region] = tail_quantile_exact(law, delta / 4.0)
-        means[region] = law_capped_mean(law, tails[region])
+    tails = {"low": family.loss_low, "mid": family.loss_mid, "high": family.loss_high}
+    means = {region: 0.5 * family.loss_mid + 0.5 * heavy for region, heavy in tails.items()}
     return SyntheticOptSummary(
         opt_quarter=min(means.values()),
         t_delta_by_region=tails,

@@ -40,8 +40,6 @@ from frugal.core import (
     PartitionCell,
     PoolSample,
     format_rational,
-    law_capped_mean,
-    tail_quantile_exact,
     to_fraction,
 )
 from frugal.stats import GammaInputs
@@ -155,16 +153,27 @@ def brute_tail_quantile(law, delta):
     return best
 
 
+def loss_law(family, rho):
+    """The ``SyntheticFamily`` loss law at ``rho``, as ``(loss, probability)``
+    pairs read off the coin that drives its region."""
+    region = family.region(rho)
+    if region == "low":
+        return ((family.loss_mid, 0.5), (family.loss_low, 0.5))
+    if region == "mid":
+        return ((family.loss_mid, 1.0),)
+    return ((family.loss_mid, 0.5), (family.loss_high, 0.5))
+
+
 def tail_quantile(family, rho, delta):
     """The exact ``delta``-tail quantile of the ``SyntheticFamily`` loss law
     at ``rho``."""
-    return tail_quantile_exact(family.loss_law(family.region(rho)), delta)
+    return brute_tail_quantile(loss_law(family, rho), delta)
 
 
 def capped_mean(family, rho, cap):
     """The exact mean of the ``SyntheticFamily`` loss law at ``rho``, capped
     at ``cap``."""
-    return law_capped_mean(family.loss_law(family.region(rho)), cap)
+    return sum(p * min(v, cap) for v, p in loss_law(family, rho))
 
 
 class RecordingTracker(DecisionTracker):

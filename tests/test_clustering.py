@@ -567,6 +567,16 @@ class TestFractionalMetrics:
         with pytest.raises(expected.type, match=f"^{re.escape(str(expected.value))}$"):
             exact_kmedian_cost(matrix, 1)
 
+    @pytest.mark.parametrize("k", [2.5, True, 2.0])
+    def test_kmedian_cost_rejects_a_non_integer_k(self, k):
+        matrix = [[0, 1, 2], [1, 0, 1], [2, 1, 0]]
+        with pytest.raises(TypeError, match=f"^k must be an integer, got {re.escape(repr(k))}$"):
+            exact_kmedian_cost(matrix, k)
+
+    def test_kmedian_cost_accepts_a_numpy_k(self):
+        matrix = [[0, 1, 2], [1, 0, 1], [2, 1, 0]]
+        assert exact_kmedian_cost(matrix, np.int64(2)) == exact_kmedian_cost(matrix, 2) == 1
+
     @settings(max_examples=12, deadline=None)
     @given(st.data())
     def test_partition_matches_runs(self, data):
