@@ -173,26 +173,23 @@ class Milp:
         return cls(objective=objective, rows=tuple(rows), rhs=rhs, name=name)
 
 
-@dataclass(frozen=True, eq=False)
-class LpSolution:
-    """Optimum of an LP relaxation, or an infeasibility certificate.
+class LpSolution(NamedTuple):
+    """Optimum of an LP relaxation in ints, or infeasibility when ``value`` is None.
 
     An optimum is kept as the solve left it, in ints over one positive
     denominator d: the objective is ``value / (d * scale)`` (``scale`` the
     program's lcm), ``numerators`` one per variable (a fixed variable as its
-    value times d); ``objective`` and ``point`` are built on first read.
-    ``unique`` is set when the final tableau certifies the optimum as the
-    only optimal point: every nonbasic column has a strictly positive
-    reduced cost.  ``lp_relax`` then hands this solution to each key that
-    adds one fixing the point satisfies, since a subset of the feasible set
-    that still holds the only optimum has it as its only optimum; an
-    infeasible solution serves each key that adds one fixing, since a
-    subset of an empty set is empty.  Such keys store the same object.
-    Equality and hashing go by ``(status, objective, point)`` alone.
+    value times d).  ``unique`` is set when the final tableau certifies the
+    optimum as the only optimal point: every nonbasic column has a strictly
+    positive reduced cost.  ``lp_relax`` then hands this solution to each key
+    that adds one fixing the point satisfies, since a subset of the feasible
+    set that still holds the only optimum has it as its only optimum; an
+    infeasible solution serves each key that adds one fixing, since a subset
+    of an empty set is empty.  Such keys store the same object, and every
+    infeasible key stores the one ``_INFEASIBLE``.
     """
 
-    status: str
-    value: int | None = None
+    value: int | None
     numerators: tuple[int, ...] | None = None
     denominator: int = 1
     unique: bool = False
@@ -200,35 +197,16 @@ class LpSolution:
 
     @property
     def is_optimal(self) -> bool:
-        return self.status == "optimal"
-
-    @cached_property
-    def objective(self) -> Fraction | None:
-        return None if self.value is None else Fraction(self.value, self.denominator * self.scale)
-
-    @cached_property
-    def point(self) -> tuple[Fraction, ...] | None:
-        if self.numerators is None:
-            return None
-        d = self.denominator
-        return tuple(Fraction(v, d) for v in self.numerators)
+        return self.value is not None
 
     def is_integral(self) -> bool:
-        if not self.is_optimal:
+        if self.value is None:
             return False
         d = self.denominator
         return all(v == 0 or v == d for v in self.numerators)
 
-    def _value(self) -> tuple:
-        return self.status, self.objective, self.point
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, LpSolution):
-            return NotImplemented
-        return self._value() == other._value()
-
-    def __hash__(self) -> int:
-        return hash(self._value())
+_INFEASIBLE = LpSolution(None)
 
 
 def _above(a: LpSolution, b: LpSolution) -> bool:
@@ -425,7 +403,8 @@ def _solve_box_lp(
 
 
 def lp_relax(milp: Milp, fixings: tuple = ()) -> LpSolution:
-    """Exact optimum of the LP relaxation with the given variables fixed.
+    """Exact optimum of the LP relaxation with the given variables fixed, as
+    an int ``LpSolution``; every infeasible key gets the one ``_INFEASIBLE``.
 
     ``fixings`` is the node's key: ``(index, value)`` pairs sorted by
     distinct in-range index, each value the int 0 or 1 (not a float or a
@@ -464,7 +443,7 @@ def lp_relax(milp: Milp, fixings: tuple = ()) -> LpSolution:
     for i, (index, value) in enumerate(fixings):
         parent = cache.get(fixings[:i] + fixings[i + 1:])
         if parent is not None and (
-            parent.status != "optimal"
+            parent.value is None
             or parent.unique and parent.numerators[index] == value * parent.denominator
         ):
             cache[fixings] = parent
@@ -481,8 +460,8 @@ def lp_relax(milp: Milp, fixings: tuple = ()) -> LpSolution:
         # Each free x lies in [0, 1], so the row's least activity is the sum
         # of its negative free entries; no point meets a right side below it.
         if b < 0 and b < sum(min(v, 0) for v in coefficients):
-            solution = cache[fixings] = LpSolution("infeasible")
-            return solution
+            cache[fixings] = _INFEASIBLE
+            return _INFEASIBLE
         free_rows.append(coefficients)
         free_rhs.append(b)
     try:
@@ -493,16 +472,15 @@ def lp_relax(milp: Milp, fixings: tuple = ()) -> LpSolution:
             f"{exc} ({where}, fixings {dict(fixings)})", program=milp.name, fixings=fixings
         ) from None
     if result is None:
-        solution = LpSolution("infeasible")
-    else:
-        z, d, numerators, unique = result
-        # Ascending inserts put each fixed value at its own index.
-        for index, value in fixings:
-            numerators.insert(index, value * d)
-        for j in ones:
-            z += d * objective[j]
-        solution = LpSolution("optimal", z, tuple(numerators), d, unique, scale)
-    cache[fixings] = solution
+        cache[fixings] = _INFEASIBLE
+        return _INFEASIBLE
+    z, d, numerators, unique = result
+    # Ascending inserts put each fixed value at its own index.
+    for index, value in fixings:
+        numerators.insert(index, value * d)
+    for j in ones:
+        z += d * objective[j]
+    solution = cache[fixings] = LpSolution(z, tuple(numerators), d, unique, scale)
     return solution
 
 
@@ -523,7 +501,7 @@ def scores(
         raise ValueError(f"variable index {index} out of range for n = {milp.n}")
     if (index, 0) in fixings or (index, 1) in fixings:
         raise ValueError(f"variable {index} is already fixed at this node")
-    if relaxation.status != "optimal":
+    if relaxation.value is None:
         raise ValueError("scores need a node with an optimal relaxation")
     parent, d = relaxation.value, relaxation.denominator
     decreases = []
@@ -534,7 +512,7 @@ def scores(
         child = lp_relax(milp, _child_key(fixings, index, value))
         decreases.append(
             (parent * child.denominator - child.value * d, d * child.denominator * relaxation.scale)
-            if child.status == "optimal" else (INFEASIBLE_SCORE, 1)
+            if child.value is not None else (INFEASIBLE_SCORE, 1)
         )
     (a, b), (e, f) = decreases
     g = math.gcd(a * f, e * b, b * f)
@@ -647,6 +625,7 @@ def _run_outcome(milp: Milp, cap: int, tracker: DecisionTracker) -> CappedRunOut
 
 def bnb_run(milp: Milp, rho, cap: int) -> CappedRunOutcome:
     """Capped search: solved with the exact tree size, or cap-exceeded."""
+    require_integer("cap", cap)
     return _run_outcome(milp, cap, standalone_tracker(rho))
 
 
@@ -659,6 +638,7 @@ def bnb_partition(sample: PoolSample, tau: int) -> list[PartitionCell]:
     The per-instance partitions are then refined into a common partition
     whose solved fractions and loss multiplicities count every draw.
     """
+    require_integer("tau", tau)
     if tau < 1:
         raise ValueError("tau must be a positive integer")
 
@@ -685,6 +665,7 @@ class BnbProblem(ConfigProblem):
     def f_bound(self, sample: PoolSample, tau: int) -> int:
         """Analytic ceiling on the cell count: ``sum_j n_j^(2 (tau+1)) + 1``,
         saturating at ``2**62``; monotone in the instance set and the cap."""
+        require_integer("tau", tau)
         if tau < 0:
             raise ValueError("tau must be nonnegative")
         return cell_count_ceiling(sample, 2 * (tau + 1))

@@ -330,6 +330,7 @@ def capped_linkage_run(instance: ClusteringInstance, rho, tau_merges: int) -> Me
     ``standalone_tracker``.  A sweep drives ``_LinkageRun`` directly.
     """
     n = instance.n
+    require_integer("tau_merges", tau_merges)
     if not 0 <= tau_merges <= n - 1:
         raise ValueError("tau_merges must lie in [0, n - 1]")
     run = _LinkageRun(instance)
@@ -448,6 +449,7 @@ def _run_outcome(run: _LinkageRun, tau: int, tracker: DecisionTracker) -> Capped
 
 def clustering_run_with_cap(rho, instance: ClusteringInstance, tau: int) -> CappedRunOutcome:
     """Capped run at one weight: solved with the exact merge budget, or cap-exceeded."""
+    require_integer("tau", tau)
     if tau < 0:
         raise ValueError("tau must be nonnegative")
     return _run_outcome(_LinkageRun(instance), tau, standalone_tracker(rho))
@@ -461,6 +463,7 @@ def clustering_partition(sample: PoolSample, tau: int) -> list[PartitionCell]:
     ``_LinkageRun``).  The refined cells' solved fractions and loss
     multiplicities count every draw.
     """
+    require_integer("tau", tau)
     if tau < 0:
         raise ValueError("tau must be nonnegative")
 
@@ -498,6 +501,7 @@ class ClusteringProblem(ConfigProblem):
 
     def f_bound(self, sample: PoolSample, tau: int) -> int:
         """Analytic ceiling on the cell count: ``sum_j n_j^8 + 1``, saturating at ``2**62``."""
+        require_integer("tau", tau)
         if tau < 0:
             raise ValueError("tau must be nonnegative")
         return cell_count_ceiling(sample, 8)

@@ -213,6 +213,7 @@ class ConfigProblem:
         self.pool = list(pool)
 
     def sample_many(self, rng: np.random.Generator, count: int) -> PoolSample:
+        require_integer("count", count)
         n = len(self.pool)
         return PoolSample(self.pool, rng.multinomial(count, np.full(n, 1.0 / n)).tolist())
 

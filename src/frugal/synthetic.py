@@ -30,6 +30,7 @@ from .core import (
     ParamCell,
     PartitionCell,
     PoolSample,
+    require_integer,
 )
 
 __all__ = [
@@ -99,6 +100,7 @@ def synthetic_run_with_cap(
     """Closed-form capped run: solved exactly when the instance loss fits the cap."""
     if not 0.0 <= rho <= 1.0:
         raise ValueError("rho must lie in [0, 1]")
+    require_integer("tau", tau)
     loss = _instance_loss(family, rho, instance)
     if loss <= tau:
         return CappedRunOutcome.finished(loss)
@@ -116,6 +118,7 @@ def synthetic_partition(
     closed-right region law used by ``synthetic_run_with_cap``.  A cell holds
     the capped loss at its left end of every drawn instance, with its count.
     """
+    require_integer("tau", tau)
     if tau < 1:
         raise ValueError("tau must be a positive integer")
     uids, counts = instances.distinct()

@@ -205,7 +205,7 @@ def best_binary_solution(milp, rho, cap=MAX_TREE_SIZE):
     """Incumbent value of a capped standalone ``bnb`` run (None when the
     program is infeasible or the cap is exceeded)."""
     completed, _, incumbent = _run_capped(milp, min(cap, MAX_TREE_SIZE), standalone_tracker(rho))
-    return incumbent.objective if completed and incumbent is not None else None
+    return lp_view(incumbent)[1] if completed and incumbent is not None else None
 
 
 def brute_binary_optimum(milp):
@@ -618,6 +618,16 @@ def _fraction_box_lp(objective, rows, rhs):
             point[b] = tableau[i][-1]
     unique = all(reduced[j] > 0 for j in range(ncols) if j not in basis)
     return "optimal", -minimum, tuple(point), unique
+
+
+def lp_view(solution):
+    """``(status, objective, point)`` of an ``LpSolution`` in ``Fraction``s,
+    the triple ``fraction_lp_relax`` returns."""
+    if not solution.is_optimal:
+        return "infeasible", None, None
+    d = solution.denominator
+    point = tuple(Fraction(v, d) for v in solution.numerators)
+    return "optimal", Fraction(solution.value, d * solution.scale), point
 
 
 def fraction_lp_relax(milp, fixings=()):

@@ -5,9 +5,19 @@ import re
 from pathlib import Path
 from typing import Callable, Iterable
 
+import numpy as np
 import pytest
 
 import frugal
+from frugal.bnb import BnbProblem, Milp, bnb_partition, bnb_run
+from frugal.clustering import (
+    ClusteringProblem,
+    capped_linkage_run,
+    clustering_partition,
+    clustering_run_with_cap,
+    random_metric_instance,
+)
+from frugal.synthetic import SyntheticFamily, SyntheticProblem, synthetic_partition, synthetic_run_with_cap
 
 MODULES = [frugal] + [
     importlib.import_module(f"frugal.{info.name}") for info in pkgutil.iter_modules(frugal.__path__)
@@ -123,3 +133,36 @@ def test_readme_quick_tour_runs(capsys):
     assert terminal_round == "8"
     assert 0.4 in ast.literal_eval(parameters)
     assert chosen == "0.4"
+
+
+def _entry_points():
+    """``(field, call)`` for each public entry point taking a cap or a draw count."""
+    milp = Milp.from_lists([2, 1], [[1, 1]], ["1.5"])
+    metric = random_metric_instance(np.random.default_rng(0), 4, 2)
+    family, synthetic = SyntheticFamily(), SyntheticProblem()
+    bnb_problem, clustering_problem = BnbProblem([milp]), ClusteringProblem([metric])
+    bnb_sample, clustering_sample = bnb_problem.all_instances(), clustering_problem.all_instances()
+    return {
+        "bnb_run": ("cap", lambda v: bnb_run(milp, 0.5, v)),
+        "bnb_partition": ("tau", lambda v: bnb_partition(bnb_sample, v)),
+        "BnbProblem.f_bound": ("tau", lambda v: bnb_problem.f_bound(bnb_sample, v)),
+        "clustering_run_with_cap": ("tau", lambda v: clustering_run_with_cap(0.5, metric, v)),
+        "clustering_partition": ("tau", lambda v: clustering_partition(clustering_sample, v)),
+        "capped_linkage_run": ("tau_merges", lambda v: capped_linkage_run(metric, 0.5, v)),
+        "ClusteringProblem.f_bound": ("tau", lambda v: clustering_problem.f_bound(clustering_sample, v)),
+        "synthetic_run_with_cap": ("tau", lambda v: synthetic_run_with_cap(family, 0.5, synthetic.pool[3], v)),
+        "synthetic_partition": ("tau", lambda v: synthetic_partition(family, synthetic.all_instances(), v)),
+        "ConfigProblem.sample_many": ("count", lambda v: synthetic.sample_many(np.random.default_rng(0), v)),
+    }
+
+
+ENTRY_POINTS = list(_entry_points())
+
+
+@pytest.mark.parametrize("entry", ENTRY_POINTS)
+@pytest.mark.parametrize("value", [2.5, 3.0, True], ids=["half", "whole-float", "bool"])
+def test_caps_and_draw_counts_must_be_integers(entry, value):
+    field, call = _entry_points()[entry]
+    with pytest.raises(TypeError, match=f"^{field} must be an integer, got {value!r}$"):
+        call(value)
+    call(np.int64(2))

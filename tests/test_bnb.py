@@ -39,6 +39,7 @@ from support import (
     draw_indices,
     fraction_lp_relax,
     fraction_lp_solution,
+    lp_view,
     outcome,
     reference_bnb_run,
     sample_of,
@@ -138,39 +139,39 @@ def check_unique_certificate(milp, fixings, solution, unique):
 class TestLpRelax:
     def test_single_constraint_binds(self):
         milp = Milp.from_lists([1], [[1]], ["0.5"])
-        solution = lp_relax(milp)
-        assert solution.objective == Fraction(1, 2)
-        assert solution.point == (Fraction(1, 2),)
+        _, objective, point = lp_view(lp_relax(milp))
+        assert objective == Fraction(1, 2)
+        assert point == (Fraction(1, 2),)
 
     def test_greedy_fill(self, two_var):
-        solution = lp_relax(two_var)
-        assert solution.objective == Fraction(5, 2)
-        assert solution.point == (Fraction(1), Fraction(1, 2))
+        _, objective, point = lp_view(lp_relax(two_var))
+        assert objective == Fraction(5, 2)
+        assert point == (Fraction(1), Fraction(1, 2))
 
     def test_fixings_substituted(self, two_var):
-        solution = lp_relax(two_var, ((1, 1),))
-        assert solution.objective == Fraction(2)  # x0 <= 0.5, so 2*0.5 + 1
-        assert solution.point[1] == 1
+        _, objective, point = lp_view(lp_relax(two_var, ((1, 1),)))
+        assert objective == Fraction(2)  # x0 <= 0.5, so 2*0.5 + 1
+        assert point[1] == 1
 
     def test_infeasible_detected(self, two_var):
-        assert lp_relax(two_var, ((0, 1), (1, 1))).status == "infeasible"
+        assert lp_view(lp_relax(two_var, ((0, 1), (1, 1))))[0] == "infeasible"
 
     def test_negative_rhs_phase_one(self):
         milp = Milp.from_lists([1, 1], [[-1, 0], [1, 1]], ["-0.75", "1.2"])
-        solution = lp_relax(milp)
-        assert solution.objective == Fraction(6, 5)
-        assert solution.point[0] >= Fraction(3, 4)
+        _, objective, point = lp_view(lp_relax(milp))
+        assert objective == Fraction(6, 5)
+        assert point[0] >= Fraction(3, 4)
 
     def test_dominates_binary_enumeration(self):
         for milp in random_pool(seed=101, count=50, num_vars=6, num_rows=4):
-            relax = lp_relax(milp)
+            status, objective, _ = lp_view(lp_relax(milp))
             best = brute_binary_optimum(milp)
-            assert relax.status == "optimal"  # origin always feasible
-            assert best is None or relax.objective >= best
+            assert status == "optimal"  # origin always feasible
+            assert best is None or objective >= best
 
     def test_matches_float_solver(self):
         for milp in random_pool(seed=5, count=25):
-            relax = lp_relax(milp)
+            objective = lp_view(lp_relax(milp))[1]
             result = linprog(
                 c=[-float(v) for v in milp.objective],
                 A_ub=[[float(v) for v in row] for row in milp.rows],
@@ -179,7 +180,7 @@ class TestLpRelax:
                 method="highs",
             )
             assert result.status == 0
-            assert float(relax.objective) == pytest.approx(-result.fun, abs=1e-7)
+            assert float(objective) == pytest.approx(-result.fun, abs=1e-7)
 
     @pytest.mark.parametrize(
         "objective, rows, rhs, point",
@@ -208,8 +209,8 @@ class TestLpRelax:
     def test_vertex_follows_rational_pivots(self, objective, rows, rhs, point):
         milp = Milp.from_lists(objective, rows, rhs)
         solution = lp_relax(milp)
-        assert (solution.status, solution.objective, solution.point) == fraction_lp_relax(milp)
-        assert solution.point == tuple(Fraction(x) for x in point)
+        assert lp_view(solution) == fraction_lp_relax(milp)
+        assert lp_view(solution)[2] == tuple(Fraction(x) for x in point)
 
     def test_matches_fraction_tableau_on_every_fixing_set(self):
         rng = np.random.default_rng(71)
@@ -219,7 +220,7 @@ class TestLpRelax:
                 solution = lp_relax(milp, fixings)
                 *expected, unique = fraction_lp_solution(milp, fixings)
                 expected = tuple(expected)
-                assert (solution.status, solution.objective, solution.point) == expected
+                assert lp_view(solution) == expected
                 check_unique_certificate(milp, fixings, solution, unique)
 
     @settings(max_examples=100, deadline=None)
@@ -231,7 +232,7 @@ class TestLpRelax:
             solution = lp_relax(milp, fixings)
             *expected, unique = fraction_lp_solution(milp, fixings)
             expected = tuple(expected)
-            assert (solution.status, solution.objective, solution.point) == expected
+            assert lp_view(solution) == expected
             check_unique_certificate(milp, fixings, solution, unique)
         for fixings in reversed(distinct):
             assert lp_relax(milp, fixings) is milp._lp_cache[fixings]
@@ -341,9 +342,9 @@ class TestLpRelax:
         milp = Milp.from_lists(objective, rows, rhs)
         solution = lp_relax(milp)
         assert seen == exchanges
-        assert solution.point == tuple(Fraction(x) for x in point)
+        assert lp_view(solution)[2] == tuple(Fraction(x) for x in point)
         *expected, unique = fraction_lp_solution(milp)
-        assert (solution.status, solution.objective, solution.point) == tuple(expected)
+        assert lp_view(solution) == tuple(expected)
         assert solution.unique is unique
 
     @pytest.mark.parametrize("fixings, status", [
@@ -360,8 +361,8 @@ class TestLpRelax:
         # negative right side is infeasible), so only a feasible key reaches it.
         assert [args[0] for args in calls] == ([[]] if status == "optimal" else [])
         *expected, unique = fraction_lp_solution(milp, fixings)
-        assert (solution.status, solution.objective, solution.point) == tuple(expected)
-        assert solution.status == status
+        assert lp_view(solution) == tuple(expected)
+        assert lp_view(solution)[0] == status
         assert not solution.is_optimal or solution.unique is unique
         assert solve([], [[], []], [1, 0]) == (0, 1, [], True)
         assert solve([], [[], []], [1, -1]) is None
@@ -381,18 +382,18 @@ class TestLpRelax:
         key = ((0, 1), (1, 1))
         monkeypatch.setattr(bnb, "_solve_box_lp", None)
         solution = lp_relax(milp, key)
-        assert solution.status == "infeasible" and milp._lp_cache == {key: solution}
+        assert lp_view(solution)[0] == "infeasible" and milp._lp_cache == {key: solution}
         assert fraction_lp_relax(milp, key) == ("infeasible", None, None)
         monkeypatch.undo()
         second_row = Milp.from_lists([1, 1, 1], [[1, 1, -1]], ["1.5"])
-        assert lp_relax(second_row, key).point == (1, 1, 1)
+        assert lp_view(lp_relax(second_row, key))[2] == (1, 1, 1)
 
     def test_infeasibility_no_row_proves_reaches_phase_one(self, monkeypatch):
         # x0 + x1 <= 1 and x0 + x1 >= 3/2: each row alone is feasible.
         milp = Milp.from_lists([1, 1], [[1, 1], [-1, -1]], [1, "-1.5"])
         solve, results = bnb._solve_box_lp, []
         monkeypatch.setattr(bnb, "_solve_box_lp", lambda *args: results.append(solve(*args)) or results[-1])
-        assert lp_relax(milp).status == "infeasible"
+        assert lp_view(lp_relax(milp))[0] == "infeasible"
         assert results == [None]
         assert fraction_lp_relax(milp) == ("infeasible", None, None)
 
@@ -408,20 +409,18 @@ class TestLpRelax:
             with mock.patch.object(bnb, "_solve_box_lp", lambda *args: calls.append(args) or solve(*args)):
                 solution = lp_relax(cold_copy(milp), fixings)
             expected = fraction_lp_relax(milp, fixings)
-            assert (solution.status, solution.objective, solution.point) == expected
+            assert lp_view(solution) == expected
             if not calls:
                 assert expected == ("infeasible", None, None)
 
     def test_solution_equality_is_by_value(self):
         # The objective is value / (denominator * scale): 3/2 in both.
-        half = LpSolution("optimal", 3, (1, 2), 2, True)
-        same = LpSolution("optimal", 18, (3, 6), 6, False, 2)
-        assert half == same and hash(half) == hash(same)
-        assert half.objective == same.objective == Fraction(3, 2)
-        assert same.point == (Fraction(1, 2), Fraction(1))
-        assert half != LpSolution("optimal", 3, (2, 1), 2, True)
-        assert half != LpSolution("infeasible", None)
-        assert LpSolution("infeasible", None) == LpSolution("infeasible", None)
+        half = LpSolution(3, (1, 2), 2, True)
+        same = LpSolution(18, (3, 6), 6, False, 2)
+        assert lp_view(half) == lp_view(same) == ("optimal", Fraction(3, 2), (Fraction(1, 2), Fraction(1)))
+        assert lp_view(half) != lp_view(LpSolution(3, (2, 1), 2, True))
+        assert lp_view(half) != lp_view(LpSolution(None))
+        assert lp_view(LpSolution(None)) == lp_view(bnb._INFEASIBLE) == ("infeasible", None, None)
 
     def test_tied_optimum_is_not_inherited(self):
         # The root's optimum (1/5, 1, 1) ties with (3/5, 3/5, 1), so its
@@ -429,23 +428,23 @@ class TestLpRelax:
         # both points satisfy, must be solved to reach Bland's vertex.
         milp = parse_milp("3 2\n2 2 3\n5 5 1 <= 7\n3 2 0 <= 3\n")
         root = lp_relax(milp)
-        assert root.point == (Fraction(1, 5), Fraction(1), Fraction(1))
+        assert lp_view(root)[2] == (Fraction(1, 5), Fraction(1), Fraction(1))
         assert not root.unique
         child = lp_relax(milp, ((2, 1),))
-        assert (child.status, child.objective, child.point) == fraction_lp_relax(milp, ((2, 1),))
-        assert child.point == (Fraction(3, 5), Fraction(3, 5), Fraction(1))
-        assert child.objective == root.objective
+        assert lp_view(child) == fraction_lp_relax(milp, ((2, 1),))
+        assert lp_view(child)[2] == (Fraction(3, 5), Fraction(3, 5), Fraction(1))
+        assert lp_view(child)[1] == lp_view(root)[1]
 
     def test_unique_optimum_is_inherited(self, monkeypatch, two_var):
         root = lp_relax(two_var)
-        assert root.unique and root.point == (Fraction(1), Fraction(1, 2))
+        assert root.unique and lp_view(root)[2] == (Fraction(1), Fraction(1, 2))
         monkeypatch.setattr(bnb, "_solve_box_lp", None)
         assert lp_relax(two_var, ((0, 1),)) is root
 
     def test_infeasible_key_settles_every_superset(self, monkeypatch):
         milp = Milp.from_lists([1, 2, 3, 1], [[1, 1, 0, 0], [0, 1, 1, 1]], ["1.5", 2])
         infeasible = lp_relax(milp, ((0, 1), (1, 1)))
-        assert infeasible.status == "infeasible"
+        assert infeasible is bnb._INFEASIBLE
         solve = bnb._solve_box_lp
         calls = []
         monkeypatch.setattr(bnb, "_solve_box_lp", lambda *args: calls.append(args) or solve(*args))
@@ -466,7 +465,9 @@ class TestLpRelax:
         assert milp._lp_cache
         for fixings, solution in milp._lp_cache.items():
             expected = fraction_lp_relax(milp, fixings)
-            assert (solution.status, solution.objective, solution.point) == expected
+            assert lp_view(solution) == expected
+            # Every infeasible key, solved or settled, stores the one shared value.
+            assert solution.is_optimal or solution is bnb._INFEASIBLE
 
     def test_weak_duality_down_the_tree(self):
         for milp in random_pool(seed=17, count=20):
@@ -475,7 +476,7 @@ class TestLpRelax:
                 for value in (0, 1):
                     child = lp_relax(milp, ((i, value),))
                     if child.is_optimal:
-                        assert child.objective <= parent.objective
+                        assert lp_view(child)[1] <= lp_view(parent)[1]
 
 
 def rational_scores(milp, fixings, relaxation, index):
@@ -518,7 +519,7 @@ class TestScores:
         settled_seen = 0
         for milp in random_pool(seed=19, count=20, num_vars=6, num_rows=3):
             root = lp_relax(milp)
-            for index, x in enumerate(root.point):
+            for index, x in enumerate(lp_view(root)[2]):
                 if x not in (0, 1):
                     continue
                 settled_seen += 1
@@ -529,7 +530,7 @@ class TestScores:
                 assert settled not in milp._lp_cache
                 assert set(milp._lp_cache) - before <= {((index, 1 - int(x)),)}
                 status, value, _ = fraction_lp_relax(milp, settled)
-                assert status == "optimal" and value == root.objective
+                assert status == "optimal" and value == lp_view(root)[1]
         assert settled_seen > 0
 
     def test_expansion_lines_are_a_positive_multiple_of_fraction_lines(self):
@@ -905,7 +906,7 @@ class TestParser:
     def test_numpy_ints_accepted(self):
         milp = Milp((np.int64(2), 1), ((np.int32(1), 1),), (Fraction(3, 2),))
         solution = lp_relax(milp)
-        assert solution.point == (Fraction(1), Fraction(1, 2))
+        assert lp_view(solution)[2] == (Fraction(1), Fraction(1, 2))
         # The exact arithmetic sees Python ints only.
         assert all(type(v) is int for v in solution.numerators)
         assert type(solution.denominator) is int and type(solution.value) is int
@@ -991,17 +992,17 @@ class TestParser:
         path.write_text("1 1\n2\n1 <= 0.5\n")
         milp = load_milp(path)
         assert milp.name == "inst.milp"
-        assert lp_relax(milp).objective == Fraction(1)
+        assert lp_view(lp_relax(milp))[1] == Fraction(1)
 
 
 class TestExactness:
     def test_lp_points_exactly_feasible(self):
         for milp in random_pool(seed=61, count=25):
-            solution = lp_relax(milp)
-            assert solution.is_optimal
+            status, _, point = lp_view(lp_relax(milp))
+            assert status == "optimal"
             for row, b in zip(milp.rows, milp.rhs):
-                assert sum(c * x for c, x in zip(row, solution.point)) <= b
-            assert all(0 <= x <= 1 for x in solution.point)
+                assert sum(c * x for c, x in zip(row, point)) <= b
+            assert all(0 <= x <= 1 for x in point)
 
     def test_budget_monotone_on_random_instances(self):
         rng = np.random.default_rng(67)
