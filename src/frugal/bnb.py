@@ -19,7 +19,12 @@ trivial while one of ``x_j`` and ``u_j`` is nonbasic, and otherwise the
 complement of the row of the other one.  Bland's rule and the ratio test
 read the same entries as on the full tableau, so the pivots and the vertex
 reached are the same, while each pivot updates fewer rows and columns, and a
-pivot on a trivial box row is a bound flip without a division.  A
+pivot on a trivial box row is a bound flip without a division.  An LP
+whose right sides are all nonnegative is feasible at the origin, so it
+skips phase 1: it starts at the slack basis, whose cost row is the negated
+objective as it stands.  Every LP of a program with nonnegative rows, such
+as ``random_milp`` draws, starts there, since the row check below settles
+each key with a negative right side before it reaches the solver.  A
 solution keeps its value and point as ints over one denominator, so scores
 and node order are int cross-products.  So objective values, scores, and cell
 breakpoints are exact.  This is desk-scale machinery: at most 20 variables.
@@ -231,7 +236,8 @@ def _exchange(
     ``-s * f`` in each other row (and the cost row) whose entry in column
     ``k`` was ``f``, with ``s = -1`` if the pivot row was negated.  The box
     rows that ``_simplex_min`` leaves implicit are read off the stored rows
-    and ``d``, so updating the stored rows updates them too.
+    and ``d``, so updating the stored rows updates them too.  Each updated
+    row is a new list in ``tableau``; the cost row is updated in place.
     """
     pivot_row = tableau[row]
     p, s = pivot_row[k], 1
@@ -241,10 +247,11 @@ def _exchange(
     for i, line in enumerate(tableau):
         f = line[k]
         if f and i != row:
-            line[:] = [(p * v - f * w) // d for v, w in zip(line, pivot_row)]
+            line = [(p * v - f * w) // d for v, w in zip(line, pivot_row)]
             line[k] = -s * f
+            tableau[i] = line
         elif p != d and i != row:
-            line[:] = [p * v // d for v in line]
+            tableau[i] = [p * v // d for v in line]
     if zrow is not None:
         # The entering reduced cost, never 0; the update holds for 0 as well.
         f = zrow[k]
@@ -256,27 +263,14 @@ def _exchange(
     return p
 
 
-def _simplex_min(
+def _priced(
     tableau: list[list[int]], cols: list[int], basis: list[int], cost: Sequence[int], d: int,
     partner: Sequence[int],
-) -> tuple[int, list[int]]:
-    """Minimize cost (one entry per variable) over the tableau in place.
-
-    ``partner`` pairs each structural ``x_j`` with its box slack ``u_j = 1 -
-    x_j`` (-1 for the other variables).  One of a pair is always basic, and
-    its box row is implied: trivial (``d`` in its partner's column, right
-    side ``d``) while the partner is nonbasic, else the complement of the
-    partner's stored row (entries negated, right side ``d - rhs``).  Bland's
-    rule enters the stored column of lowest variable index with a negative
-    reduced cost; the ratio test reads the implied rows too, least ratio by
-    cross-multiplication, ties to the lowest basic index.  A complement
-    leaves by taking its stored row's place, and the entering variable's
-    own bound (ratio 1) is a bound flip: a pivot with ``p = d`` that moves
-    column ``k`` into each right side and divides nothing.  So every pivot
-    and entry is the explicit tableau's.  Returns the final ``d`` and cost
-    row: ``d`` times the stored columns' reduced costs, then ``z`` with
-    minimum ``-z / d``.
-    """
+) -> list[int]:
+    """The cost row of ``cost`` (one entry per variable) priced out over the
+    basis: ``d`` times the stored columns' reduced costs, then ``z``, with
+    ``-z / d`` the basic solution's cost.  A box slack's cost is moved onto
+    its partner through ``x_j + u_j = 1`` (see ``_simplex_min``)."""
     zrow = [0] * (len(cols) + 1)
     for k, j in enumerate(cols):
         q = partner[j]
@@ -290,6 +284,30 @@ def _simplex_min(
         if cb:
             zrow = [z - cb * v for z, v in zip(zrow, tableau[i])]
         zrow[-1] -= d * cq
+    return zrow
+
+
+def _simplex_min(
+    tableau: list[list[int]], cols: list[int], basis: list[int], zrow: list[int], d: int,
+    partner: Sequence[int],
+) -> tuple[int, list[int]]:
+    """Minimize over the tableau in place, from the priced cost row ``zrow``.
+
+    ``partner`` pairs each structural ``x_j`` with its box slack ``u_j = 1 -
+    x_j`` (-1 for the other variables).  One of a pair is always basic, and
+    its box row is implied: trivial (``d`` in its partner's column, right
+    side ``d``) while the partner is nonbasic, else the complement of the
+    partner's stored row (entries negated, right side ``d - rhs``).  Bland's
+    rule enters the stored column of lowest variable index with a negative
+    reduced cost; the ratio test reads the implied rows too, least ratio by
+    cross-multiplication, ties to the lowest basic index.  A complement
+    leaves by taking its stored row's place, and the entering variable's
+    own bound (ratio 1) is a bound flip: a pivot with ``p = d`` that moves
+    column ``k`` into each right side and divides nothing.  So every pivot
+    and entry is the explicit tableau's.  Returns the final ``d`` and cost
+    row, which was updated in place: ``d`` times the stored columns'
+    reduced costs, then ``z`` with minimum ``-z / d``.
+    """
     for _ in range(_SIMPLEX_ITERATION_LIMIT):
         j, entering = len(partner), -1
         for k, (index, z) in enumerate(zip(cols, zrow)):
@@ -345,7 +363,14 @@ def _solve_box_lp(
     tableau's.  The data is one program scaled by one lcm, so every row's
     slack (and artificial) is the rational slack times that one positive
     scale, and unit phase-1 costs make both phases follow the rational
-    tableau's pivots.  Returns None when infeasible, else ``(z, d,
+    tableau's pivots.  With no negative right side there is no artificial
+    and no phase 1: phase 2 starts at the slack basis (``d = 1``), where
+    every basic variable and every box slack costs 0, so the priced cost
+    row is the negated objective followed by 0.  ``lp_relax``'s row check
+    settles every negative right side of a row without negative entries, so
+    each LP of a program with nonnegative rows starts there.  Phase 1, its
+    drive-out and the pricing after it run only for a negative right side.
+    Returns None when infeasible, else ``(z, d,
     numerators, unique)``: the optimum is ``z / d``, ``x[j] = numerators[j]
     / d``, and ``unique`` tells whether every nonbasic column of the final
     tableau has a strictly positive reduced cost, which makes that optimal
@@ -355,22 +380,23 @@ def _solve_box_lp(
     """
     n, r = len(objective), len(rows)
     m = r + n
-    negative = [i for i, b in enumerate(rhs) if b < 0]
-    zeros = [0] * len(negative)
-    tableau = [
-        [-v for v in row] + [-(r == i) for r in negative] + [-b] if b < 0 else [*row, *zeros, b]
-        for i, (row, b) in enumerate(zip(rows, rhs))
-    ]
-    # A negated row's slack starts nonbasic, with entry -1 in that row.
-    cols = [*range(n), *(n + i for i in negative)]
-    basis = [*range(n, n + r)]
-    for artificial, i in enumerate(negative, n + m):
-        basis[i] = artificial
-    partner = [*range(n + r, n + m), *[-1] * r, *range(n), *[-1] * len(negative)]
-
+    tableau = [[*row, b] for row, b in zip(rows, rhs)]
+    cols, basis = [*range(n)], [*range(n, n + r)]
+    partner = [*range(n + r, n + m), *[-1] * r, *range(n)]
     d = 1
-    if negative:
-        phase1 = [0] * (n + m) + [1] * len(negative)
+    if min(rhs, default=0) < 0:
+        # Each row with a negative right side is negated and gets a basic
+        # artificial; its slack starts nonbasic, with entry -1 in that row.
+        negative = [i for i, b in enumerate(rhs) if b < 0]
+        for i, line in enumerate(tableau):
+            line[-1:-1] = [int(k == i) for k in negative]
+            if line[-1] < 0:
+                tableau[i] = [-v for v in line]
+        cols += [n + i for i in negative]
+        for artificial, i in enumerate(negative, n + m):
+            basis[i] = artificial
+        partner += [-1] * len(negative)
+        phase1 = _priced(tableau, cols, basis, [0] * (n + m) + [1] * len(negative), d, partner)
         d, zrow = _simplex_min(tableau, cols, basis, phase1, d, partner)
         if zrow[-1] < 0:
             return None
@@ -385,9 +411,11 @@ def _solve_box_lp(
         keep = [k for k, j in enumerate(cols) if j < n + m]
         tableau = [[row[k] for k in keep] + row[-1:] for row in tableau]
         cols = [cols[k] for k in keep]
-
-    phase2 = [-c for c in objective] + [0] * m
-    d, zrow = _simplex_min(tableau, cols, basis, phase2, d, partner)
+        zrow = _priced(tableau, cols, basis, [-c for c in objective] + [0] * m, d, partner)
+    else:
+        # Feasible at the origin: the slack basis costs 0, so nothing to price.
+        zrow = [-c for c in objective] + [0]
+    d, zrow = _simplex_min(tableau, cols, basis, zrow, d, partner)
     # A structural is 0 when nonbasic, d when its box slack is nonbasic, and
     # otherwise read off its own stored row or its box slack's.
     numerators = [d] * n
@@ -565,7 +593,8 @@ def _children(milp: Milp, fixings: tuple, index: int) -> tuple:
 def _run_capped(
     milp: Milp, node_limit: int, tracker: DecisionTracker
 ) -> tuple[bool, int, LpSolution | None]:
-    """Best-first branch-and-bound capped at ``node_limit`` tree nodes.
+    """Best-first branch-and-bound capped at ``node_limit`` tree nodes, at
+    least 1 (``bnb_run`` and ``bnb_partition`` check the cap).
 
     Returns ``(completed, tree_size, incumbent)``: whether the search
     finished within the limit, the nodes it built, and the solution of the
@@ -579,8 +608,6 @@ def _run_capped(
     program's node memo, so a node that an earlier run expanded costs one
     argmax over int lines.
     """
-    if node_limit < 1:
-        raise ValueError("node limit must be positive")
     root_lp = lp_relax(milp)
     if not root_lp.is_optimal:
         return True, 1, None
@@ -626,6 +653,8 @@ def _run_outcome(milp: Milp, cap: int, tracker: DecisionTracker) -> CappedRunOut
 def bnb_run(milp: Milp, rho, cap: int) -> CappedRunOutcome:
     """Capped search: solved with the exact tree size, or cap-exceeded."""
     require_integer("cap", cap)
+    if cap < 1:
+        raise ValueError("cap must be a positive integer")
     return _run_outcome(milp, cap, standalone_tracker(rho))
 
 

@@ -101,6 +101,8 @@ def synthetic_run_with_cap(
     if not 0.0 <= rho <= 1.0:
         raise ValueError("rho must lie in [0, 1]")
     require_integer("tau", tau)
+    if tau < 0:
+        raise ValueError("tau must be nonnegative")
     loss = _instance_loss(family, rho, instance)
     if loss <= tau:
         return CappedRunOutcome.finished(loss)

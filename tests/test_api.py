@@ -166,3 +166,21 @@ def test_caps_and_draw_counts_must_be_integers(entry, value):
     with pytest.raises(TypeError, match=f"^{field} must be an integer, got {value!r}$"):
         call(value)
     call(np.int64(2))
+
+
+@pytest.mark.parametrize(
+    "domain, lowest_invalid, message",
+    [("bnb", 0, "cap must be a positive integer"), ("clustering", -1, "tau must be nonnegative"),
+     ("synthetic", -1, "tau must be nonnegative")],
+    ids=["bnb", "clustering", "synthetic"],
+)
+def test_run_with_cap_rejects_an_invalid_cap_by_name(domain, lowest_invalid, message):
+    # The error names the cap the caller passed, not a limit or a budget
+    # derived from it further down.
+    problem = {
+        "bnb": lambda: BnbProblem([Milp.from_lists([2, 1], [[1, 1]], ["1.5"])]),
+        "clustering": lambda: ClusteringProblem([random_metric_instance(np.random.default_rng(0), 4, 2)]),
+        "synthetic": SyntheticProblem,
+    }[domain]()
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        problem.run_with_cap(0.5, problem.pool[0], lowest_invalid)

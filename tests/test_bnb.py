@@ -204,6 +204,10 @@ class TestLpRelax:
             # Phase 1 ends with x0's box slack basic in a stored row, so
             # phase 2 prices that row against x0's cost.
             ([3, 0], [[1, -2], [2, -3]], [-1, -1], (1, 1)),
+            # A zero right side beside a negative one keeps its slack basic
+            # and gets no artificial, so phase 1 stops at (1, 0); with an
+            # artificial in that row as well it would stop at (0, 1).
+            ([0, 0], [[-1, 0], [-1, -1]], [0, -1], (1, 0)),
         ],
     )
     def test_vertex_follows_rational_pivots(self, objective, rows, rhs, point):

@@ -13,6 +13,10 @@ SOURCE = '''def f(a, b) -> bool:
     if a < b <= 3:  # so is a > b in a comment
         return a == b or a >= b
     return a != b or a > b or a << b == "<"
+
+
+def g(a, b) -> bool:
+    return a is None or b is not None and a not in b and b in a
 '''
 
 
@@ -26,6 +30,8 @@ def test_one_mutant_per_comparison_operator():
         (5, "!=", "=="),
         (5, ">", ">="),
         (5, "==", "!="),
+        (9, "is", "is not"),
+        (9, "is not", "is"),
     ]
 
 
@@ -48,3 +54,9 @@ def test_second_operator_on_a_line_is_mutated_in_place():
 
 def test_source_without_comparisons_has_no_mutants():
     assert mutants_tool.mutants("x = 1 << 2 >> 1\ndef g() -> int:\n    return x\n") == []
+
+
+def test_identity_operators_swap_as_one_operator():
+    identity = [m for m in mutants_tool.mutants(SOURCE) if m.line == 9]
+    assert "return a is not None or b is not None and a not in b" in identity[0].source
+    assert "return a is None or b is None and a not in b and b in a" in identity[1].source

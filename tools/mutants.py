@@ -1,7 +1,9 @@
 """Comparison-operator mutation testing for one module of a package.
 
-Each ``<``/``<=``, ``>``/``>=`` and ``==``/``!=`` token in the module gives
-one mutant: that single operator swapped for its partner.  Every mutant is
+Each ``<``/``<=``, ``>``/``>=``, ``==``/``!=`` and ``is``/``is not``
+operator in the module gives one mutant: that single operator swapped for
+its partner (``is`` followed by ``not`` is the one operator ``is not``;
+``in`` and ``not in`` are left alone).  Every mutant is
 written into a fresh temporary copy of the module's package, never into the
 working tree, and the given test files are run against that copy with
 ``pytest -x -q``, one process at a time.  The tests first run once on an
@@ -31,7 +33,9 @@ from pathlib import Path
 from typing import NamedTuple
 
 TIMEOUT = 120
-SWAPS = {"<": "<=", "<=": "<", ">": ">=", ">=": ">", "==": "!=", "!=": "=="}
+SWAPS = {
+    "<": "<=", "<=": "<", ">": ">=", ">=": ">", "==": "!=", "!=": "==", "is": "is not", "is not": "is",
+}
 
 
 class Mutant(NamedTuple):
@@ -42,18 +46,23 @@ class Mutant(NamedTuple):
 
 
 def mutants(source: str) -> list[Mutant]:
-    """One mutant per comparison operator token of ``source``, in source order."""
+    """One mutant per comparison operator of ``source``, in source order."""
     lines = source.splitlines(keepends=True)
+    tokens = list(tokenize.generate_tokens(io.StringIO(source).readline))
     out = []
-    for token in tokenize.generate_tokens(io.StringIO(source).readline):
-        if token.type != tokenize.OP or token.string not in SWAPS:
+    for token, following in zip(tokens, tokens[1:]):
+        if token.type == tokenize.OP and token.string in SWAPS:
+            original, end = token.string, token.end
+        elif token.type == tokenize.NAME and token.string == "is":
+            # ``is`` and ``not`` are two NAME tokens of one operator.
+            is_not = following.type == tokenize.NAME and following.string == "not"
+            original, end = ("is not", following.end) if is_not else ("is", token.end)
+        else:
             continue
-        (row, col), replacement = token.start, SWAPS[token.string]
+        (row, col), replacement = token.start, SWAPS[original]
         text = lines[row - 1]
-        mutated = text[:col] + replacement + text[col + len(token.string):]
-        out.append(
-            Mutant(row, token.string, replacement, "".join(lines[: row - 1] + [mutated] + lines[row:]))
-        )
+        mutated = text[:col] + replacement + text[end[1]:]
+        out.append(Mutant(row, original, replacement, "".join(lines[: row - 1] + [mutated] + lines[row:])))
     return out
 
 
